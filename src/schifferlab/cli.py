@@ -296,6 +296,15 @@ def _run_indicator(p: dict) -> tuple[list[str], list[tuple], str]:
         raise ConfigError(
             "the partial-interval trace has a closed form only at l = 0; "
             "use xi = 0 for higher degrees")
+    theta = p["theta"]
+    if not math.isfinite(theta):
+        raise ConfigError(f"theta must be finite, got {theta}")
+    sin_theta = abs(math.sin(theta))
+    # at a multiple of pi, sin(theta) is rounding noise of order eps * |theta|
+    if sin_theta <= 4 * sys.float_info.epsilon * max(1.0, abs(theta)):
+        raise ConfigError(
+            f"sin(theta) = 0 at theta = {theta}: the expected type "
+            "(r_hat - xi)|sin theta| vanishes, so the relative test is undefined")
     if l == 0:
         d = r_hat - xi
 
@@ -316,8 +325,9 @@ def _run_indicator(p: dict) -> tuple[list[str], list[tuple], str]:
         def log_abs(z: complex) -> float:
             return dispersion_log_abs(l, r_hat, z)
 
-    sample = indicator(f, p["theta"], p["r_values"], log_abs=log_abs)
-    expected = r_hat - xi
+    sample = indicator(f, theta, p["r_values"], log_abs=log_abs)
+    # a sine-type function of type r_hat - xi has h(theta) = type * |sin theta|
+    expected = (r_hat - xi) * sin_theta
     rel = abs(sample.h_extrapolated - expected) / expected
     ok = rel <= p["type_tol"]
     rows = [(float(r), float(h), sample.h_extrapolated, expected, rel,
@@ -434,7 +444,7 @@ _COMMANDS: dict[str, tuple[str, list[_Param], _Runner]] = {
          _Param("theta", "float", math.pi / 2, help="ray angle in the k plane"),
          _Param("r_values", "float_list", (12.5, 25.0, 50.0, 100.0, 200.0),
                 help="comma-separated radii, increasing"),
-         _Param("type_tol", "float", 0.05, help="PASS margin against r_hat - xi")],
+         _Param("type_tol", "float", 0.05, help="PASS margin against (r_hat - xi)|sin theta|")],
         _run_indicator),
     "ball-check": (
         "interior mode of the ball: eigenvalue, boundary residual, normal derivative",

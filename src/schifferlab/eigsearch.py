@@ -104,6 +104,8 @@ def find_real_eigenvalues(l: int, R_hat: float, k_max: float,
     """
     if k_max <= 0:
         raise ValueError("k_max must be positive")
+    if not (math.isfinite(R_hat) and R_hat > 0):
+        raise ValueError(f"R_hat must be positive and finite, got {R_hat}")
     limit = math.pi / (4 * R_hat)
     if scan_step is None:
         scan_step = limit

@@ -8,6 +8,14 @@ precision by the radial mode; on a non-ball the minimum residual over k
 stays orders of magnitude higher, which is the computable face of the
 ball-or-nothing dichotomy.
 
+The trial space is built from the real spherical harmonics: for each l,
+Y_l^0, sqrt(2) Re Y_l^|m| (m > 0) and sqrt(2) Im Y_l^|m| (m < 0), which
+span the same space as the complex Y_l^m.  The boundary radius, normals
+and right-hand side are real, so the harmonic tables and the stacked
+system are real as well.  The residual does not change: for real A and b,
+||A(x + iy) - b||^2 = ||Ax - b||^2 + ||Ay||^2, so the least-squares
+minimum over complex coefficients is the real one.
+
 The Neumann condition comes in two labeled flavors: ``normal`` tests the
 geometric normal derivative on the actual boundary, ``gradient`` asks the
 full gradient to vanish there, which is the stronger per-ray reduction.
@@ -38,6 +46,7 @@ __all__ = [
 ]
 
 _NEUMANN_MODES = ("normal", "gradient")
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,8 +54,13 @@ class CollocationFrame:
     """k-independent boundary data shared by every solve on one domain.
 
     Holds the collocation directions, boundary radii, outward normal in
-    spherical components, and the per-mode tables of Y_l^m and its theta
-    derivative at the collocation points.
+    spherical components, and the per-mode tables of the real harmonics
+    at the collocation points: ``Y``, its theta derivative ``dYdt`` and
+    its phi derivative ``dYdp``, all float64 of shape (n_modes, n_points).
+    Mode (l, m) sits in row l^2 + l + m; m > 0 labels sqrt(2) Re Y_l^m and
+    m < 0 labels sqrt(2) Im Y_l^|m|.  The real basis spans the same trial
+    space as the complex Y_l^m, and with a real system the least-squares
+    minimum is the same, so the residual is unchanged up to rounding.
     """
 
     L_trial: int
@@ -61,6 +75,7 @@ class CollocationFrame:
     m_values: np.ndarray
     Y: np.ndarray
     dYdt: np.ndarray
+    dYdp: np.ndarray
 
     @property
     def n_points(self) -> int:
@@ -99,33 +114,48 @@ def collocation_frame(domain: StarlikeDomain, L_trial: int = 8,
     v /= np.linalg.norm(v, axis=0)
     l_values = np.array([l for l in range(L_trial + 1) for _ in range(2 * l + 1)])
     m_values = np.array([m for l in range(L_trial + 1) for m in range(-l, l + 1)])
-    Y = np.empty((n_modes, n_collocation), dtype=complex)
+    Y = np.empty((n_modes, n_collocation))
     dYdt = np.empty_like(Y)
-    for idx in range(n_modes):
-        l, m = int(l_values[idx]), int(m_values[idx])
-        Y[idx] = ylm(l, m, theta, phi)
-        dYdt[idx] = ylm_theta_derivative(l, m, theta, phi)
+    dYdp = np.empty_like(Y)
+    for l in range(L_trial + 1):
+        row0 = l * l + l
+        for m in range(l + 1):
+            y = ylm(l, m, theta, phi)
+            dy = ylm_theta_derivative(l, m, theta, phi)
+            if m == 0:
+                Y[row0], dYdt[row0], dYdp[row0] = y.real, dy.real, 0.0
+                continue
+            # cos(m phi) in row0 + m, sin(m phi) in row0 - m
+            c, s = row0 + m, row0 - m
+            Y[c], Y[s] = _SQRT2 * y.real, _SQRT2 * y.imag
+            dYdt[c], dYdt[s] = _SQRT2 * dy.real, _SQRT2 * dy.imag
+            dYdp[c], dYdp[s] = -m * Y[s], m * Y[c]
     return CollocationFrame(L_trial, theta, phi, rho, sin_t,
-                            v[0], v[1], v[2], l_values, m_values, Y, dYdt)
+                            v[0], v[1], v[2], l_values, m_values, Y, dYdt, dYdp)
 
 
 def _assemble(frame: CollocationFrame, k: float, neumann: str) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (A, b) with Dirichlet rows u - 1 and 1/k-weighted Neumann rows."""
+    """Stacked real (A, b) with Dirichlet rows u - 1 and 1/k-weighted Neumann rows."""
     x = k * frame.rho
-    lv, mv = frame.l_values, frame.m_values
-    jl = np.array([spherical_jn(l, x) for l in range(frame.L_trial + 1)])
-    jlp = np.array([spherical_jn(l, x, derivative=True) for l in range(frame.L_trial + 1)])
-    dirichlet = jl[lv] * frame.Y
+    L = frame.L_trial
+    # one table call for j_0..j_max(L, 1); derivatives by the identity
+    # scipy itself uses: j_0' = -j_1, j_l' = j_{l-1} - (l + 1) j_l / x
+    j = spherical_jn(np.arange(max(L, 1) + 1)[:, None], x)
+    jp = np.empty((L + 1, x.size))
+    jp[0] = -j[1]
+    jp[1:] = j[:L] - np.arange(2, L + 2)[:, None] * j[1:L + 1] / x
+    jl = j[frame.l_values]
+    dirichlet = jl * frame.Y
     # gradient components of j_l(kr) Y_l^m in the spherical frame, each / k
-    g_r = jlp[lv] * frame.Y
-    g_t = jl[lv] / frame.rho * frame.dYdt / k
-    g_p = jl[lv] / (frame.rho * frame.sin_t) * (1j * mv[:, None]) * frame.Y / k
+    g_r = jp[frame.l_values] * frame.Y
+    g_t = jl / frame.rho * frame.dYdt / k
+    g_p = jl / (frame.rho * frame.sin_t) * frame.dYdp / k
     if neumann == "normal":
         blocks = [dirichlet, frame.n_r * g_r + frame.n_t * g_t + frame.n_p * g_p]
     else:
         blocks = [dirichlet, g_r, g_t, g_p]
     A = np.vstack([b.T for b in blocks])
-    b = np.zeros(A.shape[0], dtype=complex)
+    b = np.zeros(A.shape[0])
     b[:frame.n_points] = 1.0
     return A, b
 

@@ -91,6 +91,8 @@ def test_config_errors_exit_2(tmp_path):
         ("specfun-check", "--l-max", "200"),
         ("domain-residual", "--domain", str(tmp_path / "missing.json"), "--k", "2"),
         ("indicator", "--l", "2", "--xi", "0.25"),
+        ("indicator", "--theta", "0"),
+        ("indicator", "--theta", "nan"),
     ]
     for args in cases:
         res = run_cli(*args)
@@ -108,6 +110,29 @@ def test_config_errors_exit_2(tmp_path):
     res = run_cli("eigen-scan", "--config", str(unknown))
     assert res.returncode == 2
     assert "bogus" in res.stderr
+
+
+def test_indicator_expects_the_type_times_sin_theta():
+    # l = 0, r_hat = 1: h(theta) = |sin theta|, so theta = 1 expects sin(1)
+    res = run_cli("indicator", "--theta", "1.0")
+    assert res.returncode == 0
+    lines = res.stdout.strip().split("\n")
+    assert lines[0] == "r,h_estimate,h_extrapolated,expected_type,rel_err,status"
+    assert lines[-1] == "# summary: PASS"
+    assert {row.split(",")[3] for row in lines[1:-1]} == {"0.841470984807897"}
+    # the default ray theta = pi/2 has sin theta = 1 exactly
+    res = run_cli("indicator")
+    assert res.returncode == 0
+    rows = res.stdout.strip().split("\n")[1:-1]
+    assert {row.split(",")[3] for row in rows} == {"1"}
+
+
+def test_indicator_rejects_the_real_axis():
+    # sin(pi) rounds to 1.2e-16, not 0; the ray still lies on the real axis
+    res = run_cli("indicator", "--theta", "3.141592653589793")
+    assert res.returncode == 2
+    assert "config error" in res.stderr
+    assert "relative test is undefined" in res.stderr
 
 
 def test_unknown_subcommand_exits_2():

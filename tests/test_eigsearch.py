@@ -86,6 +86,13 @@ def test_scan_step_guard():
         find_real_eigenvalues(0, 1.0, 12.0, scan_step=1.0)
 
 
+def test_radius_guard():
+    # the radius is rejected before it reaches the pi/(4 R_hat) spacing
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="R_hat must be positive and finite"):
+            find_real_eigenvalues(0, bad, 12.0)
+
+
 def test_argument_principle_counts():
     assert count_zeros_argument_principle(np.sin, (0.5, 10.0, -1.0, 1.0)) == 3
     f = dispersion_function(0, 1.0)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import spherical_jn
 
@@ -29,7 +31,13 @@ from schifferlab.scatter import (
     unit_ball,
 )
 from schifferlab.scatter import overdetermined as od
-from schifferlab.specfun import SphericalDirection, sphere_quadrature, ylm, ylm_on_grid
+from schifferlab.specfun import (
+    SphericalDirection,
+    sphere_quadrature,
+    ylm,
+    ylm_on_grid,
+    ylm_theta_derivative,
+)
 
 DATA = Path(__file__).parent / "data"
 SQRT_4PI = 3.5449077018110318
@@ -39,6 +47,24 @@ K1 = 4.4934094579090642  # first root of tan x = x, mpmath
 def egg_domain() -> StarlikeDomain:
     # rho(theta) = 1 + 0.1 cos(theta)
     return StarlikeDomain(1, ((0, 0, SQRT_4PI), (1, 0, 0.2046653415892977)))
+
+
+def seeded_domain(seed: int) -> StarlikeDomain:
+    """A degree-3 non-ball domain with m != 0 modes, so rho depends on phi.
+
+    The 15 non-constant terms each carry a coefficient of at most 0.05 on a
+    harmonic of modulus below 0.75 (l <= 3), so |rho - 1| < 0.6.
+    """
+    rng = np.random.default_rng(seed)
+    coeffs = [(0, 0, SQRT_4PI)]
+    for l in range(1, 4):
+        for m in range(l + 1):
+            value = float(rng.uniform(-0.05, 0.05))
+            if m == 0:
+                coeffs.append((l, 0, value))
+            else:
+                coeffs += [(l, m, value), (l, -m, value)]
+    return StarlikeDomain(3, tuple(coeffs))
 
 
 # ---------------------------------------------------------------- geometry
@@ -218,13 +244,58 @@ def test_residual_floor_comes_from_overdetermination_not_truncation():
 
 def test_residual_scan_matches_pointwise_calls():
     ks = (1.0, 2.0, 3.0)
-    scan = residual_scan(unit_ball(), ks, L_trial=4)
-    assert scan.shape == (3,)
-    for k, r in zip(ks, scan):
-        assert_allclose(r, overdetermined_residual(unit_ball(), k, L_trial=4),
-                        rtol=1e-12)
-    threaded = residual_scan(unit_ball(), ks, L_trial=4, threads=2)
-    assert list(threaded) == list(scan)
+    for domain in (unit_ball(), seeded_domain(5)):
+        scan = residual_scan(domain, ks, L_trial=4)
+        assert scan.shape == (3,)
+        for k, r in zip(ks, scan):
+            assert_allclose(r, overdetermined_residual(domain, k, L_trial=4),
+                            rtol=1e-12)
+        threaded = residual_scan(domain, ks, L_trial=4, threads=2)
+        assert list(threaded) == list(scan)
+
+
+def complex_basis_residual(frame, k: float, neumann: str) -> float:
+    """Reference: the residual from the complex Y_l^m basis, assembled term by term.
+
+    Reuses only the frame's geometry; the harmonic tables, the Bessel
+    derivatives, the 1j * m phi derivative and the complex solve are the
+    original complex-arithmetic formulation.
+    """
+    lv, mv = frame.l_values, frame.m_values
+    Y = np.array([ylm(int(l), int(m), frame.theta, frame.phi) for l, m in zip(lv, mv)])
+    dYdt = np.array([ylm_theta_derivative(int(l), int(m), frame.theta, frame.phi)
+                     for l, m in zip(lv, mv)])
+    x = k * frame.rho
+    jl = np.array([spherical_jn(l, x) for l in range(frame.L_trial + 1)])
+    jlp = np.array([spherical_jn(l, x, derivative=True) for l in range(frame.L_trial + 1)])
+    dirichlet = jl[lv] * Y
+    g_r = jlp[lv] * Y
+    g_t = jl[lv] / frame.rho * dYdt / k
+    g_p = jl[lv] / (frame.rho * frame.sin_t) * (1j * mv[:, None]) * Y / k
+    if neumann == "normal":
+        blocks = [dirichlet, frame.n_r * g_r + frame.n_t * g_t + frame.n_p * g_p]
+    else:
+        blocks = [dirichlet, g_r, g_t, g_p]
+    A = np.vstack([blk.T for blk in blocks])
+    b = np.zeros(A.shape[0], dtype=complex)
+    b[:frame.n_points] = 1.0
+    scale = np.linalg.norm(A, axis=0)
+    scale[scale == 0.0] = 1.0
+    An = A / scale
+    coeffs = np.linalg.lstsq(An, b, rcond=None)[0]
+    return float(np.linalg.norm(An @ coeffs - b) / math.sqrt(A.shape[0]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       neumann=st.sampled_from(("normal", "gradient")),
+       L_trial=st.sampled_from((2, 4, 8)),
+       k=st.floats(0.5, 12.0))
+def test_real_basis_matches_the_complex_basis(seed, neumann, L_trial, k):
+    domain = seeded_domain(seed)
+    got = residual_scan(domain, [k], L_trial=L_trial, neumann=neumann)[0]
+    want = complex_basis_residual(collocation_frame(domain, L_trial), k, neumann)
+    assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
 
 def test_collocation_frame_defaults_and_guards():
@@ -259,8 +330,8 @@ def test_healthy_solve_emits_no_warnings():
 
 
 def test_rank_deficient_system_warns(monkeypatch):
-    A = np.ones((10, 3), dtype=complex)
-    b = np.zeros(10, dtype=complex)
+    A = np.ones((10, 3))
+    b = np.zeros(10)
     b[:5] = 1.0
     monkeypatch.setattr(od, "_assemble", lambda frame, k, neumann: (A, b))
     with pytest.warns(RuntimeWarning, match="rank deficient"):
