@@ -236,19 +236,24 @@ def _run_specfun_check(p: dict) -> tuple[list[str], list[tuple], str]:
         raise ConfigError(f"gram_l_max = {p['gram_l_max']} outside [0, 20]")
     lmax = max(p["l_max"], 1)
     x_grid = np.linspace(p["x_min"], p["x_max"], p["n_x"])
+    # tables may overflow at small x and high l; np.maximum keeps the NaN
+    # margins that follow (max() would drop them), so they read "exceeded"
     wron = 0.0
-    for x in x_grid:
-        S, C, Sp, Cp = riccati_table(lmax, x)
-        wron = max(wron, float(np.max(np.abs(S * Cp - Sp * C + 1.0))))
-    rec_S = rec_C = 0.0
-    for x in x_grid[::10]:
-        S, C, Sp, Cp = riccati_table(lmax, x)
-        for l in range(1, lmax):
-            coupling = (2 * l + 1) / x
-            scale_S = max(abs(S[l + 1]), abs(S[l - 1]), 1e-300)
-            scale_C = max(abs(C[l + 1]), abs(C[l - 1]), 1e-300)
-            rec_S = max(rec_S, abs(S[l + 1] - (coupling * S[l] - S[l - 1])) / scale_S)
-            rec_C = max(rec_C, abs(C[l + 1] - (coupling * C[l] - C[l - 1])) / scale_C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in x_grid:
+            S, C, Sp, Cp = riccati_table(lmax, x)
+            wron = float(np.maximum(wron, np.max(np.abs(S * Cp - Sp * C + 1.0))))
+        rec_S = rec_C = 0.0
+        for x in x_grid[::10]:
+            S, C, Sp, Cp = riccati_table(lmax, x)
+            for l in range(1, lmax):
+                coupling = (2 * l + 1) / x
+                scale_S = max(abs(S[l + 1]), abs(S[l - 1]), 1e-300)
+                scale_C = max(abs(C[l + 1]), abs(C[l - 1]), 1e-300)
+                rec_S = float(np.maximum(
+                    rec_S, abs(S[l + 1] - (coupling * S[l] - S[l - 1])) / scale_S))
+                rec_C = float(np.maximum(
+                    rec_C, abs(C[l + 1] - (coupling * C[l] - C[l - 1])) / scale_C))
     quad = sphere_quadrature()
     modes = [(l, m) for l in range(p["gram_l_max"] + 1) for m in range(-l, l + 1)]
     M = np.stack([ylm_on_grid(l, m, quad) for l, m in modes])

@@ -15,11 +15,11 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
+from .entire import Evaluator, winding_count
 from .specfun import riccati_table
 
 __all__ = [
@@ -55,14 +55,16 @@ class DensityEstimate:
     relative_gap: float
 
 
-def dispersion(l: int, R_hat: float, k: complex) -> complex:
+def dispersion(l: int, R_hat: float, k):
     """B(k) = R_hat*S_l'(k R_hat) - S_l(k R_hat)/k, the irregular coefficient.
 
     Entire in k (the k = 0 singularity of the sin term is removable); the
     argument k = 0 itself is rejected.  For l = 0 this is exactly
     R_hat*cos(k R_hat) - sin(k R_hat)/k, and real k gives real values.
+    An ndarray k is evaluated elementwise in one riccati_table call.
     """
-    if k == 0:
+    at_zero = (k == 0).any() if isinstance(k, np.ndarray) else k == 0
+    if at_zero:
         raise ValueError("dispersion is evaluated away from k = 0")
     if R_hat <= 0:
         raise ValueError("R_hat must be positive")
@@ -70,8 +72,11 @@ def dispersion(l: int, R_hat: float, k: complex) -> complex:
     return R_hat * Sp[l] - S[l] / k
 
 
-def dispersion_function(l: int, R_hat: float) -> Callable[[complex], complex]:
-    """The map k -> dispersion(l, R_hat, k) as a reusable evaluator."""
+def dispersion_function(l: int, R_hat: float) -> Evaluator:
+    """The map k -> dispersion(l, R_hat, k) as a reusable evaluator.
+
+    It acts elementwise on an ndarray of k, as the contour counts require.
+    """
     return lambda k: dispersion(l, R_hat, k)
 
 
@@ -158,33 +163,26 @@ def _rect_path(rect: tuple[float, float, float, float], n: int) -> np.ndarray:
     return np.concatenate([pieces[0]] + [p[1:] for p in pieces[1:]])
 
 
-def count_zeros_argument_principle(f: Callable[[complex], complex],
+def count_zeros_argument_principle(f: Evaluator,
                                    rect: tuple[float, float, float, float],
                                    quad_nodes: int = 1024) -> int:
     """Winding number (1/2pi i) * contour integral of f'/f over a rectangle.
 
     ``rect`` is (re_lo, re_hi, im_lo, im_hi), traversed counterclockwise;
-    f' is formed by central differences with step 1e-6 times the rectangle
-    diameter, and the closed path carries ``quad_nodes`` trapezoid nodes
-    per side.  Errors: a zero of f on the boundary (a node where |f|
-    collapses below 1e-8 of the local boundary scale) raises ValueError;
-    a non-integer winding (off by more than 0.1 after one refinement)
-    raises RuntimeError.
+    ``f`` acts elementwise on a complex ndarray and is called three times
+    per pass.  f' is formed by central differences with step 1e-6 times
+    the rectangle diameter, and the closed path carries ``quad_nodes``
+    trapezoid nodes per side.  Errors: a zero of f on the boundary (a node
+    where |f| collapses below 1e-8 of the local boundary scale) raises
+    ValueError; a non-integer winding (off by more than 0.1 after one
+    refinement) raises RuntimeError.
     """
-    from .entire import _winding
-
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ValueError("rectangle must have positive extent")
     h = 1e-6 * math.hypot(re_hi - re_lo, im_hi - im_lo)
-    w = _winding(f, _rect_path(rect, quad_nodes), h)
-    nearest = round(w)
-    if abs(w - nearest) > 0.1:
-        w = _winding(f, _rect_path(rect, 4 * quad_nodes), h)
-        nearest = round(w)
-        if abs(w - nearest) > 0.1:
-            raise RuntimeError(f"argument-principle quadrature failed: winding {w}")
-    return int(nearest)
+    return winding_count(f, lambda n: _rect_path(rect, n), quad_nodes, h,
+                         "argument-principle")
 
 
 def density_estimate(l: int, R_hat: float, K: float) -> DensityEstimate:

@@ -6,6 +6,13 @@ h_f(theta) = lim log|f(r e^{i theta})|/r.  Callers supply pure evaluators;
 functions that overflow double precision along rays are handled through a
 log-magnitude evaluator instead of raw magnitudes.  Zeros at the origin
 are excluded from every count by a fixed inner contour radius.
+
+Contour evaluators act elementwise on a complex ndarray: ``f(path)``
+returns an array of ``path.shape``, as ``np.sin``, ``np.exp`` and
+``eigsearch.dispersion_function`` do.  One contour costs three calls of
+f, at the nodes and at the nodes shifted by +-h for the central
+difference, whatever the number of nodes.  The indicator evaluates f at
+scalar points.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ __all__ = [
     "DensityTable",
     "IndicatorSample",
     "zero_count_sector",
+    "winding_count",
     "density",
     "density_table",
     "indicator",
@@ -28,6 +36,12 @@ __all__ = [
 
 _INNER_RADIUS = 0.25
 _ANGLE_NUDGE = 1e-3
+
+Evaluator = Callable[[np.ndarray], np.ndarray]
+
+
+class _ContourZeroError(ValueError):
+    """f vanishes at a contour node (or everywhere on the contour)."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,33 +102,58 @@ def _rolling_max(a: np.ndarray, half: int = 8) -> np.ndarray:
     return out
 
 
-def _winding(f: Callable[[complex], complex], path: np.ndarray,
-             h: float) -> float:
+def _winding(f: Evaluator, path: np.ndarray, h: float) -> float:
     """Winding of f along a closed node path, f' by central differences.
 
-    A node is flagged as a boundary zero when |f| collapses 8 orders of
-    magnitude below its neighborhood; the scale is local because entire
+    f is called three times, on the whole path and on the path shifted by
+    +-h.  A node is flagged as a boundary zero when |f| collapses 8 orders
+    of magnitude below its neighborhood; the scale is local because entire
     functions of exponential type vary by many orders along one contour.
     """
-    values = np.array([f(complex(z)) for z in path])
+    values = np.asarray(f(path))
+    if values.shape != path.shape:
+        raise ValueError(
+            "contour evaluators must act elementwise on a complex ndarray: "
+            f"f(path) has shape {values.shape}, the path has shape {path.shape}")
     mags = np.abs(values)
     scale = float(np.max(mags))
     if scale == 0.0:
-        raise ValueError("f vanishes identically on the contour")
+        raise _ContourZeroError("f vanishes identically on the contour")
     if np.any(mags <= 1e-8 * _rolling_max(mags)):
-        raise ValueError("zero of f detected on the contour")
-    deriv = np.array([(f(complex(z + h)) - f(complex(z - h))) / (2 * h) for z in path])
+        raise _ContourZeroError("zero of f detected on the contour")
+    deriv = (f(path + h) - f(path - h)) / (2 * h)
     integral = np.trapezoid(deriv / values, path)
     return (integral / (2j * math.pi)).real
 
 
-def zero_count_sector(f: Callable[[complex], complex], alpha: float,
-                      beta: float, r: float, quad_nodes: int = 1024) -> SectorCount:
+def winding_count(f: Evaluator, contour: Callable[[int], np.ndarray],
+                  quad_nodes: int, h: float, name: str) -> int:
+    """Zero count of f inside ``contour(quad_nodes)`` by the argument principle.
+
+    ``contour(n)`` builds the closed counterclockwise node path at
+    resolution n.  A winding more than 0.1 from an integer is recomputed
+    once on ``contour(4 * quad_nodes)``; if it is still off, RuntimeError
+    "<name> quadrature failed".  A zero of f on the contour raises
+    ValueError.
+    """
+    w = _winding(f, contour(quad_nodes), h)
+    nearest = round(w)
+    if abs(w - nearest) > 0.1:
+        w = _winding(f, contour(4 * quad_nodes), h)
+        nearest = round(w)
+        if abs(w - nearest) > 0.1:
+            raise RuntimeError(f"{name} quadrature failed: winding {w}")
+    return int(nearest)
+
+
+def zero_count_sector(f: Evaluator, alpha: float, beta: float, r: float,
+                      quad_nodes: int = 1024) -> SectorCount:
     """Argument-principle zero count over the sector contour.
 
     The contour consists of two radial segments, the outer arc at radius
     ``r``, and an inner arc at radius 0.25 that excludes any zero at the
-    origin.  A zero landing on the contour belongs to the countable
+    origin.  ``f`` acts elementwise on a complex ndarray (see the module
+    docstring).  A zero landing on the contour belongs to the countable
     exceptional set of ray angles; both angles are nudged by 1e-3 (up to
     three times) before the count is abandoned.
     """
@@ -127,24 +166,18 @@ def zero_count_sector(f: Callable[[complex], complex], alpha: float,
     last_err: Exception | None = None
     for _ in range(4):
         try:
-            w = _winding(f, _sector_contour(a, b, r, quad_nodes), h)
-        except ValueError as err:
+            count = winding_count(f, lambda n: _sector_contour(a, b, r, n),
+                                  quad_nodes, h, "sector")
+        except _ContourZeroError as err:
             last_err = err
             a -= _ANGLE_NUDGE
             b -= _ANGLE_NUDGE
             continue
-        nearest = round(w)
-        if abs(w - nearest) > 0.1:
-            # one refinement pass before declaring quadrature failure
-            w = _winding(f, _sector_contour(a, b, r, 4 * quad_nodes), h)
-            nearest = round(w)
-            if abs(w - nearest) > 0.1:
-                raise RuntimeError(f"sector quadrature failed: winding {w}")
-        return SectorCount(a, b, r, int(nearest))
+        return SectorCount(a, b, r, count)
     raise ValueError(f"could not free the sector contour of zeros: {last_err}")
 
 
-def density_table(f: Callable[[complex], complex], alpha: float, beta: float,
+def density_table(f: Evaluator, alpha: float, beta: float,
                   r_sequence: Sequence[float], quad_nodes: int = 1024) -> DensityTable:
     """N(f, alpha, beta, r)/r over increasing radii (order-one normalization)."""
     rs = [float(r) for r in r_sequence]
@@ -159,7 +192,7 @@ def density_table(f: Callable[[complex], complex], alpha: float, beta: float,
     return DensityTable(tuple(rs), tuple(counts), tuple(ratios))
 
 
-def density(f: Callable[[complex], complex], alpha: float, beta: float,
+def density(f: Evaluator, alpha: float, beta: float,
             r_sequence: Sequence[float], quad_nodes: int = 1024) -> float:
     """Zero density N/r at the largest radius of the sequence."""
     return density_table(f, alpha, beta, r_sequence, quad_nodes=quad_nodes).value

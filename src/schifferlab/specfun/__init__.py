@@ -7,10 +7,6 @@ from .bessel import (
     L_MAX_DEFAULT,
     L_MAX_SUPPORTED,
     Z_MAX,
-    riccati_C,
-    riccati_C_prime,
-    riccati_S,
-    riccati_S_prime,
     riccati_table,
     set_l_max,
     spherical_bessel_j,
@@ -38,10 +34,6 @@ __all__ = [
     "SphericalDirection",
     "legendre",
     "legendre_theta_derivative",
-    "riccati_C",
-    "riccati_C_prime",
-    "riccati_S",
-    "riccati_S_prime",
     "riccati_table",
     "set_l_max",
     "sphere_quadrature",

@@ -14,6 +14,9 @@ All internal recurrences run on values scaled by exp(-|Im z|), so tables stay
 representable for large |Im z|; the unscaled public functions multiply the
 factor back in.  For real z the scale factor is exactly 1 and real inputs
 propagate zero imaginary parts through every recurrence.
+
+riccati_table also evaluates a whole ndarray of z in one vectorised pass,
+for callers such as contour integrals that need many points at once.
 """
 
 from __future__ import annotations
@@ -58,13 +61,16 @@ def _check_order_arg(l: int, z: complex, need_nonzero: bool) -> complex:
     return z
 
 
-def _scaled_trig(z: complex) -> tuple[complex, complex]:
-    """(sin z, cos z) times exp(-|Im z|); exact for real z."""
+def _scaled_trig(z, exp=cmath.exp):
+    """(sin z, cos z) times exp(-|Im z|); exact for real z.
+
+    Pass ``exp=np.exp`` for an ndarray of points.
+    """
     b = z.imag
     m = abs(b)
     # e^{iz - m} and e^{-iz - m}: one factor is e^{-2m}, the other O(1).
-    ep = cmath.exp(1j * z - m)
-    em = cmath.exp(-1j * z - m)
+    ep = exp(1j * z - m)
+    em = exp(-1j * z - m)
     s = (ep - em) / 2j
     c = (ep + em) / 2
     return s, c
@@ -194,28 +200,23 @@ def spherical_bessel_y(l: int, z: complex) -> complex:
     return _unscale(y[l], z)
 
 
-def riccati_S(l: int, z: complex) -> complex:
-    """S_l(z) = z j_l(z), the regular Riccati-Bessel function."""
-    z = _check_order_arg(l, z, need_nonzero=False)
-    if z == 0:
-        return 0.0 + 0j
-    j, _ = _jy_scaled(l, z)
-    return _unscale(z * j[l], z)
-
-
-def riccati_C(l: int, z: complex) -> complex:
-    """C_l(z) = -z y_l(z), the irregular Riccati-Bessel function."""
-    z = _check_order_arg(l, z, need_nonzero=True)
-    _, y = _jy_scaled(l, z)
-    return _unscale(-z * y[l], z)
-
-
-def riccati_table(lmax: int, z: complex, scaled: bool = False):
+def riccati_table(lmax: int, z, scaled: bool = False):
     """(S, C, S', C') arrays for orders 0..lmax at z, primes w.r.t. z.
 
     S_l' = S_{l-1} - (l/z) S_l for l >= 1 (same relation for C); the order-0
     derivatives are cos z and -sin z.  ``scaled`` as in spherical_jy_table.
+
+    A scalar z gives four arrays of shape (lmax + 1,).  An ndarray z gives
+    four arrays of shape ``(lmax + 1,) + z.shape`` from one vectorised pass:
+    the same three regimes (series, upward, Lentz-seeded Miller) each run
+    over the mask of the points they cover, every point is validated as a
+    scalar z would be, and the unscaled OverflowError names the first point
+    that overflows.  Scalar z keeps its own recurrence because root finders
+    call it one point at a time, where array bookkeeping costs several
+    times the arithmetic.
     """
+    if isinstance(z, np.ndarray):
+        return _riccati_table_array(lmax, z, scaled)
     z = _check_order_arg(lmax, z, need_nonzero=True)
     j, y = _jy_scaled(lmax, z)
     S = z * j
@@ -240,11 +241,172 @@ def riccati_table(lmax: int, z: complex, scaled: bool = False):
     return S, C, Sp, Cp
 
 
-def riccati_S_prime(l: int, z: complex) -> complex:
-    """d/dz of S_l at z."""
-    return riccati_table(l, z)[2][l]
+# ----------------------------------------------------------- array argument
+#
+# The functions below mirror _jy_scaled and riccati_table for an ndarray of
+# points; each regime runs on the compressed array of the points it covers.
+# The scalar kernel divides with Python's complex division and multiplies
+# NumPy scalars without fused multiply-add, while NumPy's array loops divide
+# through a reciprocal and may fuse.  The three-term recurrences amplify a
+# last-bit difference by up to 1e7 where they run against the dominant
+# solution (y_l near the imaginary axis), so every recurrence step here goes
+# through _quot and _prod, which round as the scalar kernel rounds.
 
 
-def riccati_C_prime(l: int, z: complex) -> complex:
-    """d/dz of C_l at z."""
-    return riccati_table(l, z)[3][l]
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _quot(a, b: np.ndarray) -> np.ndarray:
+    """a / b rounded as Python's complex division (Smith's method) rounds it."""
+    a = np.asarray(a, dtype=complex)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    big = np.abs(br) >= np.abs(bi)
+    # swap roles where |Im b| > |Re b|; ratio is then at most 1 in magnitude
+    p, q = np.where(big, bi, br), np.where(big, br, bi)
+    u, v = np.where(big, ar, ai), np.where(big, ai, ar)
+    ratio = p / q
+    denom = q + p * ratio
+    im = (v - u * ratio) / denom
+    # the swapped branch forms ai*ratio - ar, which is -(ar - ai*ratio) exactly
+    return _complex((u + v * ratio) / denom, np.where(big, im, -im))
+
+
+def _prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b without fused multiply-add, as NumPy's scalar product rounds it."""
+    return _complex(a.real * b.real - a.imag * b.imag,
+                    a.real * b.imag + a.imag * b.real)
+
+
+def _check_order_array(lmax: int, z) -> np.ndarray:
+    """Complex copy of z, every point validated as _check_order_arg would."""
+    z = np.asarray(z, dtype=complex)
+    valid = np.isfinite(z) & (np.abs(z) <= Z_MAX) & (z != 0)
+    # the scalar check of the first invalid point (or of any point, if all
+    # are valid) raises its exact message and validates lmax
+    probe = z.flat[np.argmin(valid)] if z.size else 1.0
+    _check_order_arg(lmax, probe, need_nonzero=True)
+    return z
+
+
+def _upward_array(lmax: int, z: np.ndarray, t0: np.ndarray,
+                  t1: np.ndarray) -> np.ndarray:
+    """Rows t_0..t_lmax of the three-term recurrence from seeds t_0, t_1."""
+    t = np.empty((lmax + 1, z.size), dtype=complex)
+    t[0] = t0
+    if lmax >= 1:
+        t[1] = t1
+    for l in range(1, lmax):
+        t[l + 1] = _prod(_quot(2 * l + 1, z), t[l]) - t[l - 1]
+    return t
+
+
+def _ratio_cf_array(l: int, z: np.ndarray, max_iter: int = 20000) -> np.ndarray:
+    """_ratio_cf at every point; each point stops at its own convergence."""
+    tiny = 1e-290
+    b = _quot(2 * l + 1, z)
+    f = np.where(b != 0, b, tiny)
+    c = f.copy()
+    d = np.zeros_like(z)
+    out = np.empty_like(z)
+    live = np.arange(z.size)
+    for n in range(1, max_iter):
+        b = _quot(2 * (l + n) + 1, z)
+        d = b - d
+        d[d == 0] = tiny
+        c = b - _quot(1, c)
+        c[c == 0] = tiny
+        d = _quot(1, d)
+        delta = _prod(c, d)
+        f = _prod(f, delta)
+        done = np.abs(delta - 1) < 1e-16
+        if done.any():
+            out[live[done]] = f[done]
+            keep = ~done
+            live, z, f, c, d = live[keep], z[keep], f[keep], c[keep], d[keep]
+            if live.size == 0:
+                break
+    out[live] = f
+    return _quot(1, out)
+
+
+def _miller_downward_array(lmax: int, z: np.ndarray, zs: np.ndarray,
+                           zc: np.ndarray) -> np.ndarray:
+    """_miller_downward at every point, normalised point by point."""
+    j = np.empty((lmax + 1, z.size), dtype=complex)
+    j[lmax] = _ratio_cf_array(lmax, z)
+    j[lmax - 1] = 1.0
+    for l in range(lmax - 1, 0, -1):
+        j[l - 1] = _prod(_quot(2 * l + 1, z), j[l]) - j[l + 1]
+        m = np.abs(j[l - 1])
+        big = m > 1e250
+        if big.any():
+            j[l - 1:, big] /= m[big]
+    j0 = _quot(zs, z)
+    j1 = _quot(j0, z) - _quot(zc, z)
+    # whichever seed is farther from a zero, in the scalar branch order
+    use_j0 = ((np.abs(j0) >= np.abs(j1)) & (j[0] != 0)) | (j[1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return j * np.where(use_j0, j0 / j[0], j1 / j[1])
+
+
+def _jy_scaled_array(lmax: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_jy_scaled over a 1-d array of points."""
+    zs, zc = _scaled_trig(z, np.exp)
+    j = np.empty((lmax + 1, z.size), dtype=complex)
+    az = np.abs(z)
+    series = az < _SERIES_CUTOFF
+    upward = ~series & (az >= lmax)
+    miller = ~(series | upward)
+
+    if series.any():
+        zz = z[series]
+        dfact = 1.0
+        zp = np.ones_like(zz)
+        for l in range(lmax + 1):
+            j[l, series] = zp / dfact * (1 - zz * zz / (2 * (2 * l + 3)))
+            zp = zp * zz
+            dfact *= 2 * l + 3
+    if upward.any():
+        zz = z[upward]
+        j0 = _quot(zs[upward], zz)
+        j[:, upward] = _upward_array(lmax, zz, j0, j0 / zz - _quot(zc[upward], zz))
+    if miller.any():
+        j[:, miller] = _miller_downward_array(lmax, z[miller], zs[miller], zc[miller])
+
+    y0 = _quot(-zc, z)
+    y = _upward_array(lmax, z, y0, y0 / z - _quot(zs, z))
+    return j, y
+
+
+def _riccati_table_array(lmax: int, z, scaled: bool):
+    """riccati_table at every point of the ndarray z."""
+    z = _check_order_array(lmax, z)
+    flat = z.ravel()
+    j, y = _jy_scaled_array(lmax, flat)
+    S = flat * j
+    C = -flat * y
+    zs, zc = _scaled_trig(flat, np.exp)
+    Sp = np.empty_like(S)
+    Cp = np.empty_like(C)
+    Sp[0] = zc
+    Cp[0] = -zs
+    l = np.arange(1, lmax + 1)[:, None]
+    Sp[1:] = S[:-1] - l / flat * S[1:]
+    Cp[1:] = C[:-1] - l / flat * C[1:]
+    tables = (S, C, Sp, Cp)
+    if not scaled:
+        m = np.abs(flat.imag)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = np.exp(m)
+            tables = tuple(t * f for t in tables)
+        finite = np.logical_and.reduce([np.isfinite(t).all(axis=0) for t in tables])
+        overflow = (m > 0) & ~finite
+        if overflow.any():
+            bad = complex(flat[np.argmax(overflow)])
+            raise OverflowError(f"Riccati table overflows double range at z={bad!r}")
+    shape = (lmax + 1,) + z.shape
+    return tuple(t.reshape(shape) for t in tables)

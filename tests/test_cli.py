@@ -86,6 +86,22 @@ def test_ray_scan_separates_ball_from_spheroid():
     assert "# summary: FAIL" in spheroid.stdout
 
 
+def test_specfun_check_fails_on_overflowed_tables():
+    res = run_cli("specfun-check", "--l-max", "40")
+    assert res.returncode == 0
+    assert res.stdout.endswith("# summary: PASS\n")
+    # C_60 overflows at x = 1e-4, so its identity margins are NaN
+    res = run_cli("specfun-check", "--l-max", "60", "--x-min", "1e-4", "--x-max", "1.0")
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    lines = res.stdout.strip().split("\n")
+    rows = {row.split(",")[0]: row.split(",") for row in lines[1:-1]}
+    assert rows["wronskian"][1:] == ["nan", "1e-08", "exceeded"]
+    assert rows["recurrence_C"][1:] == ["nan", "1e-08", "exceeded"]
+    assert rows["recurrence_S"][3] == "ok"
+    assert lines[-1] == "# summary: FAIL"
+
+
 def test_config_errors_exit_2(tmp_path):
     cases = [
         ("specfun-check", "--l-max", "200"),

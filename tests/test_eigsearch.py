@@ -40,8 +40,19 @@ def test_real_axis_values_are_exactly_real():
 def test_dispersion_validation():
     with pytest.raises(ValueError):
         dispersion(0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="away from k = 0"):
+        dispersion(0, 1.0, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         dispersion(0, -1.0, 1.0)
+
+
+def test_dispersion_on_an_array_matches_pointwise_calls():
+    k = np.array([[0.7, 5.3 + 2.0j, -3.1 - 0.4j], [12.0, 0.2j, 40.0 - 3.0j]])
+    for l in (0, 3, 5):
+        got = dispersion(l, 1.3, k)
+        assert got.shape == k.shape
+        want = np.array([dispersion(l, 1.3, complex(x)) for x in k.ravel()])
+        assert_allclose(got.ravel(), want, rtol=1e-13)
 
 
 def test_parity_in_the_frequency():

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from schifferlab.eigsearch import dispersion_function, dispersion_log_abs
+from schifferlab.eigsearch import (
+    count_zeros_argument_principle,
+    dispersion_function,
+    dispersion_log_abs,
+)
 from schifferlab.entire import density, density_table, indicator, zero_count_sector
 
 
@@ -62,6 +66,32 @@ def test_contour_zero_triggers_the_angle_nudge():
     assert sc.count == 1
     assert sc.alpha == pytest.approx(-1e-3)
     assert sc.beta == pytest.approx(0.5 - 1e-3)
+
+
+class CallCounter:
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return self.f(z)
+
+
+def test_one_contour_costs_three_evaluator_calls():
+    f = CallCounter(np.sin)
+    assert zero_count_sector(f, -0.1, 0.1, 10.0).count == 3
+    assert f.calls == 3
+    f = CallCounter(np.sin)
+    assert count_zeros_argument_principle(f, (0.5, 10.0, -1.0, 1.0)) == 3
+    assert f.calls == 3
+
+
+def test_scalar_only_evaluator_is_rejected():
+    with pytest.raises(ValueError, match="elementwise on a complex ndarray"):
+        zero_count_sector(lambda z: 1.0, -0.1, 0.1, 10.0)
+    with pytest.raises(ValueError, match="elementwise on a complex ndarray"):
+        count_zeros_argument_principle(lambda z: 1.0, (0.5, 10.0, -1.0, 1.0))
 
 
 def test_unresolvable_edge_zero_raises():

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from schifferlab.specfun import (
@@ -164,3 +166,71 @@ def test_degree_cap_is_adjustable():
     for bad in (0, L_MAX_SUPPORTED + 1):
         with pytest.raises(ValueError, match="outside supported range"):
             set_l_max(bad)
+
+
+# ------------------------------------------------------------ array argument
+
+
+@st.composite
+def _table_args(draw):
+    """lmax, scaled, and z with a point in every regime, in every quadrant."""
+    lmax = draw(st.integers(0, 20))
+    radii = [st.floats(1e-9, 1e-6, exclude_max=True)]  # series
+    if lmax >= 1:
+        radii.append(st.floats(1e-6, float(lmax), exclude_max=True))  # Miller
+    radii.append(st.floats(max(float(lmax), 1e-6), lmax + 300.0))  # upward
+    angle = st.one_of(st.sampled_from((0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi)),
+                      st.floats(-math.pi, math.pi))
+    r = [draw(s) for s in radii] + draw(st.lists(st.one_of(radii), max_size=5))
+    two_rows = draw(st.booleans())
+    if two_rows and len(r) % 2:
+        r.append(draw(st.one_of(radii)))
+    z = np.array([x * complex(math.cos(t), math.sin(t))
+                  for x, t in zip(r, draw(st.lists(angle, min_size=len(r),
+                                                   max_size=len(r))))])
+    return lmax, draw(st.booleans()), z.reshape(2, -1) if two_rows else z
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(args=_table_args())
+def test_array_tables_match_pointwise_scalar_tables(args):
+    lmax, scaled, z = args
+    tables = riccati_table(lmax, z, scaled=scaled)
+    for t in tables:
+        assert t.shape == (lmax + 1,) + z.shape
+    for idx in np.ndindex(z.shape):
+        ref = riccati_table(lmax, complex(z[idx]), scaled=scaled)
+        for got, want in zip(tables, ref):
+            col = got[(slice(None),) + idx]
+            assert np.max(np.abs(col - want)) <= 1e-11 * np.max(np.abs(want)), (z[idx], col, want)
+
+
+def test_frozen_references_through_the_array_path():
+    cases = REAL_CASES + COMPLEX_CASES
+    z = np.array([c[1] for c in cases], dtype=complex)
+    S, C, _, _ = riccati_table(max(c[0] for c in cases), z)
+    for i, (l, zi, jz, yz) in enumerate(cases):
+        assert_allclose(S[l, i], zi * jz, rtol=1e-12)
+        assert_allclose(C[l, i], -zi * yz, rtol=1e-12)
+    S, C, Sp, Cp = riccati_table(2, np.full((2, 2), 2.3))
+    assert_allclose(S[2], 0.5462456731467104, rtol=1e-12)
+    assert_allclose(C[2], 1.2610846980624133, rtol=1e-12)
+    assert_allclose(Sp[2], 0.5154994412290849, rtol=1e-12)
+    assert_allclose(Cp[2], -0.6405754040861715, rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, complex(math.nan, 1.0), math.inf, 2.0j * Z_MAX])
+def test_array_validation_matches_the_scalar_path(bad):
+    with pytest.raises(ValueError) as scalar:
+        riccati_table(3, bad)
+    with pytest.raises(ValueError) as array:
+        riccati_table(3, np.array([1.0, bad, 2.0 + 1.0j]))
+    assert str(array.value) == str(scalar.value)
+
+
+def test_array_overflow_names_the_point():
+    z = np.array([1.0, 1.0 + 800.0j])
+    with pytest.raises(OverflowError, match=r"overflows double range at z=\(1\+800j\)"):
+        riccati_table(2, z)
+    S, _, _, _ = riccati_table(2, z, scaled=True)
+    assert np.all(np.isfinite(S))
