@@ -236,16 +236,18 @@ def _run_specfun_check(p: dict) -> tuple[list[str], list[tuple], str]:
         raise ConfigError(f"gram_l_max = {p['gram_l_max']} outside [0, 20]")
     lmax = max(p["l_max"], 1)
     x_grid = np.linspace(p["x_min"], p["x_max"], p["n_x"])
-    # tables may overflow at small x and high l; np.maximum keeps the NaN
-    # margins that follow (max() would drop them), so they read "exceeded"
+    # tables may overflow at small x and high l.  At real x the scaled
+    # tables equal the unscaled ones but raise no OverflowError, so an
+    # overflow becomes a NaN margin; np.maximum keeps NaN margins (max()
+    # would drop them), so they read "exceeded"
     wron = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for x in x_grid:
-            S, C, Sp, Cp = riccati_table(lmax, x)
+            S, C, Sp, Cp = riccati_table(lmax, x, scaled=True)
             wron = float(np.maximum(wron, np.max(np.abs(S * Cp - Sp * C + 1.0))))
         rec_S = rec_C = 0.0
         for x in x_grid[::10]:
-            S, C, Sp, Cp = riccati_table(lmax, x)
+            S, C, Sp, Cp = riccati_table(lmax, x, scaled=True)
             for l in range(1, lmax):
                 coupling = (2 * l + 1) / x
                 scale_S = max(abs(S[l + 1]), abs(S[l - 1]), 1e-300)
@@ -538,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"schifferlab: config error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, OverflowError) as exc:
         print(f"schifferlab: numerical failure: {exc}", file=sys.stderr)
         return 1
     text = _render(args.command, fmt, columns, rows, summary)

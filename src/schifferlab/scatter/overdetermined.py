@@ -16,6 +16,14 @@ system are real as well.  The residual does not change: for real A and b,
 ||A(x + iy) - b||^2 = ||Ax - b||^2 + ||Ay||^2, so the least-squares
 minimum over complex coefficients is the real one.
 
+Each frequency is one Householder QR of the equilibrated system with the
+right-hand side appended as a last column, R only: the residual norm is the
+last diagonal entry of R, and the leading triangle carries the singular
+values that the condition check needs (Betcke & Trefethen, "Reviving the
+method of particular solutions", SIAM Rev. 47, 2005).  Scans hold numpy's
+OpenBLAS to one thread, so the frequency thread pool is the only
+parallelism and BLAS threads do not contend with it.
+
 The Neumann condition comes in two labeled flavors: ``normal`` tests the
 geometric normal derivative on the actual boundary, ``gradient`` asks the
 full gradient to vanish there, which is the stronger per-ray reduction.
@@ -23,6 +31,8 @@ full gradient to vanish there, which is the stronger per-ray reduction.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import math
 import warnings
@@ -47,6 +57,48 @@ __all__ = [
 
 _NEUMANN_MODES = ("normal", "gradient")
 _SQRT2 = math.sqrt(2.0)
+# the equilibrated system counts as rank deficient past this cond^2
+_COND2_LIMIT = 1e12
+
+
+def _openblas_thread_controls():
+    """(get, set) of the thread count of numpy's OpenBLAS, or None if not found."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        try:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+_OPENBLAS_THREADS = _openblas_thread_controls()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread, then restore the previous count.
+
+    The count is process-wide, so BLAS calls that other threads make
+    meanwhile run on one thread too.
+    """
+    if _OPENBLAS_THREADS is None:
+        yield
+        return
+    get, set_ = _OPENBLAS_THREADS
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,17 +214,36 @@ def _assemble(frame: CollocationFrame, k: float, neumann: str) -> tuple[np.ndarr
 
 def _solve(frame: CollocationFrame, k: float, neumann: str) -> float:
     A, b = _assemble(frame, k, neumann)
+    m, n = A.shape
     scale = np.linalg.norm(A, axis=0)
     scale[scale == 0.0] = 1.0
-    An = A / scale
-    coeffs, _, _, sv = np.linalg.lstsq(An, b, rcond=None)
-    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-    if cond * cond > 1e12:
-        warnings.warn(
-            f"normal-equation condition number {cond * cond:.2e} exceeds 1e12 "
-            f"at k = {k}; the trial space is effectively rank deficient",
-            RuntimeWarning, stacklevel=3)
-    return float(np.linalg.norm(An @ coeffs - b) / math.sqrt(A.shape[0]))
+    # R of [A / scale | b]: R11 = R[:n, :n] is the triangular factor of
+    # A / scale, c = R[:n, n] is Q1^T b and |R[n, n]| the residual norm
+    Ab = np.empty((m, n + 1))
+    np.divide(A, scale, out=Ab[:, :n])
+    Ab[:, n] = b
+    R = np.linalg.qr(Ab, mode="r")
+    R11, c = R[:n, :n], R[:n, n]
+    rss = R[n, n] ** 2
+    # ||R11||_F ||R11^-1||_F bounds cond_2 from above, so a small bound
+    # settles the usual well-conditioned case without an SVD
+    try:
+        bound = np.linalg.norm(R11) * np.linalg.norm(np.linalg.inv(R11))
+    except np.linalg.LinAlgError:
+        bound = np.inf
+    if not bound * bound <= _COND2_LIMIT:
+        U, sv, _ = np.linalg.svd(R11)
+        cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+        if cond * cond > _COND2_LIMIT:
+            warnings.warn(
+                f"normal-equation condition number {cond * cond:.2e} exceeds 1e12 "
+                f"at k = {k}; the trial space is effectively rank deficient",
+                RuntimeWarning, stacklevel=3)
+        # gelsd's rcond=None truncation: singular directions at or below
+        # eps max(m, n) s_0 fit nothing, so their share of b stays residual
+        dropped = sv <= np.finfo(float).eps * max(m, n) * sv[0]
+        rss += np.sum((U[:, dropped].T @ c) ** 2)
+    return float(math.sqrt(rss / m))
 
 
 def overdetermined_residual(domain: StarlikeDomain, k: float, L_trial: int = 8,
@@ -192,7 +263,8 @@ def overdetermined_residual(domain: StarlikeDomain, k: float, L_trial: int = 8,
     if neumann not in _NEUMANN_MODES:
         raise ValueError(f"neumann must be one of {_NEUMANN_MODES}, got {neumann!r}")
     frame = collocation_frame(domain, L_trial, n_collocation)
-    return _solve(frame, float(k), neumann)
+    with _one_blas_thread():
+        return _solve(frame, float(k), neumann)
 
 
 def residual_scan(domain: StarlikeDomain, k_values: Sequence[float],
@@ -201,7 +273,10 @@ def residual_scan(domain: StarlikeDomain, k_values: Sequence[float],
     """overdetermined_residual over a k grid, reusing one collocation frame.
 
     Frequencies are independent, so ``threads > 1`` fans the solves out to a
-    thread pool; results come back in grid order either way.
+    thread pool; results come back in grid order either way.  numpy's
+    OpenBLAS is held to one thread for the whole scan, so every solve is
+    the same serial arithmetic and threaded results equal serial ones bit
+    for bit.
     """
     if neumann not in _NEUMANN_MODES:
         raise ValueError(f"neumann must be one of {_NEUMANN_MODES}, got {neumann!r}")
@@ -213,10 +288,11 @@ def residual_scan(domain: StarlikeDomain, k_values: Sequence[float],
     if not np.all(np.isfinite(ks) & (ks > 0.0)):
         raise ValueError("all scan frequencies must be positive and finite")
     frame = collocation_frame(domain, L_trial, n_collocation)
-    if threads == 1:
-        return np.array([_solve(frame, float(k), neumann) for k in ks])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.array(list(pool.map(lambda k: _solve(frame, float(k), neumann), ks)))
+    with _one_blas_thread():
+        if threads == 1:
+            return np.array([_solve(frame, float(k), neumann) for k in ks])
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return np.array(list(pool.map(lambda k: _solve(frame, float(k), neumann), ks)))
 
 
 def trial_convergence(domain: StarlikeDomain, k: float, l_trials: Sequence[int],

@@ -84,9 +84,11 @@ def _jy_scaled(lmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
 
     az = abs(z)
     if az < _SERIES_CUTOFF:
-        # Leading series; scale factor is 1 here since |Im z| < 1e-6.
+        # Leading series, times the scale factor exp(-|Im z|): within
+        # 1e-6 of 1 here, but dropping it shows as a 1e-6 relative jump
+        # at the cutoff
         dfact = 1.0
-        zp = 1.0 + 0j
+        zp = complex(math.exp(-abs(z.imag)))
         for l in range(lmax + 1):
             j[l] = zp / dfact * (1 - z * z / (2 * (2 * l + 3)))
             zp *= z
@@ -155,9 +157,16 @@ def _miller_downward(j: np.ndarray, lmax: int, z: complex,
         j *= j0 / j[0]
 
 
+def _growth(z: complex, what: str) -> float:
+    """exp(|Im z|), the factor the scaled tables leave out."""
+    try:
+        return math.exp(abs(z.imag))
+    except OverflowError:
+        raise OverflowError(f"{what} overflows double range at z={z!r}") from None
+
+
 def _unscale(value: complex, z: complex) -> complex:
-    m = abs(z.imag)
-    out = value if m == 0 else value * math.exp(m)
+    out = value if z.imag == 0 else value * _growth(z, "value")
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise OverflowError(f"value overflows double range at z={z!r}")
     return out
@@ -174,13 +183,15 @@ def spherical_jy_table(lmax: int, z: complex, scaled: bool = False):
     j, y = _jy_scaled(lmax, z)
     if scaled:
         return j, y
-    m = abs(z.imag)
-    if m > 0:
-        f = math.exp(m)
+    if z.imag != 0:
+        f = _growth(z, "Bessel table")
         j = j * f
         y = y * f
         if not (np.isfinite(j).all() and np.isfinite(y).all()):
             raise OverflowError(f"Bessel table overflows double range at z={z!r}")
+    elif not cmath.isfinite(y[lmax]):
+        # at real z only y_l can overflow, and it grows with l
+        raise OverflowError(f"Bessel table overflows double range at z={z!r}")
     return j, y
 
 
@@ -231,13 +242,16 @@ def riccati_table(lmax: int, z, scaled: bool = False):
         Cp[l] = C[l - 1] - l / z * C[l]
     if scaled:
         return S, C, Sp, Cp
-    m = abs(z.imag)
-    if m > 0:
-        f = math.exp(m)
+    if z.imag != 0:
+        f = _growth(z, "Riccati table")
         S, C, Sp, Cp = S * f, C * f, Sp * f, Cp * f
         for arr in (S, C, Sp, Cp):
             if not np.isfinite(arr).all():
                 raise OverflowError(f"Riccati table overflows double range at z={z!r}")
+    elif not cmath.isfinite(Cp[lmax]):
+        # at real z only y_l can overflow, and it grows with l, so a
+        # non-finite entry anywhere reaches the top-order C'
+        raise OverflowError(f"Riccati table overflows double range at z={z!r}")
     return S, C, Sp, Cp
 
 
@@ -357,7 +371,9 @@ def _jy_scaled_array(lmax: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_jy_scaled over a 1-d array of points."""
     zs, zc = _scaled_trig(z, np.exp)
     j = np.empty((lmax + 1, z.size), dtype=complex)
-    az = np.abs(z)
+    # |z| rounded as the scalar path's abs(complex) rounds it: np.abs can
+    # differ in the last bit, which would move a point across a cutoff
+    az = np.hypot(z.real, z.imag)
     series = az < _SERIES_CUTOFF
     upward = ~series & (az >= lmax)
     miller = ~(series | upward)
@@ -365,7 +381,7 @@ def _jy_scaled_array(lmax: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if series.any():
         zz = z[series]
         dfact = 1.0
-        zp = np.ones_like(zz)
+        zp = np.exp(-np.abs(zz.imag)).astype(complex)
         for l in range(lmax + 1):
             j[l, series] = zp / dfact * (1 - zz * zz / (2 * (2 * l + 3)))
             zp = zp * zz
@@ -404,9 +420,8 @@ def _riccati_table_array(lmax: int, z, scaled: bool):
             f = np.exp(m)
             tables = tuple(t * f for t in tables)
         finite = np.logical_and.reduce([np.isfinite(t).all(axis=0) for t in tables])
-        overflow = (m > 0) & ~finite
-        if overflow.any():
-            bad = complex(flat[np.argmax(overflow)])
+        if not finite.all():
+            bad = complex(flat[np.argmin(finite)])
             raise OverflowError(f"Riccati table overflows double range at z={bad!r}")
     shape = (lmax + 1,) + z.shape
     return tuple(t.reshape(shape) for t in tables)

@@ -102,6 +102,19 @@ def test_specfun_check_fails_on_overflowed_tables():
     assert lines[-1] == "# summary: FAIL"
 
 
+def test_overflow_is_a_numerical_failure(monkeypatch, capsys):
+    from schifferlab import cli
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("Riccati table overflows double range at z=(0.0001+0j)")
+
+    monkeypatch.setattr(cli, "find_real_eigenvalues", overflow)
+    assert cli.main(["eigen-scan", "--l", "0", "--k-max", "12"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("schifferlab: numerical failure: Riccati table overflows "
+                   "double range at z=(0.0001+0j)\n")
+
+
 def test_config_errors_exit_2(tmp_path):
     cases = [
         ("specfun-check", "--l-max", "200"),

@@ -329,13 +329,109 @@ def test_healthy_solve_emits_no_warnings():
         overdetermined_residual(unit_ball(), 3.0, L_trial=4)
 
 
+def lstsq_reference(A: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """(residual, cond^2) of the equilibrated system by gelsd, rcond=None."""
+    scale = np.linalg.norm(A, axis=0)
+    scale[scale == 0.0] = 1.0
+    An = A / scale
+    coeffs, _, _, sv = np.linalg.lstsq(An, b, rcond=None)
+    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+    return float(np.linalg.norm(An @ coeffs - b) / math.sqrt(A.shape[0])), cond * cond
+
+
 def test_rank_deficient_system_warns(monkeypatch):
     A = np.ones((10, 3))
     b = np.zeros(10)
     b[:5] = 1.0
     monkeypatch.setattr(od, "_assemble", lambda frame, k, neumann: (A, b))
     with pytest.warns(RuntimeWarning, match="rank deficient"):
-        overdetermined_residual(unit_ball(), 1.0, L_trial=2)
+        got = overdetermined_residual(unit_ball(), 1.0, L_trial=2)
+    # gelsd drops the two null directions, leaving the fit by the mean
+    want, _ = lstsq_reference(A, b)
+    assert_allclose(want, 0.5, rtol=1e-14)
+    assert_allclose(got, want, rtol=1e-12)
+
+
+def nearly_dependent_system(cond2: float) -> tuple[np.ndarray, np.ndarray]:
+    """A seeded 40 x 6 system whose equilibrated cond^2 is close to ``cond2``.
+
+    The last column is the first plus eps times a random column; cond grows
+    like 1/eps, so a few secant steps on eps hit the target.
+    """
+    def system(eps):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((40, 6))
+        A[:, -1] = A[:, 0] + eps * A[:, -1]
+        return A, rng.standard_normal(40)
+
+    eps = 1e-6
+    for _ in range(4):
+        eps *= math.sqrt(lstsq_reference(*system(eps))[1] / cond2)
+    return system(eps)
+
+
+@pytest.mark.parametrize("target", (0.99e12, 1.01e12))
+def test_condition_warning_follows_the_singular_values(monkeypatch, target):
+    A, b = nearly_dependent_system(target)
+    want, cond2 = lstsq_reference(A, b)
+    assert_allclose(cond2, target, rtol=1e-3)
+    monkeypatch.setattr(od, "_assemble", lambda frame, k, neumann: (A, b))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = overdetermined_residual(unit_ball(), 1.0, L_trial=1)
+    rank_warnings = [w for w in caught if "rank deficient" in str(w.message)]
+    assert len(rank_warnings) == (1 if cond2 > 1e12 else 0)
+    assert_allclose(got, want, rtol=1e-12)
+
+
+def openblas_threads() -> int:
+    get, _ = od._OPENBLAS_THREADS
+    return get()
+
+
+needs_openblas = pytest.mark.skipif(od._OPENBLAS_THREADS is None,
+                                    reason="numpy's OpenBLAS thread controls not found")
+
+
+@needs_openblas
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       neumann=st.sampled_from(("normal", "gradient")),
+       ks=st.lists(st.floats(0.5, 12.0), min_size=1, max_size=6))
+def test_threaded_scan_is_bitwise_serial_and_restores_blas_threads(seed, neumann, ks):
+    domain = seeded_domain(seed)
+    before = openblas_threads()
+    serial = residual_scan(domain, ks, L_trial=4, neumann=neumann)
+    assert openblas_threads() == before
+    threaded = residual_scan(domain, ks, L_trial=4, neumann=neumann, threads=2)
+    assert openblas_threads() == before
+    assert threaded.tobytes() == serial.tobytes()
+
+
+@needs_openblas
+def test_scans_hold_blas_to_one_thread_and_restore_it_on_error(monkeypatch):
+    A = np.ones((10, 3))
+    b = np.ones(10)
+    seen = []
+
+    def rank_deficient(frame, k, neumann):
+        seen.append(openblas_threads())
+        return A, b
+
+    monkeypatch.setattr(od, "_assemble", rank_deficient)
+    before = openblas_threads()
+    for threads in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="rank deficient"):
+                residual_scan(unit_ball(), [1.0, 2.0], L_trial=2, threads=threads)
+        assert openblas_threads() == before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="rank deficient"):
+            overdetermined_residual(unit_ball(), 1.0, L_trial=2)
+    assert openblas_threads() == before
+    assert seen and set(seen) == {1}
 
 
 # ---------------------------------------------------------------- ball modes

@@ -4,6 +4,7 @@ Frozen reference values come from mpmath at 40 digits through
 j_l(z) = sqrt(pi/(2z)) J_{l+1/2}(z) and y_l(z) = sqrt(pi/(2z)) Y_{l+1/2}(z).
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -142,6 +143,44 @@ def test_strong_imaginary_argument_needs_scaling():
     js, ys = spherical_jy_table(2, 1.0 + 800.0j, scaled=True)
     assert np.all(np.isfinite(js))
     assert np.all(np.isfinite(ys))
+
+
+def test_overflow_past_the_exponent_range_names_the_point():
+    # exp(800) itself overflows, before any table is multiplied
+    named = r"overflows double range at z=\(1\+800j\)"
+    with pytest.raises(OverflowError, match=named):
+        riccati_table(2, 1.0 + 800.0j)
+    with pytest.raises(OverflowError, match=named):
+        spherical_jy_table(2, 1.0 + 800.0j)
+    with pytest.raises(OverflowError, match=named):
+        spherical_bessel_j(2, 1.0 + 800.0j)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_real_argument_overflow_is_named():
+    # y_60(1e-4) ~ 119!! / 1e-244 overflows, so C and C' do too
+    named = r"overflows double range at z=\(0\.0001\+0j\)"
+    with pytest.raises(OverflowError, match=named):
+        riccati_table(60, 1e-4)
+    with pytest.raises(OverflowError, match=named):
+        riccati_table(60, np.array([1.0, 1e-4]))
+    with pytest.raises(OverflowError, match=named):
+        spherical_jy_table(60, 1e-4)
+    # at real z the scaled tables are the same numbers, left unchecked
+    _, C, _, _ = riccati_table(60, 1e-4, scaled=True)
+    assert not np.all(np.isfinite(C))
+
+
+def test_series_cutoff_is_seamless():
+    # the series regime (|z| < 1e-6) carries the exp(-|Im z|) scale too
+    z = 9e-7j
+    for S in (riccati_table(0, z)[0][0], riccati_table(0, np.array([z]))[0][0, 0]):
+        assert_allclose(S, cmath.sin(z), rtol=1e-14)
+    # abs() rounds this |z| to 1e-6 and np.abs() to one ulp below; both
+    # paths must put it in the same regime
+    z = -3.288769178463685e-07 + 9.44372793396693e-07j
+    for want, got in zip(riccati_table(0, z), riccati_table(0, np.array([z]))):
+        assert_allclose(got[:, 0], want, rtol=1e-14)
 
 
 def test_domain_validation():
