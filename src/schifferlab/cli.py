@@ -238,24 +238,21 @@ def _run_specfun_check(p: dict) -> tuple[list[str], list[tuple], str]:
     x_grid = np.linspace(p["x_min"], p["x_max"], p["n_x"])
     # tables may overflow at small x and high l.  At real x the scaled
     # tables equal the unscaled ones but raise no OverflowError, so an
-    # overflow becomes a NaN margin; np.maximum keeps NaN margins (max()
-    # would drop them), so they read "exceeded"
-    wron = 0.0
+    # overflow becomes a NaN margin; np.max keeps NaN margins, so they read
+    # "exceeded"
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in x_grid:
-            S, C, Sp, Cp = riccati_table(lmax, x, scaled=True)
-            wron = float(np.maximum(wron, np.max(np.abs(S * Cp - Sp * C + 1.0))))
-        rec_S = rec_C = 0.0
-        for x in x_grid[::10]:
-            S, C, Sp, Cp = riccati_table(lmax, x, scaled=True)
-            for l in range(1, lmax):
-                coupling = (2 * l + 1) / x
-                scale_S = max(abs(S[l + 1]), abs(S[l - 1]), 1e-300)
-                scale_C = max(abs(C[l + 1]), abs(C[l - 1]), 1e-300)
-                rec_S = float(np.maximum(
-                    rec_S, abs(S[l + 1] - (coupling * S[l] - S[l - 1])) / scale_S))
-                rec_C = float(np.maximum(
-                    rec_C, abs(C[l + 1] - (coupling * C[l] - C[l - 1])) / scale_C))
+        S, C, Sp, Cp = riccati_table(lmax, x_grid, scaled=True)
+        wron = float(np.max(np.abs(S * Cp - Sp * C + 1.0)))
+        # f_{l+1} = (2l+1)/x f_l - f_{l-1} for l = 1..lmax-1 on every 10th x
+        coupling = (2 * np.arange(1, lmax)[:, None] + 1) / x_grid[::10]
+
+        def recurrence(T):
+            T = T[:, ::10]
+            scale = np.maximum(np.maximum(np.abs(T[2:]), np.abs(T[:-2])), 1e-300)
+            return float(np.max(np.abs(T[2:] - (coupling * T[1:-1] - T[:-2])) / scale,
+                                initial=0.0))
+
+        rec_S, rec_C = recurrence(S), recurrence(C)
     quad = sphere_quadrature()
     modes = [(l, m) for l in range(p["gram_l_max"] + 1) for m in range(-l, l + 1)]
     M = np.stack([ylm_on_grid(l, m, quad) for l, m in modes])

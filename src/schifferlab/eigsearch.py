@@ -15,9 +15,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
+from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401  (uncalled; bench/tracing.py looks it up)
 
 from .entire import Evaluator, winding_count
 from .specfun import riccati_table
@@ -29,6 +30,7 @@ __all__ = [
     "dispersion_function",
     "dispersion_log_abs",
     "find_real_eigenvalues",
+    "real_eigenvalue_spectra",
     "count_zeros_argument_principle",
     "density_estimate",
 ]
@@ -53,6 +55,12 @@ class DensityEstimate:
     density: float
     target: float
     relative_gap: float
+
+    @classmethod
+    def from_count(cls, count: int, R_hat: float, K: float) -> "DensityEstimate":
+        density = count / K
+        target = R_hat / math.pi
+        return cls(count, float(K), density, target, abs(density - target) / target)
 
 
 def dispersion(l: int, R_hat: float, k):
@@ -97,6 +105,158 @@ def dispersion_log_abs(l: int, R_hat: float, k: complex) -> float:
     return math.log(mag) + abs(complex(z).imag)
 
 
+def _scan_nodes(k_max: float, scan_step: float) -> np.ndarray:
+    """Scan nodes scan_step, 2 scan_step, ... closed at k_max."""
+    nodes = np.arange(scan_step, k_max + scan_step / 2, scan_step)
+    nodes = nodes[nodes <= k_max + 1e-12 * k_max]
+    if nodes.size == 0 or nodes[-1] < k_max - 1e-12 * k_max:
+        # the scan interval is closed at k_max; cover its last sliver
+        nodes = np.append(nodes, k_max)
+    return nodes
+
+
+def _dispersion_rows(lmax: int, R: np.ndarray, k: np.ndarray, derivative: bool = False):
+    """B_l(k) for l = 0..lmax at real k on radii R (1-d arrays), rows by l.
+
+    One riccati_table call.  With ``derivative`` also B_l'(k) = R^2 S_l''
+    - R S_l'/k + S_l/k^2 at x = kR, where S_l'' = (l(l+1)/x^2 - 1) S_l.
+    """
+    x = k * R
+    S, _, Sp, _ = riccati_table(lmax, x)
+    S, Sp = S.real, Sp.real
+    B = R * Sp - S / k
+    if not derivative:
+        return B
+    l = np.arange(lmax + 1)[:, None]
+    dB = R * R * (l * (l + 1) / (x * x) - 1.0) * S - R * Sp / k + S / (k * k)
+    return B, dB
+
+
+# brentq's tolerances; a Newton step this small leaves a rounding-level error
+_XTOL = 1e-14
+_RTOL = 4 * np.finfo(float).eps
+_NEWTON_MAX_ITER = 100
+
+
+def _newton(lmax: int, rows: np.ndarray, R: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
+    """Root of B_rows in every sign-change bracket (lo, hi) at once.
+
+    Safeguarded Newton from the secant point: a step that leaves the
+    current bracket bisects instead.  Each iteration is one array call over
+    the brackets still open, and each bracket's iterates depend on that
+    bracket alone.
+    """
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    s_lo = np.sign(f_lo)
+    root = np.empty_like(x)
+    live = np.arange(x.size)
+    for _ in range(_NEWTON_MAX_ITER):
+        B, dB = _dispersion_rows(lmax, R, x, derivative=True)
+        cols = np.arange(x.size)
+        f, df = B[rows, cols], dB[rows, cols]
+        left = np.sign(f) == s_lo
+        lo = np.where(left, x, lo)
+        hi = np.where(left, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / df
+        xn = x - step
+        inside = (lo < xn) & (xn < hi)
+        tol = _XTOL + _RTOL * np.abs(x)
+        done = (np.abs(step) <= tol) | (hi - lo <= tol)
+        # a converged step that leaves the bracket stays at x, which is inside
+        xn = np.where(inside, xn, np.where(done, x, 0.5 * (lo + hi)))
+        root[live[done]] = xn[done]
+        keep = ~done
+        live, x, lo, hi, s_lo, R, rows = (
+            live[keep], xn[keep], lo[keep], hi[keep], s_lo[keep], R[keep], rows[keep])
+        if live.size == 0:
+            break
+    # brackets still open after the cap keep their last iterate; the
+    # residual check judges them
+    root[live] = x
+    return root
+
+
+def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float],
+                  steps: Sequence[float], k_max: float,
+                  tol: float) -> list[dict[int, list[EigenvalueRecord]]]:
+    """Bracketed roots of B_l on (step, k_max] for each radius and degree.
+
+    All radii and degrees share one scan call, one call per Newton
+    iteration, and one residual call.
+    """
+    nodes = [_scan_nodes(k_max, s) for s in steps]
+    sizes = [n.size for n in nodes]
+    offsets = np.cumsum([0] + sizes)  # radius r owns k[offsets[r]:offsets[r + 1]]
+    k = np.concatenate(nodes)
+    R = np.repeat(np.asarray(radii, dtype=float), sizes)
+    B = _dispersion_rows(lmax, R, k)
+
+    # a node exactly on a root nudges its bracket open by a quarter step
+    zeros = [(r, l, i) for r in range(len(radii)) for l in degrees
+             for i in np.flatnonzero(B[l, offsets[r]:offsets[r + 1] - 1] == 0)]
+    nudged = {}
+    if zeros:
+        idx = np.array([offsets[r] + i for r, _, i in zeros])
+        k_in = k[idx] - 0.25 * np.array([steps[r] for r, _, _ in zeros])
+        f_in = _dispersion_rows(lmax, R[idx], k_in)
+        nudged = {z: (float(k_in[n]), f_in[z[1], n]) for n, z in enumerate(zeros)}
+
+    # per radius and degree, in k order: a record, or the index of a bracket
+    slots: list[dict[int, list]] = []
+    brackets = []  # (row, radius, a, b, f_a, f_b)
+    for r in range(len(radii)):
+        kr = k[offsets[r]:offsets[r + 1]]
+        slots.append({})
+        for l in degrees:
+            v = B[l, offsets[r]:offsets[r + 1]]
+            slot = slots[r][l] = []
+            for i in np.flatnonzero((v[:-1] * v[1:] < 0) | (v[:-1] == 0)):
+                a, b, fa, fb = float(kr[i]), float(kr[i + 1]), v[i], v[i + 1]
+                if fa == 0.0:
+                    a_in, fa_in = nudged[(r, l, i)]
+                    if fa_in * fb >= 0:
+                        slot.append(EigenvalueRecord(l, a, 0.0, (a_in, b)))
+                        continue
+                    a, fa = a_in, fa_in
+                slot.append(len(brackets))
+                brackets.append((l, radii[r], a, b, fa, fb))
+
+    if brackets:
+        rows, Rb, lo, hi, f_lo, f_hi = (np.array(c) for c in zip(*brackets))
+        roots = _newton(lmax, rows, Rb, lo, hi, f_lo, f_hi)
+        residuals = np.abs(_dispersion_rows(lmax, Rb, roots)[rows, np.arange(roots.size)])
+
+    spectra = []
+    for slot_r in slots:
+        spectra.append({})
+        for l, slot in slot_r.items():
+            records = []
+            for item in slot:
+                if isinstance(item, EigenvalueRecord):
+                    records.append(item)
+                    continue
+                root, residual = float(roots[item]), float(residuals[item])
+                if residual > tol:
+                    raise RuntimeError(
+                        f"root refinement at k={root} left residual {residual} > {tol}")
+                _, _, a, b, _, _ = brackets[item]
+                records.append(EigenvalueRecord(l, root, residual, (a, b)))
+            for prev, cur in zip(records, records[1:]):
+                if cur.k - prev.k < 10 * tol:
+                    warnings.warn(f"near-coincident roots at k={prev.k} and k={cur.k}; "
+                                  "possible multiplicity", RuntimeWarning)
+            spectra[-1][l] = records
+    return spectra
+
+
+def _check_radius(R_hat: float) -> None:
+    if not (math.isfinite(R_hat) and R_hat > 0):
+        raise ValueError(f"R_hat must be positive and finite, got {R_hat}")
+
+
 def find_real_eigenvalues(l: int, R_hat: float, k_max: float,
                           scan_step: float | None = None,
                           tol: float = 1e-9) -> list[EigenvalueRecord]:
@@ -104,54 +264,37 @@ def find_real_eigenvalues(l: int, R_hat: float, k_max: float,
 
     The scan step defaults to, and must not exceed, a quarter of the
     asymptotic eigenvalue spacing pi/R_hat, so no sign change is skipped.
+    Each sign-change bracket is refined by safeguarded Newton on the
+    closed-form derivative B'(k); ``bracket`` is the scan bracket.
     Near-coincident roots (closer than 10*tol) emit a warning rather than
     being merged.
     """
     if k_max <= 0:
         raise ValueError("k_max must be positive")
-    if not (math.isfinite(R_hat) and R_hat > 0):
-        raise ValueError(f"R_hat must be positive and finite, got {R_hat}")
+    _check_radius(R_hat)
     limit = math.pi / (4 * R_hat)
     if scan_step is None:
         scan_step = limit
     if scan_step > limit * (1 + 1e-12):
         raise ValueError(f"scan_step {scan_step} exceeds pi/(4 R_hat) = {limit}")
+    return _real_spectra(l, [l], [R_hat], [scan_step], k_max, tol)[0][l]
 
-    nodes = np.arange(scan_step, k_max + scan_step / 2, scan_step)
-    nodes = nodes[nodes <= k_max + 1e-12 * k_max]
-    if nodes.size == 0 or nodes[-1] < k_max - 1e-12 * k_max:
-        # the scan interval is closed at k_max; cover its last sliver
-        nodes = np.append(nodes, k_max)
-    values = np.array([dispersion(l, R_hat, float(k)).real for k in nodes])
 
-    f = lambda k: dispersion(l, R_hat, k).real
-    records: list[EigenvalueRecord] = []
-    for i in range(len(nodes) - 1):
-        a, b = float(nodes[i]), float(nodes[i + 1])
-        fa, fb = values[i], values[i + 1]
-        if fa == 0.0:
-            # node exactly on a root: nudge the bracket open
-            a_in = a - 0.25 * scan_step
-            fa_in = f(a_in)
-            if fa_in * fb < 0:
-                a, fa = a_in, fa_in
-            else:
-                records.append(EigenvalueRecord(l, a, 0.0, (a_in, b)))
-                continue
-        if fa * fb >= 0:
-            continue
-        root = brentq(f, a, b, xtol=1e-14, rtol=4 * np.finfo(float).eps)
-        residual = abs(dispersion(l, R_hat, root))
-        if residual > tol:
-            raise RuntimeError(
-                f"root refinement at k={root} left residual {residual} > {tol}")
-        records.append(EigenvalueRecord(l, float(root), float(residual), (a, b)))
+def real_eigenvalue_spectra(radii: Sequence[float], l_max: int, k_max: float,
+                            tol: float = 1e-9) -> list[dict[int, list[EigenvalueRecord]]]:
+    """find_real_eigenvalues for l = 0..l_max on every radius, batched.
 
-    for prev, cur in zip(records, records[1:]):
-        if cur.k - prev.k < 10 * tol:
-            warnings.warn(f"near-coincident roots at k={prev.k} and k={cur.k}; "
-                          "possible multiplicity", RuntimeWarning)
-    return records
+    Entry r maps each degree to the roots for radius ``radii[r]`` at its
+    default scan step pi/(4 R).  The whole batch takes one table call for
+    the scan, one per Newton iteration and one for the residuals; each
+    radius gets the same records whether scanned alone or in a batch.
+    """
+    if k_max <= 0:
+        raise ValueError("k_max must be positive")
+    for R_hat in radii:
+        _check_radius(R_hat)
+    steps = [math.pi / (4 * R_hat) for R_hat in radii]
+    return _real_spectra(l_max, range(l_max + 1), radii, steps, k_max, tol)
 
 
 def _rect_path(rect: tuple[float, float, float, float], n: int) -> np.ndarray:
@@ -192,9 +335,4 @@ def density_estimate(l: int, R_hat: float, K: float) -> DensityEstimate:
     """
     if K < 50.0 / R_hat:
         raise ValueError(f"K={K} too small for a stable ratio; need K >= {50.0 / R_hat}")
-    records = find_real_eigenvalues(l, R_hat, K)
-    count = len(records)
-    density = count / K
-    target = R_hat / math.pi
-    return DensityEstimate(count, float(K), density, target,
-                           abs(density - target) / target)
+    return DensityEstimate.from_count(len(find_real_eigenvalues(l, R_hat, K)), R_hat, K)

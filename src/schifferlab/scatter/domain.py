@@ -14,7 +14,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from ..specfun import (
 
 __all__ = [
     "StarlikeDomain",
+    "ray_radii",
     "ray_radius",
     "boundary_normal",
     "load_domain",
@@ -108,12 +109,25 @@ def _synthesis(domain: StarlikeDomain, theta: float, phi: float) -> tuple[float,
     return rho.real, dth.real, dph.real
 
 
+def ray_radii(domain: StarlikeDomain,
+              directions: Sequence[SphericalDirection]) -> np.ndarray:
+    """rho at every direction, in one synthesis over the array of angles."""
+    theta = np.array([d.theta for d in directions], dtype=float)
+    phi = np.array([d.phi for d in directions], dtype=float)
+    rho = np.zeros(theta.shape, dtype=complex)
+    for l, m, value in domain.rho_coeffs:
+        rho += value * ylm(l, m, theta, phi)
+    rho = rho.real
+    bad = ~(rho > 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"synthesis gave rho = {float(rho[i])} <= 0 at {directions[i]}")
+    return rho
+
+
 def ray_radius(domain: StarlikeDomain, direction: SphericalDirection) -> float:
     """rho(direction): the radius where the ray meets the boundary."""
-    rho, _, _ = _synthesis(domain, direction.theta, direction.phi)
-    if rho <= 0.0:
-        raise ValueError(f"synthesis gave rho = {rho} <= 0 at {direction}")
-    return float(rho)
+    return float(ray_radii(domain, [direction])[0])
 
 
 def _normal_spherical(domain: StarlikeDomain,

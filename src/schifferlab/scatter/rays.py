@@ -13,9 +13,13 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
-from ..eigsearch import DensityEstimate, EigenvalueRecord, find_real_eigenvalues
+import numpy as np
+
+from ..eigsearch import DensityEstimate, EigenvalueRecord, real_eigenvalue_spectra
+from ..eigsearch import find_real_eigenvalues  # noqa: F401  (bench/tracing.py rebinds it)
 from ..specfun import SphericalDirection
-from .domain import StarlikeDomain, ray_radius
+from .domain import StarlikeDomain, ray_radii
+from .domain import ray_radius  # noqa: F401  (bench/tracing.py rebinds it)
 
 __all__ = ["RayEigenReport", "RayScanResult", "per_ray_eigen_scan", "axis_directions"]
 
@@ -75,16 +79,12 @@ def _intersect(lists: list[tuple[float, ...]], tol: float) -> tuple[float, ...]:
     return tuple(survivors)
 
 
-def _scan_one(domain: StarlikeDomain, direction: SphericalDirection,
-              l_max: int, k_max: float) -> RayEigenReport:
-    R = ray_radius(domain, direction)
-    eigen = {l: tuple(find_real_eigenvalues(l, R, k_max))
-             for l in range(l_max + 1)}
-    count = len(eigen[0])
-    target = R / math.pi
-    density = DensityEstimate(count, float(k_max), count / k_max, target,
-                              abs(count / k_max - target) / target)
-    return RayEigenReport(direction, R, eigen, density)
+def _scan_rays(directions: Sequence[SphericalDirection], radii: np.ndarray,
+               l_max: int, k_max: float) -> list[RayEigenReport]:
+    spectra = real_eigenvalue_spectra(radii, l_max, k_max)
+    return [RayEigenReport(d, float(R), {l: tuple(recs) for l, recs in eigen.items()},
+                           DensityEstimate.from_count(len(eigen[0]), float(R), k_max))
+            for d, R, eigen in zip(directions, radii, spectra)]
 
 
 def per_ray_eigen_scan(domain: StarlikeDomain,
@@ -95,18 +95,23 @@ def per_ray_eigen_scan(domain: StarlikeDomain,
     The per-ray density compares the l = 0 count on (0, k_max] against
     the ray's own target R_hat/pi; the cross-ray intersection keeps the
     eigenvalues matching on every ray within 1e-6.  Rays are independent,
-    so ``threads > 1`` fans them out; report order follows the input.
+    so ``threads > 1`` splits them into contiguous chunks, one batch per
+    chunk; report order follows the input, and a ray's report is the same
+    whatever batch it is scanned in.
     """
     if not directions:
         raise ValueError("at least one direction is required")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    radii = ray_radii(domain, directions)
     if threads == 1:
-        reports = [_scan_one(domain, d, l_max, k_max) for d in directions]
+        reports = _scan_rays(directions, radii, l_max, k_max)
     else:
+        chunks = [c for c in np.array_split(np.arange(len(directions)), threads) if c.size]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(
-                lambda d: _scan_one(domain, d, l_max, k_max), directions))
+            parts = pool.map(lambda c: _scan_rays([directions[i] for i in c], radii[c],
+                                                  l_max, k_max), chunks)
+            reports = [rep for part in parts for rep in part]
     common = {}
     for l in range(l_max + 1):
         lists = [tuple(rec.k for rec in rep.eigenvalues[l]) for rep in reports]

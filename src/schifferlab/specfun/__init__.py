@@ -3,7 +3,6 @@ Legendre, spherical harmonics, and the sphere quadrature rule used by every
 other module.  All evaluators are pure functions of their arguments."""
 
 from .bessel import (
-    L_MAX,
     L_MAX_DEFAULT,
     L_MAX_SUPPORTED,
     Z_MAX,
@@ -26,7 +25,6 @@ from .harmonics import (
 )
 
 __all__ = [
-    "L_MAX",
     "L_MAX_DEFAULT",
     "L_MAX_SUPPORTED",
     "Z_MAX",

@@ -4,19 +4,23 @@ The radial Helmholtz equation y'' + (k^2 - l(l+1)/r^2) y = 0 is solved by the
 Riccati-Bessel pair S_l(x) = x j_l(x) (regular at 0) and C_l(x) = -x y_l(x)
 (irregular), evaluated here at x = k r with k anywhere in the complex plane.
 
-Evaluation strategy:
-    * j_l: upward recurrence from j_0, j_1 when |z| >= l (stable direction),
-      otherwise downward recurrence seeded by the continued fraction for
-      j_l / j_{l-1} and renormalized against j_0 or j_1 (Miller style).
-    * y_l: upward recurrence always (y is the dominant solution upward).
+One kernel evaluates every table, vectorised over an array of points; a
+scalar z is a one-point array.  For a table of orders 0..lmax each point
+takes one of three regimes for j_l, and each regime runs over the
+compressed array of its points:
+    * |z| < 1e-6: the leading power series.
+    * |z| >= lmax: upward recurrence from j_0, j_1 (the stable direction).
+    * otherwise: downward recurrence seeded by the Lentz continued fraction
+      for j_lmax / j_{lmax-1} and renormalised against j_0 or j_1 (Miller).
+y_l always recurs upward from y_0, y_1 (y is the dominant solution upward,
+except near the imaginary axis, where it loses up to seven digits).
 
-All internal recurrences run on values scaled by exp(-|Im z|), so tables stay
-representable for large |Im z|; the unscaled public functions multiply the
-factor back in.  For real z the scale factor is exactly 1 and real inputs
-propagate zero imaginary parts through every recurrence.
-
-riccati_table also evaluates a whole ndarray of z in one vectorised pass,
-for callers such as contour integrals that need many points at once.
+The recurrences use plain NumPy complex arithmetic and act on each point
+independently, so at real z a point's table does not depend on the other
+points of its batch.  They run on values scaled by exp(-|Im z|), so tables
+stay representable for large |Im z|; the unscaled public functions multiply
+the factor back in.  For real z the scale factor is exactly 1 and real
+inputs propagate zero imaginary parts through every recurrence.
 """
 
 from __future__ import annotations
@@ -76,85 +80,114 @@ def _scaled_trig(z, exp=cmath.exp):
     return s, c
 
 
-def _jy_scaled(lmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Tables of j_0..j_lmax and y_0..y_lmax, each scaled by exp(-|Im z|)."""
-    zs, zc = _scaled_trig(z)
-    j = np.empty(lmax + 1, dtype=complex)
-    y = np.empty(lmax + 1, dtype=complex)
-
-    az = abs(z)
-    if az < _SERIES_CUTOFF:
-        # Leading series, times the scale factor exp(-|Im z|): within
-        # 1e-6 of 1 here, but dropping it shows as a 1e-6 relative jump
-        # at the cutoff
-        dfact = 1.0
-        zp = complex(math.exp(-abs(z.imag)))
-        for l in range(lmax + 1):
-            j[l] = zp / dfact * (1 - z * z / (2 * (2 * l + 3)))
-            zp *= z
-            dfact *= 2 * l + 3
-    elif az >= lmax:
-        j[0] = zs / z
-        if lmax >= 1:
-            j[1] = j[0] / z - zc / z
-        for l in range(1, lmax):
-            j[l + 1] = (2 * l + 1) / z * j[l] - j[l - 1]
-    else:
-        _miller_downward(j, lmax, z, zs, zc)
-
-    # y: upward from y_0, y_1 (dominant solution, always stable).
-    y[0] = -zc / z
+def _upward(lmax: int, z: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """Rows t_0..t_lmax of the three-term recurrence from seeds t_0, t_1."""
+    t = np.empty((lmax + 1, z.size), dtype=complex)
+    t[0] = t0
     if lmax >= 1:
-        y[1] = y[0] / z - zs / z
+        t[1] = t1
     for l in range(1, lmax):
-        y[l + 1] = (2 * l + 1) / z * y[l] - y[l - 1]
-    return j, y
+        t[l + 1] = (2 * l + 1) / z * t[l] - t[l - 1]
+    return t
 
 
-def _ratio_cf(l: int, z: complex, max_iter: int = 20000) -> complex:
-    """j_l(z)/j_{l-1}(z) by the modified Lentz continued fraction."""
+def _ratio_cf(l: int, z: np.ndarray, max_iter: int = 20000) -> np.ndarray:
+    """j_l(z)/j_{l-1}(z) by the modified Lentz continued fraction.
+
+    R_l = 1 / ((2l+1)/z - R_{l+1}), expanded with partial numerators -1;
+    each point stops at its own convergence.
+    """
     tiny = 1e-290
-    # R_l = 1 / ((2l+1)/z - R_{l+1}) expanded with partial numerators -1.
     b = (2 * l + 1) / z
-    f = b if b != 0 else tiny
-    c = f
-    d = 0.0 + 0j
+    f = np.where(b != 0, b, tiny)
+    c = f.copy()
+    d = np.zeros_like(z)
+    out = np.empty_like(z)
+    live = np.arange(z.size)
     for n in range(1, max_iter):
         b = (2 * (l + n) + 1) / z
         d = b - d
-        if d == 0:
-            d = tiny
+        d[d == 0] = tiny
         c = b - 1 / c
-        if c == 0:
-            c = tiny
+        c[c == 0] = tiny
         d = 1 / d
         delta = c * d
-        f *= delta
-        if abs(delta - 1) < 1e-16:
-            break
-    return 1 / f
+        f = f * delta
+        done = np.abs(delta - 1) < 1e-16
+        if done.any():
+            out[live[done]] = f[done]
+            keep = ~done
+            live, z, f, c, d = live[keep], z[keep], f[keep], c[keep], d[keep]
+            if live.size == 0:
+                break
+    out[live] = f
+    return 1 / out
 
 
-def _miller_downward(j: np.ndarray, lmax: int, z: complex,
-                     zs: complex, zc: complex) -> None:
-    """Fill j[0..lmax] (scaled) by downward recurrence from a CF-seeded start."""
-    r = _ratio_cf(lmax, z)
-    j[lmax] = r
+def _miller_downward(lmax: int, z: np.ndarray, zs: np.ndarray,
+                     zc: np.ndarray) -> np.ndarray:
+    """j_0..j_lmax (scaled) by downward recurrence from a CF-seeded start."""
+    j = np.empty((lmax + 1, z.size), dtype=complex)
+    j[lmax] = _ratio_cf(lmax, z)
     j[lmax - 1] = 1.0
     for l in range(lmax - 1, 0, -1):
         j[l - 1] = (2 * l + 1) / z * j[l] - j[l + 1]
-        m = abs(j[l - 1])
-        if m > 1e250:
-            j[l - 1:] /= m
+        m = np.abs(j[l - 1])
+        big = m > 1e250
+        if big.any():
+            j[l - 1:, big] /= m[big]
     j0 = zs / z
     j1 = j0 / z - zc / z
-    # Normalize against whichever seed is farther from a zero.
-    if abs(j0) >= abs(j1) and j[0] != 0:
-        j *= j0 / j[0]
-    elif j[1] != 0:
-        j *= j1 / j[1]
-    else:
-        j *= j0 / j[0]
+    # normalise against whichever seed is farther from a zero
+    use_j0 = ((np.abs(j0) >= np.abs(j1)) & (j[0] != 0)) | (j[1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return j * np.where(use_j0, j0 / j[0], j1 / j[1])
+
+
+def _jy_scaled(lmax: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of j_0..j_lmax and y_0..y_lmax at a 1-d array of points, each
+    scaled by exp(-|Im z|); shapes (lmax + 1, z.size)."""
+    zs, zc = _scaled_trig(z, np.exp)
+    j = np.empty((lmax + 1, z.size), dtype=complex)
+    # |z| by hypot, as abs(complex) rounds it: np.abs can differ in the
+    # last bit, which would move a point across a regime cutoff
+    az = np.hypot(z.real, z.imag)
+    series = az < _SERIES_CUTOFF
+    upward = ~series & (az >= lmax)
+    miller = ~(series | upward)
+
+    if series.any():
+        # leading series, times the scale factor exp(-|Im z|): within 1e-6
+        # of 1 here, but dropping it shows as a 1e-6 relative jump at the
+        # cutoff
+        zz = z[series]
+        dfact = 1.0
+        zp = np.exp(-np.abs(zz.imag)).astype(complex)
+        for l in range(lmax + 1):
+            j[l, series] = zp / dfact * (1 - zz * zz / (2 * (2 * l + 3)))
+            zp = zp * zz
+            dfact *= 2 * l + 3
+    if upward.any():
+        zz = z[upward]
+        j0 = zs[upward] / zz
+        j[:, upward] = _upward(lmax, zz, j0, j0 / zz - zc[upward] / zz)
+    if miller.any():
+        j[:, miller] = _miller_downward(lmax, z[miller], zs[miller], zc[miller])
+
+    y0 = -zc / z
+    y = _upward(lmax, z, y0, y0 / z - zs / z)
+    return j, y
+
+
+def _check_order_array(lmax: int, z) -> np.ndarray:
+    """Complex copy of z, every point validated as _check_order_arg would."""
+    z = np.asarray(z, dtype=complex)
+    valid = np.isfinite(z) & (np.abs(z) <= Z_MAX) & (z != 0)
+    # the scalar check of the first invalid point (or of any point, if all
+    # are valid) raises its exact message and validates lmax
+    probe = z.flat[np.argmin(valid)] if z.size else 1.0
+    _check_order_arg(lmax, probe, need_nonzero=True)
+    return z
 
 
 def _growth(z: complex, what: str) -> float:
@@ -172,6 +205,12 @@ def _unscale(value: complex, z: complex) -> complex:
     return out
 
 
+def _jy_point(lmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    """_jy_scaled at the one point z, as (lmax + 1,) arrays."""
+    j, y = _jy_scaled(lmax, np.array([z]))
+    return j[:, 0], y[:, 0]
+
+
 def spherical_jy_table(lmax: int, z: complex, scaled: bool = False):
     """Arrays (j_0..j_lmax, y_0..y_lmax) at z.
 
@@ -180,7 +219,7 @@ def spherical_jy_table(lmax: int, z: complex, scaled: bool = False):
     themselves and never overflow.
     """
     z = _check_order_arg(lmax, z, need_nonzero=True)
-    j, y = _jy_scaled(lmax, z)
+    j, y = _jy_point(lmax, z)
     if scaled:
         return j, y
     if z.imag != 0:
@@ -200,14 +239,14 @@ def spherical_bessel_j(l: int, z: complex) -> complex:
     z = _check_order_arg(l, z, need_nonzero=False)
     if z == 0:
         return 1.0 + 0j if l == 0 else 0.0 + 0j
-    j, _ = _jy_scaled(l, z)
+    j, _ = _jy_point(l, z)
     return _unscale(j[l], z)
 
 
 def spherical_bessel_y(l: int, z: complex) -> complex:
     """Spherical Neumann function y_l(z); z=0 is a domain error."""
     z = _check_order_arg(l, z, need_nonzero=True)
-    _, y = _jy_scaled(l, z)
+    _, y = _jy_point(l, z)
     return _unscale(y[l], z)
 
 
@@ -217,192 +256,14 @@ def riccati_table(lmax: int, z, scaled: bool = False):
     S_l' = S_{l-1} - (l/z) S_l for l >= 1 (same relation for C); the order-0
     derivatives are cos z and -sin z.  ``scaled`` as in spherical_jy_table.
 
-    A scalar z gives four arrays of shape (lmax + 1,).  An ndarray z gives
-    four arrays of shape ``(lmax + 1,) + z.shape`` from one vectorised pass:
-    the same three regimes (series, upward, Lentz-seeded Miller) each run
-    over the mask of the points they cover, every point is validated as a
-    scalar z would be, and the unscaled OverflowError names the first point
-    that overflows.  Scalar z keeps its own recurrence because root finders
-    call it one point at a time, where array bookkeeping costs several
-    times the arithmetic.
+    z may be a scalar or an ndarray; the four arrays have shape
+    ``(lmax + 1,) + np.shape(z)``, so a scalar z gives (lmax + 1,) arrays.
+    Every point is validated as a scalar z would be, and the unscaled
+    OverflowError names the first point that overflows.
     """
-    if isinstance(z, np.ndarray):
-        return _riccati_table_array(lmax, z, scaled)
-    z = _check_order_arg(lmax, z, need_nonzero=True)
-    j, y = _jy_scaled(lmax, z)
-    S = z * j
-    C = -z * y
-    zs, zc = _scaled_trig(z)
-    Sp = np.empty_like(S)
-    Cp = np.empty_like(C)
-    Sp[0] = zc
-    Cp[0] = -zs
-    for l in range(1, lmax + 1):
-        Sp[l] = S[l - 1] - l / z * S[l]
-        Cp[l] = C[l - 1] - l / z * C[l]
-    if scaled:
-        return S, C, Sp, Cp
-    if z.imag != 0:
-        f = _growth(z, "Riccati table")
-        S, C, Sp, Cp = S * f, C * f, Sp * f, Cp * f
-        for arr in (S, C, Sp, Cp):
-            if not np.isfinite(arr).all():
-                raise OverflowError(f"Riccati table overflows double range at z={z!r}")
-    elif not cmath.isfinite(Cp[lmax]):
-        # at real z only y_l can overflow, and it grows with l, so a
-        # non-finite entry anywhere reaches the top-order C'
-        raise OverflowError(f"Riccati table overflows double range at z={z!r}")
-    return S, C, Sp, Cp
-
-
-# ----------------------------------------------------------- array argument
-#
-# The functions below mirror _jy_scaled and riccati_table for an ndarray of
-# points; each regime runs on the compressed array of the points it covers.
-# The scalar kernel divides with Python's complex division and multiplies
-# NumPy scalars without fused multiply-add, while NumPy's array loops divide
-# through a reciprocal and may fuse.  The three-term recurrences amplify a
-# last-bit difference by up to 1e7 where they run against the dominant
-# solution (y_l near the imaginary axis), so every recurrence step here goes
-# through _quot and _prod, which round as the scalar kernel rounds.
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
-
-
-def _quot(a, b: np.ndarray) -> np.ndarray:
-    """a / b rounded as Python's complex division (Smith's method) rounds it."""
-    a = np.asarray(a, dtype=complex)
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    big = np.abs(br) >= np.abs(bi)
-    # swap roles where |Im b| > |Re b|; ratio is then at most 1 in magnitude
-    p, q = np.where(big, bi, br), np.where(big, br, bi)
-    u, v = np.where(big, ar, ai), np.where(big, ai, ar)
-    ratio = p / q
-    denom = q + p * ratio
-    im = (v - u * ratio) / denom
-    # the swapped branch forms ai*ratio - ar, which is -(ar - ai*ratio) exactly
-    return _complex((u + v * ratio) / denom, np.where(big, im, -im))
-
-
-def _prod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b without fused multiply-add, as NumPy's scalar product rounds it."""
-    return _complex(a.real * b.real - a.imag * b.imag,
-                    a.real * b.imag + a.imag * b.real)
-
-
-def _check_order_array(lmax: int, z) -> np.ndarray:
-    """Complex copy of z, every point validated as _check_order_arg would."""
-    z = np.asarray(z, dtype=complex)
-    valid = np.isfinite(z) & (np.abs(z) <= Z_MAX) & (z != 0)
-    # the scalar check of the first invalid point (or of any point, if all
-    # are valid) raises its exact message and validates lmax
-    probe = z.flat[np.argmin(valid)] if z.size else 1.0
-    _check_order_arg(lmax, probe, need_nonzero=True)
-    return z
-
-
-def _upward_array(lmax: int, z: np.ndarray, t0: np.ndarray,
-                  t1: np.ndarray) -> np.ndarray:
-    """Rows t_0..t_lmax of the three-term recurrence from seeds t_0, t_1."""
-    t = np.empty((lmax + 1, z.size), dtype=complex)
-    t[0] = t0
-    if lmax >= 1:
-        t[1] = t1
-    for l in range(1, lmax):
-        t[l + 1] = _prod(_quot(2 * l + 1, z), t[l]) - t[l - 1]
-    return t
-
-
-def _ratio_cf_array(l: int, z: np.ndarray, max_iter: int = 20000) -> np.ndarray:
-    """_ratio_cf at every point; each point stops at its own convergence."""
-    tiny = 1e-290
-    b = _quot(2 * l + 1, z)
-    f = np.where(b != 0, b, tiny)
-    c = f.copy()
-    d = np.zeros_like(z)
-    out = np.empty_like(z)
-    live = np.arange(z.size)
-    for n in range(1, max_iter):
-        b = _quot(2 * (l + n) + 1, z)
-        d = b - d
-        d[d == 0] = tiny
-        c = b - _quot(1, c)
-        c[c == 0] = tiny
-        d = _quot(1, d)
-        delta = _prod(c, d)
-        f = _prod(f, delta)
-        done = np.abs(delta - 1) < 1e-16
-        if done.any():
-            out[live[done]] = f[done]
-            keep = ~done
-            live, z, f, c, d = live[keep], z[keep], f[keep], c[keep], d[keep]
-            if live.size == 0:
-                break
-    out[live] = f
-    return _quot(1, out)
-
-
-def _miller_downward_array(lmax: int, z: np.ndarray, zs: np.ndarray,
-                           zc: np.ndarray) -> np.ndarray:
-    """_miller_downward at every point, normalised point by point."""
-    j = np.empty((lmax + 1, z.size), dtype=complex)
-    j[lmax] = _ratio_cf_array(lmax, z)
-    j[lmax - 1] = 1.0
-    for l in range(lmax - 1, 0, -1):
-        j[l - 1] = _prod(_quot(2 * l + 1, z), j[l]) - j[l + 1]
-        m = np.abs(j[l - 1])
-        big = m > 1e250
-        if big.any():
-            j[l - 1:, big] /= m[big]
-    j0 = _quot(zs, z)
-    j1 = _quot(j0, z) - _quot(zc, z)
-    # whichever seed is farther from a zero, in the scalar branch order
-    use_j0 = ((np.abs(j0) >= np.abs(j1)) & (j[0] != 0)) | (j[1] == 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return j * np.where(use_j0, j0 / j[0], j1 / j[1])
-
-
-def _jy_scaled_array(lmax: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_jy_scaled over a 1-d array of points."""
-    zs, zc = _scaled_trig(z, np.exp)
-    j = np.empty((lmax + 1, z.size), dtype=complex)
-    # |z| rounded as the scalar path's abs(complex) rounds it: np.abs can
-    # differ in the last bit, which would move a point across a cutoff
-    az = np.hypot(z.real, z.imag)
-    series = az < _SERIES_CUTOFF
-    upward = ~series & (az >= lmax)
-    miller = ~(series | upward)
-
-    if series.any():
-        zz = z[series]
-        dfact = 1.0
-        zp = np.exp(-np.abs(zz.imag)).astype(complex)
-        for l in range(lmax + 1):
-            j[l, series] = zp / dfact * (1 - zz * zz / (2 * (2 * l + 3)))
-            zp = zp * zz
-            dfact *= 2 * l + 3
-    if upward.any():
-        zz = z[upward]
-        j0 = _quot(zs[upward], zz)
-        j[:, upward] = _upward_array(lmax, zz, j0, j0 / zz - _quot(zc[upward], zz))
-    if miller.any():
-        j[:, miller] = _miller_downward_array(lmax, z[miller], zs[miller], zc[miller])
-
-    y0 = _quot(-zc, z)
-    y = _upward_array(lmax, z, y0, y0 / z - _quot(zs, z))
-    return j, y
-
-
-def _riccati_table_array(lmax: int, z, scaled: bool):
-    """riccati_table at every point of the ndarray z."""
     z = _check_order_array(lmax, z)
     flat = z.ravel()
-    j, y = _jy_scaled_array(lmax, flat)
+    j, y = _jy_scaled(lmax, flat)
     S = flat * j
     C = -flat * y
     zs, zc = _scaled_trig(flat, np.exp)

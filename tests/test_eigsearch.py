@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import spherical_jn
 
+from schifferlab import eigsearch
 from schifferlab.eigsearch import (
     count_zeros_argument_principle,
     density_estimate,
@@ -13,6 +17,7 @@ from schifferlab.eigsearch import (
     dispersion_function,
     dispersion_log_abs,
     find_real_eigenvalues,
+    real_eigenvalue_spectra,
 )
 
 # roots of tan x = x, mpmath findroot dps=30
@@ -72,6 +77,27 @@ def test_find_real_eigenvalues_reference_roots():
         assert lo < r.k < hi
 
 
+def djl_sign_changes(l: int, x_lo: float, x_hi: float) -> int:
+    """Zeros of j_l' on (x_lo, x_hi] by scipy's sign changes on a 0.01 grid."""
+    x = np.append(np.arange(x_lo, x_hi, 0.01), x_hi)
+    v = spherical_jn(l, x, derivative=True)
+    return int(np.count_nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(R=st.floats(0.3, 3.0), KR=st.floats(0.5, 40.0), l=st.integers(0, 6))
+def test_roots_are_the_zeros_of_the_bessel_derivative(R, KR, l):
+    # B(k) = R x j_l'(x) at x = k R; the scan starts at k = pi/(4 R)
+    K = KR / R
+    spectra = real_eigenvalue_spectra([R], 6, K)[0]
+    for degree, recs in [(l, find_real_eigenvalues(l, R, K))] + list(spectra.items()):
+        x = np.array([r.k * R for r in recs])
+        assert len(recs) == djl_sign_changes(degree, math.pi / 4, K * R)
+        assert np.all(np.abs(x * spherical_jn(degree, x, derivative=True)) <= 1e-8)
+        for r in recs:
+            assert r.l == degree and r.bracket[0] < r.k < r.bracket[1]
+
+
 def test_scaling_covariance():
     # zeros scale as k -> k / R
     half = find_real_eigenvalues(0, 2.0, 6.0)
@@ -90,6 +116,22 @@ def test_near_coincident_root_warning():
     # tol = 0.5 makes the pi-spaced roots look merged
     with pytest.warns(RuntimeWarning, match="near-coincident roots"):
         find_real_eigenvalues(0, 1.0, 12.0, tol=0.5)
+
+
+@pytest.mark.parametrize("power, want", [
+    (1, [(2.0, (1.875, 2.5))]),  # simple root: Newton in the nudged bracket
+    (2, [(2.0, (1.875, 2.5))]),  # double root: the node itself, residual 0
+])
+def test_a_node_on_a_root_nudges_its_bracket_open(monkeypatch, power, want):
+    # B(k) = (k - 2)^power puts a root exactly on the scan node k = 2
+    def rows(lmax, R, k, derivative=False):
+        B = np.tile((k - 2.0) ** power, (lmax + 1, 1))
+        return (B, np.tile(power * (k - 2.0) ** (power - 1), (lmax + 1, 1))) if derivative else B
+
+    monkeypatch.setattr(eigsearch, "_dispersion_rows", rows)
+    recs = find_real_eigenvalues(0, 1.0, 3.0, scan_step=0.5)
+    assert [(r.k, r.bracket) for r in recs] == want
+    assert recs[0].residual == 0.0
 
 
 def test_scan_step_guard():

@@ -204,6 +204,44 @@ def test_threaded_scan_matches_serial():
         assert ra.eigenvalues == rb.eigenvalues
 
 
+def report_bits(rep) -> tuple:
+    """A ray report as exact data: floats by hex, records in order."""
+    return (rep.direction, rep.R_hat.hex(), rep.density,
+            {l: [(r.k.hex(), r.residual.hex(), r.bracket[0].hex(), r.bracket[1].hex())
+                 for r in recs] for l, recs in rep.eigenvalues.items()})
+
+
+@st.composite
+def ray_batches(draw):
+    """A seeded non-ball domain, 1-8 rays (axes and random), l_max and K."""
+    angles = st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi, exclude_max=True))
+    dirs = draw(st.lists(st.one_of(st.sampled_from(axis_directions()),
+                                   angles.map(lambda a: SphericalDirection(*a))),
+                         min_size=1, max_size=8))
+    return (seeded_domain(draw(st.integers(0, 2**32 - 1))), tuple(dirs),
+            draw(st.integers(0, 3)), draw(st.floats(4.0, 14.0)))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(batch=ray_batches(), threads=st.integers(2, 3))
+def test_threaded_ray_scan_is_bitwise_serial(batch, threads):
+    domain, dirs, l_max, K = batch
+    serial = per_ray_eigen_scan(domain, dirs, l_max, K, threads=1)
+    threaded = per_ray_eigen_scan(domain, dirs, l_max, K, threads=threads)
+    assert [report_bits(r) for r in threaded.reports] == [report_bits(r) for r in serial.reports]
+    assert threaded.common == serial.common
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(batch=ray_batches(), pick=st.integers(0, 7))
+def test_a_ray_report_does_not_depend_on_its_batch(batch, pick):
+    domain, dirs, l_max, K = batch
+    i = pick % len(dirs)
+    together = per_ray_eigen_scan(domain, dirs, l_max, K).reports[i]
+    alone = per_ray_eigen_scan(domain, (dirs[i],), l_max, K).reports[0]
+    assert report_bits(alone) == report_bits(together)
+
+
 def test_ray_scan_validation():
     with pytest.raises(ValueError, match="at least one direction"):
         per_ray_eigen_scan(unit_ball(), (), 0, 12.0)

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import schifferlab.specfun as specfun
+from schifferlab.specfun import bessel
 from schifferlab.specfun import (
     L_MAX_DEFAULT,
     L_MAX_SUPPORTED,
@@ -44,6 +46,49 @@ COMPLEX_CASES = [
     (10, 8.0 + 0.5j,
      0.016613652165603305 + 0.007534669531694772j,
      -0.47752635189074394 + 0.1980127966043203j),
+]
+
+
+# C_l = -z y_l for l = 14..20 near the imaginary axis, mpmath at 80 digits
+# through y_l(z) = sqrt(pi/(2z)) Y_{l+1/2}(z), cross-checked against the
+# upward recurrence at 200 digits; (re, im) strings rounded to 20 digits
+IMAG_AXIS_C_14_20 = [
+    ((1+20j), (
+        "-453289.36106731232393", "1334745.0295255541122",
+        "-666641.80488833504759", "-203777.03657669690229",
+        "86686.721094518144642", "-319780.36394727449744",
+        "147453.82880583612106", "34784.547966617017304",
+        "-13095.53010988927594", "65415.723086292729022",
+        "-27944.85007817847451", "-4582.3683269389744872",
+        "1464.3668977661821598", "-11504.823594450858417",
+    )),
+    ((3.63-9.08j), (
+        "-1.133681847994445336", "-0.015752807565119520952",
+        "-1.2735339200252591168", "-2.2931345855020565245",
+        "6.3851294670023279555", "-6.4316377626751499207",
+        "29.426197528792063735", "14.244137174847136014",
+        "-14.627769055192529798", "123.15385089184394545",
+        "-482.65698340866444411", "107.34179869539660168",
+        "-1097.4613022817982448", "-1751.6493381148215675",
+    )),
+    ((0.5+12j), (
+        "-15.603424924401815476", "15.932766122710227057",
+        "-5.6873193046559369719", "-5.1511038189160906527",
+        "1.7083533829186075327", "-1.8194858999108568779",
+        "0.88781437885668359685", "0.25315264398161771377",
+        "-0.86356404425468099735", "-0.73477314931014000729",
+        "-3.2601902063257564682", "2.3106541663257706584",
+        "7.9194561816349819819", "11.624386825593027737",
+    )),
+    ((-2+15j), (
+        "2008.506437066881123", "-704.80736134093296714",
+        "209.62660349835222242", "849.64138284853947645",
+        "-340.00690166219545159", "49.112442723713617936",
+        "-5.4732643806965862507", "-128.84664440739690111",
+        "46.28917324632378327", "2.8208712866946390909",
+        "-2.648199619794397446", "15.749545599863700203",
+        "-5.1536110355629639719", "-1.4202939033306483043",
+    )),
 ]
 
 
@@ -205,6 +250,34 @@ def test_degree_cap_is_adjustable():
     for bad in (0, L_MAX_SUPPORTED + 1):
         with pytest.raises(ValueError, match="outside supported range"):
             set_l_max(bad)
+
+
+def test_the_order_cap_is_read_where_it_is_set():
+    # a copy re-exported at import kept reading 60 after set_l_max(100)
+    assert not hasattr(specfun, "L_MAX")
+    set_l_max(100)
+    try:
+        assert bessel.L_MAX == 100
+        assert np.all(np.isfinite(riccati_table(61, 70.0)[0]))
+        with pytest.raises(ValueError, match="exceeds L_MAX=100"):
+            riccati_table(101, 70.0)
+    finally:
+        set_l_max(L_MAX_DEFAULT)
+    with pytest.raises(ValueError, match=f"exceeds L_MAX={L_MAX_DEFAULT}"):
+        riccati_table(61, 70.0)
+
+
+@pytest.mark.parametrize("z, parts", IMAG_AXIS_C_14_20)
+def test_irregular_tables_near_the_imaginary_axis(z, parts):
+    # y_l recurs upward, but near the imaginary axis it is not the dominant
+    # solution there and the recurrence loses up to seven digits (errors of
+    # 2e-9 to 4e-6 at these points).  The bound fences that documented
+    # defect in; it is not a precision claim.
+    want = np.array([complex(float(re), float(im)) for re, im in zip(parts[::2], parts[1::2])])
+    _, C, _, _ = riccati_table(20, z)
+    _, C_batch, _, _ = riccati_table(20, np.array([z, 2.0]))
+    for got in (C[14:], C_batch[14:, 0]):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-5
 
 
 # ------------------------------------------------------------ array argument
