@@ -63,6 +63,11 @@ class DensityEstimate:
         return cls(count, float(K), density, target, abs(density - target) / target)
 
 
+def _coefficient(R_hat, k, S, Sp):
+    """B = R_hat*S_l' - S_l/k from Riccati table rows S_l, S_l' at k R_hat."""
+    return R_hat * Sp - S / k
+
+
 def dispersion(l: int, R_hat: float, k):
     """B(k) = R_hat*S_l'(k R_hat) - S_l(k R_hat)/k, the irregular coefficient.
 
@@ -77,7 +82,7 @@ def dispersion(l: int, R_hat: float, k):
     if R_hat <= 0:
         raise ValueError("R_hat must be positive")
     S, _, Sp, _ = riccati_table(l, k * R_hat)
-    return R_hat * Sp[l] - S[l] / k
+    return _coefficient(R_hat, k, S[l], Sp[l])
 
 
 def dispersion_function(l: int, R_hat: float) -> Evaluator:
@@ -98,7 +103,7 @@ def dispersion_log_abs(l: int, R_hat: float, k: complex) -> float:
         raise ValueError("dispersion is evaluated away from k = 0")
     z = k * R_hat
     S, _, Sp, _ = riccati_table(l, z, scaled=True)
-    scaled = R_hat * Sp[l] - S[l] / k
+    scaled = _coefficient(R_hat, k, S[l], Sp[l])
     mag = abs(scaled)
     if mag == 0.0:
         return -math.inf
@@ -124,7 +129,7 @@ def _dispersion_rows(lmax: int, R: np.ndarray, k: np.ndarray, derivative: bool =
     x = k * R
     S, _, Sp, _ = riccati_table(lmax, x)
     S, Sp = S.real, Sp.real
-    B = R * Sp - S / k
+    B = _coefficient(R, k, S, Sp)
     if not derivative:
         return B
     l = np.arange(lmax + 1)[:, None]
@@ -184,71 +189,56 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float],
                   tol: float) -> list[dict[int, list[EigenvalueRecord]]]:
     """Bracketed roots of B_l on (step, k_max] for each radius and degree.
 
-    All radii and degrees share one scan call, one call per Newton
-    iteration, and one residual call.
+    All radii and degrees share one scan call, one call for the nudged
+    brackets (if any), one call per Newton iteration, and one residual call.
     """
     nodes = [_scan_nodes(k_max, s) for s in steps]
-    sizes = [n.size for n in nodes]
-    offsets = np.cumsum([0] + sizes)  # radius r owns k[offsets[r]:offsets[r + 1]]
     k = np.concatenate(nodes)
-    R = np.repeat(np.asarray(radii, dtype=float), sizes)
-    B = _dispersion_rows(lmax, R, k)
+    B = _dispersion_rows(lmax, np.repeat(np.asarray(radii, dtype=float),
+                                         [n.size for n in nodes]), k)
 
-    # a node exactly on a root nudges its bracket open by a quarter step
-    zeros = [(r, l, i) for r in range(len(radii)) for l in degrees
-             for i in np.flatnonzero(B[l, offsets[r]:offsets[r + 1] - 1] == 0)]
-    nudged = {}
-    if zeros:
-        idx = np.array([offsets[r] + i for r, _, i in zeros])
-        k_in = k[idx] - 0.25 * np.array([steps[r] for r, _, _ in zeros])
-        f_in = _dispersion_rows(lmax, R[idx], k_in)
-        nudged = {z: (float(k_in[n]), f_in[z[1], n]) for n, z in enumerate(zeros)}
-
-    # per radius and degree, in k order: a record, or the index of a bracket
-    slots: list[dict[int, list]] = []
-    brackets = []  # (row, radius, a, b, f_a, f_b)
-    for r in range(len(radii)):
-        kr = k[offsets[r]:offsets[r + 1]]
-        slots.append({})
+    # sign-change brackets (r, l, a, b, f_a, f_b) in k order per radius and
+    # degree; f_a = 0 marks a node exactly on a root
+    brackets = []
+    start = 0
+    for r, kr in enumerate(nodes):
         for l in degrees:
-            v = B[l, offsets[r]:offsets[r + 1]]
-            slot = slots[r][l] = []
+            v = B[l, start:start + kr.size]
             for i in np.flatnonzero((v[:-1] * v[1:] < 0) | (v[:-1] == 0)):
-                a, b, fa, fb = float(kr[i]), float(kr[i + 1]), v[i], v[i + 1]
-                if fa == 0.0:
-                    a_in, fa_in = nudged[(r, l, i)]
-                    if fa_in * fb >= 0:
-                        slot.append(EigenvalueRecord(l, a, 0.0, (a_in, b)))
-                        continue
-                    a, fa = a_in, fa_in
-                slot.append(len(brackets))
-                brackets.append((l, radii[r], a, b, fa, fb))
+                brackets.append((r, l, kr[i], kr[i + 1], v[i], v[i + 1]))
+        start += kr.size
+    spectra = [{l: [] for l in degrees} for _ in radii]
+    if not brackets:
+        return spectra
+    r_of, rows, lo, hi, f_lo, f_hi = (np.array(c) for c in zip(*brackets))
+    R = np.asarray(radii, dtype=float)[r_of]
 
-    if brackets:
-        rows, Rb, lo, hi, f_lo, f_hi = (np.array(c) for c in zip(*brackets))
-        roots = _newton(lmax, rows, Rb, lo, hi, f_lo, f_hi)
-        residuals = np.abs(_dispersion_rows(lmax, Rb, roots)[rows, np.arange(roots.size)])
+    # a node on a root opens its bracket a quarter step to the left; if B
+    # keeps its sign there, the node itself is the root, with residual 0
+    roots, residuals = lo.copy(), np.zeros(lo.size)
+    on_node = np.flatnonzero(f_lo == 0)
+    if on_node.size:
+        lo[on_node] -= 0.25 * np.asarray(steps, dtype=float)[r_of[on_node]]
+        f_lo[on_node] = _dispersion_rows(lmax, R[on_node], lo[on_node])[
+            rows[on_node], np.arange(on_node.size)]
+    live = np.flatnonzero(f_lo * f_hi < 0)
+    if live.size:
+        roots[live] = _newton(lmax, rows[live], R[live], lo[live], hi[live],
+                              f_lo[live], f_hi[live])
+        residuals[live] = np.abs(_dispersion_rows(lmax, R[live], roots[live])[
+            rows[live], np.arange(live.size)])
 
-    spectra = []
-    for slot_r in slots:
-        spectra.append({})
-        for l, slot in slot_r.items():
-            records = []
-            for item in slot:
-                if isinstance(item, EigenvalueRecord):
-                    records.append(item)
-                    continue
-                root, residual = float(roots[item]), float(residuals[item])
-                if residual > tol:
-                    raise RuntimeError(
-                        f"root refinement at k={root} left residual {residual} > {tol}")
-                _, _, a, b, _, _ = brackets[item]
-                records.append(EigenvalueRecord(l, root, residual, (a, b)))
+    for (r, l, *_), root, residual, a, b in zip(brackets, roots, residuals, lo, hi):
+        if residual > tol:
+            raise RuntimeError(f"root refinement at k={root} left residual {residual} > {tol}")
+        spectra[r][l].append(EigenvalueRecord(l, float(root), float(residual),
+                                              (float(a), float(b))))
+    for eigen in spectra:
+        for records in eigen.values():
             for prev, cur in zip(records, records[1:]):
                 if cur.k - prev.k < 10 * tol:
                     warnings.warn(f"near-coincident roots at k={prev.k} and k={cur.k}; "
                                   "possible multiplicity", RuntimeWarning)
-            spectra[-1][l] = records
     return spectra
 
 

@@ -347,12 +347,6 @@ def verify_estimate_123(problem: RadialProblem, a: float, b: float,
     return records
 
 
-def _scaled_sin(w: complex) -> complex:
-    """sin(w) * exp(-|Im w|), computed without overflow."""
-    s, _ = _scaled_trig(complex(w))
-    return s
-
-
 def verify_asymptotics_25_26(l: int, k_samples: Sequence[complex],
                              xi_samples: Sequence[float]) -> AsymptoticReport:
     """Observed constant for |S_l(k xi) - sin(k xi - l pi/2)| <= C e^{|Im k| xi}/|k xi|.
@@ -360,25 +354,25 @@ def verify_asymptotics_25_26(l: int, k_samples: Sequence[complex],
     In the v_l = S_l(k xi)/k^{l+1} normalization this is the remainder
     bound for the regular solution; the k^{l+1} factors cancel in the
     observed constant, which is reported per sample together with its
-    maximum.
+    maximum.  All k x xi samples share one riccati_table call.
     """
-    samples = []
-    for k in k_samples:
-        k = complex(k)
-        if k.real < 0:
-            raise ValueError("samples need Re k >= 0")
-        for xi in xi_samples:
-            xi = float(xi)
-            if xi <= 0:
-                raise ValueError("xi must be positive")
-            z = k * xi
-            S, _, _, _ = riccati_table(l, z, scaled=True)
-            # the real phase shift leaves Im unchanged, so both terms carry
-            # the same e^{-|Im z|} scaling and subtract without overflow
-            lead = _scaled_sin(z - l * math.pi / 2)
-            c_obs = abs(z) * abs(S[l] - lead)
-            samples.append((k, xi, float(c_obs)))
-    c_max = max(s[2] for s in samples)
+    ks = [complex(k) for k in k_samples]
+    xis = [float(xi) for xi in xi_samples]
+    if any(k.real < 0 for k in ks):
+        raise ValueError("samples need Re k >= 0")
+    if any(xi <= 0 for xi in xis):
+        raise ValueError("xi must be positive")
+    if not (ks and xis):
+        raise ValueError("need at least one k sample and one xi sample")
+    z = np.outer(ks, xis)
+    S = riccati_table(l, z, scaled=True)[0][l]
+    # the real phase shift leaves Im unchanged, so both terms carry the
+    # same e^{-|Im z|} scaling and subtract without overflow
+    lead, _ = _scaled_trig(z - l * math.pi / 2, np.exp)
+    c_obs = np.abs(z) * np.abs(S - lead)
+    samples = [(k, xi, float(c_obs[i, j]))
+               for i, k in enumerate(ks) for j, xi in enumerate(xis)]
+    c_max = float(c_obs.max())
     if not math.isfinite(c_max):
         raise ArithmeticError("observed constant is not finite")
     return AsymptoticReport(tuple(samples), c_max)

@@ -18,6 +18,7 @@ from schifferlab.radial import (
     verify_estimate_123,
 )
 from schifferlab.specfun import riccati_table
+from schifferlab.specfun.bessel import _scaled_trig
 
 
 def test_inward_free_solution_reaches_center():
@@ -155,11 +156,32 @@ def test_oscillatory_asymptotics_reference_constants():
     assert_allclose(rep2.c_max, 1.486952302405806, rtol=1e-9)
 
 
+def test_asymptotic_constants_match_one_point_evaluations():
+    # one table serves every k x xi sample; each constant must equal the
+    # one-point evaluation of its own sample up to rounding
+    ks, xis = (5.0, 10.0 + 2.0j, 3.0 + 0.5j, 40.0 + 5.0j), (0.5, 1.3, 3.7)
+    for l in (1, 4, 9):
+        rep = verify_asymptotics_25_26(l, ks, xis)
+        want = []
+        for k in ks:
+            for xi in xis:
+                z = k * xi
+                S = riccati_table(l, z, scaled=True)[0][l]
+                lead, _ = _scaled_trig(z - l * math.pi / 2)
+                want.append(abs(z) * abs(S - lead))
+        assert [(k, xi) for k, xi, _ in rep.samples] == [(k, xi) for k in ks for xi in xis]
+        got = [c for _, _, c in rep.samples]
+        assert_allclose(got, want, rtol=0, atol=16 * np.finfo(float).eps * max(want))
+        assert rep.c_max == max(got)
+
+
 def test_oscillatory_asymptotics_validation():
     with pytest.raises(ValueError, match="Re k >= 0"):
         verify_asymptotics_25_26(0, (-1.0,), (1.0,))
     with pytest.raises(ValueError, match="positive"):
         verify_asymptotics_25_26(0, (5.0,), (-1.0,))
+    with pytest.raises(ValueError, match="at least one"):
+        verify_asymptotics_25_26(0, (), (1.0,))
 
 
 def test_fixed_frequency_sequence_reference():
