@@ -15,6 +15,7 @@ newline, so identical configs give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from scipy.special import spherical_jn
 
 from .eigsearch import (
     density_estimate,
-    dispersion_function,
+    dispersion,
     dispersion_log_abs,
     find_real_eigenvalues,
 )
@@ -324,7 +325,7 @@ def _run_indicator(p: dict) -> tuple[list[str], list[tuple], str]:
                 return -math.inf
             return math.log(val) + abs(z.imag) * d
     else:
-        f = dispersion_function(l, r_hat)
+        f = functools.partial(dispersion, l, r_hat)
 
         def log_abs(z: complex) -> float:
             return dispersion_log_abs(l, r_hat, z)

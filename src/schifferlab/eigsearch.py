@@ -68,6 +68,24 @@ def _coefficient(R_hat, k, S, Sp):
     return R_hat * Sp - S / k
 
 
+def _coefficient_derivative(l, R_hat, k, S, Sp):
+    """B'(k) = R_hat^2 S_l'' - R_hat S_l'/k + S_l/k^2 from the rows of _coefficient.
+
+    S_l'' = (l(l+1)/x^2 - 1) S_l at x = k R_hat, by the Riccati-Bessel
+    equation; ``l`` broadcasts against the rows.
+    """
+    x = k * R_hat
+    return R_hat * R_hat * (l * (l + 1) / (x * x) - 1.0) * S - R_hat * Sp / k + S / (k * k)
+
+
+def _check_dispersion_args(R_hat: float, k) -> None:
+    at_zero = (k == 0).any() if isinstance(k, np.ndarray) else k == 0
+    if at_zero:
+        raise ValueError("dispersion is evaluated away from k = 0")
+    if R_hat <= 0:
+        raise ValueError("R_hat must be positive")
+
+
 def dispersion(l: int, R_hat: float, k):
     """B(k) = R_hat*S_l'(k R_hat) - S_l(k R_hat)/k, the irregular coefficient.
 
@@ -76,21 +94,26 @@ def dispersion(l: int, R_hat: float, k):
     R_hat*cos(k R_hat) - sin(k R_hat)/k, and real k gives real values.
     An ndarray k is evaluated elementwise in one riccati_table call.
     """
-    at_zero = (k == 0).any() if isinstance(k, np.ndarray) else k == 0
-    if at_zero:
-        raise ValueError("dispersion is evaluated away from k = 0")
-    if R_hat <= 0:
-        raise ValueError("R_hat must be positive")
+    _check_dispersion_args(R_hat, k)
     S, _, Sp, _ = riccati_table(l, k * R_hat)
     return _coefficient(R_hat, k, S[l], Sp[l])
 
 
 def dispersion_function(l: int, R_hat: float) -> Evaluator:
-    """The map k -> dispersion(l, R_hat, k) as a reusable evaluator.
+    """The contour evaluator k -> (B(k), B'(k)) of dispersion(l, R_hat, .).
 
-    It acts elementwise on an ndarray of k, as the contour counts require.
+    Both come from one riccati_table call, elementwise on an ndarray of k;
+    B is bitwise dispersion(l, R_hat, k) and B' is the closed form of
+    _coefficient_derivative.  Arguments are validated as dispersion does.
     """
-    return lambda k: dispersion(l, R_hat, k)
+    def pair(k):
+        _check_dispersion_args(R_hat, k)
+        S, _, Sp, _ = riccati_table(l, k * R_hat)
+        S, Sp = S[l], Sp[l]
+        return (_coefficient(R_hat, k, S, Sp),
+                _coefficient_derivative(l, R_hat, k, S, Sp))
+
+    return pair
 
 
 def dispersion_log_abs(l: int, R_hat: float, k: complex) -> float:
@@ -123,18 +146,15 @@ def _scan_nodes(k_max: float, scan_step: float) -> np.ndarray:
 def _dispersion_rows(lmax: int, R: np.ndarray, k: np.ndarray, derivative: bool = False):
     """B_l(k) for l = 0..lmax at real k on radii R (1-d arrays), rows by l.
 
-    One riccati_table call.  With ``derivative`` also B_l'(k) = R^2 S_l''
-    - R S_l'/k + S_l/k^2 at x = kR, where S_l'' = (l(l+1)/x^2 - 1) S_l.
+    One riccati_table call.  With ``derivative`` also B_l'(k) by
+    _coefficient_derivative.
     """
-    x = k * R
-    S, _, Sp, _ = riccati_table(lmax, x)
+    S, _, Sp, _ = riccati_table(lmax, k * R)
     S, Sp = S.real, Sp.real
     B = _coefficient(R, k, S, Sp)
     if not derivative:
         return B
-    l = np.arange(lmax + 1)[:, None]
-    dB = R * R * (l * (l + 1) / (x * x) - 1.0) * S - R * Sp / k + S / (k * k)
-    return B, dB
+    return B, _coefficient_derivative(np.arange(lmax + 1)[:, None], R, k, S, Sp)
 
 
 # brentq's tolerances; a Newton step this small leaves a rounding-level error
@@ -302,19 +322,17 @@ def count_zeros_argument_principle(f: Evaluator,
     """Winding number (1/2pi i) * contour integral of f'/f over a rectangle.
 
     ``rect`` is (re_lo, re_hi, im_lo, im_hi), traversed counterclockwise;
-    ``f`` acts elementwise on a complex ndarray and is called three times
-    per pass.  f' is formed by central differences with step 1e-6 times
-    the rectangle diameter, and the closed path carries ``quad_nodes``
-    trapezoid nodes per side.  Errors: a zero of f on the boundary (a node
-    where |f| collapses below 1e-8 of the local boundary scale) raises
-    ValueError; a non-integer winding (off by more than 0.1 after one
-    refinement) raises RuntimeError.
+    ``f`` maps a complex ndarray of nodes to the pair (f, f'), as
+    ``dispersion_function`` does, and is called once per pass.  The closed
+    path carries ``quad_nodes`` trapezoid nodes per side.  Errors: a zero
+    of f on the boundary (a node where |f| collapses below 1e-8 of the
+    local boundary scale) raises ValueError; a non-integer winding (off by
+    more than 0.1 after one refinement) raises RuntimeError.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ValueError("rectangle must have positive extent")
-    h = 1e-6 * math.hypot(re_hi - re_lo, im_hi - im_lo)
-    return winding_count(f, lambda n: _rect_path(rect, n), quad_nodes, h,
+    return winding_count(f, lambda n: _rect_path(rect, n), quad_nodes,
                          "argument-principle")
 
 

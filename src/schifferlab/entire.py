@@ -7,12 +7,11 @@ functions that overflow double precision along rays are handled through a
 log-magnitude evaluator instead of raw magnitudes.  Zeros at the origin
 are excluded from every count by a fixed inner contour radius.
 
-Contour evaluators act elementwise on a complex ndarray: ``f(path)``
-returns an array of ``path.shape``, as ``np.sin``, ``np.exp`` and
-``eigsearch.dispersion_function`` do.  One contour costs three calls of
-f, at the nodes and at the nodes shifted by +-h for the central
-difference, whatever the number of nodes.  The indicator evaluates f at
-scalar points.
+Contour evaluators act elementwise on a complex ndarray and return the
+pair ``(f(path), f'(path))``, two arrays of ``path.shape``; for example
+``lambda z: (np.sin(z), np.cos(z))`` or ``eigsearch.dispersion_function``.
+One contour costs one call, whatever the number of nodes, and f'/f has
+no step-size error.  The indicator evaluates f alone, at scalar points.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ __all__ = [
 _INNER_RADIUS = 0.25
 _ANGLE_NUDGE = 1e-3
 
-Evaluator = Callable[[np.ndarray], np.ndarray]
+Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 class _ContourZeroError(ValueError):
@@ -102,32 +101,31 @@ def _rolling_max(a: np.ndarray, half: int = 8) -> np.ndarray:
     return out
 
 
-def _winding(f: Evaluator, path: np.ndarray, h: float) -> float:
-    """Winding of f along a closed node path, f' by central differences.
+def _winding(f: Evaluator, path: np.ndarray) -> float:
+    """Winding of f along a closed node path, from one call f(path) -> (f, f').
 
-    f is called three times, on the whole path and on the path shifted by
-    +-h.  A node is flagged as a boundary zero when |f| collapses 8 orders
-    of magnitude below its neighborhood; the scale is local because entire
+    A node is flagged as a boundary zero when |f| collapses 8 orders of
+    magnitude below its neighborhood; the scale is local because entire
     functions of exponential type vary by many orders along one contour.
     """
-    values = np.asarray(f(path))
-    if values.shape != path.shape:
+    pair = f(path)
+    if not (isinstance(pair, tuple) and [np.shape(v) for v in pair] == [path.shape] * 2):
         raise ValueError(
-            "contour evaluators must act elementwise on a complex ndarray: "
-            f"f(path) has shape {values.shape}, the path has shape {path.shape}")
+            "contour evaluators must act elementwise on a complex ndarray and "
+            f"return the pair (f, f') of arrays of the path's shape {path.shape}")
+    values, deriv = np.asarray(pair[0]), np.asarray(pair[1])
     mags = np.abs(values)
     scale = float(np.max(mags))
     if scale == 0.0:
         raise _ContourZeroError("f vanishes identically on the contour")
     if np.any(mags <= 1e-8 * _rolling_max(mags)):
         raise _ContourZeroError("zero of f detected on the contour")
-    deriv = (f(path + h) - f(path - h)) / (2 * h)
     integral = np.trapezoid(deriv / values, path)
     return (integral / (2j * math.pi)).real
 
 
 def winding_count(f: Evaluator, contour: Callable[[int], np.ndarray],
-                  quad_nodes: int, h: float, name: str) -> int:
+                  quad_nodes: int, name: str) -> int:
     """Zero count of f inside ``contour(quad_nodes)`` by the argument principle.
 
     ``contour(n)`` builds the closed counterclockwise node path at
@@ -136,10 +134,10 @@ def winding_count(f: Evaluator, contour: Callable[[int], np.ndarray],
     "<name> quadrature failed".  A zero of f on the contour raises
     ValueError.
     """
-    w = _winding(f, contour(quad_nodes), h)
+    w = _winding(f, contour(quad_nodes))
     nearest = round(w)
     if abs(w - nearest) > 0.1:
-        w = _winding(f, contour(4 * quad_nodes), h)
+        w = _winding(f, contour(4 * quad_nodes))
         nearest = round(w)
         if abs(w - nearest) > 0.1:
             raise RuntimeError(f"{name} quadrature failed: winding {w}")
@@ -152,22 +150,21 @@ def zero_count_sector(f: Evaluator, alpha: float, beta: float, r: float,
 
     The contour consists of two radial segments, the outer arc at radius
     ``r``, and an inner arc at radius 0.25 that excludes any zero at the
-    origin.  ``f`` acts elementwise on a complex ndarray (see the module
-    docstring).  A zero landing on the contour belongs to the countable
-    exceptional set of ray angles; both angles are nudged by 1e-3 (up to
-    three times) before the count is abandoned.
+    origin.  ``f`` maps a complex ndarray to the pair (f, f') (see the
+    module docstring).  A zero landing on the contour belongs to the
+    countable exceptional set of ray angles; both angles are nudged by 1e-3
+    (up to three times) before the count is abandoned.
     """
     if not alpha < beta:
         raise ValueError("need alpha < beta")
     if r <= _INNER_RADIUS:
         raise ValueError(f"sector radius must exceed the inner cutoff {_INNER_RADIUS}")
-    h = 1e-6 * r
     a, b = alpha, beta
     last_err: Exception | None = None
     for _ in range(4):
         try:
             count = winding_count(f, lambda n: _sector_contour(a, b, r, n),
-                                  quad_nodes, h, "sector")
+                                  quad_nodes, "sector")
         except _ContourZeroError as err:
             last_err = err
             a -= _ANGLE_NUDGE

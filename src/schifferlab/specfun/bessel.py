@@ -144,10 +144,11 @@ def _miller_downward(lmax: int, z: np.ndarray, zs: np.ndarray,
         return j * np.where(use_j0, j0 / j[0], j1 / j[1])
 
 
-def _jy_scaled(lmax: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _jy_scaled(lmax: int, z: np.ndarray, zs: np.ndarray,
+               zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tables of j_0..j_lmax and y_0..y_lmax at a 1-d array of points, each
-    scaled by exp(-|Im z|); shapes (lmax + 1, z.size)."""
-    zs, zc = _scaled_trig(z, np.exp)
+    scaled by exp(-|Im z|); shapes (lmax + 1, z.size).  ``zs, zc`` are
+    ``_scaled_trig(z, np.exp)``."""
     j = np.empty((lmax + 1, z.size), dtype=complex)
     # |z| by hypot, as abs(complex) rounds it: np.abs can differ in the
     # last bit, which would move a point across a regime cutoff
@@ -206,8 +207,13 @@ def _unscale(value: complex, z: complex) -> complex:
 
 
 def _jy_point(lmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """_jy_scaled at the one point z, as (lmax + 1,) arrays."""
-    j, y = _jy_scaled(lmax, np.array([z]))
+    """_jy_scaled at the one point z, as (lmax + 1,) arrays.
+
+    An overflow (y_l at tiny real z) is left to the caller's check, not warned.
+    """
+    z = np.array([z])
+    with np.errstate(over="ignore", invalid="ignore"):
+        j, y = _jy_scaled(lmax, z, *_scaled_trig(z, np.exp))
     return j[:, 0], y[:, 0]
 
 
@@ -259,21 +265,24 @@ def riccati_table(lmax: int, z, scaled: bool = False):
     z may be a scalar or an ndarray; the four arrays have shape
     ``(lmax + 1,) + np.shape(z)``, so a scalar z gives (lmax + 1,) arrays.
     Every point is validated as a scalar z would be, and the unscaled
-    OverflowError names the first point that overflows.
+    OverflowError names the first point that overflows, with no numpy
+    warning before it.  The scaled tables are not checked: at tiny real z
+    and large lmax, C_l overflows to inf or NaN there.
     """
     z = _check_order_array(lmax, z)
     flat = z.ravel()
-    j, y = _jy_scaled(lmax, flat)
-    S = flat * j
-    C = -flat * y
     zs, zc = _scaled_trig(flat, np.exp)
-    Sp = np.empty_like(S)
-    Cp = np.empty_like(C)
-    Sp[0] = zc
-    Cp[0] = -zs
-    l = np.arange(1, lmax + 1)[:, None]
-    Sp[1:] = S[:-1] - l / flat * S[1:]
-    Cp[1:] = C[:-1] - l / flat * C[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        j, y = _jy_scaled(lmax, flat, zs, zc)
+        S = flat * j
+        C = -flat * y
+        Sp = np.empty_like(S)
+        Cp = np.empty_like(C)
+        Sp[0] = zc
+        Cp[0] = -zs
+        l = np.arange(1, lmax + 1)[:, None]
+        Sp[1:] = S[:-1] - l / flat * S[1:]
+        Cp[1:] = C[:-1] - l / flat * C[1:]
     tables = (S, C, Sp, Cp)
     if not scaled:
         m = np.abs(flat.imag)

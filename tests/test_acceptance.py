@@ -6,6 +6,7 @@ to fail for the two highest-degree cases at unit radius and below; the
 failure message lists every measured gap so the deficit is auditable.
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -19,6 +20,7 @@ from numpy.testing import assert_allclose
 from schifferlab.eigsearch import (
     count_zeros_argument_principle,
     density_estimate,
+    dispersion,
     dispersion_function,
     find_real_eigenvalues,
 )
@@ -115,7 +117,7 @@ def test_05_indicator_recovers_the_exponential_type():
     for xi in (0.0, 0.25, 0.5):
         d = 1.0 - xi
         if xi == 0.0:
-            f = dispersion_function(0, 1.0)
+            f = functools.partial(dispersion, 0, 1.0)
         else:
             f = lambda z, d=d: np.cos(z * d) - np.sin(z * d) / z
         h = indicator(f, math.pi / 2, radii).h_extrapolated

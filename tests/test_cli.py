@@ -2,12 +2,16 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from schifferlab import cli
+
+ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
 BALL = str(DATA / "ball.json")
 SPHEROID = str(DATA / "spheroid.json")
@@ -103,8 +107,6 @@ def test_specfun_check_fails_on_overflowed_tables():
 
 
 def test_overflow_is_a_numerical_failure(monkeypatch, capsys):
-    from schifferlab import cli
-
     def overflow(*args, **kwargs):
         raise OverflowError("Riccati table overflows double range at z=(0.0001+0j)")
 
@@ -113,6 +115,44 @@ def test_overflow_is_a_numerical_failure(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == ("schifferlab: numerical failure: Riccati table overflows "
                    "double range at z=(0.0001+0j)\n")
+
+
+def test_overflow_stderr_is_one_line():
+    # C_60 overflows at k = 1e-5; numpy warnings must not precede the message
+    res = run_cli("eigen-scan", "--l", "60", "--r-hat", "1", "--k-max", "0.01",
+                  "--scan-step", "1e-5")
+    assert res.returncode == 1
+    assert res.stderr == ("schifferlab: numerical failure: Riccati table overflows "
+                          "double range at z=(1e-05+0j)\n")
+
+
+# the README examples that FAIL on purpose: the spheroid is not a ball
+README_FAILS = {
+    "schifferlab domain-residual --domain tests/data/spheroid.json --k-min 1 --k-max 3 "
+    "--k-step 0.5",
+    "schifferlab ray-scan --domain tests/data/spheroid.json --k-max 12",
+}
+
+
+def test_readme_examples_run_as_documented(monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("SCHIFFER_LAB_THREADS", raising=False)
+    lines = [line for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+             if line.startswith("schifferlab ")]
+    assert README_FAILS <= set(lines)
+    assert {line.split()[1] for line in lines} == set(cli._COMMANDS)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        if "--format" in argv and argv[argv.index("--format") + 1] == "json":
+            summary = json.loads(out)["summary"]
+        else:
+            last = out.splitlines()[-1]
+            assert last.startswith("# summary: "), (line, last)
+            summary = last.removeprefix("# summary: ")
+        assert code == (1 if line in README_FAILS else 0), line
+        assert summary == ("FAIL" if code else "PASS"), line
 
 
 def test_config_errors_exit_2(tmp_path):

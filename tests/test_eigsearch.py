@@ -49,6 +49,11 @@ def test_dispersion_validation():
         dispersion(0, 1.0, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         dispersion(0, -1.0, 1.0)
+    # the contour evaluator validates as dispersion does, when called
+    with pytest.raises(ValueError, match="away from k = 0"):
+        dispersion_function(0, 1.0)(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="R_hat must be positive"):
+        dispersion_function(0, -1.0)(np.array([1.0]))
 
 
 def test_dispersion_on_an_array_matches_pointwise_calls():
@@ -147,16 +152,18 @@ def test_radius_guard():
 
 
 def test_argument_principle_counts():
-    assert count_zeros_argument_principle(np.sin, (0.5, 10.0, -1.0, 1.0)) == 3
+    sin_pair = lambda z: (np.sin(z), np.cos(z))
+    assert count_zeros_argument_principle(sin_pair, (0.5, 10.0, -1.0, 1.0)) == 3
     f = dispersion_function(0, 1.0)
     assert count_zeros_argument_principle(f, (0.5, 12.0, -2.0, 2.0)) == 3
-    assert count_zeros_argument_principle(lambda z: z * z + 1.0,
+    assert count_zeros_argument_principle(lambda z: (z * z + 1.0, 2.0 * z),
                                           (-2.0, 2.0, 0.0, 2.0)) == 1
 
 
 def test_boundary_zero_is_detected():
     with pytest.raises(RuntimeError, match="argument-principle quadrature failed"):
-        count_zeros_argument_principle(np.sin, (0.5, math.pi, -1.0, 1.0))
+        count_zeros_argument_principle(lambda z: (np.sin(z), np.cos(z)),
+                                       (0.5, math.pi, -1.0, 1.0))
 
 
 @pytest.mark.parametrize("l", [0, 1, 2, 3])
@@ -165,6 +172,63 @@ def test_all_zeros_in_the_strip_are_real(l):
     boxed = count_zeros_argument_principle(
         dispersion_function(l, 1.0), (0.5, 50.0, -3.0, 3.0))
     assert boxed == real_count
+
+
+def _clear_of_roots(k: float, roots: list[float], quarter: float) -> float:
+    """k moved right until it is at least ``quarter`` from every root."""
+    while any(abs(k - r) < quarter for r in roots):
+        k += 0.2 * quarter
+    return k
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(l=st.integers(0, 5), R=st.floats(0.5, 2.0), start=st.floats(0.3, 3.0),
+       width=st.floats(1.0, 8.0), half=st.floats(0.5, 3.0))
+def test_rectangle_count_equals_the_real_axis_count(l, R, start, width, half):
+    # start and width in units of the root spacing pi/R; the zero at k = 0
+    # counts as a root the edges keep clear of
+    spacing = math.pi / R
+    roots = [0.0] + [rec.k for rec in find_real_eigenvalues(l, R, (start + width + 3) * spacing)]
+    lo = _clear_of_roots(start * spacing, roots, 0.25 * spacing)
+    hi = _clear_of_roots(lo + width * spacing, roots, 0.25 * spacing)
+    assert hi < roots[-1]
+    real = sum(lo < k < hi for k in roots)
+    assert count_zeros_argument_principle(dispersion_function(l, R),
+                                          (lo, hi, -half, half)) == real
+
+
+_K = st.complex_numbers(min_magnitude=0.5, max_magnitude=40.0, allow_nan=False,
+                        allow_infinity=False).filter(lambda k: abs(k.imag) <= 10.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(l=st.integers(0, 8), R=st.floats(0.3, 3.0), ks=st.lists(_K, min_size=1, max_size=12))
+def test_pair_value_is_bitwise_the_dispersion(l, R, ks):
+    k = np.array(ks)
+    B, dB = dispersion_function(l, R)(k)
+    assert B.shape == dB.shape == k.shape
+    assert B.tobytes() == dispersion(l, R, k).tobytes()
+    B0, _ = dispersion_function(l, R)(ks[0])
+    assert np.asarray(B0).tobytes() == np.asarray(dispersion(l, R, ks[0])).tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(l=st.integers(0, 8), R=st.floats(0.3, 3.0), k=_K)
+def test_pair_derivative_matches_closed_form_and_differences(l, R, k):
+    _, dB = dispersion_function(l, R)(np.array([k]))
+    dB = dB[0]
+    if l == 0:
+        # B = R cos(kR) - sin(kR)/k
+        x = k * R
+        terms = (-R * R * np.sin(x), -R * np.cos(x) / k, np.sin(x) / (k * k))
+        assert abs(dB - sum(terms)) <= 1e-14 * sum(abs(t) for t in terms)
+    else:
+        # five-point difference; its relative truncation is about (h R)^4 / 30
+        # where B oscillates and (h / |k|)^4 l^5 / 30 where B ~ k^l
+        h = 2e-3 * min(1.0 / R, abs(k))
+        f = dispersion(l, R, k + h * np.array([-2.0, -1.0, 1.0, 2.0]))
+        fd = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+        assert abs(dB - fd) <= 1e-8 * (R * np.max(np.abs(f)) + abs(dB))
 
 
 def test_density_approaches_radius_over_pi():
@@ -196,9 +260,8 @@ def test_density_window_guard():
 
 
 def test_log_magnitude_evaluator():
-    f = dispersion_function(1, 1.0)
     for z in (3.0 + 1.0j, 0.9 - 2.2j):
-        assert_allclose(dispersion_log_abs(1, 1.0, z), math.log(abs(f(z))),
+        assert_allclose(dispersion_log_abs(1, 1.0, z), math.log(abs(dispersion(1, 1.0, z))),
                         rtol=1e-10)
     # survives arguments whose raw value overflows a double
     big = dispersion_log_abs(0, 1.0, 1.0 + 900.0j)

@@ -201,9 +201,10 @@ def test_overflow_past_the_exponent_range_names_the_point():
         spherical_bessel_j(2, 1.0 + 800.0j)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_real_argument_overflow_is_named():
-    # y_60(1e-4) ~ 119!! / 1e-244 overflows, so C and C' do too
+    # y_60(1e-4) ~ 119!! / 1e-244 overflows, so C and C' do too; the named
+    # error comes with no numpy warning before it
     named = r"overflows double range at z=\(0\.0001\+0j\)"
     with pytest.raises(OverflowError, match=named):
         riccati_table(60, 1e-4)
@@ -211,6 +212,8 @@ def test_real_argument_overflow_is_named():
         riccati_table(60, np.array([1.0, 1e-4]))
     with pytest.raises(OverflowError, match=named):
         spherical_jy_table(60, 1e-4)
+    with pytest.raises(OverflowError, match=named):
+        spherical_bessel_y(60, 1e-4)
     # at real z the scaled tables are the same numbers, left unchecked
     _, C, _, _ = riccati_table(60, 1e-4, scaled=True)
     assert not np.all(np.isfinite(C))
@@ -329,6 +332,26 @@ def test_frozen_references_through_the_array_path():
     assert_allclose(C[2], 1.2610846980624133, rtol=1e-12)
     assert_allclose(Sp[2], 0.5154994412290849, rtol=1e-12)
     assert_allclose(Cp[2], -0.6405754040861715, rtol=1e-12)
+
+
+def test_tables_share_one_scaled_trig_evaluation():
+    # one exp(+-iz - |Im z|) pair per call seeds j_0, y_0 and gives the
+    # order-0 derivative rows; at real z each point's table is its own, so
+    # a batch equals its one-point calls bitwise in every regime
+    real = np.concatenate([[3e-7, 0.5, 2.3, 7.9], np.linspace(0.01, 30.0, 41)])
+    cplx = np.array([2.0 + 1.0j, 5.0 - 3.0j, 0.3 + 12.0j, -7.0 + 0.5j, 1e-7j])
+    for z in (real, cplx):
+        zs, zc = bessel._scaled_trig(z, np.exp)
+        for lmax in (0, 3, 8):
+            _, _, Sp, Cp = riccati_table(lmax, z, scaled=True)
+            assert Sp[0].tobytes() == zc.tobytes()
+            assert Cp[0].tobytes() == (-zs).tobytes()
+    for lmax in (0, 3, 8):
+        for scaled in (False, True):
+            batch = riccati_table(lmax, real, scaled=scaled)
+            for i, x in enumerate(real):
+                for got, want in zip(batch, riccati_table(lmax, x, scaled=scaled)):
+                    assert got[:, i].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [0.0, complex(math.nan, 1.0), math.inf, 2.0j * Z_MAX])
