@@ -15,17 +15,18 @@ newline, so identical configs give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import os
 import sys
-import tempfile
 from typing import Callable
 
 import numpy as np
 from scipy.special import spherical_jn
 
+from ._atomic import write_atomic
 from .eigsearch import (
     density_estimate,
     dispersion,
@@ -45,7 +46,7 @@ from .scatter import (
     residual_scan,
 )
 from .specfun import (
-    L_MAX_SUPPORTED,
+    L_MAX,
     SphericalDirection,
     riccati_table,
     sphere_quadrature,
@@ -60,8 +61,18 @@ class ConfigError(Exception):
     """Bad flag, bad config value, or an unusable parameter combination."""
 
 
-# parameter kinds: how config/flag values are validated and cast
-_KINDS = ("int", "float", "str", "float_list", "pair_list", "coeff_list")
+# list kinds: how a flag string or JSON value parses, and what it must hold
+_LISTS = {
+    "float_list": (lambda v: tuple(float(x) for x in (v.split(",") if isinstance(v, str) else v)),
+                   "a list of numbers"),
+    "directions": (lambda v: tuple((float(a), float(b)) for a, b in v),
+                   "a list of [theta, phi] pairs"),
+    "coeff_list": (lambda v: {(int(n), int(m)): complex(re, im) for n, m, re, im in v},
+                   "a list of [n, m, re, im] rows"),
+}
+# argparse type of each kind with a flag form; parameters of the other
+# kinds come from a config file only
+_FLAG_TYPES = {"int": int, "float": float, "str": str, "float_list": str}
 
 
 def _cast(name: str, kind: str, value):
@@ -79,71 +90,47 @@ def _cast(name: str, kind: str, value):
         if not isinstance(value, str):
             raise ConfigError(f"{name} must be a string, got {value!r}")
         return value
-    if kind == "float_list":
-        if isinstance(value, str):
-            value = value.split(",")
-        try:
-            out = tuple(float(v) for v in value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
-        if not out:
-            raise ConfigError(f"{name} must be nonempty")
-        return out
-    if kind == "pair_list":
-        try:
-            out = tuple((float(a), float(b)) for a, b in value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name} must be a list of [theta, phi] pairs, got {value!r}")
-        if not out:
-            raise ConfigError(f"{name} must be nonempty")
-        return out
-    if kind == "coeff_list":
-        try:
-            out = {(int(n), int(m)): complex(re, im) for n, m, re, im in value}
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name} must be a list of [n, m, re, im] rows, got {value!r}")
-        if not out:
-            raise ConfigError(f"{name} must be nonempty")
-        return out
-    raise AssertionError(kind)
-
-
-class _Param:
-    def __init__(self, name: str, kind: str, default=None, required: bool = False,
-                 help: str = "", choices: tuple | None = None,
-                 config_only: bool = False):
-        assert kind in _KINDS
-        self.name = name
-        self.kind = kind
-        self.default = default
-        self.required = required
-        self.help = help
-        self.choices = choices
-        self.config_only = config_only
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+    parse, shape = _LISTS[kind]
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON config {path}: {exc}")
-    if not isinstance(config, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return config
+        out = parse(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be {shape}, got {value!r}")
+    if not out:
+        raise ConfigError(f"{name} must be nonempty")
+    if kind == "directions":
+        return tuple(SphericalDirection(theta, phi) for theta, phi in out)
+    return out
+
+
+@dataclasses.dataclass(frozen=True)
+class _Param:
+    name: str
+    kind: str
+    default: object = None
+    required: bool = False
+    help: str = ""
+    choices: tuple | None = None
 
 
 def _merge(args: argparse.Namespace, params: list[_Param]) -> dict:
-    config = _load_config(args.config)
-    allowed = {p.name for p in params} | {"out", "format"}
-    unknown = set(config) - allowed
+    """Flag, else config value, else default, for every parameter; the
+    config file is read here and nowhere else."""
+    config = {}
+    if args.config is not None:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed JSON config {args.config}: {exc}")
+        if not isinstance(config, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
+    unknown = set(config) - {p.name for p in params}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     merged = {}
     for p in params:
-        value = None if p.config_only else getattr(args, p.name)
+        # a config-only parameter has no flag, so no attribute on args
+        value = getattr(args, p.name, None)
         if value is None and p.name in config:
             value = config[p.name]
         if value is None:
@@ -210,25 +197,11 @@ def _render(command: str, fmt: str, columns: list[str], rows: list[tuple],
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".schifferlab-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 # ----------------------------------------------------------------- commands
 
 def _run_specfun_check(p: dict) -> tuple[list[str], list[tuple], str]:
-    if not 0 <= p["l_max"] <= L_MAX_SUPPORTED:
-        raise ConfigError(
-            f"l_max = {p['l_max']} outside the supported range [0, {L_MAX_SUPPORTED}]")
+    if not 0 <= p["l_max"] <= L_MAX:
+        raise ConfigError(f"l_max = {p['l_max']} outside the supported range [0, {L_MAX}]")
     if not (p["x_min"] > 0 and p["x_max"] > p["x_min"] and p["n_x"] >= 2):
         raise ConfigError("need 0 < x_min < x_max and n_x >= 2")
     if p["tol"] <= 0 or p["gram_tol"] <= 0:
@@ -386,11 +359,7 @@ def _run_ray_scan(p: dict) -> tuple[list[str], list[tuple], str]:
     if p["spread_tol"] <= 0:
         raise ConfigError("spread_tol must be positive")
     domain = load_domain(p["domain"])
-    if p["directions"] is None:
-        dirs = axis_directions()
-    else:
-        dirs = tuple(SphericalDirection(t, ph) for t, ph in p["directions"])
-    result = per_ray_eigen_scan(domain, dirs, p["l_max"], p["k_max"],
+    result = per_ray_eigen_scan(domain, p["directions"], p["l_max"], p["k_max"],
                                 threads=_env_threads())
     spread = result.density_spread
     common = result.intersection_size
@@ -405,19 +374,22 @@ def _run_ray_scan(p: dict) -> tuple[list[str], list[tuple], str]:
 
 def _run_farfield(p: dict) -> tuple[list[str], list[tuple], str]:
     pattern = FarFieldPattern(p["a_coeffs"], p["k"])
-    if p["directions"] is None:
-        dirs = axis_directions()
-    else:
-        dirs = tuple(SphericalDirection(t, ph) for t, ph in p["directions"])
-    values = far_field_from_coeffs(pattern, dirs)
+    values = far_field_from_coeffs(pattern, p["directions"])
     ok = bool(np.all(np.isfinite(values)))
     rows = [(d.theta, d.phi, v.real, v.imag, abs(v))
-            for d, v in zip(dirs, values)]
+            for d, v in zip(p["directions"], values)]
     columns = ["theta", "phi", "re_u", "im_u", "abs_u"]
     return columns, rows, "PASS" if ok else "FAIL"
 
 
 _Runner = Callable[[dict], tuple[list[str], list[tuple], str]]
+
+# every subcommand takes these, and the directions parameter means the same
+# in each subcommand that has one
+_OUTPUT = [_Param("out", "str", None, help="output path (default: stdout)"),
+           _Param("format", "str", "csv", choices=("csv", "json"))]
+_DIRECTIONS = _Param("directions", "directions", axis_directions(),
+                     help="[[theta, phi], ...]; default: the six coordinate axes")
 
 _COMMANDS: dict[str, tuple[str, list[_Param], _Runner]] = {
     "specfun-check": (
@@ -470,16 +442,14 @@ _COMMANDS: dict[str, tuple[str, list[_Param], _Runner]] = {
         "per-ray eigenvalue lists, densities, and the cross-ray intersection",
         [_Param("domain", "str", required=True, help="domain JSON path"),
          _Param("l_max", "int", 0), _Param("k_max", "float", 12.0),
-         _Param("spread_tol", "float", 0.02),
-         _Param("directions", "pair_list", None, config_only=True,
-                help="[[theta, phi], ...]; default: the six coordinate axes")],
+         _Param("spread_tol", "float", 0.02), _DIRECTIONS],
         _run_ray_scan),
     "farfield": (
         "far-field synthesis from harmonic coefficients",
         [_Param("k", "float", required=True),
-         _Param("a_coeffs", "coeff_list", None, required=True, config_only=True,
+         _Param("a_coeffs", "coeff_list", required=True,
                 help="[[n, m, re, im], ...] (config file only)"),
-         _Param("directions", "pair_list", None, config_only=True)],
+         _DIRECTIONS],
         _run_farfield),
 }
 
@@ -494,58 +464,32 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (help_text, params, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", help="JSON file with parameter defaults")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        for param in params:
-            if param.config_only:
-                continue
-            flag = "--" + param.name.replace("_", "-")
-            if param.kind == "int":
-                p.add_argument(flag, dest=param.name, type=int, default=None,
+        for param in _OUTPUT + params:
+            if param.kind in _FLAG_TYPES:
+                p.add_argument("--" + param.name.replace("_", "-"), dest=param.name,
+                               type=_FLAG_TYPES[param.kind], choices=param.choices,
                                help=param.help or None)
-            elif param.kind == "float":
-                p.add_argument(flag, dest=param.name, type=float, default=None,
-                               help=param.help or None)
-            elif param.kind == "float_list":
-                p.add_argument(flag, dest=param.name, type=str, default=None,
-                               help=param.help or None)
-            else:
-                choices = param.choices if param.choices else None
-                p.add_argument(flag, dest=param.name, type=str, default=None,
-                               choices=choices, help=param.help or None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    help_text, params, runner = _COMMANDS[args.command]
+    _, params, runner = _COMMANDS[args.command]
     try:
-        merged = _merge(args, params)
-        fmt = args.format
-        if fmt is None:
-            fmt = _load_config(args.config).get("format", "csv")
-            if fmt not in ("csv", "json"):
-                raise ConfigError(f"format must be csv or json, got {fmt!r}")
-        out = args.out if args.out is not None else _load_config(args.config).get("out")
+        merged = _merge(args, _OUTPUT + params)
         columns, rows, summary = runner(merged)
-    except ConfigError as exc:
-        print(f"schifferlab: config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"schifferlab: config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"schifferlab: config error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, OverflowError) as exc:
         print(f"schifferlab: numerical failure: {exc}", file=sys.stderr)
         return 1
-    text = _render(args.command, fmt, columns, rows, summary)
-    if out is None:
+    text = _render(args.command, merged["format"], columns, rows, summary)
+    if merged["out"] is None:
         sys.stdout.write(text)
     else:
-        _write_atomic(out, text)
+        write_atomic(merged["out"], text)
         print(summary)
     return 0 if summary == "PASS" else 1
 

@@ -28,7 +28,6 @@ __all__ = [
     "IndicatorSample",
     "zero_count_sector",
     "winding_count",
-    "density",
     "density_table",
     "indicator",
 ]
@@ -176,7 +175,10 @@ def zero_count_sector(f: Evaluator, alpha: float, beta: float, r: float,
 
 def density_table(f: Evaluator, alpha: float, beta: float,
                   r_sequence: Sequence[float], quad_nodes: int = 1024) -> DensityTable:
-    """N(f, alpha, beta, r)/r over increasing radii (order-one normalization)."""
+    """N(f, alpha, beta, r)/r over increasing radii (order-one normalization).
+
+    The zero density is the table's ``value``, the ratio at the largest radius.
+    """
     rs = [float(r) for r in r_sequence]
     if len(rs) < 3 or any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("r_sequence must be increasing with at least 3 entries")
@@ -187,12 +189,6 @@ def density_table(f: Evaluator, alpha: float, beta: float,
         counts.append(c)
         ratios.append(c / r)
     return DensityTable(tuple(rs), tuple(counts), tuple(ratios))
-
-
-def density(f: Evaluator, alpha: float, beta: float,
-            r_sequence: Sequence[float], quad_nodes: int = 1024) -> float:
-    """Zero density N/r at the largest radius of the sequence."""
-    return density_table(f, alpha, beta, r_sequence, quad_nodes=quad_nodes).value
 
 
 def indicator(f: Callable[[complex], complex], theta: float,

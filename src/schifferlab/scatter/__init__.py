@@ -2,7 +2,6 @@
 
 from .domain import (
     StarlikeDomain,
-    boundary_normal,
     load_domain,
     ray_radius,
     save_domain,
@@ -21,7 +20,6 @@ from .rays import RayEigenReport, RayScanResult, axis_directions, per_ray_eigen_
 
 __all__ = [
     "StarlikeDomain",
-    "boundary_normal",
     "load_domain",
     "ray_radius",
     "save_domain",

@@ -3,8 +3,9 @@
 A domain is the region r < rho(theta, phi) for a positive function on the
 sphere synthesized from real coefficients c_{l,m} with the conjugate
 symmetry c_{l,-m} = c_{l,m}, so the synthesized rho is real.  Every ray
-from the origin meets the boundary exactly once, at radius rho; the
-outward normal comes from the graph-over-sphere gradient formula.
+from the origin meets the boundary exactly once, at radius rho.  The
+outward normal is computed where it is used, in
+``overdetermined.collocation_frame``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import dataclasses
 import json
 import math
 import os
-import tempfile
 from typing import Sequence
 
 import numpy as np
 
+from .._atomic import write_atomic
 from ..specfun import (
     SphericalDirection,
     SphereQuadrature,
@@ -31,7 +32,6 @@ __all__ = [
     "StarlikeDomain",
     "ray_radii",
     "ray_radius",
-    "boundary_normal",
     "load_domain",
     "save_domain",
     "unit_ball",
@@ -97,7 +97,7 @@ def unit_ball() -> StarlikeDomain:
 
 
 def _synthesis(domain: StarlikeDomain, theta: float, phi: float) -> tuple[float, float, float]:
-    """(rho, d rho/d theta, d rho/d phi) at one direction, term-wise."""
+    """(rho, d rho/d theta, d rho/d phi) at the given angles, term-wise."""
     rho = 0.0 + 0.0j
     dth = 0.0 + 0.0j
     dph = 0.0 + 0.0j
@@ -130,32 +130,6 @@ def ray_radius(domain: StarlikeDomain, direction: SphericalDirection) -> float:
     return float(ray_radii(domain, [direction])[0])
 
 
-def _normal_spherical(domain: StarlikeDomain,
-                      direction: SphericalDirection) -> tuple[float, float, float]:
-    """Outward unit normal components (n_r, n_theta, n_phi)."""
-    theta, phi = direction.theta, direction.phi
-    rho, dth, dph = _synthesis(domain, theta, phi)
-    if rho <= 0.0:
-        raise ValueError(f"synthesis gave rho = {rho} <= 0 at {direction}")
-    sin_t = max(math.sin(theta), 1e-12)
-    # gradient of (r - rho(theta, phi)) in the spherical frame, at r = rho
-    v = np.array([1.0, -dth / rho, -dph / (rho * sin_t)])
-    v /= np.linalg.norm(v)
-    return float(v[0]), float(v[1]), float(v[2])
-
-
-def boundary_normal(domain: StarlikeDomain, direction: SphericalDirection) -> np.ndarray:
-    """Outward unit normal of the surface r = rho at the given direction (Cartesian)."""
-    n_r, n_t, n_p = _normal_spherical(domain, direction)
-    theta, phi = direction.theta, direction.phi
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    r_hat = np.array([st * cp, st * sp, ct])
-    t_hat = np.array([ct * cp, ct * sp, -st])
-    p_hat = np.array([-sp, cp, 0.0])
-    return n_r * r_hat + n_t * t_hat + n_p * p_hat
-
-
 def load_domain(path: str | os.PathLike) -> StarlikeDomain:
     """Read a domain file: {"L_geom": int, "rho_coeffs": [[l, m, value], ...]}."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -174,14 +148,4 @@ def save_domain(domain: StarlikeDomain, path: str | os.PathLike) -> None:
     """Write the domain file atomically (temp file then rename)."""
     payload = {"L_geom": domain.L_geom,
                "rho_coeffs": [[l, m, v] for l, m, v in domain.rho_coeffs]}
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, json.dumps(payload, indent=1) + "\n")

@@ -21,6 +21,10 @@ points of its batch.  They run on values scaled by exp(-|Im z|), so tables
 stay representable for large |Im z|; the unscaled public functions multiply
 the factor back in.  For real z the scale factor is exactly 1 and real
 inputs propagate zero imaginary parts through every recurrence.
+
+Orders are capped at L_MAX = 60, a module constant that no call changes:
+every public function rejects an order (or a table's lmax) above it with a
+ValueError.
 """
 
 from __future__ import annotations
@@ -30,24 +34,12 @@ import math
 
 import numpy as np
 
-# Hard validation ceilings.  L_MAX is the advertised order cap; callers that
-# need more (up to L_MAX_SUPPORTED) may raise it module-wide.
-L_MAX_DEFAULT = 60
-L_MAX_SUPPORTED = 120
-L_MAX = L_MAX_DEFAULT
-
+# Hard validation ceilings: orders in [0, L_MAX], arguments in |z| <= Z_MAX.
+L_MAX = 60
 Z_MAX = 1.0e4
 
 # |z| below which j_l falls back to the leading power series.
 _SERIES_CUTOFF = 1.0e-6
-
-
-def set_l_max(n: int) -> None:
-    """Raise or lower the order cap, within the supported ceiling."""
-    global L_MAX
-    if not 1 <= n <= L_MAX_SUPPORTED:
-        raise ValueError(f"l_max {n} outside supported range 1..{L_MAX_SUPPORTED}")
-    L_MAX = n
 
 
 def _check_order_arg(l: int, z: complex, need_nonzero: bool) -> complex:
@@ -217,29 +209,6 @@ def _jy_point(lmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
     return j[:, 0], y[:, 0]
 
 
-def spherical_jy_table(lmax: int, z: complex, scaled: bool = False):
-    """Arrays (j_0..j_lmax, y_0..y_lmax) at z.
-
-    With ``scaled=True`` the returned values carry an implicit factor
-    exp(|Im z|); callers doing log-magnitude work add ``abs(z.imag)`` back
-    themselves and never overflow.
-    """
-    z = _check_order_arg(lmax, z, need_nonzero=True)
-    j, y = _jy_point(lmax, z)
-    if scaled:
-        return j, y
-    if z.imag != 0:
-        f = _growth(z, "Bessel table")
-        j = j * f
-        y = y * f
-        if not (np.isfinite(j).all() and np.isfinite(y).all()):
-            raise OverflowError(f"Bessel table overflows double range at z={z!r}")
-    elif not cmath.isfinite(y[lmax]):
-        # at real z only y_l can overflow, and it grows with l
-        raise OverflowError(f"Bessel table overflows double range at z={z!r}")
-    return j, y
-
-
 def spherical_bessel_j(l: int, z: complex) -> complex:
     """Spherical Bessel function j_l(z), complex argument allowed."""
     z = _check_order_arg(l, z, need_nonzero=False)
@@ -260,7 +229,9 @@ def riccati_table(lmax: int, z, scaled: bool = False):
     """(S, C, S', C') arrays for orders 0..lmax at z, primes w.r.t. z.
 
     S_l' = S_{l-1} - (l/z) S_l for l >= 1 (same relation for C); the order-0
-    derivatives are cos z and -sin z.  ``scaled`` as in spherical_jy_table.
+    derivatives are cos z and -sin z.  With ``scaled=True`` the tables carry
+    an implicit factor exp(|Im z|); callers doing log-magnitude work add
+    ``abs(z.imag)`` back themselves and never overflow.
 
     z may be a scalar or an ndarray; the four arrays have shape
     ``(lmax + 1,) + np.shape(z)``, so a scalar z gives (lmax + 1,) arrays.

@@ -83,11 +83,6 @@ def ylm_theta_derivative(l: int, m: int, theta, phi):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def spherical_harmonic(l: int, m: int, direction: SphericalDirection) -> complex:
-    """Y_l^m evaluated at a SphericalDirection."""
-    return complex(ylm(l, m, direction.theta, direction.phi))
-
-
 @dataclass(frozen=True)
 class SphereQuadrature:
     """Tensor rule on S^2: Gauss-Legendre in cos(theta) x trapezoid in phi.

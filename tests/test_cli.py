@@ -1,11 +1,18 @@
-"""End-to-end checks of the batch front end through real subprocesses."""
+"""End-to-end checks of the batch front end.
 
+Most tests call ``cli.main`` in process.  Two run a real ``python -m
+schifferlab`` subprocess: one smoke test of the module entry point, and the
+overflow test, whose numpy warnings would have to reach the real stderr.
+"""
+
+import builtins
 import json
 import os
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -17,17 +24,35 @@ BALL = str(DATA / "ball.json")
 SPHEROID = str(DATA / "spheroid.json")
 
 
-def run_cli(*args, env_extra=None):
+class Result(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+@pytest.fixture
+def run_cli(capsys, monkeypatch):
+    """``cli.main`` in process, with SCHIFFER_LAB_THREADS unset."""
+    monkeypatch.delenv("SCHIFFER_LAB_THREADS", raising=False)
+
+    def run(*args):
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return Result(code, out, err)
+
+    return run
+
+
+def run_module(*args):
+    """A real ``python -m schifferlab`` subprocess."""
     env = os.environ.copy()
     env.pop("SCHIFFER_LAB_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "schifferlab", *args],
                           capture_output=True, text=True, env=env)
 
 
 def test_eigen_scan_reference_rows():
-    res = run_cli("eigen-scan", "--l", "0", "--r-hat", "1", "--k-max", "12")
+    res = run_module("eigen-scan", "--l", "0", "--r-hat", "1", "--k-max", "12")
     assert res.returncode == 0
     lines = res.stdout.strip().split("\n")
     assert lines[0] == "l,k,residual,bracket_lo,bracket_hi"
@@ -39,14 +64,14 @@ def test_eigen_scan_reference_rows():
     assert ks[2].startswith("10.904121659428")
 
 
-def test_eigen_scan_empty_window():
+def test_eigen_scan_empty_window(run_cli):
     res = run_cli("eigen-scan", "--l", "0", "--r-hat", "1", "--k-max", "2")
     assert res.returncode == 0
     lines = res.stdout.strip().split("\n")
     assert len(lines) == 2  # header and summary only
 
 
-def test_repeated_runs_are_byte_identical(tmp_path):
+def test_repeated_runs_are_byte_identical(run_cli, tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
@@ -58,21 +83,21 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_density_example():
+def test_density_example(run_cli):
     res = run_cli("density", "--l", "0", "--r-hat", "2", "--k-max", "100")
     assert res.returncode == 0
     assert "# summary: PASS" in res.stdout
     assert "0.63" in res.stdout
 
 
-def test_ball_check():
+def test_ball_check(run_cli):
     res = run_cli("ball-check", "--r", "1", "--n", "1")
     assert res.returncode == 0
     assert "4.4934094579090" in res.stdout
     assert res.stdout.strip().endswith("# summary: PASS")
 
 
-def test_domain_residual_pass_and_fail():
+def test_domain_residual_pass_and_fail(run_cli):
     good = run_cli("domain-residual", "--domain", BALL,
                    "--k", "4.493409457909064")
     assert good.returncode == 0
@@ -82,7 +107,7 @@ def test_domain_residual_pass_and_fail():
     assert "# summary: FAIL" in bad.stdout
 
 
-def test_ray_scan_separates_ball_from_spheroid():
+def test_ray_scan_separates_ball_from_spheroid(run_cli):
     ball = run_cli("ray-scan", "--domain", BALL, "--k-max", "12")
     assert ball.returncode == 0
     spheroid = run_cli("ray-scan", "--domain", SPHEROID, "--k-max", "12")
@@ -90,7 +115,7 @@ def test_ray_scan_separates_ball_from_spheroid():
     assert "# summary: FAIL" in spheroid.stdout
 
 
-def test_specfun_check_fails_on_overflowed_tables():
+def test_specfun_check_fails_on_overflowed_tables(run_cli):
     res = run_cli("specfun-check", "--l-max", "40")
     assert res.returncode == 0
     assert res.stdout.endswith("# summary: PASS\n")
@@ -106,6 +131,16 @@ def test_specfun_check_fails_on_overflowed_tables():
     assert lines[-1] == "# summary: FAIL"
 
 
+def test_specfun_check_order_range_is_the_library_cap(run_cli):
+    # the CLI range is the cap that riccati_table enforces
+    assert run_cli("specfun-check", "--l-max", "60", "--n-x", "20").returncode == 0
+    for l_max in ("61", "80", "120"):
+        res = run_cli("specfun-check", "--l-max", l_max)
+        assert res.returncode == 2, l_max
+        assert res.stderr == (f"schifferlab: config error: l_max = {l_max} outside "
+                              "the supported range [0, 60]\n")
+
+
 def test_overflow_is_a_numerical_failure(monkeypatch, capsys):
     def overflow(*args, **kwargs):
         raise OverflowError("Riccati table overflows double range at z=(0.0001+0j)")
@@ -119,8 +154,8 @@ def test_overflow_is_a_numerical_failure(monkeypatch, capsys):
 
 def test_overflow_stderr_is_one_line():
     # C_60 overflows at k = 1e-5; numpy warnings must not precede the message
-    res = run_cli("eigen-scan", "--l", "60", "--r-hat", "1", "--k-max", "0.01",
-                  "--scan-step", "1e-5")
+    res = run_module("eigen-scan", "--l", "60", "--r-hat", "1", "--k-max", "0.01",
+                     "--scan-step", "1e-5")
     assert res.returncode == 1
     assert res.stderr == ("schifferlab: numerical failure: Riccati table overflows "
                           "double range at z=(1e-05+0j)\n")
@@ -155,7 +190,7 @@ def test_readme_examples_run_as_documented(monkeypatch, capsys):
         assert summary == ("FAIL" if code else "PASS"), line
 
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(run_cli, tmp_path):
     cases = [
         ("specfun-check", "--l-max", "200"),
         ("domain-residual", "--domain", str(tmp_path / "missing.json"), "--k", "2"),
@@ -181,7 +216,7 @@ def test_config_errors_exit_2(tmp_path):
     assert "bogus" in res.stderr
 
 
-def test_indicator_expects_the_type_times_sin_theta():
+def test_indicator_expects_the_type_times_sin_theta(run_cli):
     # l = 0, r_hat = 1: h(theta) = |sin theta|, so theta = 1 expects sin(1)
     res = run_cli("indicator", "--theta", "1.0")
     assert res.returncode == 0
@@ -196,7 +231,7 @@ def test_indicator_expects_the_type_times_sin_theta():
     assert {row.split(",")[3] for row in rows} == {"1"}
 
 
-def test_indicator_rejects_the_real_axis():
+def test_indicator_rejects_the_real_axis(run_cli):
     # sin(pi) rounds to 1.2e-16, not 0; the ray still lies on the real axis
     res = run_cli("indicator", "--theta", "3.141592653589793")
     assert res.returncode == 2
@@ -205,10 +240,12 @@ def test_indicator_rejects_the_real_axis():
 
 
 def test_unknown_subcommand_exits_2():
-    assert run_cli("frobnicate").returncode == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["frobnicate"])
+    assert exc.value.code == 2
 
 
-def test_flags_override_config(tmp_path):
+def test_flags_override_config(run_cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"l": 0, "r_hat": 1.0, "k_max": 2.0}))
     narrow = run_cli("eigen-scan", "--config", str(cfg))
@@ -217,7 +254,48 @@ def test_flags_override_config(tmp_path):
     assert len(wide.stdout.strip().split("\n")) == 5
 
 
-def test_json_output_mirrors_the_table(tmp_path):
+def test_output_keys_come_from_the_config_read_once(run_cli, tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    table = tmp_path / "from_config.json"
+    cfg.write_text(json.dumps({"l": 0, "k_max": 12.0, "format": "json",
+                               "out": str(table)}))
+    opens = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if os.fspath(file) == str(cfg):
+            opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    # both keys honoured: a JSON table at the config's path, PASS on stdout
+    res = run_cli("eigen-scan", "--config", str(cfg))
+    assert res.returncode == 0
+    assert res.stdout == "PASS\n"
+    assert len(opens) == 1
+    doc = json.loads(table.read_text(encoding="utf-8"))
+    assert doc["command"] == "eigen-scan" and len(doc["rows"]) == 3
+    # each flag beats its config key
+    flagged = tmp_path / "from_flag.csv"
+    res = run_cli("eigen-scan", "--config", str(cfg), "--format", "csv",
+                  "--out", str(flagged))
+    assert res.returncode == 0
+    assert flagged.read_text(encoding="utf-8").startswith("l,k,residual,")
+    assert json.loads(table.read_text(encoding="utf-8")) == doc
+    assert len(opens) == 2
+
+
+def test_bad_config_format_exits_2(run_cli, tmp_path):
+    for bad in ("xml", 5):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"l": 0, "k_max": 12.0, "format": bad}))
+        res = run_cli("eigen-scan", "--config", str(cfg))
+        assert res.returncode == 2, bad
+        assert res.stdout == ""
+        assert "config error" in res.stderr and "format" in res.stderr
+
+
+def test_json_output_mirrors_the_table(run_cli, tmp_path):
     cfg = tmp_path / "far.json"
     cfg.write_text(json.dumps({
         "k": 1.0,
@@ -232,22 +310,22 @@ def test_json_output_mirrors_the_table(tmp_path):
     assert len(doc["rows"]) == 2
 
 
-def test_threads_env_is_validated():
-    res = run_cli("ray-scan", "--domain", BALL,
-                  env_extra={"SCHIFFER_LAB_THREADS": "zero"})
+def test_threads_env_is_validated(run_cli, monkeypatch):
+    monkeypatch.setenv("SCHIFFER_LAB_THREADS", "zero")
+    res = run_cli("ray-scan", "--domain", BALL)
     assert res.returncode == 2
     assert "SCHIFFER_LAB_THREADS" in res.stderr
 
 
-def test_threaded_run_matches_serial(tmp_path):
+def test_threaded_run_matches_serial(run_cli, tmp_path, monkeypatch):
     outs = []
     codes = []
     for name, threads in (("serial.csv", "1"), ("fanout.csv", "4")):
         out = tmp_path / name
+        monkeypatch.setenv("SCHIFFER_LAB_THREADS", threads)
         res = run_cli("domain-residual", "--domain", SPHEROID,
                       "--k-min", "1", "--k-max", "3", "--k-step", "0.5",
-                      "--out", str(out),
-                      env_extra={"SCHIFFER_LAB_THREADS": threads})
+                      "--out", str(out))
         codes.append(res.returncode)
         outs.append(out.read_bytes())
     assert codes[0] == codes[1] == 1  # no eigenvalue on this coarse grid

@@ -13,7 +13,7 @@ from schifferlab.eigsearch import (
     dispersion_function,
     dispersion_log_abs,
 )
-from schifferlab.entire import density, density_table, indicator, zero_count_sector
+from schifferlab.entire import density_table, indicator, zero_count_sector
 
 
 # contour evaluators return the pair (f, f')
@@ -52,14 +52,14 @@ def test_count_tracks_radius_over_pi():
 
 
 def test_density_reference_values():
-    assert_allclose(density(sin_pair, -0.1, 0.1, (25.0, 50.0, 100.0)),
+    assert_allclose(density_table(sin_pair, -0.1, 0.1, (25.0, 50.0, 100.0)).value,
                     1 / math.pi, rtol=0.05)
     f = dispersion_function(0, 2.0)
-    assert_allclose(density(f, -0.2, 0.2, (25.0, 50.0, 100.0)),
+    assert_allclose(density_table(f, -0.2, 0.2, (25.0, 50.0, 100.0)).value,
                     2 / math.pi, rtol=0.05)
     two_sines = lambda z: (np.sin(z) * np.sin(2.0 * z),
                            np.cos(z) * np.sin(2.0 * z) + 2.0 * np.sin(z) * np.cos(2.0 * z))
-    assert_allclose(density(two_sines, -0.1, 0.1, (25.0, 50.0, 100.0)),
+    assert_allclose(density_table(two_sines, -0.1, 0.1, (25.0, 50.0, 100.0)).value,
                     3 / math.pi, rtol=0.05)
 
 
@@ -137,7 +137,7 @@ def test_sector_validation():
     with pytest.raises(ValueError, match="inner cutoff"):
         zero_count_sector(sin_pair, -0.1, 0.1, 0.2)
     with pytest.raises(ValueError, match="at least 3"):
-        density(sin_pair, -0.1, 0.1, (10.0, 20.0))
+        density_table(sin_pair, -0.1, 0.1, (10.0, 20.0))
 
 
 def test_sine_indicator_is_one():

@@ -17,7 +17,6 @@ from schifferlab.scatter import (
     StarlikeDomain,
     axis_directions,
     ball_eigenfunction,
-    boundary_normal,
     collocation_frame,
     far_field_from_coeffs,
     load_domain,
@@ -31,6 +30,7 @@ from schifferlab.scatter import (
     unit_ball,
 )
 from schifferlab.scatter import overdetermined as od
+from schifferlab.scatter.domain import ray_radii
 from schifferlab.specfun import (
     SphericalDirection,
     sphere_quadrature,
@@ -93,27 +93,48 @@ def test_radius_matches_direct_synthesis():
 
 
 def test_ball_normal_is_radial():
-    # cartesian components of r_hat at (theta, phi) = (0.8, 1.9)
-    n = boundary_normal(unit_ball(), SphericalDirection(0.8, 1.9))
-    st, ct = math.sin(0.8), math.cos(0.8)
-    assert_allclose(n, [st * math.cos(1.9), st * math.sin(1.9), ct], rtol=1e-14)
+    frame = collocation_frame(unit_ball(), L_trial=2)
+    assert_allclose(frame.n_r, 1.0, rtol=1e-14)
+    assert np.all(frame.n_t == 0.0)
+    assert np.all(frame.n_p == 0.0)
 
 
 def test_egg_normal_tilt_at_the_equator():
-    # rho falls from 1.1 at the pole to 1.0 at the equator, tipping the
-    # normal toward increasing theta by arctan(0.1); at theta = pi/2,
-    # phi = 0 the theta direction points along -z
-    n = boundary_normal(egg_domain(), SphericalDirection(math.pi / 2, 0.0))
-    assert_allclose(n[0], 0.9950371902099892, rtol=1e-12)
-    assert abs(n[1]) < 1e-15
-    assert_allclose(n[2], -0.09950371902099889, rtol=1e-12)
+    # rho = 1 + 0.1 cos(theta) falls from 1.1 at the pole to 1.0 at the
+    # equator, tipping the normal toward increasing theta by
+    # arctan(0.1 sin(theta) / rho): arctan(0.1) at the equator
+    frame = collocation_frame(egg_domain(), L_trial=2)
+    tilt = 0.1 * np.sin(frame.theta) / (1.0 + 0.1 * np.cos(frame.theta))
+    assert_allclose(frame.n_r, 1.0 / np.hypot(1.0, tilt), rtol=1e-12)
+    assert_allclose(frame.n_t, tilt / np.hypot(1.0, tilt), rtol=1e-12)
+    assert np.all(frame.n_t > 0.0)
+    assert np.all(frame.n_p == 0.0)
 
 
 def test_normals_are_unit_vectors():
-    dom = load_domain(DATA / "spheroid.json")
-    for theta, phi in [(0.2, 0.5), (1.0, 2.5), (1.57, 4.0), (2.9, 1.1)]:
-        n = boundary_normal(dom, SphericalDirection(theta, phi))
-        assert_allclose(np.linalg.norm(n), 1.0, rtol=1e-12)
+    for dom in (load_domain(DATA / "spheroid.json"), seeded_domain(3)):
+        frame = collocation_frame(dom, L_trial=2)
+        assert_allclose(np.sqrt(frame.n_r ** 2 + frame.n_t ** 2 + frame.n_p ** 2),
+                        1.0, rtol=1e-12)
+
+
+def test_normal_matches_differences_of_the_radius():
+    # n is parallel to (1, -rho_theta / rho, -rho_phi / (rho sin theta));
+    # central differences of ray_radii give both derivatives
+    dom = seeded_domain(5)
+    frame = collocation_frame(dom, L_trial=2)
+    h = 1e-5
+
+    def radii(theta, phi):
+        return ray_radii(dom, [SphericalDirection(t, p % (2 * math.pi))
+                               for t, p in zip(theta, phi)])
+
+    th, ph = frame.theta, frame.phi
+    d_theta = (radii(th + h, ph) - radii(th - h, ph)) / (2 * h)
+    d_phi = (radii(th, ph + h) - radii(th, ph - h)) / (2 * h)
+    assert np.abs(frame.n_p).max() > 0.01
+    assert_allclose(frame.n_t / frame.n_r, -d_theta / frame.rho, atol=1e-8)
+    assert_allclose(frame.n_p / frame.n_r, -d_phi / (frame.rho * frame.sin_t), atol=1e-8)
 
 
 def test_domain_validation():

@@ -16,14 +16,11 @@ from numpy.testing import assert_allclose
 import schifferlab.specfun as specfun
 from schifferlab.specfun import bessel
 from schifferlab.specfun import (
-    L_MAX_DEFAULT,
-    L_MAX_SUPPORTED,
+    L_MAX,
     Z_MAX,
     riccati_table,
-    set_l_max,
     spherical_bessel_j,
     spherical_bessel_y,
-    spherical_jy_table,
 )
 
 # mpmath dps=40
@@ -172,22 +169,19 @@ def test_riccati_solves_its_differential_equation():
 
 def test_scaled_tables_match_unscaled():
     z = 2.0 + 6.0j
-    j, y = spherical_jy_table(5, z)
-    js, ys = spherical_jy_table(5, z, scaled=True)
     factor = math.exp(abs(z.imag))
-    assert_allclose(js * factor, j, rtol=1e-13)
-    assert_allclose(ys * factor, y, rtol=1e-13)
+    for table, scaled in zip(riccati_table(5, z), riccati_table(5, z, scaled=True)):
+        assert_allclose(scaled * factor, table, rtol=1e-13)
     z = 1.0 + 30.0j
-    js, _ = spherical_jy_table(3, z, scaled=True)
-    assert_allclose(js[3] * math.exp(30.0), spherical_bessel_j(3, z), rtol=1e-13)
+    S, _, _, _ = riccati_table(3, z, scaled=True)
+    assert_allclose(S[3] * math.exp(30.0), z * spherical_bessel_j(3, z), rtol=1e-13)
 
 
 def test_strong_imaginary_argument_needs_scaling():
     with pytest.raises(OverflowError):
-        spherical_jy_table(2, 1.0 + 800.0j)
-    js, ys = spherical_jy_table(2, 1.0 + 800.0j, scaled=True)
-    assert np.all(np.isfinite(js))
-    assert np.all(np.isfinite(ys))
+        riccati_table(2, 1.0 + 800.0j)
+    for table in riccati_table(2, 1.0 + 800.0j, scaled=True):
+        assert np.all(np.isfinite(table))
 
 
 def test_overflow_past_the_exponent_range_names_the_point():
@@ -196,7 +190,7 @@ def test_overflow_past_the_exponent_range_names_the_point():
     with pytest.raises(OverflowError, match=named):
         riccati_table(2, 1.0 + 800.0j)
     with pytest.raises(OverflowError, match=named):
-        spherical_jy_table(2, 1.0 + 800.0j)
+        spherical_bessel_y(2, 1.0 + 800.0j)
     with pytest.raises(OverflowError, match=named):
         spherical_bessel_j(2, 1.0 + 800.0j)
 
@@ -210,8 +204,6 @@ def test_real_argument_overflow_is_named():
         riccati_table(60, 1e-4)
     with pytest.raises(OverflowError, match=named):
         riccati_table(60, np.array([1.0, 1e-4]))
-    with pytest.raises(OverflowError, match=named):
-        spherical_jy_table(60, 1e-4)
     with pytest.raises(OverflowError, match=named):
         spherical_bessel_y(60, 1e-4)
     # at real z the scaled tables are the same numbers, left unchecked
@@ -233,7 +225,7 @@ def test_series_cutoff_is_seamless():
 
 def test_domain_validation():
     with pytest.raises(ValueError, match="exceeds L_MAX"):
-        spherical_bessel_j(L_MAX_DEFAULT + 1, 1.0)
+        spherical_bessel_j(L_MAX + 1, 1.0)
     with pytest.raises(ValueError, match="exceeds supported range"):
         spherical_bessel_j(0, 2.0 * Z_MAX)
     with pytest.raises(ValueError, match="irregular at 0"):
@@ -242,32 +234,15 @@ def test_domain_validation():
         riccati_table(2, 0.0)
 
 
-def test_degree_cap_is_adjustable():
-    with pytest.raises(ValueError, match="exceeds L_MAX"):
-        spherical_bessel_j(80, 5.0)
-    set_l_max(80)
-    try:
-        assert np.isfinite(spherical_bessel_j(80, 5.0))
-    finally:
-        set_l_max(L_MAX_DEFAULT)
-    for bad in (0, L_MAX_SUPPORTED + 1):
-        with pytest.raises(ValueError, match="outside supported range"):
-            set_l_max(bad)
-
-
-def test_the_order_cap_is_read_where_it_is_set():
-    # a copy re-exported at import kept reading 60 after set_l_max(100)
-    assert not hasattr(specfun, "L_MAX")
-    set_l_max(100)
-    try:
-        assert bessel.L_MAX == 100
-        assert np.all(np.isfinite(riccati_table(61, 70.0)[0]))
-        with pytest.raises(ValueError, match="exceeds L_MAX=100"):
-            riccati_table(101, 70.0)
-    finally:
-        set_l_max(L_MAX_DEFAULT)
-    with pytest.raises(ValueError, match=f"exceeds L_MAX={L_MAX_DEFAULT}"):
-        riccati_table(61, 70.0)
+def test_the_order_cap_is_one_fixed_constant():
+    assert specfun.L_MAX == bessel.L_MAX == 60
+    assert np.all(np.isfinite(riccati_table(60, 70.0)[0]))
+    assert np.isfinite(spherical_bessel_j(60, 70.0))
+    for reject in (lambda: riccati_table(61, 70.0),
+                   lambda: spherical_bessel_j(61, 70.0),
+                   lambda: spherical_bessel_y(61, 70.0)):
+        with pytest.raises(ValueError, match="order l=61 exceeds L_MAX=60"):
+            reject()
 
 
 @pytest.mark.parametrize("z, parts", IMAG_AXIS_C_14_20)

@@ -12,11 +12,9 @@ from numpy.testing import assert_allclose
 from scipy.special import lpmv
 
 from schifferlab.specfun import (
-    SphericalDirection,
     legendre,
     legendre_theta_derivative,
     sphere_quadrature,
-    spherical_harmonic,
     ylm,
     ylm_norm,
     ylm_on_grid,
@@ -98,11 +96,6 @@ def test_theta_derivative_matches_finite_differences():
             d = ylm_theta_derivative(l, m, theta, 0.8)
             fd = (ylm(l, m, theta + h, 0.8) - ylm(l, m, theta - h, 0.8)) / (2 * h)
             assert_allclose(d, fd, rtol=1e-6, atol=1e-8)
-
-
-def test_direction_evaluator_matches_grid_form():
-    d = SphericalDirection(1.05, 2.3)
-    assert spherical_harmonic(3, 2, d) == pytest.approx(complex(ylm(3, 2, 1.05, 2.3)))
 
 
 def test_degree_and_order_validation():
