@@ -245,6 +245,19 @@ def test_the_order_cap_is_one_fixed_constant():
             reject()
 
 
+def test_the_order_cap_is_read_where_it_is_set():
+    # the package re-export and the CLI's range check read the constant that
+    # _check_order_arg reads, not copies of it; the scalar and array paths
+    # reject the first order past it with the same message
+    from schifferlab import cli
+    assert specfun.L_MAX == cli.L_MAX == bessel.L_MAX
+    over = bessel.L_MAX + 1
+    for z in (70.0, np.array([70.0, 3.0 + 1.0j])):
+        with pytest.raises(ValueError, match=f"order l={over} exceeds L_MAX={bessel.L_MAX}"):
+            riccati_table(over, z)
+    assert np.all(np.isfinite(riccati_table(bessel.L_MAX, np.array([70.0, 3.0 + 1.0j]))[0]))
+
+
 @pytest.mark.parametrize("z, parts", IMAG_AXIS_C_14_20)
 def test_irregular_tables_near_the_imaginary_axis(z, parts):
     # y_l recurs upward, but near the imaginary axis it is not the dominant
