@@ -448,7 +448,7 @@ _COMMANDS: dict[str, tuple[str, list[_Param], _Runner]] = {
         "far-field synthesis from harmonic coefficients",
         [_Param("k", "float", required=True),
          _Param("a_coeffs", "coeff_list", required=True,
-                help="[[n, m, re, im], ...] (config file only)"),
+                help="[[n, m, re, im], ...]; required"),
          _DIRECTIONS],
         _run_farfield),
 }
@@ -462,7 +462,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "boundary test that separates balls from other starlike domains")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, params, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, description=help_text)
+        # parameters without a flag are listed after the options
+        config_only = [param for param in params if param.kind not in _FLAG_TYPES]
+        epilog = None
+        if config_only:
+            epilog = "config-only parameters (keys of the --config file):\n" + "".join(
+                f"  {param.name:<12} {param.help}\n" for param in config_only)
+        p = sub.add_parser(name, help=help_text, description=help_text, epilog=epilog,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", help="JSON file with parameter defaults")
         for param in _OUTPUT + params:
             if param.kind in _FLAG_TYPES:

@@ -16,13 +16,20 @@ system are real as well.  The residual does not change: for real A and b,
 ||A(x + iy) - b||^2 = ||Ax - b||^2 + ||Ay||^2, so the least-squares
 minimum over complex coefficients is the real one.
 
-Each frequency is one Householder QR of the equilibrated system with the
-right-hand side appended as a last column, R only: the residual norm is the
-last diagonal entry of R, and the leading triangle carries the singular
-values that the condition check needs (Betcke & Trefethen, "Reviving the
-method of particular solutions", SIAM Rev. 47, 2005).  Scans hold numpy's
-OpenBLAS to one thread, so the frequency thread pool is the only
-parallelism and BLAS threads do not contend with it.
+A scan cuts its frequency grid into blocks of 16 and takes the radial
+factors j_l(k rho) of a whole block from one real-argument table,
+``specfun.spherical_jn_table``; the derivatives follow from the
+recurrence.  The k-independent products of the harmonic tables with the
+normal are formed once per scan.  Each frequency then writes its
+equilibrated system, with the right-hand side appended as a last column,
+transposed into one C-order buffer per block, so the buffer's transpose is
+already in the Fortran order that LAPACK factors.  The factorization is one
+Householder QR, R only: the residual norm is the last diagonal entry of R,
+and the leading triangle carries the singular values that the condition
+check needs (Betcke & Trefethen, "Reviving the method of particular
+solutions", SIAM Rev. 47, 2005).  Scans hold numpy's
+OpenBLAS to one thread, so the block thread pool is the only parallelism
+and BLAS threads do not contend with it.
 
 The Neumann condition comes in two labeled flavors: ``normal`` tests the
 geometric normal derivative on the actual boundary, ``gradient`` asks the
@@ -34,6 +41,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
+import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -43,7 +51,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
-from ..specfun import ylm, ylm_theta_derivative
+from ..specfun import spherical_jn_table, ylm, ylm_theta_derivative
 from .domain import StarlikeDomain, _synthesis
 
 __all__ = [
@@ -59,6 +67,9 @@ _NEUMANN_MODES = ("normal", "gradient")
 _SQRT2 = math.sqrt(2.0)
 # the equilibrated system counts as rank deficient past this cond^2
 _COND2_LIMIT = 1e12
+# frequencies per Bessel table, 3,200 points at L_trial = 8; blocks of 64
+# ran no faster and raised peak memory by about 3 MB
+_BLOCK = 16
 
 
 def _openblas_thread_controls():
@@ -186,43 +197,75 @@ def collocation_frame(domain: StarlikeDomain, L_trial: int = 8,
                             v[0], v[1], v[2], l_values, m_values, Y, dYdt, dYdp)
 
 
-def _assemble(frame: CollocationFrame, k: float, neumann: str) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked real (A, b) with Dirichlet rows u - 1 and 1/k-weighted Neumann rows."""
-    x = k * frame.rho
-    L = frame.L_trial
-    # one table call for j_0..j_max(L, 1); derivatives by the identity
-    # scipy itself uses: j_0' = -j_1, j_l' = j_{l-1} - (l + 1) j_l / x
-    j = spherical_jn(np.arange(max(L, 1) + 1)[:, None], x)
-    jp = np.empty((L + 1, x.size))
-    jp[0] = -j[1]
-    jp[1:] = j[:L] - np.arange(2, L + 2)[:, None] * j[1:L + 1] / x
-    jl = j[frame.l_values]
-    dirichlet = jl * frame.Y
-    # gradient components of j_l(kr) Y_l^m in the spherical frame, each / k
-    g_r = jp[frame.l_values] * frame.Y
-    g_t = jl / frame.rho * frame.dYdt / k
-    g_p = jl / (frame.rho * frame.sin_t) * frame.dYdp / k
+@dataclasses.dataclass(frozen=True)
+class _Rows:
+    """A frame's k-independent row factors for one Neumann mode, built once per scan.
+
+    In the transposed system the Dirichlet block is j_l Y.  With ``normal``
+    the Neumann block is j_l' NY + (j_l / k) T, with NY = n_r Y and
+    T = n_t dYdt / rho + n_p dYdp / (rho sin theta), and ``factors`` is
+    (NY, T).  With ``gradient`` the three Neumann blocks are j_l' Y,
+    (j_l / k) Dt and (j_l / k) Dp, with Dt = dYdt / rho and
+    Dp = dYdp / (rho sin theta), and ``factors`` is (Dt, Dp).
+    """
+
+    frame: CollocationFrame
+    neumann: str
+    factors: tuple[np.ndarray, np.ndarray]
+
+
+def _rows(frame: CollocationFrame, neumann: str) -> _Rows:
+    dt = frame.dYdt / frame.rho
+    dp = frame.dYdp / (frame.rho * frame.sin_t)
     if neumann == "normal":
-        blocks = [dirichlet, frame.n_r * g_r + frame.n_t * g_t + frame.n_p * g_p]
+        factors = (frame.n_r * frame.Y, frame.n_t * dt + frame.n_p * dp)
     else:
-        blocks = [dirichlet, g_r, g_t, g_p]
-    A = np.vstack([b.T for b in blocks])
-    b = np.zeros(A.shape[0])
-    b[:frame.n_points] = 1.0
-    return A, b
+        factors = (dt, dp)
+    return _Rows(frame, neumann, factors)
 
 
-def _solve(frame: CollocationFrame, k: float, neumann: str) -> float:
-    A, b = _assemble(frame, k, neumann)
-    m, n = A.shape
-    scale = np.linalg.norm(A, axis=0)
+def _assemble(rows: _Rows, j: np.ndarray, jp: np.ndarray, k: float,
+              Ab: np.ndarray) -> np.ndarray:
+    """Write the equilibrated system [A / scale | b], transposed, into Ab.
+
+    ``j`` and ``jp`` hold j_l(k rho) and j_l'(k rho) at the collocation
+    points, one row per order from 0.  ``Ab`` is a C-order array of shape
+    (n_modes + 1, rows of A), reused across a block of frequencies.  Row
+    i < n_modes becomes column i of A over its norm ``scale``; the last row
+    is b, 1 on the Dirichlet points and 0 on the 1/k-weighted Neumann
+    points.  Returns Ab.
+    """
+    frame = rows.frame
+    n, p = frame.Y.shape
+    lv = frame.l_values
+    A = Ab[:n]
+    jl = j[lv]
+    np.multiply(jl, frame.Y, out=A[:, :p])
+    jl /= k
+    if rows.neumann == "normal":
+        NY, T = rows.factors
+        np.multiply(jp[lv], NY, out=A[:, p:])
+        A[:, p:] += np.multiply(jl, T, out=jl)
+    else:
+        Dt, Dp = rows.factors
+        np.multiply(jp[lv], frame.Y, out=A[:, p:2 * p])
+        np.multiply(jl, Dt, out=A[:, 2 * p:3 * p])
+        np.multiply(jl, Dp, out=A[:, 3 * p:])
+    scale = np.sqrt(np.einsum("ij,ij->i", A, A))
     scale[scale == 0.0] = 1.0
-    # R of [A / scale | b]: R11 = R[:n, :n] is the triangular factor of
-    # A / scale, c = R[:n, n] is Q1^T b and |R[n, n]| the residual norm
-    Ab = np.empty((m, n + 1))
-    np.divide(A, scale, out=Ab[:, :n])
-    Ab[:, n] = b
-    R = np.linalg.qr(Ab, mode="r")
+    A /= scale[:, None]
+    Ab[n, :p] = 1.0
+    Ab[n, p:] = 0.0
+    return Ab
+
+
+def _solve(Ab: np.ndarray, k: float) -> float:
+    """RMS residual of the least squares whose equilibrated, transposed system is Ab."""
+    n, m = Ab.shape[0] - 1, Ab.shape[1]
+    # R of [A / scale | b], factored through the Fortran-order view of Ab:
+    # R11 = R[:n, :n] is the triangular factor of A / scale, c = R[:n, n]
+    # is Q1^T b and |R[n, n]| the residual norm
+    R = np.linalg.qr(Ab.T, mode="r")
     R11, c = R[:n, :n], R[:n, n]
     rss = R[n, n] ** 2
     # ||R11||_F ||R11^-1||_F bounds cond_2 from above, so a small bound
@@ -238,12 +281,30 @@ def _solve(frame: CollocationFrame, k: float, neumann: str) -> float:
             warnings.warn(
                 f"normal-equation condition number {cond * cond:.2e} exceeds 1e12 "
                 f"at k = {k}; the trial space is effectively rank deficient",
-                RuntimeWarning, stacklevel=3)
+                RuntimeWarning, stacklevel=4)
         # gelsd's rcond=None truncation: singular directions at or below
         # eps max(m, n) s_0 fit nothing, so their share of b stays residual
         dropped = sv <= np.finfo(float).eps * max(m, n) * sv[0]
         rss += np.sum((U[:, dropped].T @ c) ** 2)
     return float(math.sqrt(rss / m))
+
+
+def _scan_block(rows: _Rows, ks: np.ndarray) -> np.ndarray:
+    """Residuals at the frequencies ``ks``, from one Bessel table for all of them."""
+    L = rows.frame.L_trial
+    x = ks[:, None] * rows.frame.rho
+    # one table of j_0..j_max(L, 1); derivatives by the identities
+    # j_0' = -j_1, j_l' = j_{l-1} - (l + 1) j_l / x
+    j = spherical_jn_table(max(L, 1), x)
+    jp = np.empty((L + 1,) + x.shape)
+    jp[0] = -j[1]
+    jp[1:] = j[:L] - np.arange(2, L + 2)[:, None, None] * j[1:L + 1] / x
+    n, p = rows.frame.Y.shape
+    Ab = np.empty((n + 1, (2 if rows.neumann == "normal" else 4) * p))
+    out = np.empty(ks.size)
+    for i, k in enumerate(ks.tolist()):
+        out[i] = _solve(_assemble(rows, j[:, i], jp[:, i], k, Ab), k)
+    return out
 
 
 def overdetermined_residual(domain: StarlikeDomain, k: float, L_trial: int = 8,
@@ -256,15 +317,11 @@ def overdetermined_residual(domain: StarlikeDomain, k: float, L_trial: int = 8,
     value is 0 exactly when some trial function meets both conditions at
     every collocation point, so a ball at one of its radial eigenvalues
     sits at machine-precision depth while any other (domain, k) pair does
-    not.
+    not.  It is the one-frequency ``residual_scan``.
     """
     if not (np.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be positive and finite, got {k}")
-    if neumann not in _NEUMANN_MODES:
-        raise ValueError(f"neumann must be one of {_NEUMANN_MODES}, got {neumann!r}")
-    frame = collocation_frame(domain, L_trial, n_collocation)
-    with _one_blas_thread():
-        return _solve(frame, float(k), neumann)
+    return float(residual_scan(domain, [k], L_trial, n_collocation, neumann)[0])
 
 
 def residual_scan(domain: StarlikeDomain, k_values: Sequence[float],
@@ -272,11 +329,12 @@ def residual_scan(domain: StarlikeDomain, k_values: Sequence[float],
                   neumann: str = "normal", threads: int = 1) -> np.ndarray:
     """overdetermined_residual over a k grid, reusing one collocation frame.
 
-    Frequencies are independent, so ``threads > 1`` fans the solves out to a
+    The grid is cut into blocks of 16 frequencies, each with one Bessel
+    table.  Blocks are independent, so ``threads > 1`` fans them out to a
     thread pool; results come back in grid order either way.  numpy's
-    OpenBLAS is held to one thread for the whole scan, so every solve is
-    the same serial arithmetic and threaded results equal serial ones bit
-    for bit.
+    OpenBLAS is held to one thread for the whole scan, and each point's
+    table and solve do not depend on its block, so threaded results equal
+    serial ones bit for bit.
     """
     if neumann not in _NEUMANN_MODES:
         raise ValueError(f"neumann must be one of {_NEUMANN_MODES}, got {neumann!r}")
@@ -287,12 +345,14 @@ def residual_scan(domain: StarlikeDomain, k_values: Sequence[float],
         raise ValueError("k_values is empty")
     if not np.all(np.isfinite(ks) & (ks > 0.0)):
         raise ValueError("all scan frequencies must be positive and finite")
-    frame = collocation_frame(domain, L_trial, n_collocation)
+    rows = _rows(collocation_frame(domain, L_trial, n_collocation), neumann)
+    blocks = [ks[i:i + _BLOCK] for i in range(0, ks.size, _BLOCK)]
+    scan = functools.partial(_scan_block, rows)
     with _one_blas_thread():
         if threads == 1:
-            return np.array([_solve(frame, float(k), neumann) for k in ks])
+            return np.concatenate(list(map(scan, blocks)))
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.array(list(pool.map(lambda k: _solve(frame, float(k), neumann), ks)))
+            return np.concatenate(list(pool.map(scan, blocks)))
 
 
 def trial_convergence(domain: StarlikeDomain, k: float, l_trials: Sequence[int],

@@ -9,6 +9,7 @@ from .bessel import (
     riccati_table,
     spherical_bessel_j,
     spherical_bessel_y,
+    spherical_jn_table,
 )
 from .legendre import legendre, legendre_theta_derivative
 from .harmonics import (
@@ -32,6 +33,7 @@ __all__ = [
     "sphere_quadrature",
     "spherical_bessel_j",
     "spherical_bessel_y",
+    "spherical_jn_table",
     "ylm",
     "ylm_norm",
     "ylm_on_grid",

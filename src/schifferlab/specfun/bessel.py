@@ -14,12 +14,15 @@ compressed array of its points:
       for j_lmax / j_{lmax-1} and renormalised against j_0 or j_1 (Miller).
 y_l always recurs upward from y_0, y_1 (y is the dominant solution upward,
 except near the imaginary axis, where it loses up to seven digits).
+``spherical_jn_table`` runs the same three j regimes in float64 for real
+x; the recurrence helpers keep the dtype of their points, so the complex
+tables are untouched by the real path.
 
-The recurrences use plain NumPy complex arithmetic and act on each point
-independently, so at real z a point's table does not depend on the other
-points of its batch.  They run on values scaled by exp(-|Im z|), so tables
-stay representable for large |Im z|; the unscaled public functions multiply
-the factor back in.  For real z the scale factor is exactly 1 and real
+The recurrences use plain NumPy arithmetic and act on each point
+independently, so at real z, in either dtype, a point's table does not
+depend on the other points of its batch.  They run on values scaled by
+exp(-|Im z|), so tables stay representable for large |Im z|; the unscaled
+public functions multiply the factor back in.  For real z the scale factor is exactly 1 and real
 inputs propagate zero imaginary parts through every recurrence.
 
 Orders are capped at L_MAX = 60, a module constant that no call changes:
@@ -73,8 +76,8 @@ def _scaled_trig(z, exp=cmath.exp):
 
 
 def _upward(lmax: int, z: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-    """Rows t_0..t_lmax of the three-term recurrence from seeds t_0, t_1."""
-    t = np.empty((lmax + 1, z.size), dtype=complex)
+    """Rows t_0..t_lmax of the three-term recurrence from seeds t_0, t_1, of z's dtype."""
+    t = np.empty((lmax + 1, z.size), dtype=z.dtype)
     t[0] = t0
     if lmax >= 1:
         t[1] = t1
@@ -119,7 +122,7 @@ def _ratio_cf(l: int, z: np.ndarray, max_iter: int = 20000) -> np.ndarray:
 def _miller_downward(lmax: int, z: np.ndarray, zs: np.ndarray,
                      zc: np.ndarray) -> np.ndarray:
     """j_0..j_lmax (scaled) by downward recurrence from a CF-seeded start."""
-    j = np.empty((lmax + 1, z.size), dtype=complex)
+    j = np.empty((lmax + 1, z.size), dtype=z.dtype)
     j[lmax] = _ratio_cf(lmax, z)
     j[lmax - 1] = 1.0
     for l in range(lmax - 1, 0, -1):
@@ -136,12 +139,11 @@ def _miller_downward(lmax: int, z: np.ndarray, zs: np.ndarray,
         return j * np.where(use_j0, j0 / j[0], j1 / j[1])
 
 
-def _jy_scaled(lmax: int, z: np.ndarray, zs: np.ndarray,
-               zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tables of j_0..j_lmax and y_0..y_lmax at a 1-d array of points, each
-    scaled by exp(-|Im z|); shapes (lmax + 1, z.size).  ``zs, zc`` are
-    ``_scaled_trig(z, np.exp)``."""
-    j = np.empty((lmax + 1, z.size), dtype=complex)
+def _j_scaled(lmax: int, z: np.ndarray, zs: np.ndarray, zc: np.ndarray) -> np.ndarray:
+    """Table of j_0..j_lmax at a 1-d array of points, scaled by exp(-|Im z|),
+    of z's dtype; shape (lmax + 1, z.size).  ``zs, zc`` are the scaled
+    sin z and cos z."""
+    j = np.empty((lmax + 1, z.size), dtype=z.dtype)
     # |z| by hypot, as abs(complex) rounds it: np.abs can differ in the
     # last bit, which would move a point across a regime cutoff
     az = np.hypot(z.real, z.imag)
@@ -155,7 +157,7 @@ def _jy_scaled(lmax: int, z: np.ndarray, zs: np.ndarray,
         # cutoff
         zz = z[series]
         dfact = 1.0
-        zp = np.exp(-np.abs(zz.imag)).astype(complex)
+        zp = np.exp(-np.abs(zz.imag)).astype(z.dtype)
         for l in range(lmax + 1):
             j[l, series] = zp / dfact * (1 - zz * zz / (2 * (2 * l + 3)))
             zp = zp * zz
@@ -166,20 +168,30 @@ def _jy_scaled(lmax: int, z: np.ndarray, zs: np.ndarray,
         j[:, upward] = _upward(lmax, zz, j0, j0 / zz - zc[upward] / zz)
     if miller.any():
         j[:, miller] = _miller_downward(lmax, z[miller], zs[miller], zc[miller])
+    return j
 
+
+def _jy_scaled(lmax: int, z: np.ndarray, zs: np.ndarray,
+               zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of j_0..j_lmax and y_0..y_lmax at a 1-d array of complex
+    points, each scaled by exp(-|Im z|); shapes (lmax + 1, z.size).
+    ``zs, zc`` are ``_scaled_trig(z, np.exp)``."""
+    j = _j_scaled(lmax, z, zs, zc)
     y0 = -zc / z
     y = _upward(lmax, z, y0, y0 / z - zs / z)
     return j, y
 
 
-def _check_order_array(lmax: int, z) -> np.ndarray:
-    """Complex copy of z, every point validated as _check_order_arg would."""
-    z = np.asarray(z, dtype=complex)
-    valid = np.isfinite(z) & (np.abs(z) <= Z_MAX) & (z != 0)
+def _check_order_array(lmax: int, z, dtype=complex, need_nonzero: bool = True) -> np.ndarray:
+    """z as an array of ``dtype``, every point validated as _check_order_arg would."""
+    z = np.asarray(z, dtype=dtype)
+    valid = np.isfinite(z) & (np.abs(z) <= Z_MAX)
+    if need_nonzero:
+        valid &= z != 0
     # the scalar check of the first invalid point (or of any point, if all
     # are valid) raises its exact message and validates lmax
     probe = z.flat[np.argmin(valid)] if z.size else 1.0
-    _check_order_arg(lmax, probe, need_nonzero=True)
+    _check_order_arg(lmax, probe, need_nonzero=need_nonzero)
     return z
 
 
@@ -223,6 +235,21 @@ def spherical_bessel_y(l: int, z: complex) -> complex:
     z = _check_order_arg(l, z, need_nonzero=True)
     _, y = _jy_point(l, z)
     return _unscale(y[l], z)
+
+
+def spherical_jn_table(lmax: int, x) -> np.ndarray:
+    """j_0..j_lmax at real x, float64 of shape ``(lmax + 1,) + np.shape(x)``.
+
+    The kernel behind ``riccati_table``, run in real arithmetic: the series
+    below |x| = 1e-6, upward recurrence where |x| >= lmax, Miller's
+    downward recurrence elsewhere.  Each point's column depends on that
+    point alone, so a batch equals its one-point calls bitwise.  Every
+    point is validated as a scalar x would be; x = 0 is allowed.
+    """
+    x = _check_order_array(lmax, x, dtype=float, need_nonzero=False)
+    flat = x.ravel()
+    j = _j_scaled(lmax, flat, np.sin(flat), np.cos(flat))
+    return j.reshape((lmax + 1,) + x.shape)
 
 
 def riccati_table(lmax: int, z, scaled: bool = False):

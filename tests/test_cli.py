@@ -245,6 +245,20 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, keys", [("farfield", ("a_coeffs", "directions")),
+                                           ("ray-scan", ("directions",))])
+def test_help_lists_the_config_only_parameters(capsys, command, keys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    tail = text[text.index("config-only parameters"):]
+    for key in keys:
+        assert f"  {key} " in tail
+        assert "--" + key.replace("_", "-") not in text
+    assert "[[theta, phi], ...]" in tail
+
+
 def test_flags_override_config(run_cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"l": 0, "r_hat": 1.0, "k_max": 2.0}))

@@ -313,6 +313,21 @@ def test_residual_scan_matches_pointwise_calls():
         assert list(threaded) == list(scan)
 
 
+def test_block_scans_are_bitwise_their_pieces_and_their_threaded_runs():
+    # 40 frequencies span three blocks; cuts inside and across blocks
+    domain = seeded_domain(7)
+    ks = np.linspace(0.6, 11.0, 40)
+    for neumann in ("normal", "gradient"):
+        scan = residual_scan(domain, ks, L_trial=4, neumann=neumann)
+        pieces = np.concatenate([residual_scan(domain, ks[a:b], L_trial=4, neumann=neumann)
+                                 for a, b in ((0, 5), (5, 21), (21, 40))])
+        threaded = residual_scan(domain, ks, L_trial=4, neumann=neumann, threads=2)
+        assert scan.tobytes() == pieces.tobytes() == threaded.tobytes()
+        for k, r in zip(ks[::7], scan[::7]):
+            assert_allclose(r, overdetermined_residual(domain, k, L_trial=4, neumann=neumann),
+                            rtol=1e-12)
+
+
 def complex_basis_residual(frame, k: float, neumann: str) -> float:
     """Reference: the residual from the complex Y_l^m basis, assembled term by term.
 
@@ -398,11 +413,18 @@ def lstsq_reference(A: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return float(np.linalg.norm(An @ coeffs - b) / math.sqrt(A.shape[0])), cond * cond
 
 
+def transposed_system(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[A / scale | b] transposed, the layout od._assemble writes."""
+    scale = np.linalg.norm(A, axis=0)
+    scale[scale == 0.0] = 1.0
+    return np.vstack([(A / scale).T, b])
+
+
 def test_rank_deficient_system_warns(monkeypatch):
     A = np.ones((10, 3))
     b = np.zeros(10)
     b[:5] = 1.0
-    monkeypatch.setattr(od, "_assemble", lambda frame, k, neumann: (A, b))
+    monkeypatch.setattr(od, "_assemble", lambda rows, j, jp, k, Ab: transposed_system(A, b))
     with pytest.warns(RuntimeWarning, match="rank deficient"):
         got = overdetermined_residual(unit_ball(), 1.0, L_trial=2)
     # gelsd drops the two null directions, leaving the fit by the mean
@@ -434,7 +456,7 @@ def test_condition_warning_follows_the_singular_values(monkeypatch, target):
     A, b = nearly_dependent_system(target)
     want, cond2 = lstsq_reference(A, b)
     assert_allclose(cond2, target, rtol=1e-3)
-    monkeypatch.setattr(od, "_assemble", lambda frame, k, neumann: (A, b))
+    monkeypatch.setattr(od, "_assemble", lambda rows, j, jp, k, Ab: transposed_system(A, b))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = overdetermined_residual(unit_ball(), 1.0, L_trial=1)
@@ -473,9 +495,9 @@ def test_scans_hold_blas_to_one_thread_and_restore_it_on_error(monkeypatch):
     b = np.ones(10)
     seen = []
 
-    def rank_deficient(frame, k, neumann):
+    def rank_deficient(rows, j, jp, k, Ab):
         seen.append(openblas_threads())
-        return A, b
+        return transposed_system(A, b)
 
     monkeypatch.setattr(od, "_assemble", rank_deficient)
     before = openblas_threads()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import spherical_jn
 
 import schifferlab.specfun as specfun
 from schifferlab.specfun import bessel
@@ -21,6 +22,7 @@ from schifferlab.specfun import (
     riccati_table,
     spherical_bessel_j,
     spherical_bessel_y,
+    spherical_jn_table,
 )
 
 # mpmath dps=40
@@ -357,3 +359,61 @@ def test_array_overflow_names_the_point():
         riccati_table(2, z)
     S, _, _, _ = riccati_table(2, z, scaled=True)
     assert np.all(np.isfinite(S))
+
+
+# ----------------------------------------------------------- real-x j table
+
+
+@st.composite
+def _real_table_args(draw):
+    """lmax <= 20 and x in (0, 60], with points on both sides of x = lmax."""
+    lmax = draw(st.integers(0, 20))
+    anywhere = st.floats(0.0, 60.0, exclude_min=True, allow_subnormal=False)
+    below = st.floats(0.0, float(lmax), exclude_min=True, exclude_max=True,
+                      allow_subnormal=False) if lmax else anywhere
+    above = st.floats(max(float(lmax), 1e-300), 60.0)
+    x = [draw(below), draw(above)] + draw(st.lists(st.one_of(anywhere, below, above),
+                                                   max_size=8))
+    return lmax, np.array(x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(args=_real_table_args())
+def test_real_table_matches_scipy(args):
+    lmax, x = args
+    got = spherical_jn_table(lmax, x)
+    assert got.shape == (lmax + 1, x.size) and got.dtype == np.float64
+    want = spherical_jn(np.arange(lmax + 1)[:, None], x)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), (x, got, want)
+
+
+def test_real_table_columns_do_not_depend_on_the_batch():
+    # series, Miller and upward points, and both sides of each cutoff
+    x = np.concatenate([[0.0, 3e-7, np.nextafter(1e-6, 0.0), 1e-6, 0.5, 2.3,
+                         np.nextafter(8.0, 0.0), 8.0, 1e3, -4.5],
+                        np.linspace(0.01, 30.0, 41)])
+    for lmax in (0, 1, 3, 8, 20):
+        batch = spherical_jn_table(lmax, x.reshape(3, 17))
+        assert batch.shape == (lmax + 1, 3, 17)
+        for i, xi in enumerate(x):
+            alone = spherical_jn_table(lmax, xi)
+            assert alone.shape == (lmax + 1,)
+            assert batch.reshape(lmax + 1, -1)[:, i].tobytes() == alone.tobytes()
+            assert spherical_jn_table(lmax, x[i:i + 1])[:, 0].tobytes() == alone.tobytes()
+
+
+def test_real_table_agrees_with_the_complex_kernel_and_validates():
+    x = np.array([0.0, 1e-7, 0.7, 5.5, 13.0, 200.0])
+    j = spherical_jn_table(12, x)
+    assert j[0, 0] == 1.0 and np.all(j[1:, 0] == 0.0)
+    for l in (0, 5, 12):
+        for xi, got in zip(x[1:], j[l, 1:]):
+            assert_allclose(got, spherical_bessel_j(l, xi).real, rtol=1e-13, atol=1e-300)
+    with pytest.raises(ValueError, match=f"order l=61 exceeds L_MAX={L_MAX}"):
+        spherical_jn_table(61, x)
+    for bad in (math.nan, math.inf, 2.0 * Z_MAX):
+        with pytest.raises(ValueError) as scalar:
+            spherical_bessel_j(3, bad)
+        with pytest.raises(ValueError) as array:
+            spherical_jn_table(3, np.array([1.0, bad]))
+        assert str(array.value) == str(scalar.value)
