@@ -34,6 +34,7 @@ from .eigsearch import (
     find_real_eigenvalues,
 )
 from .entire import indicator
+from .errors import NumericalError
 from .scatter import (
     FarFieldPattern,
     StarlikeDomain,
@@ -486,12 +487,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         merged = _merge(args, _OUTPUT + params)
         columns, rows, summary = runner(merged)
+    except (NumericalError, RuntimeError, OverflowError) as exc:
+        print(f"schifferlab: numerical failure: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"schifferlab: config error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, OverflowError) as exc:
-        print(f"schifferlab: numerical failure: {exc}", file=sys.stderr)
-        return 1
     text = _render(args.command, merged["format"], columns, rows, summary)
     if merged["out"] is None:
         sys.stdout.write(text)

@@ -21,7 +21,9 @@ import numpy as np
 from scipy.optimize import brentq  # noqa: F401  (uncalled; bench/tracing.py looks it up)
 
 from .entire import Evaluator, winding_count
-from .specfun import riccati_table
+from .errors import UnderflowError
+from .specfun import riccati_s_table
+from .specfun import riccati_table  # noqa: F401  (uncalled; bench/tracing.py rebinds it)
 
 __all__ = [
     "EigenvalueRecord",
@@ -86,30 +88,50 @@ def _check_dispersion_args(R_hat: float, k) -> None:
         raise ValueError("R_hat must be positive")
 
 
+def _regular_rows(l: int, k, z):
+    """Rows S_0..S_l and S_0'..S_l' at z = k R_hat (k != 0), in z's dtype.
+
+    S_l and S_l' have no common zero at z != 0, so both reading exactly 0
+    is underflow (tiny |z|, large l), and B(k) = 0 there would pass for a
+    root: UnderflowError, naming the first such k.
+    """
+    S, Sp = riccati_s_table(l, z)
+    dead = (S[l] == 0) & (Sp[l] == 0)
+    if dead.any():
+        bad = np.ravel(k)[np.argmax(dead)].item()
+        raise UnderflowError(f"S_{l} and S_{l}' underflow to 0 at k={bad!r}")
+    return S, Sp
+
+
+def _complex_rows(l: int, R_hat: float, k):
+    """S_l and S_l' at complex k R_hat, for k validated as dispersion does."""
+    _check_dispersion_args(R_hat, k)
+    S, Sp = _regular_rows(l, k, np.asarray(k * R_hat, dtype=complex))
+    return S[l], Sp[l]
+
+
 def dispersion(l: int, R_hat: float, k):
     """B(k) = R_hat*S_l'(k R_hat) - S_l(k R_hat)/k, the irregular coefficient.
 
     Entire in k (the k = 0 singularity of the sin term is removable); the
     argument k = 0 itself is rejected.  For l = 0 this is exactly
     R_hat*cos(k R_hat) - sin(k R_hat)/k, and real k gives real values.
-    An ndarray k is evaluated elementwise in one riccati_table call.
+    An ndarray k is evaluated elementwise in one complex riccati_s_table
+    call.  Where S_l and S_l' both underflow to 0, UnderflowError.
     """
-    _check_dispersion_args(R_hat, k)
-    S, _, Sp, _ = riccati_table(l, k * R_hat)
-    return _coefficient(R_hat, k, S[l], Sp[l])
+    S, Sp = _complex_rows(l, R_hat, k)
+    return _coefficient(R_hat, k, S, Sp)
 
 
 def dispersion_function(l: int, R_hat: float) -> Evaluator:
     """The contour evaluator k -> (B(k), B'(k)) of dispersion(l, R_hat, .).
 
-    Both come from one riccati_table call, elementwise on an ndarray of k;
-    B is bitwise dispersion(l, R_hat, k) and B' is the closed form of
+    Both come from one riccati_s_table call, elementwise on an ndarray of
+    k; B is bitwise dispersion(l, R_hat, k) and B' is the closed form of
     _coefficient_derivative.  Arguments are validated as dispersion does.
     """
     def pair(k):
-        _check_dispersion_args(R_hat, k)
-        S, _, Sp, _ = riccati_table(l, k * R_hat)
-        S, Sp = S[l], Sp[l]
+        S, Sp = _complex_rows(l, R_hat, k)
         return (_coefficient(R_hat, k, S, Sp),
                 _coefficient_derivative(l, R_hat, k, S, Sp))
 
@@ -124,13 +146,13 @@ def dispersion_log_abs(l: int, R_hat: float, k: complex) -> float:
     """
     if k == 0:
         raise ValueError("dispersion is evaluated away from k = 0")
-    z = k * R_hat
-    S, _, Sp, _ = riccati_table(l, z, scaled=True)
+    z = complex(k * R_hat)
+    S, Sp = riccati_s_table(l, z, scaled=True)
     scaled = _coefficient(R_hat, k, S[l], Sp[l])
     mag = abs(scaled)
     if mag == 0.0:
         return -math.inf
-    return math.log(mag) + abs(complex(z).imag)
+    return math.log(mag) + abs(z.imag)
 
 
 def _scan_nodes(k_max: float, scan_step: float) -> np.ndarray:
@@ -146,11 +168,10 @@ def _scan_nodes(k_max: float, scan_step: float) -> np.ndarray:
 def _dispersion_rows(lmax: int, R: np.ndarray, k: np.ndarray, derivative: bool = False):
     """B_l(k) for l = 0..lmax at real k on radii R (1-d arrays), rows by l.
 
-    One riccati_table call.  With ``derivative`` also B_l'(k) by
-    _coefficient_derivative.
+    One float64 riccati_s_table call, which UnderflowError guards.  With
+    ``derivative`` also B_l'(k) by _coefficient_derivative.
     """
-    S, _, Sp, _ = riccati_table(lmax, k * R)
-    S, Sp = S.real, Sp.real
+    S, Sp = _regular_rows(lmax, k, k * R)
     B = _coefficient(R, k, S, Sp)
     if not derivative:
         return B
@@ -214,23 +235,22 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float],
     """
     nodes = [_scan_nodes(k_max, s) for s in steps]
     k = np.concatenate(nodes)
-    B = _dispersion_rows(lmax, np.repeat(np.asarray(radii, dtype=float),
-                                         [n.size for n in nodes]), k)
+    sizes = [n.size for n in nodes]
+    degrees = np.asarray(degrees)
+    V = _dispersion_rows(lmax, np.repeat(np.asarray(radii, dtype=float), sizes), k)[degrees]
 
     # sign-change brackets (r, l, a, b, f_a, f_b) in k order per radius and
-    # degree; f_a = 0 marks a node exactly on a root
-    brackets = []
-    start = 0
-    for r, kr in enumerate(nodes):
-        for l in degrees:
-            v = B[l, start:start + kr.size]
-            for i in np.flatnonzero((v[:-1] * v[1:] < 0) | (v[:-1] == 0)):
-                brackets.append((r, l, kr[i], kr[i + 1], v[i], v[i + 1]))
-        start += kr.size
-    spectra = [{l: [] for l in degrees} for _ in radii]
-    if not brackets:
+    # degree, from one pass over the table; f_a = 0 marks a node exactly on
+    # a root, and the node pair where one radius's scan meets the next is
+    # no bracket
+    change = (V[:, :-1] * V[:, 1:] < 0) | (V[:, :-1] == 0)
+    change[:, np.cumsum(sizes)[:-1] - 1] = False
+    d, i = np.nonzero(change)
+    r_of = np.repeat(np.arange(len(sizes)), sizes)[i]
+    rows, lo, hi, f_lo, f_hi = degrees[d], k[i], k[i + 1], V[d, i], V[d, i + 1]
+    spectra = [{l: [] for l in degrees.tolist()} for _ in radii]
+    if not i.size:
         return spectra
-    r_of, rows, lo, hi, f_lo, f_hi = (np.array(c) for c in zip(*brackets))
     R = np.asarray(radii, dtype=float)[r_of]
 
     # a node on a root opens its bracket a quarter step to the left; if B
@@ -248,11 +268,11 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float],
         residuals[live] = np.abs(_dispersion_rows(lmax, R[live], roots[live])[
             rows[live], np.arange(live.size)])
 
-    for (r, l, *_), root, residual, a, b in zip(brackets, roots, residuals, lo, hi):
+    for r, l, root, residual, a, b in zip(*(c.tolist() for c in
+                                            (r_of, rows, roots, residuals, lo, hi))):
         if residual > tol:
             raise RuntimeError(f"root refinement at k={root} left residual {residual} > {tol}")
-        spectra[r][l].append(EigenvalueRecord(l, float(root), float(residual),
-                                              (float(a), float(b))))
+        spectra[r][l].append(EigenvalueRecord(l, root, residual, (a, b)))
     for eigen in spectra:
         for records in eigen.values():
             for prev, cur in zip(records, records[1:]):
@@ -326,8 +346,9 @@ def count_zeros_argument_principle(f: Evaluator,
     ``dispersion_function`` does, and is called once per pass.  The closed
     path carries ``quad_nodes`` trapezoid nodes per side.  Errors: a zero
     of f on the boundary (a node where |f| collapses below 1e-8 of the
-    local boundary scale) raises ValueError; a non-integer winding (off by
-    more than 0.1 after one refinement) raises RuntimeError.
+    local boundary scale) raises NumericalError, a ValueError; a
+    non-integer winding (off by more than 0.1 after one refinement) raises
+    RuntimeError.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_lo < re_hi and im_lo < im_hi):

@@ -22,6 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = [
     "SectorCount",
     "DensityTable",
@@ -38,7 +40,7 @@ _ANGLE_NUDGE = 1e-3
 Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-class _ContourZeroError(ValueError):
+class _ContourZeroError(NumericalError):
     """f vanishes at a contour node (or everywhere on the contour)."""
 
 
@@ -131,7 +133,7 @@ def winding_count(f: Evaluator, contour: Callable[[int], np.ndarray],
     resolution n.  A winding more than 0.1 from an integer is recomputed
     once on ``contour(4 * quad_nodes)``; if it is still off, RuntimeError
     "<name> quadrature failed".  A zero of f on the contour raises
-    ValueError.
+    NumericalError (a ValueError).
     """
     w = _winding(f, contour(quad_nodes))
     nearest = round(w)
@@ -170,7 +172,7 @@ def zero_count_sector(f: Evaluator, alpha: float, beta: float, r: float,
             b -= _ANGLE_NUDGE
             continue
         return SectorCount(a, b, r, count)
-    raise ValueError(f"could not free the sector contour of zeros: {last_err}")
+    raise NumericalError(f"could not free the sector contour of zeros: {last_err}")
 
 
 def density_table(f: Evaluator, alpha: float, beta: float,
@@ -220,7 +222,7 @@ def indicator(f: Callable[[complex], complex], theta: float,
                 raise OverflowError(
                     "evaluator overflowed; supply log_abs for this ray")
             if mag == 0.0:
-                raise ValueError(f"f vanishes at the sample point r={r}")
+                raise NumericalError(f"f vanishes at the sample point r={r}")
             logmag = math.log(mag)
         hs.append(logmag / r)
     top = np.array(rs[-3:])

@@ -19,11 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from .._atomic import write_atomic
+from ..errors import NumericalError
 from ..specfun import (
     SphericalDirection,
     SphereQuadrature,
+    legendre_column,
     sphere_quadrature,
     ylm,
+    ylm_norm,
     ylm_on_grid,
     ylm_theta_derivative,
 )
@@ -111,17 +114,28 @@ def _synthesis(domain: StarlikeDomain, theta: float, phi: float) -> tuple[float,
 
 def ray_radii(domain: StarlikeDomain,
               directions: Sequence[SphericalDirection]) -> np.ndarray:
-    """rho at every direction, in one synthesis over the array of angles."""
+    """rho at every direction, in one synthesis over the array of angles.
+
+    Each order |m| takes its P_l^{|m|}(cos theta) from one Legendre column,
+    so every term is bitwise the value * ylm(l, m, theta, phi) it stands for.
+    A direction where the synthesis leaves rho <= 0 raises NumericalError.
+    """
     theta = np.array([d.theta for d in directions], dtype=float)
     phi = np.array([d.phi for d in directions], dtype=float)
+    t = np.cos(theta)
+    top = max(l for l, _, _ in domain.rho_coeffs)
+    columns = {}
     rho = np.zeros(theta.shape, dtype=complex)
     for l, m, value in domain.rho_coeffs:
-        rho += value * ylm(l, m, theta, phi)
+        am = abs(m)
+        if am not in columns:
+            columns[am] = legendre_column(top, am, t)
+        rho += value * (ylm_norm(l, m) * columns[am][l - am] * np.exp(1j * m * phi))
     rho = rho.real
     bad = ~(rho > 0.0)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(f"synthesis gave rho = {float(rho[i])} <= 0 at {directions[i]}")
+        raise NumericalError(f"synthesis gave rho = {float(rho[i])} <= 0 at {directions[i]}")
     return rho
 
 

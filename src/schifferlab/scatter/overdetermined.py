@@ -51,6 +51,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
+from ..errors import NumericalError
 from ..specfun import spherical_jn_table, ylm, ylm_theta_derivative
 from .domain import StarlikeDomain, _synthesis
 
@@ -171,7 +172,7 @@ def collocation_frame(domain: StarlikeDomain, L_trial: int = 8,
     rho, dth, dph = _synthesis(domain, theta, phi)
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
-        raise ValueError("boundary synthesis gave rho <= 0 at a collocation point")
+        raise NumericalError("boundary synthesis gave rho <= 0 at a collocation point")
     sin_t = np.maximum(np.sin(theta), 1e-12)
     v = np.stack([np.ones_like(rho), -dth / rho, -dph / (rho * sin_t)])
     v /= np.linalg.norm(v, axis=0)

@@ -6,12 +6,13 @@ are capped at the fixed ``L_MAX`` = 60 and arguments at ``Z_MAX``."""
 from .bessel import (
     L_MAX,
     Z_MAX,
+    riccati_s_table,
     riccati_table,
     spherical_bessel_j,
     spherical_bessel_y,
     spherical_jn_table,
 )
-from .legendre import legendre, legendre_theta_derivative
+from .legendre import legendre, legendre_column, legendre_theta_derivative
 from .harmonics import (
     SphereQuadrature,
     SphericalDirection,
@@ -28,7 +29,9 @@ __all__ = [
     "SphereQuadrature",
     "SphericalDirection",
     "legendre",
+    "legendre_column",
     "legendre_theta_derivative",
+    "riccati_s_table",
     "riccati_table",
     "sphere_quadrature",
     "spherical_bessel_j",

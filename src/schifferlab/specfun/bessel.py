@@ -18,6 +18,16 @@ except near the imaginary axis, where it loses up to seven digits).
 x; the recurrence helpers keep the dtype of their points, so the complex
 tables are untouched by the real path.
 
+``riccati_s_table`` is the entry point for callers that read only the
+regular half, S_l and S_l': it runs the j regimes in the dtype of its
+points (float64 for real points, so a real-axis scan does no complex
+arithmetic) and skips y_l, C_l and C_l' altogether.  ``riccati_table``
+takes its S and S' from the same helper and adds the C/C' half, so at
+complex points the two return bitwise the same S and S'.  At real x the
+float64 and complex tables differ by rounding only: complex division
+rounds (2l+1)/z as (2l+1)*(1/z), and the recurrences carry that
+difference along.
+
 The recurrences use plain NumPy arithmetic and act on each point
 independently, so at real z, in either dtype, a point's table does not
 depend on the other points of its batch.  They run on values scaled by
@@ -171,15 +181,28 @@ def _j_scaled(lmax: int, z: np.ndarray, zs: np.ndarray, zc: np.ndarray) -> np.nd
     return j
 
 
-def _jy_scaled(lmax: int, z: np.ndarray, zs: np.ndarray,
-               zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tables of j_0..j_lmax and y_0..y_lmax at a 1-d array of complex
-    points, each scaled by exp(-|Im z|); shapes (lmax + 1, z.size).
-    ``zs, zc`` are ``_scaled_trig(z, np.exp)``."""
-    j = _j_scaled(lmax, z, zs, zc)
+def _y_scaled(lmax: int, z: np.ndarray, zs: np.ndarray, zc: np.ndarray) -> np.ndarray:
+    """Table of y_0..y_lmax at a 1-d array of complex points, scaled by
+    exp(-|Im z|); ``zs, zc`` are ``_scaled_trig(z, np.exp)``."""
     y0 = -zc / z
-    y = _upward(lmax, z, y0, y0 / z - zs / z)
-    return j, y
+    return _upward(lmax, z, y0, y0 / z - zs / z)
+
+
+def _derivative(F: np.ndarray, d0: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Rows F_0'..F_lmax' of a Riccati table F at z: the order-0 row ``d0``,
+    then F_l' = F_{l-1} - (l/z) F_l."""
+    Fp = np.empty_like(F)
+    Fp[0] = d0
+    Fp[1:] = F[:-1] - np.arange(1, F.shape[0])[:, None] / z * F[1:]
+    return Fp
+
+
+def _regular(lmax: int, z: np.ndarray, zs: np.ndarray,
+             zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled S_0..S_lmax and S_0'..S_lmax' at a 1-d array of points, in
+    their dtype; ``zs, zc`` are the scaled sin z and cos z."""
+    S = z * _j_scaled(lmax, z, zs, zc)
+    return S, _derivative(S, zc, z)
 
 
 def _check_order_array(lmax: int, z, dtype=complex, need_nonzero: bool = True) -> np.ndarray:
@@ -203,6 +226,21 @@ def _growth(z: complex, what: str) -> float:
         raise OverflowError(f"{what} overflows double range at z={z!r}") from None
 
 
+def _unscaled(tables: tuple[np.ndarray, ...], z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Scaled tables at the 1-d points z times exp(|Im z|) (real z: as they
+    are); OverflowError names the first point where an entry is not finite,
+    with no numpy warning before it."""
+    if np.iscomplexobj(z):
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = np.exp(np.abs(z.imag))
+            tables = tuple(t * f for t in tables)
+    finite = np.logical_and.reduce([np.isfinite(t).all(axis=0) for t in tables])
+    if not finite.all():
+        bad = complex(z[np.argmin(finite)])
+        raise OverflowError(f"Riccati table overflows double range at z={bad!r}")
+    return tables
+
+
 def _unscale(value: complex, z: complex) -> complex:
     out = value if z.imag == 0 else value * _growth(z, "value")
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
@@ -211,13 +249,14 @@ def _unscale(value: complex, z: complex) -> complex:
 
 
 def _jy_point(lmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """_jy_scaled at the one point z, as (lmax + 1,) arrays.
+    """The scaled j and y tables at the one point z, as (lmax + 1,) arrays.
 
     An overflow (y_l at tiny real z) is left to the caller's check, not warned.
     """
     z = np.array([z])
+    zs, zc = _scaled_trig(z, np.exp)
     with np.errstate(over="ignore", invalid="ignore"):
-        j, y = _jy_scaled(lmax, z, *_scaled_trig(z, np.exp))
+        j, y = _j_scaled(lmax, z, zs, zc), _y_scaled(lmax, z, zs, zc)
     return j[:, 0], y[:, 0]
 
 
@@ -252,13 +291,37 @@ def spherical_jn_table(lmax: int, x) -> np.ndarray:
     return j.reshape((lmax + 1,) + x.shape)
 
 
+def riccati_s_table(lmax: int, z, scaled: bool = False):
+    """(S, S') arrays for orders 0..lmax at z, primes w.r.t. z: the regular
+    half of ``riccati_table``, with no y_l, C_l or C_l' computed.
+
+    Real z (any non-complex dtype) runs in float64 and returns float64
+    tables; complex z returns complex tables, bitwise the S and S' of
+    ``riccati_table(lmax, z, scaled)``.  Shapes, validation, ``scaled`` and
+    the OverflowError that names the first point whose unscaled S or S' is
+    not finite are as in ``riccati_table``.  Each point's columns depend on
+    that point alone, so a batch equals its one-point calls bitwise.
+    """
+    real = not np.iscomplexobj(z)
+    z = _check_order_array(lmax, z, dtype=float if real else complex)
+    flat = z.ravel()
+    zs, zc = (np.sin(flat), np.cos(flat)) if real else _scaled_trig(flat, np.exp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = _regular(lmax, flat, zs, zc)
+    if not scaled:
+        tables = _unscaled(tables, flat)
+    shape = (lmax + 1,) + z.shape
+    return tuple(t.reshape(shape) for t in tables)
+
+
 def riccati_table(lmax: int, z, scaled: bool = False):
     """(S, C, S', C') arrays for orders 0..lmax at z, primes w.r.t. z.
 
     S_l' = S_{l-1} - (l/z) S_l for l >= 1 (same relation for C); the order-0
     derivatives are cos z and -sin z.  With ``scaled=True`` the tables carry
     an implicit factor exp(|Im z|); callers doing log-magnitude work add
-    ``abs(z.imag)`` back themselves and never overflow.
+    ``abs(z.imag)`` back themselves and never overflow.  S and S' come from
+    the helper behind ``riccati_s_table``; this adds the C/C' half.
 
     z may be a scalar or an ndarray; the four arrays have shape
     ``(lmax + 1,) + np.shape(z)``, so a scalar z gives (lmax + 1,) arrays.
@@ -271,25 +334,11 @@ def riccati_table(lmax: int, z, scaled: bool = False):
     flat = z.ravel()
     zs, zc = _scaled_trig(flat, np.exp)
     with np.errstate(over="ignore", invalid="ignore"):
-        j, y = _jy_scaled(lmax, flat, zs, zc)
-        S = flat * j
-        C = -flat * y
-        Sp = np.empty_like(S)
-        Cp = np.empty_like(C)
-        Sp[0] = zc
-        Cp[0] = -zs
-        l = np.arange(1, lmax + 1)[:, None]
-        Sp[1:] = S[:-1] - l / flat * S[1:]
-        Cp[1:] = C[:-1] - l / flat * C[1:]
+        S, Sp = _regular(lmax, flat, zs, zc)
+        C = -flat * _y_scaled(lmax, flat, zs, zc)
+        Cp = _derivative(C, -zs, flat)
     tables = (S, C, Sp, Cp)
     if not scaled:
-        m = np.abs(flat.imag)
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = np.exp(m)
-            tables = tuple(t * f for t in tables)
-        finite = np.logical_and.reduce([np.isfinite(t).all(axis=0) for t in tables])
-        if not finite.all():
-            bad = complex(flat[np.argmin(finite)])
-            raise OverflowError(f"Riccati table overflows double range at z={bad!r}")
+        tables = _unscaled(tables, flat)
     shape = (lmax + 1,) + z.shape
     return tuple(t.reshape(shape) for t in tables)

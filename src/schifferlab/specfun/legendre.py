@@ -21,13 +21,10 @@ def _check_degree(l: int, m: int) -> int:
     return abs(m)
 
 
-def legendre(l: int, m: int, t):
-    """Associated Legendre P_l^{|m|}(t) on [-1, 1], no Condon-Shortley phase.
-
-    Upward recurrence in l from the diagonal seed
-    P_m^m = (2m-1)!! (1-t^2)^{m/2}.
-    """
-    m = _check_degree(l, m)
+def _legendre_rows(lmax: int, m: int, t) -> list:
+    """[P_{|m|}^{|m|}(t), ..., P_lmax^{|m|}(t)]: the one upward recurrence in l
+    from the diagonal seed P_m^m = (2m-1)!! (1-t^2)^{m/2}."""
+    m = _check_degree(lmax, m)
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1 + 1e-12):
         raise ValueError("argument t outside [-1, 1]")
@@ -41,14 +38,28 @@ def legendre(l: int, m: int, t):
         for i in range(1, m + 1):
             pmm = pmm * dfact * s
             dfact += 2.0
-    if l == m:
-        return pmm if pmm.ndim else float(pmm)
-    pmmp1 = t * (2 * m + 1) * pmm
-    if l == m + 1:
-        return pmmp1 if pmmp1.ndim else float(pmmp1)
-    for ll in range(m + 2, l + 1):
-        pmm, pmmp1 = pmmp1, (t * (2 * ll - 1) * pmmp1 - (ll + m - 1) * pmm) / (ll - m)
-    return pmmp1 if pmmp1.ndim else float(pmmp1)
+    rows = [pmm]
+    if lmax > m:
+        rows.append(t * (2 * m + 1) * pmm)
+    for ll in range(m + 2, lmax + 1):
+        rows.append((t * (2 * ll - 1) * rows[-1] - (ll + m - 1) * rows[-2]) / (ll - m))
+    return rows
+
+
+def legendre_column(lmax: int, m: int, t):
+    """P_{|m|}^{|m|}(t), ..., P_lmax^{|m|}(t): the column of one order, by l.
+
+    Entry ``l - |m|`` is P_l^{|m|}, bitwise ``legendre(l, m, t)``; shape
+    ``(lmax - |m| + 1,) + np.shape(t)``.
+    """
+    return np.stack(_legendre_rows(lmax, m, t))
+
+
+def legendre(l: int, m: int, t):
+    """Associated Legendre P_l^{|m|}(t) on [-1, 1], no Condon-Shortley phase:
+    the last entry of the column ``legendre_column(l, m, t)``."""
+    out = _legendre_rows(l, m, t)[-1]
+    return out if out.ndim else float(out)
 
 
 def legendre_theta_derivative(l: int, m: int, theta):

@@ -7,6 +7,7 @@ overflow test, whose numpy warnings would have to reach the real stderr.
 
 import builtins
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -17,6 +18,7 @@ from typing import NamedTuple
 import pytest
 
 from schifferlab import cli
+from schifferlab.eigsearch import count_zeros_argument_principle, dispersion_function
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
@@ -153,12 +155,46 @@ def test_overflow_is_a_numerical_failure(monkeypatch, capsys):
 
 
 def test_overflow_stderr_is_one_line():
-    # C_60 overflows at k = 1e-5; numpy warnings must not precede the message
+    # S_60 and S_60' underflow to 0 at k = 1e-5; numpy warnings must not
+    # precede the message
     res = run_module("eigen-scan", "--l", "60", "--r-hat", "1", "--k-max", "0.01",
                      "--scan-step", "1e-5")
     assert res.returncode == 1
-    assert res.stderr == ("schifferlab: numerical failure: Riccati table overflows "
-                          "double range at z=(1e-05+0j)\n")
+    assert res.stderr == ("schifferlab: numerical failure: S_60 and S_60' underflow "
+                          "to 0 at k=1e-05\n")
+
+
+def test_a_zero_on_a_contour_is_a_numerical_failure(run_cli, monkeypatch):
+    # the right edge of the rectangle runs through K1 = 4.4934..., a root of
+    # B_0 at R = 1, and an odd node count puts a node on the real axis there
+    def count(p):
+        count_zeros_argument_principle(dispersion_function(0, 1.0),
+                                       (1.0, 4.4934094579090642, -1.0, 1.0), quad_nodes=1025)
+
+    help_text, params, _ = cli._COMMANDS["eigen-scan"]
+    monkeypatch.setitem(cli._COMMANDS, "eigen-scan", (help_text, params, count))
+    res = run_cli("eigen-scan", "--k-max", "12")
+    assert res.returncode == 1
+    assert res.stderr == "schifferlab: numerical failure: zero of f detected on the contour\n"
+
+
+def test_rho_at_or_below_zero_at_a_collocation_point_is_a_numerical_failure(run_cli, tmp_path):
+    # rho = 1 + 1.0003 cos(theta) dips below 0 within 0.025 of the south
+    # pole: the domain check's nearest node (0.037 away) keeps rho > 0, but
+    # 4000 collocation points put one 0.022 from the pole
+    path = tmp_path / "dip.json"
+    path.write_text(json.dumps({"L_geom": 1, "rho_coeffs": [
+        [0, 0, math.sqrt(4 * math.pi)], [1, 0, 1.0003 * math.sqrt(4 * math.pi / 3)]]}))
+    # 3000 points keep clear of the dip: a residual, not an error
+    res = run_cli("domain-residual", "--domain", str(path), "--k", "1",
+                  "--n-collocation", "3000")
+    assert res.stdout.endswith("# summary: FAIL\n") and res.stderr == ""
+    res = run_cli("domain-residual", "--domain", str(path), "--k", "1",
+                  "--n-collocation", "4000")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == ("schifferlab: numerical failure: boundary synthesis gave "
+                          "rho <= 0 at a collocation point\n")
 
 
 # the README examples that FAIL on purpose: the spheroid is not a ball

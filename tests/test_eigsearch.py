@@ -19,6 +19,7 @@ from schifferlab.eigsearch import (
     find_real_eigenvalues,
     real_eigenvalue_spectra,
 )
+from schifferlab.errors import UnderflowError
 
 # roots of tan x = x, mpmath findroot dps=30
 TAN_ROOTS = (4.4934094579090642, 7.7252518369377072, 10.904121659428899,
@@ -139,6 +140,45 @@ def test_a_node_on_a_root_nudges_its_bracket_open(monkeypatch, power, want):
     assert recs[0].residual == 0.0
 
 
+def test_masked_brackets_match_the_per_radius_loop():
+    # one pass over the batched table gives each radius and degree the
+    # brackets of a scan of that radius alone, in k order
+    radii = [0.7, 1.0, 1.9, 1.0]
+    l_max, K = 4, 20.0
+    for R, eigen in zip(radii, real_eigenvalue_spectra(radii, l_max, K)):
+        k = eigsearch._scan_nodes(K, math.pi / (4 * R))
+        B = eigsearch._dispersion_rows(l_max, np.full(k.size, R), k)
+        for l in range(l_max + 1):
+            v = B[l]
+            want = [(k[i], k[i + 1])
+                    for i in np.flatnonzero((v[:-1] * v[1:] < 0) | (v[:-1] == 0))]
+            assert [r.bracket for r in eigen[l]] == want
+
+
+def test_no_bracket_straddles_two_radii(monkeypatch):
+    # B > 0 all along the first radius's scan and B < 0 along the second's
+    def rows(lmax, R, k, derivative=False):
+        return np.tile(np.where(R == 1.0, 1.0, -1.0), (lmax + 1, 1))
+
+    monkeypatch.setattr(eigsearch, "_dispersion_rows", rows)
+    assert real_eigenvalue_spectra([1.0, 2.0], 1, 3.0) == [{0: [], 1: []}, {0: [], 1: []}]
+
+
+def test_underflow_is_a_numerical_failure_not_a_root():
+    # S_60 and S_60' underflow to exactly 0 at k = 1e-5, where B = 0 would
+    # pass for a root with residual 0
+    assert issubclass(UnderflowError, ValueError)
+    with pytest.raises(UnderflowError, match=r"^S_60 and S_60' underflow to 0 at k=1e-05$"):
+        find_real_eigenvalues(60, 1.0, 0.01, scan_step=1e-5)
+    with pytest.raises(UnderflowError, match=r"at k=1e-05$"):
+        dispersion(60, 1.0, np.array([1.0, 1e-5]))
+    with pytest.raises(UnderflowError, match=r"at k=\(1e-05\+0j\)$"):
+        dispersion_function(60, 1.0)(np.array([1e-5 + 0j]))
+    # where S_60 is subnormal but not 0, B keeps the sign of its k^60 leading term
+    k = np.geomspace(3e-4, 1e-2, 50)
+    assert np.all(eigsearch._dispersion_rows(60, np.ones_like(k), k)[60] > 0)
+
+
 def test_scan_step_guard():
     with pytest.raises(ValueError, match=r"exceeds pi/\(4 R_hat\)"):
         find_real_eigenvalues(0, 1.0, 12.0, scan_step=1.0)
@@ -182,19 +222,21 @@ def _clear_of_roots(k: float, roots: list[float], quarter: float) -> float:
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(l=st.integers(0, 5), R=st.floats(0.5, 2.0), start=st.floats(0.3, 3.0),
+@given(l=st.integers(0, 6), R=st.floats(0.5, 2.0), start=st.floats(0.3, 3.0),
        width=st.floats(1.0, 8.0), half=st.floats(0.5, 3.0))
 def test_rectangle_count_equals_the_real_axis_count(l, R, start, width, half):
-    # start and width in units of the root spacing pi/R; the zero at k = 0
+    # the contour runs in complex arithmetic and the scan in float64; start
+    # and width are in units of the root spacing pi/R, and the zero at k = 0
     # counts as a root the edges keep clear of
     spacing = math.pi / R
     roots = [0.0] + [rec.k for rec in find_real_eigenvalues(l, R, (start + width + 3) * spacing)]
     lo = _clear_of_roots(start * spacing, roots, 0.25 * spacing)
     hi = _clear_of_roots(lo + width * spacing, roots, 0.25 * spacing)
     assert hi < roots[-1]
-    real = sum(lo < k < hi for k in roots)
+    real = [rec.k for rec in find_real_eigenvalues(l, R, hi) if rec.k > lo]
+    assert real == [k for k in roots if lo < k <= hi]
     assert count_zeros_argument_principle(dispersion_function(l, R),
-                                          (lo, hi, -half, half)) == real
+                                          (lo, hi, -half, half)) == len(real)
 
 
 _K = st.complex_numbers(min_magnitude=0.5, max_magnitude=40.0, allow_nan=False,

@@ -29,6 +29,7 @@ from schifferlab.scatter import (
     trial_convergence,
     unit_ball,
 )
+from schifferlab.errors import NumericalError
 from schifferlab.scatter import overdetermined as od
 from schifferlab.scatter.domain import ray_radii
 from schifferlab.specfun import (
@@ -90,6 +91,45 @@ def test_radius_matches_direct_synthesis():
         direct = sum(c * ylm(l, m, theta, phi) for l, m, c in dom.rho_coeffs)
         assert_allclose(ray_radius(dom, SphericalDirection(theta, phi)),
                         direct.real, rtol=1e-10)
+
+
+def _ylm_synthesis(domain: StarlikeDomain, theta, phi) -> np.ndarray:
+    """rho as the sum of c_lm ylm(l, m, theta, phi), one ylm call per mode."""
+    rho = np.zeros(np.shape(theta), dtype=complex)
+    for l, m, value in domain.rho_coeffs:
+        rho += value * ylm(l, m, theta, phi)
+    return rho.real
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), L=st.integers(0, 16),
+       angles=st.lists(st.tuples(st.floats(0.0, math.pi),
+                                 st.floats(0.0, 2 * math.pi, exclude_max=True)),
+                       min_size=1, max_size=30))
+def test_ray_radii_are_bitwise_the_per_mode_synthesis(seed, L, angles):
+    # small real coefficients with c_(l,-m) = c_(l,m) up to degree L
+    rng = np.random.default_rng(seed)
+    coeffs = [(0, 0, SQRT_4PI)]
+    for l in range(1, L + 1):
+        for m in range(l + 1):
+            value = float(rng.uniform(-0.3, 0.3)) / (l + 1) ** 2
+            coeffs += [(l, m, value)] + ([(l, -m, value)] if m else [])
+    domain = StarlikeDomain(L, tuple(coeffs))
+    dirs = list(axis_directions()) + [SphericalDirection(*a) for a in angles]
+    theta = np.array([d.theta for d in dirs])
+    phi = np.array([d.phi for d in dirs])
+    assert ray_radii(domain, dirs).tobytes() == _ylm_synthesis(domain, theta, phi).tobytes()
+
+
+def test_rho_at_or_below_zero_is_a_numerical_error():
+    # rho = 1 + 1.0003 cos(theta) passes the domain check but is -3e-4 at
+    # the south pole, and 4000 collocation points reach the dip
+    dip = StarlikeDomain(1, ((0, 0, SQRT_4PI), (1, 0, 1.0003 * SQRT_4PI / math.sqrt(3))))
+    with pytest.raises(NumericalError, match="<= 0 at SphericalDirection"):
+        ray_radii(dip, axis_directions())
+    with pytest.raises(NumericalError, match="rho <= 0 at a collocation point"):
+        od.collocation_frame(dip, n_collocation=4000)
+    assert issubclass(NumericalError, ValueError)
 
 
 def test_ball_normal_is_radial():

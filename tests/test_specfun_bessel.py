@@ -6,6 +6,7 @@ j_l(z) = sqrt(pi/(2z)) J_{l+1/2}(z) and y_l(z) = sqrt(pi/(2z)) Y_{l+1/2}(z).
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from schifferlab.specfun import bessel
 from schifferlab.specfun import (
     L_MAX,
     Z_MAX,
+    riccati_s_table,
     riccati_table,
     spherical_bessel_j,
     spherical_bessel_y,
@@ -211,6 +213,11 @@ def test_real_argument_overflow_is_named():
     # at real z the scaled tables are the same numbers, left unchecked
     _, C, _, _ = riccati_table(60, 1e-4, scaled=True)
     assert not np.all(np.isfinite(C))
+    # without C the tables are finite; at 1e-5, S_60 and S_60' underflow to 0
+    for x in (1e-4, 1e-5, 1e-5 + 0j):
+        S, Sp = riccati_s_table(60, x)
+        assert np.all(np.isfinite(S)) and np.all(np.isfinite(Sp))
+    assert S[60] == 0.0 and Sp[60] == 0.0
 
 
 def test_series_cutoff_is_seamless():
@@ -336,27 +343,41 @@ def test_tables_share_one_scaled_trig_evaluation():
             _, _, Sp, Cp = riccati_table(lmax, z, scaled=True)
             assert Sp[0].tobytes() == zc.tobytes()
             assert Cp[0].tobytes() == (-zs).tobytes()
-    for lmax in (0, 3, 8):
-        for scaled in (False, True):
-            batch = riccati_table(lmax, real, scaled=scaled)
-            for i, x in enumerate(real):
-                for got, want in zip(batch, riccati_table(lmax, x, scaled=scaled)):
-                    assert got[:, i].tobytes() == want.tobytes()
+    # the S-only tables keep that in both dtypes, up to lmax = 60, where C
+    # would overflow at 3e-7
+    for table, z, dtype, orders in ((riccati_table, real, np.complex128, (0, 3, 8)),
+                                    (riccati_s_table, real, np.float64, (0, 3, 8, 60)),
+                                    (riccati_s_table, real.astype(complex), np.complex128,
+                                     (0, 3, 8, 60))):
+        for lmax in orders:
+            for scaled in (False, True):
+                batch = table(lmax, z, scaled=scaled)
+                assert batch[0].dtype == dtype
+                for i, x in enumerate(z):
+                    for got, want in zip(batch, table(lmax, x, scaled=scaled)):
+                        assert got[:, i].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [0.0, complex(math.nan, 1.0), math.inf, 2.0j * Z_MAX])
 def test_array_validation_matches_the_scalar_path(bad):
     with pytest.raises(ValueError) as scalar:
         riccati_table(3, bad)
-    with pytest.raises(ValueError) as array:
-        riccati_table(3, np.array([1.0, bad, 2.0 + 1.0j]))
-    assert str(array.value) == str(scalar.value)
+    for table in (riccati_table, riccati_s_table):
+        with pytest.raises(ValueError) as array:
+            table(3, np.array([1.0, bad, 2.0 + 1.0j]))
+        assert str(array.value) == str(scalar.value)
+    if not isinstance(bad, complex):
+        # the float64 path validates as the complex one does
+        with pytest.raises(ValueError) as real:
+            riccati_s_table(3, np.array([1.0, bad]))
+        assert str(real.value) == str(scalar.value)
 
 
 def test_array_overflow_names_the_point():
     z = np.array([1.0, 1.0 + 800.0j])
-    with pytest.raises(OverflowError, match=r"overflows double range at z=\(1\+800j\)"):
-        riccati_table(2, z)
+    for table in (riccati_table, riccati_s_table):
+        with pytest.raises(OverflowError, match=r"overflows double range at z=\(1\+800j\)"):
+            table(2, z)
     S, _, _, _ = riccati_table(2, z, scaled=True)
     assert np.all(np.isfinite(S))
 
@@ -417,3 +438,50 @@ def test_real_table_agrees_with_the_complex_kernel_and_validates():
         with pytest.raises(ValueError) as array:
             spherical_jn_table(3, np.array([1.0, bad]))
         assert str(array.value) == str(scalar.value)
+
+
+# ------------------------------------------------------------ S-only tables
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(args=_table_args())
+def test_the_complex_pair_is_bitwise_the_full_tables(args):
+    lmax, scaled, z = args
+    try:
+        S, _, Sp, _ = riccati_table(lmax, z, scaled=scaled)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError, match=re.escape(str(exc))):
+            riccati_s_table(lmax, z, scaled=scaled)
+        return
+    pair = riccati_s_table(lmax, z, scaled=scaled)
+    assert [t.dtype for t in pair] == [np.complex128] * 2
+    assert pair[0].tobytes() == S.tobytes() and pair[1].tobytes() == Sp.tobytes()
+
+
+@st.composite
+def _real_s_args(draw):
+    """lmax <= 60 and real x from the series range to 1e4, around x = lmax too."""
+    lmax = draw(st.integers(0, L_MAX))
+    x = st.one_of(st.floats(1e-8, 1e-6), st.floats(1e-6, 3.0 * lmax + 5.0),
+                  st.floats(0.5 * lmax + 1e-3, 1.5 * lmax + 1.0), st.floats(1.0, Z_MAX))
+    return lmax, np.array(draw(st.lists(x, min_size=1, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(args=_real_s_args())
+def test_the_float64_pair_matches_the_complex_tables(args):
+    # complex division rounds (2l+1)/z as (2l+1)*(1/z), so the two dtypes
+    # part by a rounding per recurrence step: the bound is 4 ulp of the
+    # amplitude hypot(S_l, S_l') per order in the table.  Subnormal entries
+    # carry fewer bits than that, so points that reach them are skipped.
+    lmax, x = args
+    S, Sp = riccati_s_table(lmax, x)
+    assert S.dtype == Sp.dtype == np.float64 and S.shape == (lmax + 1, x.size)
+    Sc, _, Spc, _ = riccati_table(lmax, x, scaled=True)
+    assert not (np.any(Sc.imag) or np.any(Spc.imag))
+    Sc, Spc = Sc.real, Spc.real
+    tiny = np.finfo(float).tiny
+    normal = np.all(((np.abs(Sc) >= tiny) | (Sc == 0)) & (np.abs(Spc) >= tiny), axis=0)
+    bound = 4 * (lmax + 1) * np.spacing(np.hypot(Sc, Spc))
+    for got, want in ((S, Sc), (Sp, Spc)):
+        assert np.all((np.abs(got - want) <= bound)[:, normal]), (x, got - want, bound)

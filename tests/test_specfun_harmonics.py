@@ -13,6 +13,7 @@ from scipy.special import lpmv
 
 from schifferlab.specfun import (
     legendre,
+    legendre_column,
     legendre_theta_derivative,
     sphere_quadrature,
     ylm,
@@ -36,6 +37,25 @@ def test_legendre_matches_scipy_up_to_phase():
             ours = legendre(l, m, ts)
             ref = (-1.0) ** m * lpmv(m, l, ts)
             assert_allclose(ours, ref, rtol=1e-10, atol=1e-12)
+
+
+def test_each_column_entry_is_bitwise_the_degree_call():
+    # one upward recurrence per order: legendre(l, m, t) is the last entry
+    # of the column to l, and every entry of a longer column equals it
+    rng = np.random.default_rng(5)
+    t = np.concatenate([rng.uniform(-1.0, 1.0, 60), [-1.0, 0.0, 1.0, 1.0 + 1e-13]])
+    for m in range(-12, 13):
+        col = legendre_column(40, m, t)
+        assert col.shape == (41 - abs(m), t.size)
+        for l in range(abs(m), 41):
+            assert col[l - abs(m)].tobytes() == legendre(l, m, t).tobytes()
+            assert legendre(l, m, t[7]) == col[l - abs(m), 7]
+            assert type(legendre(l, m, t[7])) is float
+    assert legendre_column(3, 1, 0.5).shape == (3,)
+    with pytest.raises(ValueError, match="exceeds degree"):
+        legendre_column(2, 3, t)
+    with pytest.raises(ValueError, match="outside"):
+        legendre_column(2, 0, 1.1)
 
 
 def test_legendre_theta_derivative_matches_finite_differences():
