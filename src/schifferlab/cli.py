@@ -51,7 +51,7 @@ from .specfun import (
     SphericalDirection,
     riccati_table,
     sphere_quadrature,
-    ylm_on_grid,
+    ylm_terms,
 )
 from .specfun.bessel import _scaled_trig
 
@@ -86,6 +86,8 @@ def _cast(name: str, kind: str, value):
     if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
         return float(value)
     if kind == "str":
         if not isinstance(value, str):
@@ -98,6 +100,8 @@ def _cast(name: str, kind: str, value):
         raise ConfigError(f"{name} must be {shape}, got {value!r}")
     if not out:
         raise ConfigError(f"{name} must be nonempty")
+    if kind == "float_list" and not all(map(math.isfinite, out)):
+        raise ConfigError(f"{name} must hold finite numbers, got {value!r}")
     if kind == "directions":
         return tuple(SphericalDirection(theta, phi) for theta, phi in out)
     return out
@@ -230,7 +234,7 @@ def _run_specfun_check(p: dict) -> tuple[list[str], list[tuple], str]:
         rec_S, rec_C = recurrence(S), recurrence(C)
     quad = sphere_quadrature()
     modes = [(l, m) for l in range(p["gram_l_max"] + 1) for m in range(-l, l + 1)]
-    M = np.stack([ylm_on_grid(l, m, quad) for l, m in modes])
+    M = np.stack(list(ylm_terms(modes, quad.theta[:, None], quad.phi[None, :])))
     gram = np.einsum("iab,ab,jab->ij", M, quad.weights, np.conj(M))
     gram_err = float(np.max(np.abs(gram - np.eye(len(modes)))))
     rows = []
@@ -276,8 +280,6 @@ def _run_indicator(p: dict) -> tuple[list[str], list[tuple], str]:
             "the partial-interval trace has a closed form only at l = 0; "
             "use xi = 0 for higher degrees")
     theta = p["theta"]
-    if not math.isfinite(theta):
-        raise ConfigError(f"theta must be finite, got {theta}")
     sin_theta = abs(math.sin(theta))
     # at a multiple of pi, sin(theta) is rounding noise of order eps * |theta|
     if sin_theta <= 4 * sys.float_info.epsilon * max(1.0, abs(theta)):

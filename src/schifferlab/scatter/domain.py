@@ -3,9 +3,10 @@
 A domain is the region r < rho(theta, phi) for a positive function on the
 sphere synthesized from real coefficients c_{l,m} with the conjugate
 symmetry c_{l,-m} = c_{l,m}, so the synthesized rho is real.  Every ray
-from the origin meets the boundary exactly once, at radius rho.  The
-outward normal is computed where it is used, in
-``overdetermined.collocation_frame``.
+from the origin meets the boundary exactly once, at radius rho.
+``StarlikeDomain.synthesis`` gives rho, and its angular derivatives on
+request, at any angles; the outward normal is computed where it is used,
+in ``overdetermined.collocation_frame``.
 """
 
 from __future__ import annotations
@@ -20,16 +21,7 @@ import numpy as np
 
 from .._atomic import write_atomic
 from ..errors import NumericalError
-from ..specfun import (
-    SphericalDirection,
-    SphereQuadrature,
-    legendre_column,
-    sphere_quadrature,
-    ylm,
-    ylm_norm,
-    ylm_on_grid,
-    ylm_theta_derivative,
-)
+from ..specfun import SphericalDirection, sphere_quadrature, ylm_terms
 
 __all__ = [
     "StarlikeDomain",
@@ -82,16 +74,35 @@ class StarlikeDomain:
                         f"got {mirror} vs {value}")
         object.__setattr__(self, "rho_coeffs",
                            tuple(sorted((l, m, v) for (l, m), v in seen.items())))
-        grid = self.rho_on_grid(sphere_quadrature())
+        quad = sphere_quadrature()
+        grid = self.synthesis(quad.theta[:, None], quad.phi[None, :])
         if float(np.min(grid)) <= 0.0:
             raise ValueError("rho must be positive: the domain must contain the origin")
 
-    def rho_on_grid(self, quad: SphereQuadrature) -> np.ndarray:
-        """Synthesize rho on a full quadrature grid."""
-        total = np.zeros((quad.theta.shape[0], quad.phi.shape[0]), dtype=complex)
-        for l, m, value in self.rho_coeffs:
-            total += value * ylm_on_grid(l, m, quad)
-        return total.real
+    def synthesis(self, theta, phi, derivatives: bool = False):
+        """rho at (theta, phi), or (rho, d rho/d theta, d rho/d phi) with ``derivatives``.
+
+        Sums value * Y_l^m term by term in ``rho_coeffs`` order, with the
+        terms from ``specfun.ylm_terms``; the angles broadcast as they do
+        there, so a grid passes ``theta[:, None], phi[None, :]``.
+        """
+        modes = [(l, m) for l, m, _ in self.rho_coeffs]
+        rho = np.zeros(np.broadcast_shapes(np.shape(theta), np.shape(phi)), dtype=complex)
+        # each term is taken with next() so that none stays bound while the
+        # next one is built
+        terms = ylm_terms(modes, theta, phi, derivative=derivatives)
+        if not derivatives:
+            for _, _, value in self.rho_coeffs:
+                rho += value * next(terms)
+            return rho.real
+        dth = np.zeros_like(rho)
+        dph = np.zeros_like(rho)
+        for _, m, value in self.rho_coeffs:
+            y, dy = next(terms)
+            rho += value * y
+            dth += value * dy
+            dph += value * (1j * m) * y
+        return rho.real, dth.real, dph.real
 
 
 def unit_ball() -> StarlikeDomain:
@@ -99,39 +110,15 @@ def unit_ball() -> StarlikeDomain:
     return StarlikeDomain(0, ((0, 0, math.sqrt(4 * math.pi)),))
 
 
-def _synthesis(domain: StarlikeDomain, theta: float, phi: float) -> tuple[float, float, float]:
-    """(rho, d rho/d theta, d rho/d phi) at the given angles, term-wise."""
-    rho = 0.0 + 0.0j
-    dth = 0.0 + 0.0j
-    dph = 0.0 + 0.0j
-    for l, m, value in domain.rho_coeffs:
-        y = ylm(l, m, theta, phi)
-        rho += value * y
-        dth += value * ylm_theta_derivative(l, m, theta, phi)
-        dph += value * (1j * m) * y
-    return rho.real, dth.real, dph.real
-
-
 def ray_radii(domain: StarlikeDomain,
               directions: Sequence[SphericalDirection]) -> np.ndarray:
     """rho at every direction, in one synthesis over the array of angles.
 
-    Each order |m| takes its P_l^{|m|}(cos theta) from one Legendre column,
-    so every term is bitwise the value * ylm(l, m, theta, phi) it stands for.
     A direction where the synthesis leaves rho <= 0 raises NumericalError.
     """
     theta = np.array([d.theta for d in directions], dtype=float)
     phi = np.array([d.phi for d in directions], dtype=float)
-    t = np.cos(theta)
-    top = max(l for l, _, _ in domain.rho_coeffs)
-    columns = {}
-    rho = np.zeros(theta.shape, dtype=complex)
-    for l, m, value in domain.rho_coeffs:
-        am = abs(m)
-        if am not in columns:
-            columns[am] = legendre_column(top, am, t)
-        rho += value * (ylm_norm(l, m) * columns[am][l - am] * np.exp(1j * m * phi))
-    rho = rho.real
+    rho = domain.synthesis(theta, phi)
     bad = ~(rho > 0.0)
     if bad.any():
         i = int(np.argmax(bad))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..specfun import SphereQuadrature, SphericalDirection, ylm, ylm_on_grid
+from ..specfun import SphereQuadrature, SphericalDirection, ylm_terms
 
 __all__ = ["FarFieldPattern", "far_field_from_coeffs", "rellich_expand"]
 
@@ -58,8 +58,9 @@ def far_field_from_coeffs(pattern: FarFieldPattern,
     theta = np.array([d.theta for d in dirs], dtype=float)
     phi = np.array([d.phi for d in dirs], dtype=float)
     out = np.zeros(theta.shape, dtype=complex)
-    for (n, m), value in pattern.a_coeffs.items():
-        out += _INV_I[(n + 1) % 4] * value * ylm(n, m, theta, phi)
+    terms = ylm_terms(pattern.a_coeffs, theta, phi)
+    for (n, _), value in pattern.a_coeffs.items():
+        out += _INV_I[(n + 1) % 4] * value * next(terms)
     return out / pattern.k
 
 
@@ -84,9 +85,6 @@ def rellich_expand(samples: np.ndarray, l_max: int,
             f"l_max = {l_max} exceeds half the grid's resolvable degree "
             f"({resolvable // 2}); high-degree coefficients will alias",
             RuntimeWarning, stacklevel=2)
-    coeffs = {}
-    for l in range(l_max + 1):
-        for m in range(-l, l + 1):
-            coeffs[(l, m)] = complex(
-                quad.integrate(samples * np.conj(ylm_on_grid(l, m, quad))))
-    return coeffs
+    modes = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
+    terms = ylm_terms(modes, quad.theta[:, None], quad.phi[None, :])
+    return {mode: complex(quad.integrate(samples * np.conj(next(terms)))) for mode in modes}

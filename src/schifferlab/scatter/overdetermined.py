@@ -52,8 +52,9 @@ from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
 from ..errors import NumericalError
-from ..specfun import spherical_jn_table, ylm, ylm_theta_derivative
-from .domain import StarlikeDomain, _synthesis
+from ..specfun import L_MAX, spherical_jn_table, ylm_terms
+from ..specfun import ylm, ylm_theta_derivative  # noqa: F401 (bench/tracing.py rebinds them)
+from .domain import StarlikeDomain
 
 __all__ = [
     "CollocationFrame",
@@ -160,6 +161,8 @@ def collocation_frame(domain: StarlikeDomain, L_trial: int = 8,
     """Precompute the k-independent part of the boundary least squares."""
     if L_trial < 0:
         raise ValueError(f"L_trial must be nonnegative, got {L_trial}")
+    if L_trial > L_MAX:
+        raise ValueError(f"L_trial={L_trial} exceeds L_MAX={L_MAX}")
     n_modes = (L_trial + 1) ** 2
     if n_collocation is None:
         n_collocation = max(2 * n_modes, 200)
@@ -168,9 +171,7 @@ def collocation_frame(domain: StarlikeDomain, L_trial: int = 8,
             f"n_collocation = {n_collocation} underdetermines the stacked system; "
             f"need at least {2 * n_modes} for L_trial = {L_trial}")
     theta, phi = _fibonacci_directions(n_collocation)
-    # the synthesis helper broadcasts because ylm does
-    rho, dth, dph = _synthesis(domain, theta, phi)
-    rho = np.asarray(rho, dtype=float)
+    rho, dth, dph = domain.synthesis(theta, phi, derivatives=True)
     if np.any(rho <= 0.0):
         raise NumericalError("boundary synthesis gave rho <= 0 at a collocation point")
     sin_t = np.maximum(np.sin(theta), 1e-12)
@@ -178,22 +179,23 @@ def collocation_frame(domain: StarlikeDomain, L_trial: int = 8,
     v /= np.linalg.norm(v, axis=0)
     l_values = np.array([l for l in range(L_trial + 1) for _ in range(2 * l + 1)])
     m_values = np.array([m for l in range(L_trial + 1) for m in range(-l, l + 1)])
+    # one kernel call over (l, |m|), each term written into its rows as it
+    # comes, so no complex table of all the terms is held: the real part to
+    # row l^2 + l + |m|, the imaginary part to row l^2 + l - |m|
     Y = np.empty((n_modes, n_collocation))
     dYdt = np.empty_like(Y)
-    dYdp = np.empty_like(Y)
-    for l in range(L_trial + 1):
-        row0 = l * l + l
-        for m in range(l + 1):
-            y = ylm(l, m, theta, phi)
-            dy = ylm_theta_derivative(l, m, theta, phi)
-            if m == 0:
-                Y[row0], dYdt[row0], dYdp[row0] = y.real, dy.real, 0.0
-                continue
-            # cos(m phi) in row0 + m, sin(m phi) in row0 - m
-            c, s = row0 + m, row0 - m
+    half = [(l, am) for l in range(L_trial + 1) for am in range(l + 1)]
+    for (l, am), (y, dy) in zip(half, ylm_terms(half, theta, phi, derivative=True)):
+        c, s = l * l + l + am, l * l + l - am
+        if am == 0:
+            Y[c], dYdt[c] = y.real, dy.real
+        else:
             Y[c], Y[s] = _SQRT2 * y.real, _SQRT2 * y.imag
             dYdt[c], dYdt[s] = _SQRT2 * dy.real, _SQRT2 * dy.imag
-            dYdp[c], dYdp[s] = -m * Y[s], m * Y[c]
+    # d/dphi of sqrt2 (Re, Im) Y_l^|m| is |m| sqrt2 (-Im, Re) Y_l^|m|: row
+    # l^2 + l + m gets -m times the table of its mirror row l^2 + l - m
+    dYdp = Y[l_values * l_values + l_values - m_values]
+    dYdp *= -m_values[:, None]
     return CollocationFrame(L_trial, theta, phi, rho, sin_t,
                             v[0], v[1], v[2], l_values, m_values, Y, dYdt, dYdp)
 

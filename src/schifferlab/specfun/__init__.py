@@ -1,7 +1,9 @@
 """Special functions: spherical Bessel/Neumann, Riccati-Bessel, associated
 Legendre, spherical harmonics, and the sphere quadrature rule used by every
 other module.  All evaluators are pure functions of their arguments; orders
-are capped at the fixed ``L_MAX`` = 60 and arguments at ``Z_MAX``."""
+are capped at the fixed ``L_MAX`` = 60 and arguments at ``Z_MAX``.  Every
+spherical harmonic and its theta derivative comes from one kernel,
+``ylm_terms``, which takes each order's Legendre values from one column."""
 
 from .bessel import (
     L_MAX,
@@ -12,14 +14,14 @@ from .bessel import (
     spherical_bessel_y,
     spherical_jn_table,
 )
-from .legendre import legendre, legendre_column, legendre_theta_derivative
+from .legendre import legendre, legendre_column
 from .harmonics import (
     SphereQuadrature,
     SphericalDirection,
     sphere_quadrature,
     ylm,
     ylm_norm,
-    ylm_on_grid,
+    ylm_terms,
     ylm_theta_derivative,
 )
 
@@ -30,7 +32,6 @@ __all__ = [
     "SphericalDirection",
     "legendre",
     "legendre_column",
-    "legendre_theta_derivative",
     "riccati_s_table",
     "riccati_table",
     "sphere_quadrature",
@@ -39,6 +40,6 @@ __all__ = [
     "spherical_jn_table",
     "ylm",
     "ylm_norm",
-    "ylm_on_grid",
+    "ylm_terms",
     "ylm_theta_derivative",
 ]

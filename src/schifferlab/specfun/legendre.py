@@ -60,30 +60,3 @@ def legendre(l: int, m: int, t):
     the last entry of the column ``legendre_column(l, m, t)``."""
     out = _legendre_rows(l, m, t)[-1]
     return out if out.ndim else float(out)
-
-
-def legendre_theta_derivative(l: int, m: int, theta):
-    """d/dtheta of P_l^{|m|}(cos theta).
-
-    Uses (t^2-1) dP/dt = l t P_l^m - (l+m) P_{l-1}^m, which after the chain
-    rule gives dP/dtheta = [l cos(theta) P_l^m - (l+m) P_{l-1}^m] / sin(theta).
-    At the poles the limit is 0 for m != 1; the m=1 pole limit is finite and
-    taken by a small offset.
-    """
-    m = _check_degree(l, m)
-    theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 0
-    theta = np.atleast_1d(theta).copy()
-    eps = 1e-9
-    theta[np.abs(theta) < eps] = eps
-    theta[np.abs(theta - np.pi) < eps] = np.pi - eps
-    t = np.cos(theta)
-    st = np.sin(theta)
-    if l == 0:
-        out = np.zeros_like(theta)
-        return float(out[0]) if scalar else out
-    pl = legendre(l, m, t)
-    plm1 = legendre(l - 1, m, t) if m <= l - 1 else np.zeros_like(t)
-    out = (l * t * pl - (l + m) * plm1) / st
-    out = np.atleast_1d(out)
-    return float(out[0]) if scalar else out

@@ -226,6 +226,43 @@ def test_readme_examples_run_as_documented(monkeypatch, capsys):
         assert summary == ("FAIL" if code else "PASS"), line
 
 
+def test_trial_degree_past_the_order_cap_exits_2(run_cli):
+    # the frame would need three 1.5 GiB tables at L_trial = 100
+    res = run_cli("ball-check", "--l-trial", "100")
+    assert res.returncode == 2
+    assert res.stderr == "schifferlab: config error: L_trial=100 exceeds L_MAX=60\n"
+    assert res.stdout == ""
+
+
+_BALL_RESIDUAL = ("domain-residual", "--domain", BALL, "--k-min", "1", "--k-step", "0.5")
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (("eigen-scan", "--k-max", "nan"), None, "k_max must be finite, got nan"),
+    (("eigen-scan", "--k-max", "inf"), None, "k_max must be finite, got inf"),
+    (("eigen-scan", "--k-max=-inf"), None, "k_max must be finite, got -inf"),
+    (("eigen-scan", "--k-max", "12", "--tol", "nan"), None, "tol must be finite, got nan"),
+    (("density", "--k-max", "inf"), None, "k_max must be finite, got inf"),
+    (("ray-scan", "--domain", BALL, "--k-max", "inf"), None, "k_max must be finite, got inf"),
+    (_BALL_RESIDUAL + ("--k-max", "inf"), None, "k_max must be finite, got inf"),
+    (("indicator", "--r-values", "60,70,inf"), None,
+     "r_values must hold finite numbers, got '60,70,inf'"),
+    (("eigen-scan",), '{"k_max": NaN}', "k_max must be finite, got nan"),
+    (("eigen-scan",), '{"k_max": 12, "tol": Infinity}', "tol must be finite, got inf"),
+    (("indicator",), '{"r_values": [60, -Infinity]}',
+     "r_values must hold finite numbers, got [60, -inf]"),
+])
+def test_non_finite_numbers_exit_2(run_cli, tmp_path, args, config, message):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        args = args + ("--config", str(path))
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert res.stderr == f"schifferlab: config error: {message}\n"
+    assert res.stdout == ""
+
+
 def test_config_errors_exit_2(run_cli, tmp_path):
     cases = [
         ("specfun-check", "--l-max", "200"),

@@ -114,6 +114,22 @@ def test_scaling_covariance():
     assert_allclose([r.k * 0.5 for r in two], [r.k for r in one], rtol=1e-8)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(radii=st.lists(st.floats(0.25, 4.0), min_size=2, max_size=4),
+       X=st.floats(1.0, 40.0), l_max=st.integers(0, 6))
+def test_per_ray_spectrum_scales_with_the_radius(radii, X, l_max):
+    # B_l(k) = R x j_l'(x) at x = k R and the scan starts at x = pi/4, so on
+    # the x-window (pi/4, X] every radius finds the same roots x = k R
+    scaled = []
+    for R in radii:
+        spectra = real_eigenvalue_spectra([R], l_max, X / R)[0]
+        scaled.append({l: np.array([r.k * R for r in recs]) for l, recs in spectra.items()})
+    for l in range(l_max + 1):
+        assert len({x[l].size for x in scaled}) == 1, l
+        for x in scaled[1:]:
+            assert_allclose(x[l], scaled[0][l], rtol=1e-13, atol=0)
+
+
 def test_empty_below_first_eigenvalue():
     assert find_real_eigenvalues(0, 1.0, 2.0) == []
 

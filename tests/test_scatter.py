@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -33,10 +34,10 @@ from schifferlab.errors import NumericalError
 from schifferlab.scatter import overdetermined as od
 from schifferlab.scatter.domain import ray_radii
 from schifferlab.specfun import (
+    L_MAX,
     SphericalDirection,
     sphere_quadrature,
     ylm,
-    ylm_on_grid,
     ylm_theta_derivative,
 )
 
@@ -119,6 +120,24 @@ def test_ray_radii_are_bitwise_the_per_mode_synthesis(seed, L, angles):
     theta = np.array([d.theta for d in dirs])
     phi = np.array([d.phi for d in dirs])
     assert ray_radii(domain, dirs).tobytes() == _ylm_synthesis(domain, theta, phi).tobytes()
+
+
+def test_synthesis_derivatives_match_finite_differences():
+    # one synthesis gives rho, d rho/d theta and d rho/d phi; its rho is the
+    # derivative-free synthesis bit for bit, and it broadcasts over a grid
+    domain = seeded_domain(3)
+    theta = np.array([0.3, 1.1, 2.0, 2.9])
+    phi = np.array([0.2, 2.5, 4.0, 5.9])
+    rho, dth, dph = domain.synthesis(theta, phi, derivatives=True)
+    assert rho.tobytes() == domain.synthesis(theta, phi).tobytes()
+    h = 1e-6
+    assert_allclose(dth, (domain.synthesis(theta + h, phi)
+                          - domain.synthesis(theta - h, phi)) / (2 * h), rtol=1e-7, atol=1e-9)
+    assert_allclose(dph, (domain.synthesis(theta, phi + h)
+                          - domain.synthesis(theta, phi - h)) / (2 * h), rtol=1e-7, atol=1e-9)
+    grid = domain.synthesis(theta[:, None], phi[None, :])
+    assert grid.shape == (4, 4)
+    assert_allclose(np.diag(grid), rho, rtol=1e-15)
 
 
 def test_rho_at_or_below_zero_is_a_numerical_error():
@@ -422,6 +441,20 @@ def test_collocation_frame_defaults_and_guards():
         collocation_frame(unit_ball(), L_trial=-1)
 
 
+def test_trial_degree_past_the_order_cap_is_rejected_before_any_table():
+    # L_MAX + 1 would ask for three (3844, 7688) float64 tables, 226 MiB each
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"L_trial={L_MAX + 1} exceeds L_MAX={L_MAX}"):
+            collocation_frame(unit_ball(), L_trial=L_MAX + 1)
+        with pytest.raises(ValueError, match="exceeds L_MAX"):
+            residual_scan(unit_ball(), [2.0], L_trial=L_MAX + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_least_squares_validation():
     with pytest.raises(ValueError, match="positive and finite"):
         overdetermined_residual(unit_ball(), 0.0)
@@ -649,7 +682,7 @@ def test_pattern_validation():
 
 def test_expansion_recovers_a_pure_mode():
     quad = sphere_quadrature()
-    coeffs = rellich_expand(ylm_on_grid(2, 1, quad), 4, quad)
+    coeffs = rellich_expand(ylm(2, 1, quad.theta_grid, quad.phi_grid), 4, quad)
     assert_allclose(coeffs[(2, 1)], 1.0, rtol=1e-12)
     others = [abs(v) for key, v in coeffs.items() if key != (2, 1)]
     assert max(others) < 1e-10
@@ -664,7 +697,7 @@ def test_expansion_of_a_constant():
 def test_expansion_reads_off_the_radial_factor():
     # u = j_1(kr) Y_1^0 sampled on the sphere kr = 6
     quad = sphere_quadrature()
-    samples = spherical_jn(1, 6.0) * ylm_on_grid(1, 0, quad)
+    samples = spherical_jn(1, 6.0) * ylm(1, 0, quad.theta_grid, quad.phi_grid)
     coeffs = rellich_expand(samples, 3, quad)
     assert_allclose(coeffs[(1, 0)], -0.16778992272503115, rtol=1e-12)
 
@@ -674,7 +707,7 @@ def test_band_limited_roundtrip():
     quad = sphere_quadrature()
     truth = {(l, m): complex(rng.standard_normal(), rng.standard_normal())
              for l in range(9) for m in range(-l, l + 1)}
-    samples = sum(c * ylm_on_grid(l, m, quad) for (l, m), c in truth.items())
+    samples = sum(c * ylm(l, m, quad.theta_grid, quad.phi_grid) for (l, m), c in truth.items())
     recovered = rellich_expand(samples, 8, quad)
     for key, c in truth.items():
         assert_allclose(recovered[key], c, rtol=1e-10, atol=1e-12)

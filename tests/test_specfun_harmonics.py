@@ -14,11 +14,10 @@ from scipy.special import lpmv
 from schifferlab.specfun import (
     legendre,
     legendre_column,
-    legendre_theta_derivative,
     sphere_quadrature,
     ylm,
     ylm_norm,
-    ylm_on_grid,
+    ylm_terms,
     ylm_theta_derivative,
 )
 
@@ -58,16 +57,6 @@ def test_each_column_entry_is_bitwise_the_degree_call():
         legendre_column(2, 0, 1.1)
 
 
-def test_legendre_theta_derivative_matches_finite_differences():
-    h = 1e-6
-    for l, m in [(1, 0), (3, 2), (6, 4), (8, 8)]:
-        for theta in (0.4, 1.2, 2.2):
-            d = legendre_theta_derivative(l, m, theta)
-            fd = (legendre(l, m, math.cos(theta + h))
-                  - legendre(l, m, math.cos(theta - h))) / (2 * h)
-            assert_allclose(d, fd, rtol=1e-6, atol=1e-6)
-
-
 def test_harmonic_reference_values():
     assert ylm(0, 0, 0.3, 0.7) == pytest.approx(0.28209479177387814, rel=1e-14)
     assert ylm(1, 0, 0.0, 0.0) == pytest.approx(0.4886025119029199, rel=1e-14)
@@ -94,28 +83,60 @@ def test_quadrature_weights_sum_to_sphere_area():
 
 def test_harmonics_are_orthonormal_under_the_quadrature():
     quad = sphere_quadrature()
-    assert_allclose(quad.integrate(np.abs(ylm_on_grid(2, 1, quad)) ** 2),
+    assert_allclose(quad.integrate(np.abs(ylm(2, 1, quad.theta_grid, quad.phi_grid)) ** 2),
                     1.0, rtol=1e-10)
     pairs = [(l, m) for l in range(9) for m in range(-l, l + 1)]
-    basis = np.array([ylm_on_grid(l, m, quad) for l, m in pairs])
+    basis = np.array(list(ylm_terms(pairs, quad.theta[:, None], quad.phi[None, :])))
     gram = np.einsum("iab,ab,jab->ij", basis, quad.weights, np.conj(basis))
     assert_allclose(gram, np.eye(len(pairs)), atol=1e-8)
 
 
 def test_grid_synthesis_matches_pointwise_values():
+    # the kernel on a broadcast (theta, phi) grid gives each term bitwise as
+    # the one-mode call on the full grid, value and theta derivative
     quad = sphere_quadrature(24, 48)
-    grid = ylm_on_grid(4, -3, quad)
-    direct = ylm(4, -3, quad.theta_grid, quad.phi_grid)
-    assert_allclose(grid, direct, rtol=1e-12, atol=1e-14)
+    modes = [(4, -3), (0, 0), (6, 1), (4, 3), (2, -1)]
+    terms = ylm_terms(modes, quad.theta[:, None], quad.phi[None, :], derivative=True)
+    for (l, m), (y, dy) in zip(modes, terms):
+        assert y.shape == dy.shape == quad.weights.shape
+        assert y.tobytes() == ylm(l, m, quad.theta_grid, quad.phi_grid).tobytes()
+        assert dy.tobytes() == ylm_theta_derivative(l, m, quad.theta_grid,
+                                                    quad.phi_grid).tobytes()
 
 
 def test_theta_derivative_matches_finite_differences():
     h = 1e-6
-    for l, m in [(2, 1), (5, -3), (7, 0)]:
-        for theta in (0.5, 1.3, 2.4):
+    for l, m in [(2, 1), (5, -3), (7, 0), (1, 0), (3, 2), (6, 4), (8, 8)]:
+        for theta in (0.4, 0.5, 1.2, 1.3, 2.2, 2.4):
             d = ylm_theta_derivative(l, m, theta, 0.8)
             fd = (ylm(l, m, theta + h, 0.8) - ylm(l, m, theta - h, 0.8)) / (2 * h)
             assert_allclose(d, fd, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-10, math.pi - 1e-10, math.pi])
+def test_theta_derivative_takes_the_pole_limits(theta):
+    # where cos(theta) rounds to +-1 the quotient formula is 0/0; the limit
+    # is ylm_norm l (l + 1) / 2 e^{i m phi} (+-1)^l for |m| = 1, else 0
+    phi = 0.7
+    sign = 1.0 if theta < 1.0 else -1.0
+    for l in (1, 2, 3, 6, 9):
+        for m in (0, 1, -1, 2, -2):
+            if abs(m) > l:
+                continue
+            limit = 0.0
+            if abs(m) == 1:
+                limit = ylm_norm(l, m) * l * (l + 1) / 2 * sign ** l * np.exp(1j * m * phi)
+            d = ylm_theta_derivative(l, m, theta, phi)
+            assert_allclose(d, limit, rtol=1e-6)
+            # a one-sided difference quotient into the sphere agrees
+            h = 1e-5
+            inward = min(theta + h, math.pi) if theta < 1.0 else max(theta - h, 0.0)
+            fd = (ylm(l, m, inward, phi) - ylm(l, m, theta, phi)) / (inward - theta)
+            assert_allclose(d, fd, rtol=1e-3, atol=1e-3)
+    # an array that holds both poles and interior points gets each its own value
+    thetas = np.array([0.0, 0.9, math.pi])
+    assert_allclose(ylm_theta_derivative(3, 1, thetas, phi),
+                    [ylm_theta_derivative(3, 1, t, phi) for t in thetas], rtol=1e-15)
 
 
 def test_degree_and_order_validation():
