@@ -12,6 +12,7 @@ in ``overdetermined.collocation_frame``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -33,6 +34,16 @@ __all__ = [
 ]
 
 _L_GEOM_CAP = 16
+
+
+@functools.cache
+def _positivity_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The (theta[:, None], phi[None, :]) nodes of ``sphere_quadrature()``,
+    on which construction checks rho > 0: built once, read-only."""
+    quad = sphere_quadrature()
+    for nodes in (quad.theta, quad.phi):
+        nodes.flags.writeable = False
+    return quad.theta[:, None], quad.phi[None, :]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,8 +85,7 @@ class StarlikeDomain:
                         f"got {mirror} vs {value}")
         object.__setattr__(self, "rho_coeffs",
                            tuple(sorted((l, m, v) for (l, m), v in seen.items())))
-        quad = sphere_quadrature()
-        grid = self.synthesis(quad.theta[:, None], quad.phi[None, :])
+        grid = self.synthesis(*_positivity_grid())
         if float(np.min(grid)) <= 0.0:
             raise ValueError("rho must be positive: the domain must contain the origin")
 

@@ -10,8 +10,13 @@ takes one of three regimes for j_l, and each regime runs over the
 compressed array of its points:
     * |z| < 1e-6: the leading power series.
     * |z| >= lmax: upward recurrence from j_0, j_1 (the stable direction).
-    * otherwise: downward recurrence seeded by the Lentz continued fraction
-      for j_lmax / j_{lmax-1} and renormalised against j_0 or j_1 (Miller).
+    * otherwise (Miller): downward recurrence from j_{N+1} = 0, j_N = 1 at
+      the fixed order N = lmax + ceil(sqrt(40 (lmax + 1))) + 10 (the start
+      rule of Numerical Recipes' ``bessj``), renormalised against j_0 or
+      j_1.  N depends on lmax alone.  Orders above lmax run on two vectors,
+      and only rows 0..lmax are stored.  Every 8th step from N rescales the
+      values above 1e200 (|z| >= 1e-6, so 8 steps grow a value by at most
+      about 1e67).
 y_l always recurs upward from y_0, y_1 (y is the dominant solution upward,
 except near the imaginary axis, where it loses up to seven digits).
 ``spherical_jn_table`` runs the same three j regimes in float64 for real
@@ -96,57 +101,51 @@ def _upward(lmax: int, z: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndar
     return t
 
 
-def _ratio_cf(l: int, z: np.ndarray, max_iter: int = 20000) -> np.ndarray:
-    """j_l(z)/j_{l-1}(z) by the modified Lentz continued fraction.
-
-    R_l = 1 / ((2l+1)/z - R_{l+1}), expanded with partial numerators -1;
-    each point stops at its own convergence.
-    """
-    tiny = 1e-290
-    b = (2 * l + 1) / z
-    f = np.where(b != 0, b, tiny)
-    c = f.copy()
-    d = np.zeros_like(z)
-    out = np.empty_like(z)
-    live = np.arange(z.size)
-    for n in range(1, max_iter):
-        b = (2 * (l + n) + 1) / z
-        d = b - d
-        d[d == 0] = tiny
-        c = b - 1 / c
-        c[c == 0] = tiny
-        d = 1 / d
-        delta = c * d
-        f = f * delta
-        done = np.abs(delta - 1) < 1e-16
-        if done.any():
-            out[live[done]] = f[done]
-            keep = ~done
-            live, z, f, c, d = live[keep], z[keep], f[keep], c[keep], d[keep]
-            if live.size == 0:
-                break
-    out[live] = f
-    return 1 / out
-
-
 def _miller_downward(lmax: int, z: np.ndarray, zs: np.ndarray,
                      zc: np.ndarray) -> np.ndarray:
-    """j_0..j_lmax (scaled) by downward recurrence from a CF-seeded start."""
-    j = np.empty((lmax + 1, z.size), dtype=z.dtype)
-    j[lmax] = _ratio_cf(lmax, z)
-    j[lmax - 1] = 1.0
-    for l in range(lmax - 1, 0, -1):
-        j[l - 1] = (2 * l + 1) / z * j[l] - j[l + 1]
-        m = np.abs(j[l - 1])
-        big = m > 1e250
-        if big.any():
-            j[l - 1:, big] /= m[big]
+    """j_0..j_lmax (scaled) by downward recurrence from j_{N+1} = 0, j_N = 1
+    at N = lmax + ceil(sqrt(40 (lmax + 1))) + 10, normalised against j_0 or
+    j_1."""
+    # Each 8th step from N rescales the values above 1e200: |z| >= 1e-6
+    # here, so 8 steps grow a value by at most about 1e67.  The (2l+1)/z
+    # come from one division per 8 orders, on the same schedule.
+    n = lmax + math.isqrt(40 * (lmax + 1) - 1) + 11  # isqrt(m - 1) + 1 = ceil(sqrt(m))
+    odd = np.arange(2 * n + 1, 2, -2)[:, None]
+    # orders N..lmax+1 on two vectors, without storing rows
+    hi = np.zeros_like(z)
+    lo = np.ones_like(z)
+    for l in range(n, lmax, -1):
+        step = (n - l) % 8
+        if step == 0:
+            coef = odd[n - l:n - l + 8] / z
+        hi, lo = lo, coef[step] * lo - hi
+        if step == 7:
+            m = np.abs(lo)
+            big = m > 1e200
+            if big.any():
+                hi[big] /= m[big]
+                lo[big] /= m[big]
+    # rows 0..lmax stored, with j_{lmax+1} below them to start the recurrence
+    j = np.empty((lmax + 2, z.size), dtype=z.dtype)
+    j[lmax + 1] = hi
+    j[lmax] = lo
+    for l in range(lmax, 0, -1):
+        step = (n - l) % 8
+        if step == 0:
+            coef = odd[n - l:n - l + 8] / z
+        np.multiply(coef[step], j[l], out=j[l - 1])
+        j[l - 1] -= j[l + 1]
+        if step == 7:
+            m = np.abs(j[l - 1])
+            big = m > 1e200
+            if big.any():
+                j[l - 1:, big] /= m[big]
     j0 = zs / z
     j1 = j0 / z - zc / z
     # normalise against whichever seed is farther from a zero
     use_j0 = ((np.abs(j0) >= np.abs(j1)) & (j[0] != 0)) | (j[1] == 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return j * np.where(use_j0, j0 / j[0], j1 / j[1])
+        return j[:-1] * np.where(use_j0, j0 / j[0], j1 / j[1])
 
 
 def _j_scaled(lmax: int, z: np.ndarray, zs: np.ndarray, zc: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,30 @@ def test_roots_are_the_zeros_of_the_bessel_derivative(R, KR, l):
         assert np.all(np.abs(x * spherical_jn(degree, x, derivative=True)) <= 1e-8)
         for r in recs:
             assert r.l == degree and r.bracket[0] < r.k < r.bracket[1]
+
+
+def _x_djl(l: int, x: float) -> float:
+    """x j_l'(x) at the double x, by mpmath at 30 digits: -x j_1(x) for
+    l = 0, else x j_{l-1}(x) - (l + 1) j_l(x)."""
+    with mpmath.workdps(30):
+        x = mpmath.mpf(x)
+
+        def j(n):
+            return mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(n + mpmath.mpf(1) / 2, x)
+
+        return float(-x * j(1) if l == 0 else x * j(l - 1) - (l + 1) * j(l))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(R=st.floats(0.3, 3.0), KR=st.floats(1.0, 40.0))
+def test_roots_sit_at_rounding_level(R, KR):
+    # the safeguarded Newton refinement runs each root down to rounding:
+    # |x j_l'(x)| at x = k R is a few ulp of max(1, x): worst 2.5e-16 of it
+    # over 2,496 roots on 32 radii with KR = 40
+    for l, recs in real_eigenvalue_spectra([R], 6, KR / R)[0].items():
+        for r in recs:
+            x = r.k * R
+            assert abs(_x_djl(l, x)) <= 1e-14 * max(1.0, x), (l, x)
 
 
 def test_scaling_covariance():

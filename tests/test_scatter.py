@@ -31,6 +31,7 @@ from schifferlab.scatter import (
     unit_ball,
 )
 from schifferlab.errors import NumericalError
+from schifferlab.scatter import domain as domain_module
 from schifferlab.scatter import overdetermined as od
 from schifferlab.scatter.domain import ray_radii
 from schifferlab.specfun import (
@@ -213,6 +214,34 @@ def test_domain_validation():
         StarlikeDomain(1, ((0.5, 0, 1.0),))
     with pytest.raises(ValueError, match="finite real"):
         StarlikeDomain(0, ((0, 0, 1.0 + 1.0j),))
+
+
+def test_positivity_check_reads_one_read_only_grid():
+    # rho = 1 + b cos(theta) is smallest at the grid's node nearest the south
+    # pole, where a fresh sphere_quadrature() puts it at 1 - b c; construction
+    # accepts exactly the b with 1 - b c > 0
+    fresh = sphere_quadrature()
+    c = float(np.max(-np.cos(fresh.theta)))
+    for b in (0.5, (1 - 1e-9) / c, (1 + 1e-9) / c, 1.0003, 3.0):
+        coeffs = ((0, 0, SQRT_4PI), (1, 0, b * SQRT_4PI / math.sqrt(3)))
+        if 1 - b * c > 0:
+            StarlikeDomain(1, coeffs)
+        else:
+            with pytest.raises(ValueError, match="rho must be positive"):
+                StarlikeDomain(1, coeffs)
+    # the check's nodes are built once and cannot be written through
+    theta, phi = domain_module._positivity_grid()
+    assert domain_module._positivity_grid()[0] is theta
+    assert theta.shape == (64, 1) and phi.shape == (1, 128)
+    assert theta.ravel().tobytes() == fresh.theta.tobytes()
+    assert phi.ravel().tobytes() == fresh.phi.tobytes()
+    for nodes in (theta, phi, theta.base, phi.base):
+        assert not nodes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0] = 0.0
+    # while the public rule stays a fresh, writeable build per call
+    again = sphere_quadrature()
+    assert again.theta is not fresh.theta and again.theta.flags.writeable
 
 
 def test_domain_file_roundtrip(tmp_path):

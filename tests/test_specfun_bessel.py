@@ -5,8 +5,10 @@ j_l(z) = sqrt(pi/(2z)) J_{l+1/2}(z) and y_l(z) = sqrt(pi/(2z)) Y_{l+1/2}(z).
 """
 
 import cmath
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from schifferlab.specfun import (
     spherical_bessel_y,
     spherical_jn_table,
 )
+
+DATA = Path(__file__).parent / "data"
 
 # mpmath dps=40
 REAL_CASES = [
@@ -230,6 +234,41 @@ def test_series_cutoff_is_seamless():
     z = -3.288769178463685e-07 + 9.44372793396693e-07j
     for want, got in zip(riccati_table(0, z), riccati_table(0, np.array([z]))):
         assert_allclose(got[:, 0], want, rtol=1e-14)
+
+
+def _seam_gap(lmax: int, u: complex | float) -> float:
+    """Largest gap between the S, S' tables at nextafter(lmax, 0) * u (Miller)
+    and at lmax * u (upward), per order relative to hypot(|S_l|, |S_l'|)."""
+    below = riccati_s_table(lmax, np.nextafter(float(lmax), 0.0) * u, scaled=True)
+    at = riccati_s_table(lmax, float(lmax) * u, scaled=True)
+    amp = np.hypot(np.abs(at[0]), np.abs(at[1]))
+    return max(float(np.max(np.abs(b - a) / amp)) for b, a in zip(below, at))
+
+
+@pytest.mark.parametrize("lmax", [1, 3, 8, 20, 60])
+def test_the_miller_upward_seam_is_seamless_on_the_real_axis(lmax):
+    # |z| = lmax starts the upward regime; one ulp below it Miller's
+    # recurrence runs.  On the real axis, in both dtypes and on both sides
+    # of 0, the tables part by at most 1.1e-14 of the amplitude
+    for u in (1.0, -1.0, 1.0 + 0j, -1.0 + 0j):
+        assert _seam_gap(lmax, u) <= 3e-14, u
+    below = spherical_jn_table(lmax, np.nextafter(float(lmax), 0.0))
+    at = spherical_jn_table(lmax, float(lmax))
+    S, Sp = riccati_s_table(lmax, float(lmax))
+    assert np.max(np.abs(below - at) / (np.hypot(S, Sp) / lmax)) <= 3e-14
+
+
+@pytest.mark.parametrize("lmax", [
+    1, 3,
+    *(pytest.param(l, marks=pytest.mark.xfail(
+        strict=True, reason="off the real axis the upward j_l recurrence is not "
+        "the stable direction: at |z| = lmax it loses up to 1e-13 (lmax 8), "
+        "3e-9 (lmax 20) and every digit (lmax 60) of S_lmax"))
+      for l in (8, 20, 60)),
+])
+def test_the_miller_upward_seam_off_the_real_axis(lmax):
+    for angle in (0.1, 0.25, 0.5, 1.0, 0.5 * math.pi, math.pi - 0.25, -0.25):
+        assert _seam_gap(lmax, cmath.exp(1j * angle)) <= 3e-14, angle
 
 
 def test_domain_validation():
@@ -485,3 +524,67 @@ def test_the_float64_pair_matches_the_complex_tables(args):
     bound = 4 * (lmax + 1) * np.spacing(np.hypot(Sc, Spc))
     for got, want in ((S, Sc), (Sp, Spc)):
         assert np.all((np.abs(got - want) <= bound)[:, normal]), (x, got - want, bound)
+
+
+# ------------------------------------------------------------ Miller regime
+
+
+def _miller_references():
+    with open(DATA / "miller_jn.json", encoding="utf-8") as fh:
+        ref = json.load(fh)
+    real = [(c["lmax"], c["x"], np.array(c["j"])) for c in ref["real"]]
+    cplx = [(c["lmax"], complex(*c["z"]), np.array([complex(*v) for v in c["j"]]))
+            for c in ref["complex"]]
+    return real, cplx
+
+
+def _assert_close_or_underflowed(got, want, rtol):
+    # entries whose true value is below the normal range must come out
+    # below it too; every other entry to rtol
+    tiny = np.finfo(float).tiny
+    normal = np.abs(want) >= tiny
+    assert np.all(np.abs(got - want)[normal] <= rtol * np.abs(want[normal])), (got, want)
+    assert np.all(np.abs(got[~normal]) < tiny)
+
+
+def test_miller_regime_frozen_references():
+    # points just below lmax, at and near the series cutoff 1e-6, and complex
+    # points near the imaginary axis; worst errors 6.5e-14 (real, at
+    # j_30(36.6), 70 times below the table's largest entry) and 1.8e-15
+    # (complex)
+    real, cplx = _miller_references()
+    assert {c[0] for c in real} == {c[0] for c in cplx} == {3, 8, 20, 60}
+    for lmax, x, want in real:
+        _assert_close_or_underflowed(spherical_jn_table(lmax, x), want, 2e-13)
+    for lmax, z, want in cplx:
+        # the imaginary part of sin z, taken from exp(+-iz), carries a
+        # relative error of about 1e-16 / |Im z| (1.2e-6 here), and j_0 and
+        # j_1 normalise the table from it
+        rtol = 1e-11 if abs(z) < 1e-5 else 1e-14
+        _assert_close_or_underflowed(riccati_s_table(lmax, z)[0], z * want, rtol)
+
+
+def test_complex_miller_batches_equal_their_one_point_calls():
+    _, cplx = _miller_references()
+    rng = np.random.default_rng(7)
+    for lmax in (3, 8, 20, 60):
+        frozen = [z for l, z, _ in cplx if l == lmax]
+        r = rng.uniform(1e-6, lmax, 24)
+        z = np.concatenate([frozen, r * np.exp(1j * rng.uniform(-math.pi, math.pi, 24))])
+        for table in (riccati_s_table, riccati_table):
+            batch = table(lmax, z, scaled=True)
+            for i, zi in enumerate(z):
+                for got, want in zip(batch, table(lmax, zi, scaled=True)):
+                    assert got[:, i].tobytes() == want.tobytes()
+
+
+def test_the_miller_rescale_schedule_never_overflows():
+    # |z| = 1e-6 is the fastest growth in the regime: about 2.4e8 per step
+    # from order 120 down at lmax 60.  No step may overflow, in either dtype
+    for lmax in range(1, L_MAX + 1):
+        for z in (np.array([1e-6]), 1e-6 * np.exp(1j * np.array([0.3, 1.5, -2.0]))):
+            zs, zc = (np.sin(z), np.cos(z)) if z.dtype == float else bessel._scaled_trig(z, np.exp)
+            with np.errstate(over="raise", invalid="raise"):
+                j = bessel._miller_downward(lmax, z, zs, zc)
+            assert np.all(np.isfinite(j))
+            assert_allclose(j[0], zs / z, rtol=1e-15)
