@@ -27,7 +27,12 @@ already in the Fortran order that LAPACK factors.  The factorization is one
 Householder QR, R only: the residual norm is the last diagonal entry of R,
 and the leading triangle carries the singular values that the condition
 check needs (Betcke & Trefethen, "Reviving the method of particular
-solutions", SIAM Rev. 47, 2005).  Scans hold numpy's
+solutions", SIAM Rev. 47, 2005).  LAPACK's dgeqrt, with recursive panels
+16 columns wide (Elmroth & Gustavson, IBM J. Res. Dev. 44, 2000), factors
+the buffer in place, and dtrtri inverts the leading triangle for the
+||R11||_F ||R11^-1||_F bound on its condition number.  Both come through
+ctypes from the OpenBLAS that numpy itself loads; where its symbols are
+not found, np.linalg's QR and inverse take their place.  Scans hold numpy's
 OpenBLAS to one thread, so the block thread pool is the only parallelism
 and BLAS threads do not contend with it.
 
@@ -72,27 +77,66 @@ _COND2_LIMIT = 1e12
 # frequencies per Bessel table, 3,200 points at L_trial = 8; blocks of 64
 # ran no faster and raised peak memory by about 3 MB
 _BLOCK = 16
+# dgeqrt's panel width; 16 ran faster than 8, 24 and 32 on 400 x 82 systems
+_QR_PANEL = 16
 
 
-def _openblas_thread_controls():
-    """(get, set) of the thread count of numpy's OpenBLAS, or None if not found."""
+# symbol prefix, symbol suffix and LAPACK integer of the OpenBLAS builds
+# numpy ships: the scipy-openblas64 wheels (numpy >= 2) and a plain LP64
+# OpenBLAS.  The thread controls are {prefix}openblas_{name}{suffix}, the
+# LAPACK routines {prefix}{name}_{suffix}.
+_OPENBLAS_BUILDS = (("scipy_", "64_", ctypes.c_int64), ("", "", ctypes.c_int))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Lapack:
+    """dgeqrt and dtrtri of numpy's OpenBLAS, with the integer type they take."""
+
+    geqrt: Callable[..., None]
+    trtri: Callable[..., None]
+    integer: type
+
+
+def _openblas_routines():
+    """((get, set) thread controls, _Lapack) of numpy's OpenBLAS.
+
+    Either is None where its symbols are not found.  The LAPACK routines
+    come from the same library and build row as the thread controls, so
+    the scans' one-thread pin holds for them too; ctypes releases the GIL
+    while they run.
+    """
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
-        return None
-    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        return None, None
+    for prefix, suffix, integer in _OPENBLAS_BUILDS:
         try:
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
-            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
         except AttributeError:
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
+        try:
+            geqrt = getattr(lib, f"{prefix}dgeqrt_{suffix}")
+            trtri = getattr(lib, f"{prefix}dtrtri_{suffix}")
+        except AttributeError:
+            return (get, set_), None
+        p_int = ctypes.POINTER(integer)
+        matrix = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+        # dgeqrt(m, n, nb, a, lda, t, ldt, work, info)
+        geqrt.argtypes = [p_int, p_int, p_int, matrix, p_int, matrix, p_int, matrix, p_int]
+        geqrt.restype = None
+        # dtrtri(uplo, diag, n, a, lda, info) and the two hidden lengths of
+        # its character arguments
+        trtri.argtypes = [ctypes.c_char_p, ctypes.c_char_p, p_int, matrix, p_int, p_int,
+                          ctypes.c_size_t, ctypes.c_size_t]
+        trtri.restype = None
+        return (get, set_), _Lapack(geqrt, trtri, integer)
+    return None, None
 
 
-_OPENBLAS_THREADS = _openblas_thread_controls()
+_OPENBLAS_THREADS, _LAPACK = _openblas_routines()
 
 
 @contextlib.contextmanager
@@ -262,21 +306,62 @@ def _assemble(rows: _Rows, j: np.ndarray, jp: np.ndarray, k: float,
     return Ab
 
 
-def _solve(Ab: np.ndarray, k: float) -> float:
-    """RMS residual of the least squares whose equilibrated, transposed system is Ab."""
+def _factor(Ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray | None]:
+    """(R11, c, r, R11^-1) of the R-only QR of [A / scale | b] = Ab.T.
+
+    R11 = R[:n, :n] is the triangular factor of A / scale, c = R[:n, n] is
+    Q1^T b and |r| = |R[n, n]| the residual norm.  R11^-1 is None where
+    R11 has a zero pivot.  See ``_solve`` for the routines and for which
+    layouts of Ab are overwritten.
+    """
     n, m = Ab.shape[0] - 1, Ab.shape[1]
-    # R of [A / scale | b], factored through the Fortran-order view of Ab:
-    # R11 = R[:n, :n] is the triangular factor of A / scale, c = R[:n, n]
-    # is Q1^T b and |R[n, n]| the residual norm
-    R = np.linalg.qr(Ab.T, mode="r")
-    R11, c = R[:n, :n], R[:n, n]
-    rss = R[n, n] ** 2
+    if _LAPACK is None:
+        R = np.linalg.qr(Ab.T, mode="r")
+        R11 = R[:n, :n]
+        try:
+            inv = np.linalg.inv(R11)
+        except np.linalg.LinAlgError:
+            inv = None
+        return R11, R[:n, n], R[n, n], inv
+    lapack, i = _LAPACK, _LAPACK.integer
+    # the C-order (n + 1, m) buffer is the Fortran-order m x (n + 1) matrix
+    # that dgeqrt factors; T and its workspace are sized from Ab itself
+    Ab = np.ascontiguousarray(Ab, dtype=np.float64)
+    nb = min(_QR_PANEL, n + 1)
+    T = np.empty((n + 1, nb))
+    work = np.empty((n + 1) * nb)
+    info = i()
+    lapack.geqrt(i(m), i(n + 1), i(nb), Ab, i(m), T, i(nb), work, info)
+    if info.value != 0:
+        raise ValueError(f"dgeqrt rejected argument {-info.value} for a "
+                         f"{m} x {n + 1} system")
+    # R sits on and above the Fortran diagonal, so R^T on and below the C
+    # diagonal; the Householder vectors fill the rest
+    R11t = np.tril(Ab[:n, :n])
+    # R11t's Fortran view is R11, upper triangular with leading dimension n
+    inv = R11t.copy()
+    lapack.trtri(b"U", b"N", i(n), inv, i(n), info, 1, 1)
+    return R11t.T, Ab[n, :n], Ab[n, n], None if info.value > 0 else inv
+
+
+def _solve(Ab: np.ndarray, k: float) -> float:
+    """RMS residual of the least squares whose equilibrated, transposed system is Ab.
+
+    Ab is (n + 1, m): rows 0..n-1 are the equilibrated columns of A, row n
+    is b.  R comes from LAPACK dgeqrt with panels of min(16, n + 1)
+    columns and R11^-1, for the condition bound, from dtrtri; np.linalg's
+    QR and inverse stand in where numpy's OpenBLAS does not export them.
+    Any layout is accepted: a C-contiguous float64 Ab is overwritten by the
+    factorization, any other is factored as a C-contiguous copy.
+    """
+    n, m = Ab.shape[0] - 1, Ab.shape[1]
+    R11, c, r, R11_inv = _factor(Ab)
+    rss = r * r
     # ||R11||_F ||R11^-1||_F bounds cond_2 from above, so a small bound
-    # settles the usual well-conditioned case without an SVD
-    try:
-        bound = np.linalg.norm(R11) * np.linalg.norm(np.linalg.inv(R11))
-    except np.linalg.LinAlgError:
-        bound = np.inf
+    # settles the usual well-conditioned case without an SVD; Python floats,
+    # so a huge bound squares to inf without an overflow warning
+    bound = math.inf if R11_inv is None else (
+        float(np.linalg.norm(R11)) * float(np.linalg.norm(R11_inv)))
     if not bound * bound <= _COND2_LIMIT:
         U, sv, _ = np.linalg.svd(R11)
         cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf

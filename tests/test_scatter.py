@@ -1,5 +1,6 @@
 """Starlike domains, per-ray scans, boundary least squares, far fields."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import spherical_jn
@@ -567,6 +568,62 @@ def test_condition_warning_follows_the_singular_values(monkeypatch, target):
     assert_allclose(got, want, rtol=1e-12)
 
 
+@st.composite
+def least_squares_systems(draw):
+    """(A, b) with 1 <= n <= 81 columns and m >= 2 (n + 1) rows.
+
+    The last column is either independent, a near copy of the first
+    (cond^2 stays below about 1e10, where a QR residual and gelsd's agree to
+    rtol 1e-12), or an exact multiple of it (cond^2 far above 1e12, so the
+    rank-deficient truncation runs); any one column may also be zeroed.
+    """
+    n = draw(st.integers(1, 81))
+    m = draw(st.integers(2 * (n + 1), 2 * (n + 1) + 240))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    if n >= 2:
+        dependence = draw(st.sampled_from(("none", "near", "exact")))
+        if dependence == "near":
+            A[:, -1] = A[:, 0] + draw(st.floats(1e-4, 1.0)) * A[:, -1]
+        elif dependence == "exact":
+            A[:, -1] = draw(st.floats(0.1, 3.0)) * A[:, 0]
+    if draw(st.booleans()):
+        A[:, draw(st.integers(0, n - 1))] = 0.0
+    return A, b
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(system=least_squares_systems(), order=st.sampled_from("CF"),
+       lapack=st.booleans())
+def test_solve_matches_gelsd_in_any_layout(system, order, lapack):
+    A, b = system
+    want, cond2 = lstsq_reference(A, b)
+    # the rank warning is compared with gelsd's cond^2 away from its limit;
+    # test_condition_warning_follows_the_singular_values covers the limit
+    assume(not 1e11 < cond2 < 1e13)
+    Ab = np.asarray(transposed_system(A, b), order=order)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+        if not lapack:
+            mp.setattr(od, "_LAPACK", None)
+        warnings.simplefilter("always")
+        got = od._solve(Ab, 1.0)
+    assert [str(w.message) for w in caught if "rank deficient" not in str(w.message)] == []
+    assert len(caught) == (1 if cond2 > 1e12 else 0)
+    assert_allclose(got, want, rtol=1e-12)
+
+
+def test_numpy_factorization_matches_the_lapack_one():
+    ks = np.linspace(0.6, 11.0, 24)
+    for seed, neumann in ((1, "normal"), (2, "gradient"), (901, "normal")):
+        domain = seeded_domain(seed)
+        lapack = residual_scan(domain, ks, neumann=neumann)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(od, "_LAPACK", None)
+            numpy_qr = residual_scan(domain, ks, neumann=neumann)
+        assert_allclose(numpy_qr, lapack, rtol=1e-14)
+
+
 def openblas_threads() -> int:
     get, _ = od._OPENBLAS_THREADS
     return get()
@@ -574,6 +631,24 @@ def openblas_threads() -> int:
 
 needs_openblas = pytest.mark.skipif(od._OPENBLAS_THREADS is None,
                                     reason="numpy's OpenBLAS thread controls not found")
+
+
+@needs_openblas
+def test_scans_factor_with_numpy_openblas_lapack(monkeypatch):
+    # wherever the thread controls resolve, so do dgeqrt and dtrtri, and a
+    # scan runs them: the np.linalg branch is for numpys without them
+    assert od._LAPACK is not None
+    want = residual_scan(seeded_domain(4), [1.5, 6.0], L_trial=4)
+    calls, lapack_geqrt = [], od._LAPACK.geqrt
+
+    def geqrt(*args):
+        calls.append(args[3].shape)
+        return lapack_geqrt(*args)
+
+    monkeypatch.setattr(od, "_LAPACK", dataclasses.replace(od._LAPACK, geqrt=geqrt))
+    got = residual_scan(seeded_domain(4), [1.5, 6.0], L_trial=4)
+    assert got.tobytes() == want.tobytes()
+    assert calls == [(26, 400)] * 2
 
 
 @needs_openblas
