@@ -20,21 +20,35 @@ A scan cuts its frequency grid into blocks of 16 and takes the radial
 factors j_l(k rho) of a whole block from one real-argument table,
 ``specfun.spherical_jn_table``; the derivatives follow from the
 recurrence.  The k-independent products of the harmonic tables with the
-normal are formed once per scan.  Each frequency then writes its
-equilibrated system, with the right-hand side appended as a last column,
-transposed into one C-order buffer per block, so the buffer's transpose is
-already in the Fortran order that LAPACK factors.  The factorization is one
-Householder QR, R only: the residual norm is the last diagonal entry of R,
-and the leading triangle carries the singular values that the condition
-check needs (Betcke & Trefethen, "Reviving the method of particular
-solutions", SIAM Rev. 47, 2005).  LAPACK's dgeqrt, with recursive panels
-16 columns wide (Elmroth & Gustavson, IBM J. Res. Dev. 44, 2000), factors
-the buffer in place, and dtrtri inverts the leading triangle for the
-||R11||_F ||R11^-1||_F bound on its condition number.  Both come through
+normal are formed once per scan.  Each frequency then writes its raw
+system, with the right-hand side appended as a last column, transposed
+into its block's C-order buffer, so the buffer's transpose is already in
+the Fortran order that LAPACK factors.  The factorization is one
+Householder QR, R only, which overwrites the buffer: the residual norm is
+the last diagonal entry of R, and the leading triangle R11 carries the
+singular values that the condition check needs (Betcke & Trefethen,
+"Reviving the method of particular solutions", SIAM Rev. 47, 2005).
+LAPACK's dgeqrt, with recursive panels 16 columns wide (Elmroth &
+Gustavson, IBM J. Res. Dev. 44, 2000), factors the buffer in place.
+
+The columns are not equilibrated before the QR.  Householder QR gives the
+same residual under any positive column scaling, up to columnwise
+rounding (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd
+ed., section 19.4), so the scaling only matters to the condition check.
+That check equilibrates after the fact: the norm of column j of A is the
+norm of column j of R11, so with D the diagonal of those norms it bounds
+cond_2 of the equilibrated system by ||R11 D^-1||_F ||D R11^-1||_F, with
+dtrtri inverting R11.  Column equilibration comes within a factor sqrt(n)
+of the best cond_2 over all column scalings (van der Sluis, Numer. Math.
+14, 1969), and reading D from R11 costs O(n^2) per frequency instead of
+O(mn).  Each block allocates its buffer, dgeqrt's and dtrtri's outputs
+and their ready-made ctypes argument lists once, so block threads share
+no workspace and a call marshals nothing.  Both routines come through
 ctypes from the OpenBLAS that numpy itself loads; where its symbols are
-not found, np.linalg's QR and inverse take their place.  Scans hold numpy's
-OpenBLAS to one thread, so the block thread pool is the only parallelism
-and BLAS threads do not contend with it.
+not found, np.linalg's QR and inverse take their place.  Scans hold
+numpy's OpenBLAS to one thread, so the block thread pool is the only
+parallelism and BLAS threads do not contend with it.  Rank warnings are
+issued once the scan is done, in the calling thread, in grid order.
 
 The Neumann condition comes in two labeled flavors: ``normal`` tests the
 geometric normal derivative on the actual boundary, ``gradient`` asks the
@@ -79,6 +93,10 @@ _COND2_LIMIT = 1e12
 _BLOCK = 16
 # dgeqrt's panel width; 16 ran faster than 8, 24 and 32 on 400 x 82 systems
 _QR_PANEL = 16
+# a plain sum of squares inside these limits lost nothing to underflowed or
+# overflowed squares beyond rounding
+_SUMSQ_MIN = np.finfo(float).tiny / np.finfo(float).eps
+_SUMSQ_MAX = np.finfo(float).max
 
 
 # symbol prefix, symbol suffix and LAPACK integer of the OpenBLAS builds
@@ -123,14 +141,16 @@ def _openblas_routines():
         except AttributeError:
             return (get, set_), None
         p_int = ctypes.POINTER(integer)
-        matrix = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+        # every argument is prebuilt once per block (see _Workspace), so the
+        # arrays go in as raw addresses and nothing is marshalled per call;
         # dgeqrt(m, n, nb, a, lda, t, ldt, work, info)
-        geqrt.argtypes = [p_int, p_int, p_int, matrix, p_int, matrix, p_int, matrix, p_int]
+        geqrt.argtypes = [p_int, p_int, p_int, ctypes.c_void_p, p_int, ctypes.c_void_p,
+                          p_int, ctypes.c_void_p, p_int]
         geqrt.restype = None
         # dtrtri(uplo, diag, n, a, lda, info) and the two hidden lengths of
         # its character arguments
-        trtri.argtypes = [ctypes.c_char_p, ctypes.c_char_p, p_int, matrix, p_int, p_int,
-                          ctypes.c_size_t, ctypes.c_size_t]
+        trtri.argtypes = [ctypes.c_char_p, ctypes.c_char_p, p_int, ctypes.c_void_p, p_int,
+                          p_int, ctypes.c_size_t, ctypes.c_size_t]
         trtri.restype = None
         return (get, set_), _Lapack(geqrt, trtri, integer)
     return None, None
@@ -253,12 +273,15 @@ class _Rows:
     T = n_t dYdt / rho + n_p dYdp / (rho sin theta), and ``factors`` is
     (NY, T).  With ``gradient`` the three Neumann blocks are j_l' Y,
     (j_l / k) Dt and (j_l / k) Dp, with Dt = dYdt / rho and
-    Dp = dYdp / (rho sin theta), and ``factors`` is (Dt, Dp).
+    Dp = dYdp / (rho sin theta), and ``factors`` is (Dt, Dp).  ``tril`` is
+    the lower-triangle mask of an n_modes x n_modes C array, where R11^T
+    sits after the factorization.
     """
 
     frame: CollocationFrame
     neumann: str
     factors: tuple[np.ndarray, np.ndarray]
+    tril: np.ndarray
 
 
 def _rows(frame: CollocationFrame, neumann: str) -> _Rows:
@@ -268,19 +291,20 @@ def _rows(frame: CollocationFrame, neumann: str) -> _Rows:
         factors = (frame.n_r * frame.Y, frame.n_t * dt + frame.n_p * dp)
     else:
         factors = (dt, dp)
-    return _Rows(frame, neumann, factors)
+    return _Rows(frame, neumann, factors, np.tri(frame.Y.shape[0], dtype=bool))
 
 
 def _assemble(rows: _Rows, j: np.ndarray, jp: np.ndarray, k: float,
               Ab: np.ndarray) -> np.ndarray:
-    """Write the equilibrated system [A / scale | b], transposed, into Ab.
+    """Write the raw system [A | b], transposed, into Ab.
 
     ``j`` and ``jp`` hold j_l(k rho) and j_l'(k rho) at the collocation
     points, one row per order from 0.  ``Ab`` is a C-order array of shape
     (n_modes + 1, rows of A), reused across a block of frequencies.  Row
-    i < n_modes becomes column i of A over its norm ``scale``; the last row
-    is b, 1 on the Dirichlet points and 0 on the 1/k-weighted Neumann
-    points.  Returns Ab.
+    i < n_modes becomes column i of A as it stands, not equilibrated:
+    ``_solve`` reads the column norms from R instead.  The last row is b,
+    1 on the Dirichlet points and 0 on the 1/k-weighted Neumann points.
+    Returns Ab.
     """
     frame = rows.frame
     n, p = frame.Y.shape
@@ -288,7 +312,7 @@ def _assemble(rows: _Rows, j: np.ndarray, jp: np.ndarray, k: float,
     A = Ab[:n]
     jl = j[lv]
     np.multiply(jl, frame.Y, out=A[:, :p])
-    jl /= k
+    jl *= 1.0 / k
     if rows.neumann == "normal":
         NY, T = rows.factors
         np.multiply(jp[lv], NY, out=A[:, p:])
@@ -298,87 +322,147 @@ def _assemble(rows: _Rows, j: np.ndarray, jp: np.ndarray, k: float,
         np.multiply(jp[lv], frame.Y, out=A[:, p:2 * p])
         np.multiply(jl, Dt, out=A[:, 2 * p:3 * p])
         np.multiply(jl, Dp, out=A[:, 3 * p:])
-    scale = np.sqrt(np.einsum("ij,ij->i", A, A))
-    scale[scale == 0.0] = 1.0
-    A /= scale[:, None]
     Ab[n, :p] = 1.0
     Ab[n, p:] = 0.0
     return Ab
 
 
-def _factor(Ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray | None]:
-    """(R11, c, r, R11^-1) of the R-only QR of [A / scale | b] = Ab.T.
+class _Workspace:
+    """Everything one block's solves write into, allocated once per block.
 
-    R11 = R[:n, :n] is the triangular factor of A / scale, c = R[:n, n] is
-    Q1^T b and |r| = |R[n, n]| the residual norm.  R11^-1 is None where
-    R11 has a zero pivot.  See ``_solve`` for the routines and for which
-    layouts of Ab are overwritten.
+    ``Ab`` is the C-order (n + 1, m) system buffer that the factorization
+    overwrites, ``W`` an n x n scratch that holds R11^T and then the
+    inverse of R11, and ``tril`` the mask of W's lower triangle.  With
+    LAPACK, ``geqrt_args`` and ``trtri_args`` are the complete argument
+    tuples of dgeqrt and dtrtri, raw addresses of ``Ab``, ``W``, ``T``
+    and ``work`` and pointers to prebuilt integers, so a call marshals
+    nothing; both routines report through ``info``.  Each block builds its
+    own, so block threads share no buffer.
     """
+
+    def __init__(self, Ab: np.ndarray, tril: np.ndarray | None = None):
+        n, m = Ab.shape[0] - 1, Ab.shape[1]
+        self.Ab = Ab
+        self.tril = np.tri(n, dtype=bool) if tril is None else tril
+        # dtrtri writes only W's lower triangle, so the upper stays zero
+        self.W = np.zeros((n, n))
+        self.lapack = _LAPACK
+        if _LAPACK is None:
+            return
+        integer = _LAPACK.integer
+        nb = min(_QR_PANEL, n + 1)
+        self.T = np.empty((n + 1, nb))
+        self.work = np.empty((n + 1) * nb)
+        self.info = integer()
+        p_m, p_n1, p_nb, p_n = (ctypes.pointer(integer(v)) for v in (m, n + 1, nb, n))
+        p_info = ctypes.pointer(self.info)
+
+        def address(a):
+            return ctypes.c_void_p(a.ctypes.data)
+
+        # the C-order (n + 1, m) buffer is the Fortran-order m x (n + 1)
+        # matrix that dgeqrt factors; W's Fortran upper triangle is R11
+        self.geqrt_args = (p_m, p_n1, p_nb, address(Ab), p_m, address(self.T), p_nb,
+                           address(self.work), p_info)
+        self.trtri_args = (ctypes.c_char_p(b"U"), ctypes.c_char_p(b"N"), p_n, address(self.W),
+                           p_n, p_info, ctypes.c_size_t(1), ctypes.c_size_t(1))
+
+
+def _column_norms(Rt: np.ndarray) -> np.ndarray:
+    """Row norms of ``Rt``, with 1 for a zero row.
+
+    The plain sum of squares is exact to rounding unless a square
+    underflows or overflows; only then is each row first scaled by its
+    largest entry.
+    """
+    ss = np.einsum("ij,ij->i", Rt, Rt)
+    if ss.min() >= _SUMSQ_MIN and ss.max() <= _SUMSQ_MAX:
+        d = np.sqrt(ss)
+    else:
+        top = np.abs(Rt).max(axis=1)
+        top[top == 0.0] = 1.0
+        scaled = Rt / top[:, None]
+        d = top * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+    d[d == 0.0] = 1.0
+    return d
+
+
+def _solve(Ab: np.ndarray, ws: _Workspace | None = None) -> tuple[float, float | None]:
+    """(RMS residual, cond^2 or None) of the least squares whose transposed system is Ab.
+
+    Ab is (n + 1, m): rows 0..n-1 are the columns of A, raw or scaled in
+    any way, row n is b.  The factorization is LAPACK dgeqrt, in place on
+    ``ws.Ab`` with panels of min(16, n + 1) columns, or np.linalg's QR
+    where numpy's OpenBLAS does not export it; either leaves R^T in the
+    leading (n + 1) x (n + 1) block of the C array.  Householder QR does
+    not depend on a positive column scaling beyond rounding, so only the
+    condition check equilibrates: it takes the column norms D of A as
+    those of R11 and bounds cond_2(R11 D^-1) by ||R11 D^-1||_F
+    ||D R11^-1||_F, with R11^-1 from dtrtri (or np.linalg.inv).  When that
+    bound is not small an SVD of R11 D^-1 settles it, and the second value
+    is cond^2 where it exceeds 1e12, else None; the caller warns.
+
+    Ab is factored in ``ws``, the block's workspace, when it is ``ws.Ab``
+    and is overwritten.  Any other array gets a workspace of its own: a
+    C-contiguous float64 Ab is overwritten too, any other layout is
+    factored as a C-contiguous copy.
+    """
+    if ws is None or Ab is not ws.Ab:
+        ws = _Workspace(np.ascontiguousarray(Ab, dtype=np.float64))
+    Ab, W, lapack = ws.Ab, ws.W, ws.lapack
     n, m = Ab.shape[0] - 1, Ab.shape[1]
-    if _LAPACK is None:
-        R = np.linalg.qr(Ab.T, mode="r")
-        R11 = R[:n, :n]
-        try:
-            inv = np.linalg.inv(R11)
-        except np.linalg.LinAlgError:
-            inv = None
-        return R11, R[:n, n], R[n, n], inv
-    lapack, i = _LAPACK, _LAPACK.integer
-    # the C-order (n + 1, m) buffer is the Fortran-order m x (n + 1) matrix
-    # that dgeqrt factors; T and its workspace are sized from Ab itself
-    Ab = np.ascontiguousarray(Ab, dtype=np.float64)
-    nb = min(_QR_PANEL, n + 1)
-    T = np.empty((n + 1, nb))
-    work = np.empty((n + 1) * nb)
-    info = i()
-    lapack.geqrt(i(m), i(n + 1), i(nb), Ab, i(m), T, i(nb), work, info)
-    if info.value != 0:
-        raise ValueError(f"dgeqrt rejected argument {-info.value} for a "
-                         f"{m} x {n + 1} system")
+    if lapack is None:
+        Ab[:, :n + 1] = np.linalg.qr(Ab.T, mode="r").T
+    else:
+        lapack.geqrt(*ws.geqrt_args)
+        if ws.info.value != 0:
+            raise ValueError(f"dgeqrt rejected argument {-ws.info.value} for a "
+                             f"{m} x {n + 1} system")
     # R sits on and above the Fortran diagonal, so R^T on and below the C
-    # diagonal; the Householder vectors fill the rest
-    R11t = np.tril(Ab[:n, :n])
-    # R11t's Fortran view is R11, upper triangular with leading dimension n
-    inv = R11t.copy()
-    lapack.trtri(b"U", b"N", i(n), inv, i(n), info, 1, 1)
-    return R11t.T, Ab[n, :n], Ab[n, n], None if info.value > 0 else inv
-
-
-def _solve(Ab: np.ndarray, k: float) -> float:
-    """RMS residual of the least squares whose equilibrated, transposed system is Ab.
-
-    Ab is (n + 1, m): rows 0..n-1 are the equilibrated columns of A, row n
-    is b.  R comes from LAPACK dgeqrt with panels of min(16, n + 1)
-    columns and R11^-1, for the condition bound, from dtrtri; np.linalg's
-    QR and inverse stand in where numpy's OpenBLAS does not export them.
-    Any layout is accepted: a C-contiguous float64 Ab is overwritten by the
-    factorization, any other is factored as a C-contiguous copy.
-    """
-    n, m = Ab.shape[0] - 1, Ab.shape[1]
-    R11, c, r, R11_inv = _factor(Ab)
+    # diagonal; the Householder vectors fill the rest.  Column j of A has
+    # the norm of column j of R11, row j of R11^T.
+    np.copyto(W, Ab[:n, :n], where=ws.tril)
+    d = _column_norms(W)
+    if lapack is None:
+        try:
+            W[...] = np.linalg.inv(W.T).T
+            singular = False
+        except np.linalg.LinAlgError:
+            singular = True
+    else:
+        lapack.trtri(*ws.trtri_args)
+        singular = ws.info.value > 0
+    # each column of R11 D^-1 has unit norm, so ||R11 D^-1||_F^2 = n; W's
+    # column i is row i of R11^-1, scaled by d_i before squaring so that
+    # tiny column norms cannot overflow the sum.  A product past the float
+    # range is an inf bound, which the SVD below settles.
+    bound2 = math.inf
+    if not singular:
+        with np.errstate(over="ignore"):
+            np.multiply(W, d, out=W)
+        bound2 = n * float(np.einsum("ij,ij->", W, W))
+    r = float(Ab[n, n])
     rss = r * r
-    # ||R11||_F ||R11^-1||_F bounds cond_2 from above, so a small bound
-    # settles the usual well-conditioned case without an SVD; Python floats,
-    # so a huge bound squares to inf without an overflow warning
-    bound = math.inf if R11_inv is None else (
-        float(np.linalg.norm(R11)) * float(np.linalg.norm(R11_inv)))
-    if not bound * bound <= _COND2_LIMIT:
-        U, sv, _ = np.linalg.svd(R11)
-        cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+    cond2 = None
+    if not bound2 <= _COND2_LIMIT:
+        c = Ab[n, :n]
+        U, sv, _ = np.linalg.svd(np.where(ws.tril, Ab[:n, :n], 0.0).T / d)
+        cond = float(sv[0]) / float(sv[-1]) if sv[-1] > 0 else math.inf
         if cond * cond > _COND2_LIMIT:
-            warnings.warn(
-                f"normal-equation condition number {cond * cond:.2e} exceeds 1e12 "
-                f"at k = {k}; the trial space is effectively rank deficient",
-                RuntimeWarning, stacklevel=4)
+            cond2 = cond * cond
         # gelsd's rcond=None truncation: singular directions at or below
         # eps max(m, n) s_0 fit nothing, so their share of b stays residual
         dropped = sv <= np.finfo(float).eps * max(m, n) * sv[0]
-        rss += np.sum((U[:, dropped].T @ c) ** 2)
-    return float(math.sqrt(rss / m))
+        rss += float(np.sum((U[:, dropped].T @ c) ** 2))
+    return math.sqrt(rss / m), cond2
 
 
-def _scan_block(rows: _Rows, ks: np.ndarray) -> np.ndarray:
-    """Residuals at the frequencies ``ks``, from one Bessel table for all of them."""
+def _scan_block(rows: _Rows, ks: np.ndarray) -> tuple[np.ndarray, list[tuple[float, float]]]:
+    """Residuals at the frequencies ``ks``, from one Bessel table for all of them.
+
+    Also returns the (k, cond^2) pairs that the rank check flagged, in
+    grid order.
+    """
     L = rows.frame.L_trial
     x = ks[:, None] * rows.frame.rho
     # one table of j_0..j_max(L, 1); derivatives by the identities
@@ -388,11 +472,23 @@ def _scan_block(rows: _Rows, ks: np.ndarray) -> np.ndarray:
     jp[0] = -j[1]
     jp[1:] = j[:L] - np.arange(2, L + 2)[:, None, None] * j[1:L + 1] / x
     n, p = rows.frame.Y.shape
-    Ab = np.empty((n + 1, (2 if rows.neumann == "normal" else 4) * p))
+    ws = _Workspace(np.empty((n + 1, (2 if rows.neumann == "normal" else 4) * p)), rows.tril)
     out = np.empty(ks.size)
+    flagged = []
     for i, k in enumerate(ks.tolist()):
-        out[i] = _solve(_assemble(rows, j[:, i], jp[:, i], k, Ab), k)
-    return out
+        out[i], cond2 = _solve(_assemble(rows, j[:, i], jp[:, i], k, ws.Ab), ws)
+        if cond2 is not None:
+            flagged.append((k, cond2))
+    return out, flagged
+
+
+def _warn_rank_deficient(flagged: list[tuple[float, float]]) -> None:
+    """Warn once per flagged frequency, pointing at the public function's caller."""
+    for k, cond2 in flagged:
+        warnings.warn(
+            f"normal-equation condition number {cond2:.2e} exceeds 1e12 "
+            f"at k = {k}; the trial space is effectively rank deficient",
+            RuntimeWarning, stacklevel=3)
 
 
 def overdetermined_residual(domain: StarlikeDomain, k: float, L_trial: int = 8,
@@ -409,7 +505,9 @@ def overdetermined_residual(domain: StarlikeDomain, k: float, L_trial: int = 8,
     """
     if not (np.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be positive and finite, got {k}")
-    return float(residual_scan(domain, [k], L_trial, n_collocation, neumann)[0])
+    res, flagged = _scan(domain, [k], L_trial, n_collocation, neumann, 1)
+    _warn_rank_deficient(flagged)
+    return float(res[0])
 
 
 def residual_scan(domain: StarlikeDomain, k_values: Sequence[float],
@@ -418,12 +516,23 @@ def residual_scan(domain: StarlikeDomain, k_values: Sequence[float],
     """overdetermined_residual over a k grid, reusing one collocation frame.
 
     The grid is cut into blocks of 16 frequencies, each with one Bessel
-    table.  Blocks are independent, so ``threads > 1`` fans them out to a
-    thread pool; results come back in grid order either way.  numpy's
-    OpenBLAS is held to one thread for the whole scan, and each point's
-    table and solve do not depend on its block, so threaded results equal
-    serial ones bit for bit.
+    table and one solve workspace.  Blocks are independent, so
+    ``threads > 1`` fans them out to a thread pool; results come back in
+    grid order either way.  numpy's OpenBLAS is held to one thread for the
+    whole scan, and each point's table and solve do not depend on its
+    block, so threaded results equal serial ones bit for bit.  Rank
+    warnings are issued after the scan, in the calling thread and in grid
+    order.
     """
+    res, flagged = _scan(domain, k_values, L_trial, n_collocation, neumann, threads)
+    _warn_rank_deficient(flagged)
+    return res
+
+
+def _scan(domain: StarlikeDomain, k_values: Sequence[float], L_trial: int,
+          n_collocation: int | None, neumann: str,
+          threads: int) -> tuple[np.ndarray, list[tuple[float, float]]]:
+    """``residual_scan``'s residuals and its flagged (k, cond^2) pairs, unwarned."""
     if neumann not in _NEUMANN_MODES:
         raise ValueError(f"neumann must be one of {_NEUMANN_MODES}, got {neumann!r}")
     if threads < 1:
@@ -438,9 +547,12 @@ def residual_scan(domain: StarlikeDomain, k_values: Sequence[float],
     scan = functools.partial(_scan_block, rows)
     with _one_blas_thread():
         if threads == 1:
-            return np.concatenate(list(map(scan, blocks)))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.concatenate(list(pool.map(scan, blocks)))
+            parts = list(map(scan, blocks))
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                parts = list(pool.map(scan, blocks))
+    return (np.concatenate([out for out, _ in parts]),
+            [pair for _, flagged in parts for pair in flagged])
 
 
 def trial_convergence(domain: StarlikeDomain, k: float, l_trials: Sequence[int],

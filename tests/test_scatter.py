@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -506,11 +507,18 @@ def test_healthy_solve_emits_no_warnings():
         overdetermined_residual(unit_ball(), 3.0, L_trial=4)
 
 
+def safe_column_norms(A: np.ndarray) -> np.ndarray:
+    """Column norms of A, 1 for a zero column; no square underflows or overflows."""
+    top = np.abs(A).max(axis=0)
+    top[top == 0.0] = 1.0
+    norms = top * np.linalg.norm(A / top, axis=0)
+    norms[norms == 0.0] = 1.0
+    return norms
+
+
 def lstsq_reference(A: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """(residual, cond^2) of the equilibrated system by gelsd, rcond=None."""
-    scale = np.linalg.norm(A, axis=0)
-    scale[scale == 0.0] = 1.0
-    An = A / scale
+    An = A / safe_column_norms(A)
     coeffs, _, _, sv = np.linalg.lstsq(An, b, rcond=None)
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
     return float(np.linalg.norm(An @ coeffs - b) / math.sqrt(A.shape[0])), cond * cond
@@ -593,24 +601,98 @@ def least_squares_systems(draw):
     return A, b
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(system=least_squares_systems(), order=st.sampled_from("CF"),
-       lapack=st.booleans())
-def test_solve_matches_gelsd_in_any_layout(system, order, lapack):
+       scale_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)), lapack=st.booleans())
+def test_solve_matches_gelsd_in_any_layout(system, order, scale_seed, lapack):
     A, b = system
+    if scale_seed is None:
+        # the equilibrated system, as the monkeypatched _assemble gives it
+        Ab = transposed_system(A, b)
+    else:
+        # the raw system, as _assemble writes it, with column j scaled by
+        # 10^U(-150, 150)
+        A = A * 10.0 ** np.random.default_rng(scale_seed).uniform(-150.0, 150.0, A.shape[1])
+        Ab = np.vstack([A.T, b])
     want, cond2 = lstsq_reference(A, b)
-    # the rank warning is compared with gelsd's cond^2 away from its limit;
+    # the rank flag is compared with gelsd's cond^2 away from its limit;
     # test_condition_warning_follows_the_singular_values covers the limit
     assume(not 1e11 < cond2 < 1e13)
-    Ab = np.asarray(transposed_system(A, b), order=order)
+    Ab = np.asarray(Ab, order=order)
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
         if not lapack:
             mp.setattr(od, "_LAPACK", None)
         warnings.simplefilter("always")
-        got = od._solve(Ab, 1.0)
-    assert [str(w.message) for w in caught if "rank deficient" not in str(w.message)] == []
-    assert len(caught) == (1 if cond2 > 1e12 else 0)
+        got, flagged = od._solve(Ab)
+    # _solve flags, its public callers warn
+    assert caught == []
+    assert (flagged is not None) == (cond2 > 1e12)
     assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("lapack", (True, False))
+def test_a_column_whose_squares_underflow_is_equilibrated(lapack):
+    # the entries of a column times 1e-170 square to 0, so a plain norm
+    # would leave it unscaled and the condition bound would overflow
+    rng = np.random.default_rng(3)
+    A, b = rng.standard_normal((40, 6)), rng.standard_normal(40)
+    A[:, 2] *= 1e-170
+    want, cond2 = lstsq_reference(A, b)
+    assert cond2 < 1e3
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        if not lapack:
+            mp.setattr(od, "_LAPACK", None)
+        warnings.simplefilter("error")
+        got, flagged = od._solve(np.vstack([A.T, b]))
+    assert flagged is None
+    assert_allclose(got, want, rtol=1e-12)
+
+
+def test_trial_degrees_whose_column_norms_underflow_stay_well_posed():
+    # at k = 1e-6 the degree 21-25 columns of the unit ball's system have
+    # norms near 1e-183; equilibrated from R they are no rank deficiency
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r25 = residual_scan(unit_ball(), [1e-6], L_trial=25)[0]
+        r20 = residual_scan(unit_ball(), [1e-6], L_trial=20, n_collocation=1352)[0]
+    # on the same 1352 points (L_trial = 25's default) the degree-20 trial
+    # space is nested in the degree-25 one, so its minimum is no lower
+    assert r25 <= r20 * (1.0 + 1e-12)
+
+
+def test_rank_warnings_point_at_the_caller_in_grid_order(monkeypatch):
+    A = np.ones((10, 3))
+    b = np.arange(10.0)
+    monkeypatch.setattr(od, "_assemble", lambda rows, j, jp, k, Ab: transposed_system(A, b))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        overdetermined_residual(unit_ball(), 1.0, L_trial=2)
+    assert [w.filename for w in caught] == [__file__]
+    ks = np.linspace(1.0, 4.0, 40)  # three blocks
+    messages = {}
+    for threads in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            residual_scan(unit_ball(), ks, L_trial=2, threads=threads)
+        assert {w.filename for w in caught} == {__file__}
+        messages[threads] = [str(w.message) for w in caught]
+    assert messages[2] == messages[1]
+    assert len(messages[1]) == ks.size
+    for k, message in zip(ks.tolist(), messages[1]):
+        assert f"at k = {k};" in message and "rank deficient" in message
+
+
+def test_concurrent_scans_of_two_domains_equal_their_serial_runs():
+    # each block owns its buffers, so scans running at once share none;
+    # the outer pin keeps the two scans' own pins from restoring the BLAS
+    # thread count under each other
+    ks = np.linspace(0.6, 11.0, 40)
+    domains = [seeded_domain(11), seeded_domain(12)]
+    serial = [residual_scan(d, ks, L_trial=4).tobytes() for d in domains]
+    with od._one_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
+        for _ in range(3):
+            futures = [pool.submit(residual_scan, d, ks, L_trial=4) for d in domains]
+            assert [f.result().tobytes() for f in futures] == serial
 
 
 def test_numpy_factorization_matches_the_lapack_one():
@@ -642,13 +724,14 @@ def test_scans_factor_with_numpy_openblas_lapack(monkeypatch):
     calls, lapack_geqrt = [], od._LAPACK.geqrt
 
     def geqrt(*args):
-        calls.append(args[3].shape)
+        # dgeqrt(m, n, ...) takes its sizes by pointer: m rows, n + 1 columns
+        calls.append((args[0].contents.value, args[1].contents.value))
         return lapack_geqrt(*args)
 
     monkeypatch.setattr(od, "_LAPACK", dataclasses.replace(od._LAPACK, geqrt=geqrt))
     got = residual_scan(seeded_domain(4), [1.5, 6.0], L_trial=4)
     assert got.tobytes() == want.tobytes()
-    assert calls == [(26, 400)] * 2
+    assert calls == [(400, 26)] * 2
 
 
 @needs_openblas
