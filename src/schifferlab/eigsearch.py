@@ -22,7 +22,7 @@ from scipy.optimize import brentq  # noqa: F401  (uncalled; bench/tracing.py loo
 
 from .entire import Evaluator, winding_count
 from .errors import UnderflowError
-from .specfun import riccati_s_table
+from .specfun import L_MAX, Z_MAX, riccati_s_table
 from .specfun import riccati_table  # noqa: F401  (uncalled; bench/tracing.py rebinds it)
 
 __all__ = [
@@ -165,64 +165,117 @@ def _scan_nodes(k_max: float, scan_step: float) -> np.ndarray:
     return nodes
 
 
-def _dispersion_rows(lmax: int, R: np.ndarray, k: np.ndarray, derivative: bool = False):
+def _coefficient_second_derivative(l, R_hat, k, S, Sp):
+    """B''(k) = R_hat^3 S_l''' - R_hat^2 S_l''/k + 2 R_hat S_l'/k^2 - 2 S_l/k^3.
+
+    S_l'' = (l(l+1)/x^2 - 1) S_l and S_l''' = -2 l(l+1) S_l/x^3
+    + (l(l+1)/x^2 - 1) S_l' at x = k R_hat, from the rows of _coefficient.
+    """
+    x = k * R_hat
+    ll = l * (l + 1)
+    q = ll / (x * x) - 1.0
+    S2 = q * S
+    S3 = q * Sp - 2.0 * ll * S / (x * x * x)
+    return (R_hat * R_hat * (R_hat * S3 - S2 / k)
+            + 2.0 * (R_hat * Sp - S / k) / (k * k))
+
+
+def _dispersion_rows(lmax: int, R: np.ndarray, k: np.ndarray, derivatives: bool = False):
     """B_l(k) for l = 0..lmax at real k on radii R (1-d arrays), rows by l.
 
     One float64 riccati_s_table call, which UnderflowError guards.  With
-    ``derivative`` also B_l'(k) by _coefficient_derivative.
+    ``derivatives`` the triple (B, B', B'') from the same S_l, S_l' rows.
     """
     S, Sp = _regular_rows(lmax, k, k * R)
     B = _coefficient(R, k, S, Sp)
-    if not derivative:
+    if not derivatives:
         return B
-    return B, _coefficient_derivative(np.arange(lmax + 1)[:, None], R, k, S, Sp)
+    l = np.arange(lmax + 1)[:, None]
+    return (B, _coefficient_derivative(l, R, k, S, Sp),
+            _coefficient_second_derivative(l, R, k, S, Sp))
 
 
-# brentq's tolerances; a Newton step this small leaves a rounding-level error
+# brentq's tolerances; a step this small leaves a rounding-level error
 _XTOL = 1e-14
 _RTOL = 4 * np.finfo(float).eps
-_NEWTON_MAX_ITER = 100
+_MAX_ITER = 100
+# scan nodes per radius: the default step pi/(4 R_hat) needs at most
+# 4 Z_MAX/pi = 12,733, and one scan call holds about ten tables of
+# (lmax + 1) x nodes doubles, 160 MB at lmax = 60 and this cap
+_MAX_SCAN_NODES = 1 << 15
 
 
-def _newton(lmax: int, rows: np.ndarray, R: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
-    """Root of B_rows in every sign-change bracket (lo, hi) at once.
+def _hermite_start(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray,
+                   d_lo: tuple[np.ndarray, np.ndarray],
+                   d_hi: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """A start in each bracket (lo, hi) from B, B', B'' at its two ends.
 
-    Safeguarded Newton from the secant point: a step that leaves the
-    current bracket bisects instead.  Each iteration is one array call over
-    the brackets still open, and each bracket's iterates depend on that
-    bracket alone.
+    The root of the quintic Hermite interpolant, by three Newton steps on
+    the polynomial from the secant point; where the result is not finite
+    or leaves the bracket, the secant point itself (the midpoint if that
+    rounds onto an end).  ``d_lo`` and ``d_hi`` are (B', B'') at lo and hi.
     """
-    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
-    s_lo = np.sign(f_lo)
+    h = hi - lo
+    dy = f_hi - f_lo
+    # p(t) = B(lo + t h) on [0, 1]: the quintic that matches the value,
+    # slope h B' and curvature h^2 B'' at both ends
+    d0, d1 = h * d_lo[0], h * d_hi[0]
+    s0, s1 = h * h * d_lo[1], h * h * d_hi[1]
+    c = (f_lo, d0, 0.5 * s0,
+         10.0 * dy - 6.0 * d0 - 4.0 * d1 - 1.5 * s0 + 0.5 * s1,
+         -15.0 * dy + 8.0 * d0 + 7.0 * d1 + 1.5 * s0 - s1,
+         6.0 * dy - 3.0 * (d0 + d1) - 0.5 * (s0 - s1))
+    secant = lo - f_lo * h / dy
+    secant = np.where((lo < secant) & (secant < hi), secant, 0.5 * (lo + hi))
+    t = (secant - lo) / h
+    # a flat or non-finite polynomial is caught by the test below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(3):
+            p, dp = c[5], 0.0
+            for coef in c[4::-1]:
+                dp = dp * t + p
+                p = p * t + coef
+            t = t - p / dp
+        x = lo + t * h
+    return np.where(np.isfinite(x) & (lo < x) & (x < hi), x, secant)
+
+
+def _halley(lmax: int, rows: np.ndarray, R: np.ndarray, x: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray, s_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(root, |B(root)|) of B_rows in every sign-change bracket (lo, hi) at once.
+
+    Safeguarded Halley from the starts ``x``, with ``s_lo`` the sign of B
+    at lo: a step that leaves the current bracket bisects instead.  Each
+    iteration is one array call over the brackets still open, and each
+    bracket's iterates depend on that bracket alone.  The root is the
+    evaluated iterate whose step met the tolerance (past the iteration
+    cap, the last one), so its |B| comes from the same call.
+    """
     root = np.empty_like(x)
+    residual = np.empty_like(x)
     live = np.arange(x.size)
-    for _ in range(_NEWTON_MAX_ITER):
-        B, dB = _dispersion_rows(lmax, R, x, derivative=True)
+    for _ in range(_MAX_ITER):
         cols = np.arange(x.size)
-        f, df = B[rows, cols], dB[rows, cols]
+        f, df, d2f = (t[rows, cols] for t in _dispersion_rows(lmax, R, x, derivatives=True))
+        root[live] = x
+        residual[live] = np.abs(f)
         left = np.sign(f) == s_lo
         lo = np.where(left, x, lo)
         hi = np.where(left, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = f / df
+        # Halley's step f/f' / (1 - (f/f') f''/(2 f')); where f' = 0 it is
+        # not finite, and the bracket test below bisects
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = f / df
+            step = newton / (1.0 - 0.5 * newton * d2f / df)
         xn = x - step
-        inside = (lo < xn) & (xn < hi)
         tol = _XTOL + _RTOL * np.abs(x)
-        done = (np.abs(step) <= tol) | (hi - lo <= tol)
-        # a converged step that leaves the bracket stays at x, which is inside
-        xn = np.where(inside, xn, np.where(done, x, 0.5 * (lo + hi)))
-        root[live[done]] = xn[done]
-        keep = ~done
+        keep = ~((np.abs(step) <= tol) | (hi - lo <= tol))
+        xn = np.where((lo < xn) & (xn < hi), xn, 0.5 * (lo + hi))
         live, x, lo, hi, s_lo, R, rows = (
             live[keep], xn[keep], lo[keep], hi[keep], s_lo[keep], R[keep], rows[keep])
         if live.size == 0:
             break
-    # brackets still open after the cap keep their last iterate; the
-    # residual check judges them
-    root[live] = x
-    return root
+    return root, residual
 
 
 def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float],
@@ -230,14 +283,24 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float],
                   tol: float) -> list[dict[int, list[EigenvalueRecord]]]:
     """Bracketed roots of B_l on (step, k_max] for each radius and degree.
 
-    All radii and degrees share one scan call, one call for the nudged
-    brackets (if any), one call per Newton iteration, and one residual call.
+    All radii and degrees share one scan call, which also gives B' and B''
+    at every node.  Each bracket starts at the root of the quintic Hermite
+    interpolant of (B, B', B'') at its two nodes and is refined by
+    safeguarded Halley steps, one call per iteration over the brackets
+    still open, usually two.  The reported root is the last evaluated
+    iterate, and its |B| from that call is the residual.  Nodes exactly on
+    a root cost one more call.
     """
     nodes = [_scan_nodes(k_max, s) for s in steps]
     k = np.concatenate(nodes)
     sizes = [n.size for n in nodes]
     degrees = np.asarray(degrees)
-    V = _dispersion_rows(lmax, np.repeat(np.asarray(radii, dtype=float), sizes), k)[degrees]
+    # B' and B'' at the nodes only seed _hermite_start, which falls back to
+    # the secant point where they are not finite (l(l+1)/x^2 overflows
+    # below x = k R of about 1e-154)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        V, dV, d2V = (t[degrees] for t in _dispersion_rows(
+            lmax, np.repeat(np.asarray(radii, dtype=float), sizes), k, derivatives=True))
 
     # sign-change brackets (r, l, a, b, f_a, f_b) in k order per radius and
     # degree, from one pass over the table; f_a = 0 marks a node exactly on
@@ -248,6 +311,7 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float],
     d, i = np.nonzero(change)
     r_of = np.repeat(np.arange(len(sizes)), sizes)[i]
     rows, lo, hi, f_lo, f_hi = degrees[d], k[i], k[i + 1], V[d, i], V[d, i + 1]
+    d_lo, d_hi = (dV[d, i], d2V[d, i]), (dV[d, i + 1], d2V[d, i + 1])
     spectra = [{l: [] for l in degrees.tolist()} for _ in radii]
     if not i.size:
         return spectra
@@ -259,14 +323,16 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float],
     on_node = np.flatnonzero(f_lo == 0)
     if on_node.size:
         lo[on_node] -= 0.25 * np.asarray(steps, dtype=float)[r_of[on_node]]
-        f_lo[on_node] = _dispersion_rows(lmax, R[on_node], lo[on_node])[
-            rows[on_node], np.arange(on_node.size)]
+        f_lo[on_node], d_lo[0][on_node], d_lo[1][on_node] = (
+            t[rows[on_node], np.arange(on_node.size)]
+            for t in _dispersion_rows(lmax, R[on_node], lo[on_node], derivatives=True))
     live = np.flatnonzero(f_lo * f_hi < 0)
     if live.size:
-        roots[live] = _newton(lmax, rows[live], R[live], lo[live], hi[live],
-                              f_lo[live], f_hi[live])
-        residuals[live] = np.abs(_dispersion_rows(lmax, R[live], roots[live])[
-            rows[live], np.arange(live.size)])
+        start = _hermite_start(lo[live], hi[live], f_lo[live], f_hi[live],
+                               (d_lo[0][live], d_lo[1][live]),
+                               (d_hi[0][live], d_hi[1][live]))
+        roots[live], residuals[live] = _halley(lmax, rows[live], R[live], start, lo[live],
+                                               hi[live], np.sign(f_lo[live]))
 
     for r, l, root, residual, a, b in zip(*(c.tolist() for c in
                                             (r_of, rows, roots, residuals, lo, hi))):
@@ -282,9 +348,27 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float],
     return spectra
 
 
-def _check_radius(R_hat: float) -> None:
-    if not (math.isfinite(R_hat) and R_hat > 0):
-        raise ValueError(f"R_hat must be positive and finite, got {R_hat}")
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_scan(R_hat: float, k_max: float, scan_step: float, tol: float) -> None:
+    """Reject a scan of (scan_step, k_max] on R_hat before it allocates anything.
+
+    Besides non-positive and non-finite values: k_max R_hat above the
+    kernel's Z_MAX, and more than _MAX_SCAN_NODES scan nodes.
+    """
+    _check_positive("k_max", k_max)
+    _check_positive("scan_step", scan_step)
+    _check_positive("tol", tol)
+    if k_max * R_hat > Z_MAX:
+        raise ValueError(f"k_max * R_hat = {k_max * R_hat:.6g} exceeds the kernel's "
+                         f"limit Z_MAX = {Z_MAX:.0e}")
+    nodes = k_max / scan_step
+    if nodes > _MAX_SCAN_NODES:
+        raise ValueError(f"scan_step {scan_step} needs {nodes:.6g} scan nodes up to "
+                         f"k_max = {k_max}, more than {_MAX_SCAN_NODES}")
 
 
 def find_real_eigenvalues(l: int, R_hat: float, k_max: float,
@@ -294,17 +378,23 @@ def find_real_eigenvalues(l: int, R_hat: float, k_max: float,
 
     The scan step defaults to, and must not exceed, a quarter of the
     asymptotic eigenvalue spacing pi/R_hat, so no sign change is skipped.
-    Each sign-change bracket is refined by safeguarded Newton on the
-    closed-form derivative B'(k); ``bracket`` is the scan bracket.
-    Near-coincident roots (closer than 10*tol) emit a warning rather than
-    being merged.
+    The scan also gives B' and B'' at every node.  Each sign-change
+    bracket starts at the root of the quintic Hermite interpolant of
+    (B, B', B'') at its two nodes and is refined by safeguarded Halley
+    steps on the closed-form derivatives.  ``k`` is the last evaluated
+    iterate, ``residual`` is |B| there, and ``bracket`` is the scan
+    bracket.  Near-coincident roots (closer than 10*tol) emit a warning
+    rather than being merged.
+
+    ValueError, naming the value, for a non-positive or non-finite R_hat,
+    k_max, scan_step or tol, for k_max R_hat above Z_MAX, and for more
+    than 32,768 scan nodes.
     """
-    if k_max <= 0:
-        raise ValueError("k_max must be positive")
-    _check_radius(R_hat)
+    _check_positive("R_hat", R_hat)
     limit = math.pi / (4 * R_hat)
     if scan_step is None:
         scan_step = limit
+    _check_scan(R_hat, k_max, scan_step, tol)
     if scan_step > limit * (1 + 1e-12):
         raise ValueError(f"scan_step {scan_step} exceeds pi/(4 R_hat) = {limit}")
     return _real_spectra(l, [l], [R_hat], [scan_step], k_max, tol)[0][l]
@@ -316,14 +406,20 @@ def real_eigenvalue_spectra(radii: Sequence[float], l_max: int, k_max: float,
 
     Entry r maps each degree to the roots for radius ``radii[r]`` at its
     default scan step pi/(4 R).  The whole batch takes one table call for
-    the scan, one per Newton iteration and one for the residuals; each
-    radius gets the same records whether scanned alone or in a batch.
+    the scan, which also gives the Hermite starts their B' and B'', and
+    one per Halley iteration, usually two; each residual is |B| from the
+    call that evaluated its root.  Each radius gets the same records
+    whether scanned alone or in a batch.  Every radius is checked as
+    find_real_eigenvalues checks it, and l_max must lie in [0, L_MAX].
     """
-    if k_max <= 0:
-        raise ValueError("k_max must be positive")
+    if not 0 <= l_max <= L_MAX:
+        # checked here, before range(l_max + 1) becomes an array
+        raise ValueError(f"l_max={l_max} outside [0, L_MAX={L_MAX}]")
+    steps = []
     for R_hat in radii:
-        _check_radius(R_hat)
-    steps = [math.pi / (4 * R_hat) for R_hat in radii]
+        _check_positive("R_hat", R_hat)
+        steps.append(math.pi / (4 * R_hat))
+        _check_scan(R_hat, k_max, steps[-1], tol)
     return _real_spectra(l_max, range(l_max + 1), radii, steps, k_max, tol)
 
 
@@ -362,6 +458,7 @@ def density_estimate(l: int, R_hat: float, K: float) -> DensityEstimate:
 
     Requires K >= 50/R_hat so the ratio has settled.
     """
+    _check_positive("R_hat", R_hat)
     if K < 50.0 / R_hat:
         raise ValueError(f"K={K} too small for a stable ratio; need K >= {50.0 / R_hat}")
     return DensityEstimate.from_count(len(find_real_eigenvalues(l, R_hat, K)), R_hat, K)

@@ -47,8 +47,15 @@ no workspace and a call marshals nothing.  Both routines come through
 ctypes from the OpenBLAS that numpy itself loads; where its symbols are
 not found, np.linalg's QR and inverse take their place.  Scans hold
 numpy's OpenBLAS to one thread, so the block thread pool is the only
-parallelism and BLAS threads do not contend with it.  Rank warnings are
-issued once the scan is done, in the calling thread, in grid order.
+parallelism, but the pool's threads still contend inside OpenBLAS: on a
+2-vCPU host, 2,000 dgeqrt calls on 400 x 82 systems took 0.71-0.76 s
+wall (1.3 s CPU, 0.10-0.14 s of it system time) from two threads, no
+faster than from one, while two processes each running the serial scan
+kept about 1.85 times the throughput of one.  Small dtrmm calls contend
+the same way and dgemm does not; a lock around the LAPACK calls and a
+two-stage assemble/factor pipeline were both slower than the block pool.
+So two block threads barely beat one.  Rank warnings are issued once the
+scan is done, in the calling thread, in grid order.
 
 The Neumann condition comes in two labeled flavors: ``normal`` tests the
 geometric normal derivative on the actual boundary, ``gradient`` asks the
@@ -62,6 +69,7 @@ import ctypes
 import dataclasses
 import functools
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
@@ -159,23 +167,43 @@ def _openblas_routines():
 _OPENBLAS_THREADS, _LAPACK = _openblas_routines()
 
 
+@dataclasses.dataclass
+class _Pin:
+    """The scans inside _one_blas_thread and the thread count they saved."""
+
+    lock: threading.Lock
+    depth: int = 0
+    saved: int = 0
+
+
+_PIN = _Pin(threading.Lock())
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Hold numpy's OpenBLAS to one thread, then restore the previous count.
+    """Hold numpy's OpenBLAS to one thread while any scan runs.
 
-    The count is process-wide, so BLAS calls that other threads make
-    meanwhile run on one thread too.
+    The count is process-wide, so the pin is too: under one lock, the
+    first scan to enter saves the count and sets 1, and the last to leave
+    restores it, whatever threads the scans run in.  BLAS calls that other
+    threads make meanwhile run on one thread too.
     """
     if _OPENBLAS_THREADS is None:
         yield
         return
     get, set_ = _OPENBLAS_THREADS
-    previous = get()
-    set_(1)
+    with _PIN.lock:
+        if _PIN.depth == 0:
+            _PIN.saved = get()
+            set_(1)
+        _PIN.depth += 1
     try:
         yield
     finally:
-        set_(previous)
+        with _PIN.lock:
+            _PIN.depth -= 1
+            if _PIN.depth == 0:
+                set_(_PIN.saved)
 
 
 @dataclasses.dataclass(frozen=True)

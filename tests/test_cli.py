@@ -6,16 +6,21 @@ overflow test, whose numpy warnings would have to reach the real stderr.
 """
 
 import builtins
+import contextlib
+import io
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from schifferlab import cli
 from schifferlab.eigsearch import count_zeros_argument_principle, dispersion_function
@@ -417,3 +422,47 @@ def test_threaded_run_matches_serial(run_cli, tmp_path, monkeypatch):
         outs.append(out.read_bytes())
     assert codes[0] == codes[1] == 1  # no eigenvalue on this coarse grid
     assert outs[0] == outs[1]
+
+
+# numeric flag values at the edges: zero, negative, NaN, +-inf, huge, tiny.
+# Should a guard go, every pairing still allocates either little or far
+# more than any machine has, which numpy refuses at once
+_EDGE_FLOATS = st.sampled_from(["0", "-0", "-1", "nan", "inf", "-inf", "1e6", "1e300",
+                                "-1e300", "1e-300", "5e-324", "0.5", "12"])
+_EDGE_INTS = st.sampled_from(["0", "-1", "3", "61", "1000000", "nan", "1e3"])
+_FUZZED = {
+    "eigen-scan": ((), {"--l": _EDGE_INTS, "--r-hat": _EDGE_FLOATS, "--k-max": _EDGE_FLOATS,
+                        "--scan-step": _EDGE_FLOATS, "--tol": _EDGE_FLOATS}),
+    "density": ((), {"--l": _EDGE_INTS, "--r-hat": _EDGE_FLOATS, "--k-max": _EDGE_FLOATS,
+                     "--gap-tol": _EDGE_FLOATS}),
+    "ray-scan": (("--domain", BALL), {"--l-max": _EDGE_INTS, "--k-max": _EDGE_FLOATS,
+                                      "--spread-tol": _EDGE_FLOATS}),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_numeric_flags_at_the_edges_exit_cleanly(monkeypatch, data):
+    # every outcome is PASS/FAIL (0/1), a numerical failure (1) or a config
+    # error (2), never a traceback; the only warning is the documented one
+    # about near-coincident roots (a tol above the root spacing)
+    monkeypatch.delenv("SCHIFFER_LAB_THREADS", raising=False)
+    command = data.draw(st.sampled_from(sorted(_FUZZED)))
+    fixed, flags = _FUZZED[command]
+    chosen = data.draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+    args = [command, *fixed]
+    for flag in chosen:
+        args += [flag + "=" + data.draw(flags[flag])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (args, code)
+    assert "Traceback" not in err.getvalue(), args
+    assert all("near-coincident roots" in str(w.message) for w in caught), \
+        (args, [str(w.message) for w in caught])

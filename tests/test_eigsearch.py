@@ -5,9 +5,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
 from schifferlab import eigsearch
@@ -21,6 +22,7 @@ from schifferlab.eigsearch import (
     real_eigenvalue_spectra,
 )
 from schifferlab.errors import UnderflowError
+from schifferlab.scatter import axis_directions, per_ray_eigen_scan, unit_ball
 
 # roots of tan x = x, mpmath findroot dps=30
 TAN_ROOTS = (4.4934094579090642, 7.7252518369377072, 10.904121659428899,
@@ -84,25 +86,41 @@ def test_find_real_eigenvalues_reference_roots():
         assert lo < r.k < hi
 
 
-def djl_sign_changes(l: int, x_lo: float, x_hi: float) -> int:
-    """Zeros of j_l' on (x_lo, x_hi] by scipy's sign changes on a 0.01 grid."""
+def scipy_djl_zeros(l: int, x_lo: float, x_hi: float) -> list[float]:
+    """Zeros of j_l' on (x_lo, x_hi]: sign changes on a 0.01 grid, then brentq to rounding."""
+    def djl(x):
+        return float(spherical_jn(l, x, derivative=True))
+
     x = np.append(np.arange(x_lo, x_hi, 0.01), x_hi)
     v = spherical_jn(l, x, derivative=True)
-    return int(np.count_nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0))
+    return [brentq(djl, x[i], x[i + 1], xtol=1e-300, rtol=4 * np.finfo(float).eps)
+            for i in np.flatnonzero(v[:-1] * v[1:] < 0)]
+
+
+def assert_scipy_spectrum(l, R, x_lo, K, recs):
+    """recs are the zeros of B_l = R x j_l'(x) on the k window (x_lo/R, K], to rtol 1e-13."""
+    want = scipy_djl_zeros(l, x_lo, K * R)
+    # a zero within rounding of a window edge may fall on either side of it
+    assume(all(min(abs(x - x_lo), abs(x - K * R)) > 1e-9 * x for x in want))
+    assert len(recs) == len(want), (l, R, K)
+    assert_allclose([r.k for r in recs], np.array(want) / R, rtol=1e-13, atol=0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(R=st.floats(0.3, 3.0), KR=st.floats(0.5, 40.0), l=st.integers(0, 6))
-def test_roots_are_the_zeros_of_the_bessel_derivative(R, KR, l):
-    # B(k) = R x j_l'(x) at x = k R; the scan starts at k = pi/(4 R)
-    K = KR / R
-    spectra = real_eigenvalue_spectra([R], 6, K)[0]
-    for degree, recs in [(l, find_real_eigenvalues(l, R, K))] + list(spectra.items()):
-        x = np.array([r.k * R for r in recs])
-        assert len(recs) == djl_sign_changes(degree, math.pi / 4, K * R)
-        assert np.all(np.abs(x * spherical_jn(degree, x, derivative=True)) <= 1e-8)
+@given(R=st.floats(0.3, 3.0), K=st.floats(1.0, 40.0), l=st.integers(0, 8))
+def test_roots_are_the_zeros_of_the_bessel_derivative(R, K, l):
+    # B(k) = R x j_l'(x) at x = k R; the scan starts at k = pi/(4 R).  The
+    # batch's table runs Miller's recurrence below x = 8, so the low
+    # degrees' first roots come from the Miller regime.  Each residual is
+    # |B| at the root, from a table of the same orders
+    batch = real_eigenvalue_spectra([R], 8, K)[0]
+    for lmax, degree, recs in [(l, l, find_real_eigenvalues(l, R, K))] + [
+            (8, degree, recs) for degree, recs in batch.items()]:
+        assert_scipy_spectrum(degree, R, math.pi / 4, K, recs)
         for r in recs:
             assert r.l == degree and r.bracket[0] < r.k < r.bracket[1]
+            B = eigsearch._dispersion_rows(lmax, np.array([R]), np.array([r.k]))[degree, 0]
+            assert r.residual == abs(B) <= 1e-9
 
 
 def _x_djl(l: int, x: float) -> float:
@@ -171,9 +189,15 @@ def test_near_coincident_root_warning():
 ])
 def test_a_node_on_a_root_nudges_its_bracket_open(monkeypatch, power, want):
     # B(k) = (k - 2)^power puts a root exactly on the scan node k = 2
-    def rows(lmax, R, k, derivative=False):
-        B = np.tile((k - 2.0) ** power, (lmax + 1, 1))
-        return (B, np.tile(power * (k - 2.0) ** (power - 1), (lmax + 1, 1))) if derivative else B
+    def rows(lmax, R, k, derivatives=False):
+        def tile(v):
+            return np.tile(v, (lmax + 1, 1))
+
+        B = tile((k - 2.0) ** power)
+        if not derivatives:
+            return B
+        return (B, tile(power * (k - 2.0) ** (power - 1)),
+                tile(power * (power - 1) * (k - 2.0) ** max(power - 2, 0)))
 
     monkeypatch.setattr(eigsearch, "_dispersion_rows", rows)
     recs = find_real_eigenvalues(0, 1.0, 3.0, scan_step=0.5)
@@ -198,8 +222,9 @@ def test_masked_brackets_match_the_per_radius_loop():
 
 def test_no_bracket_straddles_two_radii(monkeypatch):
     # B > 0 all along the first radius's scan and B < 0 along the second's
-    def rows(lmax, R, k, derivative=False):
-        return np.tile(np.where(R == 1.0, 1.0, -1.0), (lmax + 1, 1))
+    def rows(lmax, R, k, derivatives=False):
+        B = np.tile(np.where(R == 1.0, 1.0, -1.0), (lmax + 1, 1))
+        return (B, np.zeros_like(B), np.zeros_like(B)) if derivatives else B
 
     monkeypatch.setattr(eigsearch, "_dispersion_rows", rows)
     assert real_eigenvalue_spectra([1.0, 2.0], 1, 3.0) == [{0: [], 1: []}, {0: [], 1: []}]
@@ -230,6 +255,105 @@ def test_radius_guard():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="R_hat must be positive and finite"):
             find_real_eigenvalues(0, bad, 12.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_scan_step_must_be_positive_and_finite(bad):
+    # -1 scanned nothing and 0 divided by zero; both are rejected by name
+    with pytest.raises(ValueError, match=f"^scan_step must be positive and finite, got {bad}$"):
+        find_real_eigenvalues(0, 1.0, 12.0, scan_step=bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_tol_must_be_positive_and_finite(bad):
+    # tol = 0 used to reject every root as a numerical failure
+    want = f"^tol must be positive and finite, got {bad}$"
+    with pytest.raises(ValueError, match=want):
+        find_real_eigenvalues(0, 1.0, 12.0, tol=bad)
+    with pytest.raises(ValueError, match=want):
+        real_eigenvalue_spectra([1.0], 2, 12.0, tol=bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_k_max_must_be_positive_and_finite(bad):
+    want = f"^k_max must be positive and finite, got {bad}$"
+    with pytest.raises(ValueError, match=want):
+        find_real_eigenvalues(0, 1.0, bad)
+    with pytest.raises(ValueError, match=want):
+        real_eigenvalue_spectra([1.0], 2, bad)
+
+
+def test_scan_past_the_kernel_limit_is_rejected():
+    # k_max R_hat = 1.2e4 > Z_MAX = 1e4, before any table is allocated
+    want = r"^k_max \* R_hat = 12000 exceeds the kernel's limit Z_MAX = 1e\+04$"
+    with pytest.raises(ValueError, match=want):
+        find_real_eigenvalues(0, 2.0, 6000.0)
+    with pytest.raises(ValueError, match=want):
+        real_eigenvalue_spectra([1.0, 2.0], 1, 6000.0)
+    with pytest.raises(ValueError, match="exceeds the kernel's limit"):
+        density_estimate(0, 1.0, 2e4)
+
+
+def test_scan_node_count_is_capped():
+    # 1.2e5 nodes would hold tables of about a gigabyte at l = 60
+    with pytest.raises(ValueError, match=r"^scan_step 0\.0001 needs 120000 scan nodes up to "
+                                         r"k_max = 12\.0, more than 32768$"):
+        find_real_eigenvalues(60, 1.0, 12.0, scan_step=1e-4)
+    assert eigsearch._MAX_SCAN_NODES == 32768
+    # the default step fits up to the kernel's limit: 12,733 nodes
+    assert 4 * eigsearch.Z_MAX / math.pi < eigsearch._MAX_SCAN_NODES
+
+
+@pytest.mark.parametrize("bad", [-1, 61, 10**6])
+def test_spectra_degree_is_checked_before_the_degree_table(bad):
+    # l_max = 10**9 used to build an 8 GB array of degrees
+    with pytest.raises(ValueError, match=f"^l_max={bad} outside \\[0, L_MAX=60\\]$"):
+        real_eigenvalue_spectra([1.0], bad, 12.0)
+
+
+def test_ball_spectra_take_three_riccati_calls(monkeypatch):
+    # one scan call, whose B' and B'' give every bracket its quintic
+    # Hermite start, then two Halley calls; the residuals come from the last
+    calls = []
+    regular_rows = eigsearch._regular_rows
+
+    def counted(l, k, z):
+        calls.append(np.size(z))
+        return regular_rows(l, k, z)
+
+    monkeypatch.setattr(eigsearch, "_regular_rows", counted)
+    result = per_ray_eigen_scan(unit_ball(), axis_directions(), 3, 12.0)
+    assert len(calls) == 3
+    assert result.intersection_size > 0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(R=st.floats(0.3, 3.0), l=st.integers(0, 8), K=st.floats(10.0, 40.0),
+       pick=st.integers(0, 10**6), extra=st.integers(0, 3))
+def test_a_node_rounded_onto_a_root_still_gives_the_scipy_spectrum(R, l, K, pick, extra):
+    # choose the scan step so that a node lands within rounding of a root,
+    # and let the kernel read B = 0 there: the bracket is nudged open a
+    # quarter step to the left and refined like any other
+    roots = scipy_djl_zeros(l, math.pi / 4, K * R)
+    assume(roots)
+    k_star = roots[pick % len(roots)] / R
+    m = math.ceil(k_star / (math.pi / (4 * R))) + extra
+    step = k_star / m
+    node = eigsearch._scan_nodes(K, step)[m - 1]
+    assert abs(node - k_star) <= 4 * np.spacing(k_star)
+    dispersion_rows = eigsearch._dispersion_rows
+
+    def rounded(lmax, radii, k, derivatives=False):
+        out = dispersion_rows(lmax, radii, k, derivatives)
+        B = out[0] if derivatives else out
+        B[l, k == node] = 0.0
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigsearch, "_dispersion_rows", rounded)
+        recs = find_real_eigenvalues(l, R, K, scan_step=step)
+    assert_scipy_spectrum(l, R, step * R, K, recs)
+    assert any(r.bracket[0] == node - 0.25 * step for r in recs)
 
 
 def test_argument_principle_counts():
@@ -340,6 +464,10 @@ def test_high_degree_phase_shift_deficit():
 def test_density_window_guard():
     with pytest.raises(ValueError):
         density_estimate(0, 1.0, 20.0)
+    # the radius is checked before the window's 50/R_hat divides by it
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="R_hat must be positive and finite"):
+            density_estimate(0, bad, 100.0)
 
 
 def test_log_magnitude_evaluator():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -683,13 +684,12 @@ def test_rank_warnings_point_at_the_caller_in_grid_order(monkeypatch):
 
 
 def test_concurrent_scans_of_two_domains_equal_their_serial_runs():
-    # each block owns its buffers, so scans running at once share none;
-    # the outer pin keeps the two scans' own pins from restoring the BLAS
-    # thread count under each other
+    # each block owns its buffers, so scans running at once share none, and
+    # the counted pin holds BLAS at one thread while either scan runs
     ks = np.linspace(0.6, 11.0, 40)
     domains = [seeded_domain(11), seeded_domain(12)]
     serial = [residual_scan(d, ks, L_trial=4).tobytes() for d in domains]
-    with od._one_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
+    with ThreadPoolExecutor(max_workers=2) as pool:
         for _ in range(3):
             futures = [pool.submit(residual_scan, d, ks, L_trial=4) for d in domains]
             assert [f.result().tobytes() for f in futures] == serial
@@ -747,6 +747,46 @@ def test_threaded_scan_is_bitwise_serial_and_restores_blas_threads(seed, neumann
     threaded = residual_scan(domain, ks, L_trial=4, neumann=neumann, threads=2)
     assert openblas_threads() == before
     assert threaded.tobytes() == serial.tobytes()
+
+
+@needs_openblas
+def test_overlapping_scans_from_two_threads_restore_the_blas_thread_count(monkeypatch):
+    # both scans enter the pin, then the first leaves while the second is
+    # still inside: the count must stay 1 until the second leaves too, and
+    # then be what it was before either entered
+    get, set_ = od._OPENBLAS_THREADS
+    both_in, first_out = threading.Barrier(2), threading.Event()
+    scan_block, seen, errors = od._scan_block, [], []
+
+    def gated(rows, ks):
+        both_in.wait(timeout=60)
+        if threading.current_thread().name == "second":
+            first_out.wait(timeout=60)
+        seen.append(get())
+        return scan_block(rows, ks)
+
+    def scan(name):
+        try:
+            residual_scan(unit_ball(), [1.5], L_trial=2)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+        if name == "first":
+            first_out.set()
+
+    monkeypatch.setattr(od, "_scan_block", gated)
+    previous = get()
+    set_(2)
+    try:
+        threads = [threading.Thread(target=scan, args=(name,), name=name)
+                   for name in ("first", "second")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not errors and seen == [1, 1]
+        assert get() == 2
+    finally:
+        set_(previous)
 
 
 @needs_openblas
