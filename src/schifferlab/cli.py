@@ -24,7 +24,6 @@ import sys
 from typing import Callable
 
 import numpy as np
-from scipy.special import spherical_jn
 
 from ._atomic import write_atomic
 from .eigsearch import (
@@ -51,6 +50,7 @@ from .specfun import (
     SphericalDirection,
     riccati_table,
     sphere_quadrature,
+    spherical_jn_table,
     ylm_terms,
 )
 from .specfun.bessel import _scaled_trig
@@ -326,8 +326,8 @@ def _run_ball_check(p: dict) -> tuple[list[str], list[tuple], str]:
     k, _ = ball_eigenfunction(R, n)
     ball = StarlikeDomain(0, ((0, 0, R * math.sqrt(4.0 * math.pi)),))
     residual = overdetermined_residual(ball, k, p["l_trial"])
-    x_n = k * R
-    du = -k * spherical_jn(1, x_n) / spherical_jn(0, x_n)
+    j0, j1 = spherical_jn_table(1, k * R)
+    du = -k * j1 / j0
     ok = residual <= p["tol"] and abs(du) <= 1e-10
     rows = [(R, n, k, residual, du, "ok" if ok else "exceeded")]
     columns = ["R", "n", "k", "residual", "du_dr_boundary", "status"]

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import brentq  # noqa: F401  (uncalled; bench/tracing.py looks it up)
 
 from .entire import Evaluator, winding_count
-from .errors import UnderflowError
+from .errors import NumericalError, UnderflowError
 from .specfun import L_MAX, Z_MAX, riccati_s_table
 from .specfun import riccati_table  # noqa: F401  (uncalled; bench/tracing.py rebinds it)
 
@@ -180,17 +180,19 @@ def _coefficient_second_derivative(l, R_hat, k, S, Sp):
             + 2.0 * (R_hat * Sp - S / k) / (k * k))
 
 
-def _dispersion_rows(lmax: int, R: np.ndarray, k: np.ndarray, derivatives: bool = False):
-    """B_l(k) for l = 0..lmax at real k on radii R (1-d arrays), rows by l.
-
-    One float64 riccati_s_table call, which UnderflowError guards.  With
-    ``derivatives`` the triple (B, B', B'') from the same S_l, S_l' rows.
+def _dispersion_rows(lmax: int, l, R: np.ndarray, k: np.ndarray, derivatives: bool = False):
+    """B_l(k) at real k on radii R (1-d arrays) for the degrees l only: a
+    column (d, 1) of degrees gives a row per degree, a (k.size,) array one
+    degree per point.  One float64 riccati_s_table of orders 0..lmax, which
+    UnderflowError guards; with ``derivatives`` the triple (B, B', B'')
+    from the same S_l, S_l' rows.
     """
     S, Sp = _regular_rows(lmax, k, k * R)
+    cols = np.arange(k.size)
+    S, Sp = S[l, cols], Sp[l, cols]
     B = _coefficient(R, k, S, Sp)
     if not derivatives:
         return B
-    l = np.arange(lmax + 1)[:, None]
     return (B, _coefficient_derivative(l, R, k, S, Sp),
             _coefficient_second_derivative(l, R, k, S, Sp))
 
@@ -200,8 +202,8 @@ _XTOL = 1e-14
 _RTOL = 4 * np.finfo(float).eps
 _MAX_ITER = 100
 # scan nodes per radius: the default step pi/(4 R_hat) needs at most
-# 4 Z_MAX/pi = 12,733, and one scan call holds about ten tables of
-# (lmax + 1) x nodes doubles, 160 MB at lmax = 60 and this cap
+# 4 Z_MAX/pi = 12,733, and a scan of degree 60 at this cap peaks at about
+# 65 MB (tracemalloc), most of it the one riccati_s_table of orders 0..60
 _MAX_SCAN_NODES = 1 << 15
 
 
@@ -255,8 +257,7 @@ def _halley(lmax: int, rows: np.ndarray, R: np.ndarray, x: np.ndarray, lo: np.nd
     residual = np.empty_like(x)
     live = np.arange(x.size)
     for _ in range(_MAX_ITER):
-        cols = np.arange(x.size)
-        f, df, d2f = (t[rows, cols] for t in _dispersion_rows(lmax, R, x, derivatives=True))
+        f, df, d2f = _dispersion_rows(lmax, rows, R, x, derivatives=True)
         root[live] = x
         residual[live] = np.abs(f)
         left = np.sign(f) == s_lo
@@ -299,8 +300,9 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float],
     # the secant point where they are not finite (l(l+1)/x^2 overflows
     # below x = k R of about 1e-154)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        V, dV, d2V = (t[degrees] for t in _dispersion_rows(
-            lmax, np.repeat(np.asarray(radii, dtype=float), sizes), k, derivatives=True))
+        V, dV, d2V = _dispersion_rows(lmax, degrees[:, None],
+                                      np.repeat(np.asarray(radii, dtype=float), sizes), k,
+                                      derivatives=True)
 
     # sign-change brackets (r, l, a, b, f_a, f_b) in k order per radius and
     # degree, from one pass over the table; f_a = 0 marks a node exactly on
@@ -318,14 +320,19 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float],
     R = np.asarray(radii, dtype=float)[r_of]
 
     # a node on a root opens its bracket a quarter step to the left; if B
-    # keeps its sign there, the node itself is the root, with residual 0
+    # keeps its sign there, the node itself is the root, with residual 0;
+    # if B reads 0 there too, it is rounding (B_0 below x = 1e-8), not a root
     roots, residuals = lo.copy(), np.zeros(lo.size)
     on_node = np.flatnonzero(f_lo == 0)
     if on_node.size:
         lo[on_node] -= 0.25 * np.asarray(steps, dtype=float)[r_of[on_node]]
-        f_lo[on_node], d_lo[0][on_node], d_lo[1][on_node] = (
-            t[rows[on_node], np.arange(on_node.size)]
-            for t in _dispersion_rows(lmax, R[on_node], lo[on_node], derivatives=True))
+        f_lo[on_node], d_lo[0][on_node], d_lo[1][on_node] = _dispersion_rows(
+            lmax, rows[on_node], R[on_node], lo[on_node], derivatives=True)
+        flat = on_node[f_lo[on_node] == 0]
+        if flat.size:
+            l, node, below = rows[flat[0]], roots[flat[0]].item(), lo[flat[0]].item()
+            raise NumericalError(f"B_{l} reads exactly 0 at k={node!r} and a quarter step "
+                                 f"below, at k={below!r}: rounding hides any root there")
     live = np.flatnonzero(f_lo * f_hi < 0)
     if live.size:
         start = _hermite_start(lo[live], hi[live], f_lo[live], f_hi[live],

@@ -149,6 +149,13 @@ class Asymptotic46Report:
     c_common: float
 
 
+def _coefficient_rows(lmax: int, k: complex, R_hat: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (A_l, B_l) of closed_form_coefficients for l = 0..lmax, as
+    two rows from one riccati_table at k R_hat."""
+    S, C, Sp, Cp = riccati_table(lmax, k * R_hat)
+    return C / k - R_hat * Cp, R_hat * Sp - S / k
+
+
 def closed_form_coefficients(l: int, k: complex, R_hat: float) -> tuple[complex, complex]:
     """Coefficients (A, B) with y = A*S_l(kr) + B*C_l(kr) and y(R_hat)=R_hat, y'(R_hat)=1.
 
@@ -158,10 +165,8 @@ def closed_form_coefficients(l: int, k: complex, R_hat: float) -> tuple[complex,
     if k == 0:
         raise ValueError("k must be nonzero for the closed form")
     li = int(round(l))
-    S, C, Sp, Cp = riccati_table(li, k * R_hat)
-    A = C[li] / k - R_hat * Cp[li]
-    B = R_hat * Sp[li] - S[li] / k
-    return complex(A), complex(B)
+    A, B = _coefficient_rows(li, k, R_hat)
+    return complex(A[li]), complex(B[li])
 
 
 def _rhs_factory(nu: float, k: complex, potential) -> Callable:
@@ -378,42 +383,28 @@ def verify_asymptotics_25_26(l: int, k_samples: Sequence[complex],
     return AsymptoticReport(tuple(samples), c_max)
 
 
-def _log_abs_s46(l: int, k0: float, R_hat: float, xi: float) -> tuple[float, float]:
-    """(sign, log|s_l|) for s_l = k0^l * (A S_l + B C_l)(k0 xi), in log space."""
-    A, B = closed_form_coefficients(l, k0, R_hat)
-    S, C, _, _ = riccati_table(l, k0 * xi)
-    value = A.real * S[l].real + B.real * C[l].real
-    sign = math.copysign(1.0, value)
-    return sign, l * math.log(k0) + math.log(abs(value))
-
-
 def verify_asymptotic_46(l_max: int, k0: float, R_hat: float) -> Asymptotic46Report:
     """Sequence s_l = k0^l * y_l(xi_l; k0) at xi_l = R_hat + l pi/(2 k0).
 
     y_l carries the boundary data y(R_hat) = R_hat, y'(R_hat) = 1.  The
     report lists s_l for l = 0..l_max together with the scaled deviations
-    |s_l - R_hat| * xi_l and their maximum c_common.  For l > 30 the value
-    is assembled in log space to avoid overflow of the k0^l power against
-    the coefficient growth.
+    |s_l - R_hat| * xi_l and their maximum c_common.  (A_l, B_l) come from
+    one table at k0 R_hat, S_l and C_l from one table over the xi_l, and
+    s_l from log space, where the k0^l power cannot overflow; a log|s_l|
+    above 700 is capped there, with a RuntimeWarning.
     """
     if k0 < 1.0:
         raise ValueError("k0 must be >= 1")
-    ls, xis, svals, devs = [], [], [], []
-    for l in range(l_max + 1):
-        xi = R_hat + l * math.pi / (2 * k0)
-        if l > 30:
-            sign, logmag = _log_abs_s46(l, k0, R_hat, xi)
-            s = sign * math.exp(min(logmag, 700.0))
-            if logmag > 700.0:
-                warnings.warn(f"s_{l} overflows double precision; log10|s| = "
-                              f"{logmag / math.log(10):.2f}", RuntimeWarning)
-        else:
-            A, B = closed_form_coefficients(l, k0, R_hat)
-            S, C, _, _ = riccati_table(l, k0 * xi)
-            s = k0 ** l * (A.real * S[l].real + B.real * C[l].real)
-        ls.append(l)
-        xis.append(xi)
-        svals.append(float(s))
-        devs.append(abs(s - R_hat) * xi)
-    return Asymptotic46Report(tuple(ls), tuple(xis), tuple(svals),
-                              tuple(devs), max(devs))
+    ls = np.arange(l_max + 1)
+    xis = R_hat + ls * math.pi / (2 * k0)
+    A, B = _coefficient_rows(l_max, k0, R_hat)
+    S, C, _, _ = riccati_table(l_max, k0 * xis)
+    value = A.real * S[ls, ls].real + B.real * C[ls, ls].real
+    logmag = ls * math.log(k0) + np.log(np.abs(value))
+    for l in np.flatnonzero(logmag > 700.0):
+        warnings.warn(f"s_{l} overflows double precision; log10|s| = "
+                      f"{logmag[l] / math.log(10):.2f}", RuntimeWarning)
+    s = np.copysign(np.exp(np.minimum(logmag, 700.0)), value)
+    devs = np.abs(s - R_hat) * xis
+    return Asymptotic46Report(tuple(ls.tolist()), tuple(xis.tolist()), tuple(s.tolist()),
+                              tuple(devs.tolist()), max(devs.tolist()))

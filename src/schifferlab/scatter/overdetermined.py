@@ -75,9 +75,9 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import spherical_jn
+from scipy.special import spherical_jn  # noqa: F401 (uncalled; bench/tracing.py rebinds it)
 
+from ..eigsearch import find_real_eigenvalues
 from ..errors import NumericalError
 from ..specfun import L_MAX, spherical_jn_table, ylm_terms
 from ..specfun import ylm, ylm_theta_derivative  # noqa: F401 (bench/tracing.py rebinds them)
@@ -599,22 +599,21 @@ def ball_eigenfunction(R: float, n: int) -> tuple[float, Callable[[np.ndarray], 
     """The n-th radial interior mode of the ball of radius R.
 
     Returns (k, u) with k = x_n / R at the n-th positive root x_n of
-    tan x = x and u(r) = j_0(kr) / j_0(kR).  By construction u(R) = 1
-    exactly and u'(R) = 0 to root-finding accuracy, so u witnesses both
-    boundary conditions at once.
+    tan x = x and u(r) = j_0(kr) / j_0(kR).  x_n is the n-th of the n
+    zeros of the l = 0 dispersion at R = 1 on (0, (n + 3/4) pi], a scale
+    on which the scan's absolute tolerances hold for every R.  u divides
+    by j_0 at the same float product k R, so u(R) = 1 exactly and
+    u'(R) = 0 to root-finding accuracy: u witnesses both boundary
+    conditions at once.
     """
     if not (np.isfinite(R) and R > 0.0):
         raise ValueError(f"R must be positive and finite, got {R}")
     if not (isinstance(n, (int, np.integer)) and 1 <= n <= 50):
         raise ValueError(f"n must be an integer in [1, 50], got {n!r}")
-    lo, hi = n * math.pi, n * math.pi + math.pi / 2
-    # j_1(x) = (sin x - x cos x) / x^2 changes sign exactly once on the branch
-    x_n = brentq(lambda x: math.sin(x) - x * math.cos(x), lo, hi,
-                 xtol=1e-14, rtol=4 * np.finfo(float).eps)
-    k = x_n / R
-    j0_R = spherical_jn(0, x_n)
+    k = find_real_eigenvalues(0, 1.0, (n + 0.75) * math.pi)[n - 1].k / R
+    j0_R = spherical_jn_table(0, k * R)[0]
 
     def profile(r):
-        return spherical_jn(0, k * np.asarray(r, dtype=float)) / j0_R
+        return spherical_jn_table(0, k * np.asarray(r, dtype=float))[0] / j0_R
 
     return k, profile

@@ -37,8 +37,10 @@ The recurrences use plain NumPy arithmetic and act on each point
 independently, so at real z, in either dtype, a point's table does not
 depend on the other points of its batch.  They run on values scaled by
 exp(-|Im z|), so tables stay representable for large |Im z|; the unscaled
-public functions multiply the factor back in.  For real z the scale factor is exactly 1 and real
-inputs propagate zero imaginary parts through every recurrence.
+public functions (scalar j_l/y_l read entry l of a one-point table)
+multiply the factor back in through ``_unscaled``.  For real z the scale
+factor is exactly 1 and real inputs propagate zero imaginary parts
+through every recurrence.
 
 Orders are capped at L_MAX = 60, a module constant that no call changes:
 every public function rejects an order (or a table's lmax) above it with a
@@ -217,14 +219,6 @@ def _check_order_array(lmax: int, z, dtype=complex, need_nonzero: bool = True) -
     return z
 
 
-def _growth(z: complex, what: str) -> float:
-    """exp(|Im z|), the factor the scaled tables leave out."""
-    try:
-        return math.exp(abs(z.imag))
-    except OverflowError:
-        raise OverflowError(f"{what} overflows double range at z={z!r}") from None
-
-
 def _unscaled(tables: tuple[np.ndarray, ...], z: np.ndarray) -> tuple[np.ndarray, ...]:
     """Scaled tables at the 1-d points z times exp(|Im z|) (real z: as they
     are); OverflowError names the first point where an entry is not finite,
@@ -240,23 +234,14 @@ def _unscaled(tables: tuple[np.ndarray, ...], z: np.ndarray) -> tuple[np.ndarray
     return tables
 
 
-def _unscale(value: complex, z: complex) -> complex:
-    out = value if z.imag == 0 else value * _growth(z, "value")
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise OverflowError(f"value overflows double range at z={z!r}")
-    return out
-
-
-def _jy_point(lmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """The scaled j and y tables at the one point z, as (lmax + 1,) arrays.
-
-    An overflow (y_l at tiny real z) is left to the caller's check, not warned.
-    """
+def _point(l: int, z: complex, table) -> complex:
+    """Entry l of the one-point ``table`` (_j_scaled or _y_scaled) at z,
+    unscaled; OverflowError names z where it is not finite."""
     z = np.array([z])
     zs, zc = _scaled_trig(z, np.exp)
     with np.errstate(over="ignore", invalid="ignore"):
-        j, y = _j_scaled(lmax, z, zs, zc), _y_scaled(lmax, z, zs, zc)
-    return j[:, 0], y[:, 0]
+        value = table(l, z, zs, zc)[l:]
+    return complex(_unscaled((value,), z)[0][0, 0])
 
 
 def spherical_bessel_j(l: int, z: complex) -> complex:
@@ -264,15 +249,12 @@ def spherical_bessel_j(l: int, z: complex) -> complex:
     z = _check_order_arg(l, z, need_nonzero=False)
     if z == 0:
         return 1.0 + 0j if l == 0 else 0.0 + 0j
-    j, _ = _jy_point(l, z)
-    return _unscale(j[l], z)
+    return _point(l, z, _j_scaled)
 
 
 def spherical_bessel_y(l: int, z: complex) -> complex:
     """Spherical Neumann function y_l(z); z=0 is a domain error."""
-    z = _check_order_arg(l, z, need_nonzero=True)
-    _, y = _jy_point(l, z)
-    return _unscale(y[l], z)
+    return _point(l, _check_order_arg(l, z, need_nonzero=True), _y_scaled)
 
 
 def spherical_jn_table(lmax: int, x) -> np.ndarray:

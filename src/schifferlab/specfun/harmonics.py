@@ -43,16 +43,6 @@ class SphericalDirection:
         if not 0.0 <= self.phi < 2 * math.pi:
             raise ValueError(f"phi={self.phi} outside [0, 2 pi)")
 
-    @classmethod
-    def from_vector(cls, v) -> "SphericalDirection":
-        x, y, z = (float(c) for c in v)
-        r = math.sqrt(x * x + y * y + z * z)
-        if r == 0:
-            raise ValueError("zero vector has no direction")
-        theta = math.acos(max(-1.0, min(1.0, z / r)))
-        phi = math.atan2(y, x) % (2 * math.pi)
-        return cls(theta, phi)
-
     def unit_vector(self) -> np.ndarray:
         st = math.sin(self.theta)
         return np.array([st * math.cos(self.phi),

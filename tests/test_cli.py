@@ -18,6 +18,7 @@ import warnings
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -167,6 +168,38 @@ def test_overflow_stderr_is_one_line():
     assert res.returncode == 1
     assert res.stderr == ("schifferlab: numerical failure: S_60 and S_60' underflow "
                           "to 0 at k=1e-05\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rounding_zeros_at_tiny_k_are_a_numerical_failure(run_cli):
+    # B_0 cancels to exactly 0 at every node below k = 1e-8 (R = 1); the scan
+    # used to report nine roots there with residual 0 and PASS
+    res = run_cli("eigen-scan", "--l", "0", "--r-hat", "1", "--k-max", "1e-8",
+                  "--scan-step", "1e-9")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == ("schifferlab: numerical failure: B_0 reads exactly 0 at k=1e-09 "
+                          "and a quarter step below, at k=7.500000000000001e-10: "
+                          "rounding hides any root there\n")
+
+
+def test_ball_check_takes_no_bessel_value_or_root_from_scipy(run_cli, monkeypatch):
+    import scipy.optimize
+    import scipy.special
+
+    from schifferlab.scatter import ball_eigenfunction, overdetermined
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy called")
+
+    monkeypatch.setattr(overdetermined, "spherical_jn", refuse)
+    monkeypatch.setattr(scipy.special, "spherical_jn", refuse)
+    monkeypatch.setattr(scipy.optimize, "brentq", refuse)
+    k, u = ball_eigenfunction(2.0, 3)
+    assert u(2.0) == 1.0 and u(np.linspace(0.0, 2.0, 5)).shape == (5,)
+    res = run_cli("ball-check", "--r", "2", "--n", "3")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().endswith("# summary: PASS")
 
 
 def test_a_zero_on_a_contour_is_a_numerical_failure(run_cli, monkeypatch):

@@ -1,6 +1,7 @@
 """Dispersion-function zeros, realness, and the eigenvalue density law."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -21,7 +22,7 @@ from schifferlab.eigsearch import (
     find_real_eigenvalues,
     real_eigenvalue_spectra,
 )
-from schifferlab.errors import UnderflowError
+from schifferlab.errors import NumericalError, UnderflowError
 from schifferlab.scatter import axis_directions, per_ray_eigen_scan, unit_ball
 
 # roots of tan x = x, mpmath findroot dps=30
@@ -119,7 +120,7 @@ def test_roots_are_the_zeros_of_the_bessel_derivative(R, K, l):
         assert_scipy_spectrum(degree, R, math.pi / 4, K, recs)
         for r in recs:
             assert r.l == degree and r.bracket[0] < r.k < r.bracket[1]
-            B = eigsearch._dispersion_rows(lmax, np.array([R]), np.array([r.k]))[degree, 0]
+            B = eigsearch._dispersion_rows(lmax, degree, np.array([R]), np.array([r.k]))[0]
             assert r.residual == abs(B) <= 1e-9
 
 
@@ -189,9 +190,9 @@ def test_near_coincident_root_warning():
 ])
 def test_a_node_on_a_root_nudges_its_bracket_open(monkeypatch, power, want):
     # B(k) = (k - 2)^power puts a root exactly on the scan node k = 2
-    def rows(lmax, R, k, derivatives=False):
+    def rows(lmax, l, R, k, derivatives=False):
         def tile(v):
-            return np.tile(v, (lmax + 1, 1))
+            return np.broadcast_to(v, np.broadcast_shapes(np.shape(l), k.shape))
 
         B = tile((k - 2.0) ** power)
         if not derivatives:
@@ -212,7 +213,8 @@ def test_masked_brackets_match_the_per_radius_loop():
     l_max, K = 4, 20.0
     for R, eigen in zip(radii, real_eigenvalue_spectra(radii, l_max, K)):
         k = eigsearch._scan_nodes(K, math.pi / (4 * R))
-        B = eigsearch._dispersion_rows(l_max, np.full(k.size, R), k)
+        B = eigsearch._dispersion_rows(l_max, np.arange(l_max + 1)[:, None],
+                                       np.full(k.size, R), k)
         for l in range(l_max + 1):
             v = B[l]
             want = [(k[i], k[i + 1])
@@ -222,8 +224,8 @@ def test_masked_brackets_match_the_per_radius_loop():
 
 def test_no_bracket_straddles_two_radii(monkeypatch):
     # B > 0 all along the first radius's scan and B < 0 along the second's
-    def rows(lmax, R, k, derivatives=False):
-        B = np.tile(np.where(R == 1.0, 1.0, -1.0), (lmax + 1, 1))
+    def rows(lmax, l, R, k, derivatives=False):
+        B = np.where(R == 1.0, 1.0, -1.0) + np.zeros(np.shape(l))
         return (B, np.zeros_like(B), np.zeros_like(B)) if derivatives else B
 
     monkeypatch.setattr(eigsearch, "_dispersion_rows", rows)
@@ -242,7 +244,30 @@ def test_underflow_is_a_numerical_failure_not_a_root():
         dispersion_function(60, 1.0)(np.array([1e-5 + 0j]))
     # where S_60 is subnormal but not 0, B keeps the sign of its k^60 leading term
     k = np.geomspace(3e-4, 1e-2, 50)
-    assert np.all(eigsearch._dispersion_rows(60, np.ones_like(k), k)[60] > 0)
+    assert np.all(eigsearch._dispersion_rows(60, 60, np.ones_like(k), k) > 0)
+
+
+def test_a_node_whose_nudged_neighbour_also_reads_zero_is_a_numerical_failure():
+    # below x = k R of about 1e-8, B_0 = R cos(kR) - sin(kR)/k cancels to
+    # exactly 0 at every node; those zeros are rounding, not nine roots
+    k = np.array([1e-9, 0.75e-9])
+    assert np.all(eigsearch._dispersion_rows(0, 0, np.ones(2), k) == 0.0)
+    with pytest.raises(NumericalError, match=r"^B_0 reads exactly 0 at k=1e-09 and a "
+                                             r"quarter step below, at k=7\.5"):
+        find_real_eigenvalues(0, 1.0, 1e-8, scan_step=1e-9)
+
+
+def test_a_degree_scan_forms_only_its_own_rows():
+    # 32,768 nodes at l = 60: B, B' and B'' for the one degree asked for,
+    # not for all 61 (161 MB by tracemalloc when every row was formed)
+    tracemalloc.start()
+    try:
+        recs = find_real_eigenvalues(60, 1.0, 9000.0, scan_step=9000 / 32768)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(recs) > 2800
+    assert peak < 100e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_scan_step_guard():
@@ -343,10 +368,10 @@ def test_a_node_rounded_onto_a_root_still_gives_the_scipy_spectrum(R, l, K, pick
     assert abs(node - k_star) <= 4 * np.spacing(k_star)
     dispersion_rows = eigsearch._dispersion_rows
 
-    def rounded(lmax, radii, k, derivatives=False):
-        out = dispersion_rows(lmax, radii, k, derivatives)
+    def rounded(lmax, degrees, radii, k, derivatives=False):
+        out = dispersion_rows(lmax, degrees, radii, k, derivatives)
         B = out[0] if derivatives else out
-        B[l, k == node] = 0.0
+        B[np.broadcast_to((degrees == l) & (k == node), B.shape)] = 0.0
         return out
 
     with pytest.MonkeyPatch.context() as mp:

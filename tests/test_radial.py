@@ -192,6 +192,32 @@ def test_fixed_frequency_sequence_reference():
     assert rep.c_common == max(rep.deviations)
 
 
+@pytest.mark.parametrize("k0, R", [(4.4934094579090642, 1.0), (10.0, 1.0), (1.0, 3.0),
+                                   (2.5, 0.7), (1.0, 5e-4)])
+def test_fixed_frequency_sequence_matches_the_per_degree_loop(k0, R):
+    # the two tables and the log-space s_l against one closed form and one
+    # table per degree with the plain k0^l product; the per-degree tables
+    # stop at order l, so they run other recurrence regimes.  Both regimes
+    # give S_l and C_l to rounding of their envelope hypot(S_l, C_l), not
+    # of each value (S_18 at R = 5e-4 sits near a zero), so the bound is
+    # relative to (|A| + |B|) times that envelope
+    rep = verify_asymptotic_46(60, k0, R)
+    for l, xi, s in zip(rep.l_values, rep.xi_values, rep.s_values):
+        A, B = closed_form_coefficients(l, k0, R)
+        S, C, _, _ = riccati_table(l, k0 * xi)
+        want = k0 ** l * (A.real * S[l].real + B.real * C[l].real)
+        scale = k0 ** l * (abs(A.real) + abs(B.real)) * math.hypot(S[l].real, C[l].real)
+        assert abs(s - want) <= 1e-13 * scale, l
+
+
+def test_fixed_frequency_sequence_caps_an_overflowing_member():
+    with pytest.warns(RuntimeWarning, match=r"^s_60 overflows double precision; "
+                                            r"log10\|s\| = 304\.55$") as record:
+        rep = verify_asymptotic_46(60, 1.0, 4e-4)
+    assert len(record) == 1
+    assert rep.s_values[60] == pytest.approx(math.exp(700.0), rel=1e-15)
+
+
 def test_fixed_frequency_sequence_validation():
     with pytest.raises(ValueError):
         verify_asymptotic_46(4, 0.5, 1.0)

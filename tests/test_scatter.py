@@ -9,6 +9,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -824,6 +825,10 @@ def test_ball_eigenfunction_frequencies():
         assert_allclose(k, root, rtol=1e-12)
     k2, _ = ball_eigenfunction(2.0, 1)
     assert_allclose(k2, 4.4934094579090642 / 2, rtol=1e-12)
+    # the root comes from a scan at R = 1, so the scan's absolute tolerances
+    # do not meet the scale of R
+    for R in (1e-8, 1e8):
+        assert_allclose(ball_eigenfunction(R, 50)[0] * R, float(_tan_root(50)), rtol=1e-14)
 
 
 def test_ball_eigenfunction_boundary_data():
@@ -834,6 +839,32 @@ def test_ball_eigenfunction_boundary_data():
     vals = u(np.linspace(0.1, 1.0, 7))
     assert vals.shape == (7,)
     assert np.all(np.isfinite(vals))
+
+
+def _tan_root(n: int):
+    """The n-th positive root of tan x = x, by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        start = (n + 0.5) * mpmath.pi
+        return mpmath.findroot(lambda x: mpmath.sin(x) - x * mpmath.cos(x),
+                               start - 1 / start)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(log_R=st.floats(-3.0, 3.0), n=st.integers(1, 50))
+def test_ball_mode_sits_on_the_root_of_tan_x_equals_x(log_R, n):
+    R = 10.0 ** log_R
+    k, u = ball_eigenfunction(R, n)
+    x = k * R
+    with mpmath.workdps(40):
+        root = _tan_root(n)
+        assert abs((mpmath.mpf(x) - root) / root) <= 1e-14
+        # R u'(R) = -x j_1(x) / j_0(x) at the double x, which sits within
+        # 1e-14 x of the root, so it is at most about 1e-14 x^2
+        xm = mpmath.mpf(x)
+        j0 = mpmath.sin(xm) / xm
+        j1 = mpmath.sin(xm) / xm ** 2 - mpmath.cos(xm) / xm
+        assert abs(xm * j1 / j0) <= 1e-14 * x * x
+    assert u(R) == 1.0
 
 
 def test_ball_eigenfunction_validation():
