@@ -362,8 +362,7 @@ def _run_ray_scan(p: dict) -> tuple[list[str], list[tuple], str]:
     if p["spread_tol"] <= 0:
         raise ConfigError("spread_tol must be positive")
     domain = load_domain(p["domain"])
-    result = per_ray_eigen_scan(domain, p["directions"], p["l_max"], p["k_max"],
-                                threads=_env_threads())
+    result = per_ray_eigen_scan(domain, p["directions"], p["l_max"], p["k_max"])
     spread = result.density_spread
     common = result.intersection_size
     ok = spread <= p["spread_tol"] and common > 0

@@ -8,6 +8,10 @@ y(0; k) = R_hat*cos(k R_hat) - sin(k R_hat)/k; for l >= 1 the pointwise
 condition is ill-posed numerically (C_l diverges at the origin) while
 B(k) stays finite and entire.  Real-axis scans, argument-principle counts
 over rectangles, and zero-density statistics live here.
+
+At real k, B(k) = R_hat x j_l'(x) with x = k R_hat, so the real-axis scan
+works in x: one scan per degree serves a batch of radii, each root x
+becoming k = x/R_hat.
 """
 
 from __future__ import annotations
@@ -93,13 +97,15 @@ def _regular_rows(l: int, k, z):
 
     S_l and S_l' have no common zero at z != 0, so both reading exactly 0
     is underflow (tiny |z|, large l), and B(k) = 0 there would pass for a
-    root: UnderflowError, naming the first such k.
+    root: UnderflowError, naming the first such k in its message and its ``k``.
     """
     S, Sp = riccati_s_table(l, z)
     dead = (S[l] == 0) & (Sp[l] == 0)
     if dead.any():
         bad = np.ravel(k)[np.argmax(dead)].item()
-        raise UnderflowError(f"S_{l} and S_{l}' underflow to 0 at k={bad!r}")
+        err = UnderflowError(f"S_{l} and S_{l}' underflow to 0 at k={bad!r}")
+        err.k = bad
+        raise err
     return S, Sp
 
 
@@ -155,53 +161,51 @@ def dispersion_log_abs(l: int, R_hat: float, k: complex) -> float:
     return math.log(mag) + abs(z.imag)
 
 
-def _scan_nodes(k_max: float, scan_step: float) -> np.ndarray:
-    """Scan nodes scan_step, 2 scan_step, ... closed at k_max."""
-    nodes = np.arange(scan_step, k_max + scan_step / 2, scan_step)
-    nodes = nodes[nodes <= k_max + 1e-12 * k_max]
-    if nodes.size == 0 or nodes[-1] < k_max - 1e-12 * k_max:
-        # the scan interval is closed at k_max; cover its last sliver
-        nodes = np.append(nodes, k_max)
-    return nodes
+def _scan_nodes(x_max: float, step: float) -> np.ndarray:
+    """The x lattice step, 2 step, ... through the first node past x_max.
+
+    Node i is step + i*step, as np.arange builds it, so its value does not
+    depend on where the lattice stops; a node past the kernel's Z_MAX is
+    held at Z_MAX.
+    """
+    return np.minimum(np.arange(step, x_max + 1.5 * step, step), Z_MAX)
 
 
-def _coefficient_second_derivative(l, R_hat, k, S, Sp):
-    """B''(k) = R_hat^3 S_l''' - R_hat^2 S_l''/k + 2 R_hat S_l'/k^2 - 2 S_l/k^3.
+def _second_derivative(l, x, S, Sp):
+    """f''(x) = S_l''' - S_l''/x + 2 S_l'/x^2 - 2 S_l/x^3 for f = S_l' - S_l/x.
 
     S_l'' = (l(l+1)/x^2 - 1) S_l and S_l''' = -2 l(l+1) S_l/x^3
-    + (l(l+1)/x^2 - 1) S_l' at x = k R_hat, from the rows of _coefficient.
+    + (l(l+1)/x^2 - 1) S_l', from the rows of _coefficient.
     """
-    x = k * R_hat
     ll = l * (l + 1)
     q = ll / (x * x) - 1.0
     S2 = q * S
     S3 = q * Sp - 2.0 * ll * S / (x * x * x)
-    return (R_hat * R_hat * (R_hat * S3 - S2 / k)
-            + 2.0 * (R_hat * Sp - S / k) / (k * k))
+    return S3 - S2 / x + 2.0 * (Sp - S / x) / (x * x)
 
 
-def _dispersion_rows(lmax: int, l, R: np.ndarray, k: np.ndarray, derivatives: bool = False):
-    """B_l(k) at real k on radii R (1-d arrays) for the degrees l only: a
-    column (d, 1) of degrees gives a row per degree, a (k.size,) array one
-    degree per point.  One float64 riccati_s_table of orders 0..lmax, which
-    UnderflowError guards; with ``derivatives`` the triple (B, B', B'')
-    from the same S_l, S_l' rows.
+def _dispersion_rows(lmax: int, l, x: np.ndarray, derivatives: bool = False):
+    """f_l(x) = S_l'(x) - S_l(x)/x = x j_l'(x) at real x (a 1-d array) for
+    the degrees l only: a column (d, 1) of degrees gives a row per degree,
+    a (x.size,) array one degree per point.  f_l is B_l at R_hat = 1 and
+    k = x, and B_l(k) = R_hat f_l(k R_hat) on any radius.  One float64
+    riccati_s_table of orders 0..lmax, which UnderflowError guards; with
+    ``derivatives`` the triple (f, f', f'') from the same S_l, S_l' rows.
     """
-    S, Sp = _regular_rows(lmax, k, k * R)
-    cols = np.arange(k.size)
+    S, Sp = _regular_rows(lmax, x, x)
+    cols = np.arange(x.size)
     S, Sp = S[l, cols], Sp[l, cols]
-    B = _coefficient(R, k, S, Sp)
+    f = _coefficient(1.0, x, S, Sp)
     if not derivatives:
-        return B
-    return (B, _coefficient_derivative(l, R, k, S, Sp),
-            _coefficient_second_derivative(l, R, k, S, Sp))
+        return f
+    return f, _coefficient_derivative(l, 1.0, x, S, Sp), _second_derivative(l, x, S, Sp)
 
 
-# brentq's tolerances; a step this small leaves a rounding-level error
+# brentq's tolerances, on steps in x; a step this small leaves a rounding-level error
 _XTOL = 1e-14
 _RTOL = 4 * np.finfo(float).eps
 _MAX_ITER = 100
-# scan nodes per radius: the default step pi/(4 R_hat) needs at most
+# scan nodes per degree: the default step pi/4 in x needs at most
 # 4 Z_MAX/pi = 12,733, and a scan of degree 60 at this cap peaks at about
 # 65 MB (tracemalloc), most of it the one riccati_s_table of orders 0..60
 _MAX_SCAN_NODES = 1 << 15
@@ -210,17 +214,17 @@ _MAX_SCAN_NODES = 1 << 15
 def _hermite_start(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray,
                    d_lo: tuple[np.ndarray, np.ndarray],
                    d_hi: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """A start in each bracket (lo, hi) from B, B', B'' at its two ends.
+    """A start in each bracket (lo, hi) from f, f', f'' at its two ends.
 
     The root of the quintic Hermite interpolant, by three Newton steps on
     the polynomial from the secant point; where the result is not finite
     or leaves the bracket, the secant point itself (the midpoint if that
-    rounds onto an end).  ``d_lo`` and ``d_hi`` are (B', B'') at lo and hi.
+    rounds onto an end).  ``d_lo`` and ``d_hi`` are (f', f'') at lo and hi.
     """
     h = hi - lo
     dy = f_hi - f_lo
-    # p(t) = B(lo + t h) on [0, 1]: the quintic that matches the value,
-    # slope h B' and curvature h^2 B'' at both ends
+    # p(t) = f(lo + t h) on [0, 1]: the quintic that matches the value,
+    # slope h f' and curvature h^2 f'' at both ends
     d0, d1 = h * d_lo[0], h * d_hi[0]
     s0, s1 = h * h * d_lo[1], h * h * d_hi[1]
     c = (f_lo, d0, 0.5 * s0,
@@ -242,22 +246,22 @@ def _hermite_start(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.nd
     return np.where(np.isfinite(x) & (lo < x) & (x < hi), x, secant)
 
 
-def _halley(lmax: int, rows: np.ndarray, R: np.ndarray, x: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray, s_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(root, |B(root)|) of B_rows in every sign-change bracket (lo, hi) at once.
+def _halley(lmax: int, rows: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            s_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(root, |f(root)|) of f_rows in every sign-change bracket (lo, hi) at once.
 
-    Safeguarded Halley from the starts ``x``, with ``s_lo`` the sign of B
-    at lo: a step that leaves the current bracket bisects instead.  Each
-    iteration is one array call over the brackets still open, and each
-    bracket's iterates depend on that bracket alone.  The root is the
+    Safeguarded Halley in x from the starts ``x``, with ``s_lo`` the sign
+    of f at lo: a step that leaves the current bracket bisects instead.
+    Each iteration is one array call over the brackets still open, and
+    each bracket's iterates depend on that bracket alone.  The root is the
     evaluated iterate whose step met the tolerance (past the iteration
-    cap, the last one), so its |B| comes from the same call.
+    cap, the last one), so its |f| comes from the same call.
     """
     root = np.empty_like(x)
     residual = np.empty_like(x)
     live = np.arange(x.size)
     for _ in range(_MAX_ITER):
-        f, df, d2f = _dispersion_rows(lmax, rows, R, x, derivatives=True)
+        f, df, d2f = _dispersion_rows(lmax, rows, x, derivatives=True)
         root[live] = x
         residual[live] = np.abs(f)
         left = np.sign(f) == s_lo
@@ -272,86 +276,79 @@ def _halley(lmax: int, rows: np.ndarray, R: np.ndarray, x: np.ndarray, lo: np.nd
         tol = _XTOL + _RTOL * np.abs(x)
         keep = ~((np.abs(step) <= tol) | (hi - lo <= tol))
         xn = np.where((lo < xn) & (xn < hi), xn, 0.5 * (lo + hi))
-        live, x, lo, hi, s_lo, R, rows = (
-            live[keep], xn[keep], lo[keep], hi[keep], s_lo[keep], R[keep], rows[keep])
+        live, x, lo, hi, s_lo, rows = (
+            live[keep], xn[keep], lo[keep], hi[keep], s_lo[keep], rows[keep])
         if live.size == 0:
             break
     return root, residual
 
 
-def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float],
-                  steps: Sequence[float], k_max: float,
-                  tol: float) -> list[dict[int, list[EigenvalueRecord]]]:
-    """Bracketed roots of B_l on (step, k_max] for each radius and degree.
+def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float], step: float,
+                  k_max: float, tol: float) -> list[dict[int, list[EigenvalueRecord]]]:
+    """Bracketed roots of B_l on (step/R, k_max] for each radius R and degree l.
 
-    All radii and degrees share one scan call, which also gives B' and B''
-    at every node.  Each bracket starts at the root of the quintic Hermite
-    interpolant of (B, B', B'') at its two nodes and is refined by
-    safeguarded Halley steps, one call per iteration over the brackets
-    still open, usually two.  The reported root is the last evaluated
-    iterate, and its |B| from that call is the residual.  Nodes exactly on
-    a root cost one more call.
+    B_l(k) = R f_l(k R), so one scan of the x lattice step, 2 step, ...
+    through k_max max(R) serves every radius: one call gives f, f' and f''
+    at every node for every degree.  Each bracket starts at the root of the
+    quintic Hermite interpolant of (f, f', f'') at its two nodes and is
+    refined by safeguarded Halley steps in x, one call per iteration over
+    the brackets still open, usually two; nodes exactly on a root cost one
+    more call.  Each root x, with its |f| from the call that evaluated it,
+    goes to every radius where k = x/R <= k_max, with the bracket
+    (x_lo/R, x_hi/R), which may reach past k_max by less than one step.
     """
-    nodes = [_scan_nodes(k_max, s) for s in steps]
-    k = np.concatenate(nodes)
-    sizes = [n.size for n in nodes]
+    x = _scan_nodes(k_max * max(radii), step)
     degrees = np.asarray(degrees)
-    # B' and B'' at the nodes only seed _hermite_start, which falls back to
+    # f' and f'' at the nodes only seed _hermite_start, which falls back to
     # the secant point where they are not finite (l(l+1)/x^2 overflows
-    # below x = k R of about 1e-154)
+    # below x of about 1e-154)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        V, dV, d2V = _dispersion_rows(lmax, degrees[:, None],
-                                      np.repeat(np.asarray(radii, dtype=float), sizes), k,
-                                      derivatives=True)
+        V, dV, d2V = _dispersion_rows(lmax, degrees[:, None], x, derivatives=True)
 
-    # sign-change brackets (r, l, a, b, f_a, f_b) in k order per radius and
-    # degree, from one pass over the table; f_a = 0 marks a node exactly on
-    # a root, and the node pair where one radius's scan meets the next is
-    # no bracket
-    change = (V[:, :-1] * V[:, 1:] < 0) | (V[:, :-1] == 0)
-    change[:, np.cumsum(sizes)[:-1] - 1] = False
-    d, i = np.nonzero(change)
-    r_of = np.repeat(np.arange(len(sizes)), sizes)[i]
-    rows, lo, hi, f_lo, f_hi = degrees[d], k[i], k[i + 1], V[d, i], V[d, i + 1]
+    # sign-change brackets (l, a, b, f_a, f_b) in x order per degree, from
+    # one pass over the table; f_a = 0 marks a node exactly on a root
+    d, i = np.nonzero((V[:, :-1] * V[:, 1:] < 0) | (V[:, :-1] == 0))
+    rows, lo, hi, f_lo, f_hi = degrees[d], x[i], x[i + 1], V[d, i], V[d, i + 1]
     d_lo, d_hi = (dV[d, i], d2V[d, i]), (dV[d, i + 1], d2V[d, i + 1])
-    spectra = [{l: [] for l in degrees.tolist()} for _ in radii]
-    if not i.size:
-        return spectra
-    R = np.asarray(radii, dtype=float)[r_of]
 
-    # a node on a root opens its bracket a quarter step to the left; if B
+    # a node on a root opens its bracket a quarter step to the left; if f
     # keeps its sign there, the node itself is the root, with residual 0;
-    # if B reads 0 there too, it is rounding (B_0 below x = 1e-8), not a root
+    # if f reads 0 there too, it is rounding (f_0 below x = 1e-8), not a
+    # root, and its residual is NaN until a radius reports it below
     roots, residuals = lo.copy(), np.zeros(lo.size)
     on_node = np.flatnonzero(f_lo == 0)
     if on_node.size:
-        lo[on_node] -= 0.25 * np.asarray(steps, dtype=float)[r_of[on_node]]
+        lo[on_node] -= 0.25 * step
         f_lo[on_node], d_lo[0][on_node], d_lo[1][on_node] = _dispersion_rows(
-            lmax, rows[on_node], R[on_node], lo[on_node], derivatives=True)
-        flat = on_node[f_lo[on_node] == 0]
-        if flat.size:
-            l, node, below = rows[flat[0]], roots[flat[0]].item(), lo[flat[0]].item()
-            raise NumericalError(f"B_{l} reads exactly 0 at k={node!r} and a quarter step "
-                                 f"below, at k={below!r}: rounding hides any root there")
+            lmax, rows[on_node], lo[on_node], derivatives=True)
+        residuals[on_node[f_lo[on_node] == 0]] = np.nan
     live = np.flatnonzero(f_lo * f_hi < 0)
     if live.size:
         start = _hermite_start(lo[live], hi[live], f_lo[live], f_hi[live],
                                (d_lo[0][live], d_lo[1][live]),
                                (d_hi[0][live], d_hi[1][live]))
-        roots[live], residuals[live] = _halley(lmax, rows[live], R[live], start, lo[live],
-                                               hi[live], np.sign(f_lo[live]))
+        roots[live], residuals[live] = _halley(lmax, rows[live], start, lo[live], hi[live],
+                                               np.sign(f_lo[live]))
 
-    for r, l, root, residual, a, b in zip(*(c.tolist() for c in
-                                            (r_of, rows, roots, residuals, lo, hi))):
-        if residual > tol:
-            raise RuntimeError(f"root refinement at k={root} left residual {residual} > {tol}")
-        spectra[r][l].append(EigenvalueRecord(l, root, residual, (a, b)))
-    for eigen in spectra:
+    spectra = []
+    found = list(zip(*(c.tolist() for c in (rows, roots, residuals, lo, hi))))
+    for R in map(float, radii):
+        eigen = {l: [] for l in degrees.tolist()}
+        for j in np.flatnonzero(roots / R <= k_max).tolist():
+            l, root, residual, a, b = found[j]
+            k = root / R
+            if math.isnan(residual):
+                raise NumericalError(f"B_{l} reads exactly 0 at k={k!r} and a quarter step "
+                                     f"below, at k={a / R!r}: rounding hides any root there")
+            if residual > tol:
+                raise RuntimeError(f"root refinement at k={k} left residual {residual} > {tol}")
+            eigen[l].append(EigenvalueRecord(l, k, residual, (a / R, b / R)))
         for records in eigen.values():
             for prev, cur in zip(records, records[1:]):
-                if cur.k - prev.k < 10 * tol:
+                if (cur.k - prev.k) * R < 10 * tol:
                     warnings.warn(f"near-coincident roots at k={prev.k} and k={cur.k}; "
                                   "possible multiplicity", RuntimeWarning)
+        spectra.append(eigen)
     return spectra
 
 
@@ -385,13 +382,16 @@ def find_real_eigenvalues(l: int, R_hat: float, k_max: float,
 
     The scan step defaults to, and must not exceed, a quarter of the
     asymptotic eigenvalue spacing pi/R_hat, so no sign change is skipped.
-    The scan also gives B' and B'' at every node.  Each sign-change
-    bracket starts at the root of the quintic Hermite interpolant of
-    (B, B', B'') at its two nodes and is refined by safeguarded Halley
-    steps on the closed-form derivatives.  ``k`` is the last evaluated
-    iterate, ``residual`` is |B| there, and ``bracket`` is the scan
-    bracket.  Near-coincident roots (closer than 10*tol) emit a warning
-    rather than being merged.
+    The scan runs in x = k R_hat on f(x) = x j_l'(x) = B(k)/R_hat, on the
+    step pi/4 (scan_step R_hat when given), and also gives f' and f'' at
+    every node.  Each sign-change bracket starts at the root of the
+    quintic Hermite interpolant of (f, f', f'') at its two nodes and is
+    refined by safeguarded Halley steps on the closed-form derivatives.
+    ``k`` is the last evaluated iterate over R_hat, ``residual`` is the
+    dimensionless |f| = |B|/R_hat there, which ``tol`` bounds, and
+    ``bracket`` is the scan bracket over R_hat; the last one may reach past
+    k_max by less than one step.  Roots closer than 10*tol in x emit a
+    warning rather than being merged.  At R_hat = 1, x is k and f is B.
 
     ValueError, naming the value, for a non-positive or non-finite R_hat,
     k_max, scan_step or tol, for k_max R_hat above Z_MAX, and for more
@@ -399,35 +399,36 @@ def find_real_eigenvalues(l: int, R_hat: float, k_max: float,
     """
     _check_positive("R_hat", R_hat)
     limit = math.pi / (4 * R_hat)
-    if scan_step is None:
-        scan_step = limit
-    _check_scan(R_hat, k_max, scan_step, tol)
-    if scan_step > limit * (1 + 1e-12):
+    step = math.pi / 4 if scan_step is None else scan_step * R_hat
+    _check_scan(R_hat, k_max, limit if scan_step is None else scan_step, tol)
+    if scan_step is not None and scan_step > limit * (1 + 1e-12):
         raise ValueError(f"scan_step {scan_step} exceeds pi/(4 R_hat) = {limit}")
-    return _real_spectra(l, [l], [R_hat], [scan_step], k_max, tol)[0][l]
+    try:
+        return _real_spectra(l, [l], [R_hat], step, k_max, tol)[0][l]
+    except UnderflowError as err:  # named at x = k R_hat; a batch (x >= 3 pi/16) never underflows
+        raise UnderflowError(f"S_{l} and S_{l}' underflow to 0 at k={err.k / R_hat!r}") from None
 
 
 def real_eigenvalue_spectra(radii: Sequence[float], l_max: int, k_max: float,
                             tol: float = 1e-9) -> list[dict[int, list[EigenvalueRecord]]]:
     """find_real_eigenvalues for l = 0..l_max on every radius, batched.
 
-    Entry r maps each degree to the roots for radius ``radii[r]`` at its
-    default scan step pi/(4 R).  The whole batch takes one table call for
-    the scan, which also gives the Hermite starts their B' and B'', and
-    one per Halley iteration, usually two; each residual is |B| from the
-    call that evaluated its root.  Each radius gets the same records
-    whether scanned alone or in a batch.  Every radius is checked as
-    find_real_eigenvalues checks it, and l_max must lie in [0, L_MAX].
+    Entry r maps each degree to the roots for radius ``radii[r]`` at the
+    default step.  All radii share one scan of x = k R up to k_max max(R):
+    one table call for the scan, which also gives the Hermite starts their
+    f' and f'', and one per Halley iteration, usually two; each residual is
+    |f| = |B|/R from the call that evaluated its root.  Each radius gets the
+    same records whether scanned alone or in a batch.  Every radius is
+    checked as find_real_eigenvalues checks it, and l_max must lie in
+    [0, L_MAX].
     """
     if not 0 <= l_max <= L_MAX:
         # checked here, before range(l_max + 1) becomes an array
         raise ValueError(f"l_max={l_max} outside [0, L_MAX={L_MAX}]")
-    steps = []
     for R_hat in radii:
         _check_positive("R_hat", R_hat)
-        steps.append(math.pi / (4 * R_hat))
-        _check_scan(R_hat, k_max, steps[-1], tol)
-    return _real_spectra(l_max, range(l_max + 1), radii, steps, k_max, tol)
+        _check_scan(R_hat, k_max, math.pi / (4 * R_hat), tol)
+    return _real_spectra(l_max, range(l_max + 1), radii, math.pi / 4, k_max, tol)
 
 
 def _rect_path(rect: tuple[float, float, float, float], n: int) -> np.ndarray:

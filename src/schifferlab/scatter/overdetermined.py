@@ -600,9 +600,9 @@ def ball_eigenfunction(R: float, n: int) -> tuple[float, Callable[[np.ndarray], 
 
     Returns (k, u) with k = x_n / R at the n-th positive root x_n of
     tan x = x and u(r) = j_0(kr) / j_0(kR).  x_n is the n-th of the n
-    zeros of the l = 0 dispersion at R = 1 on (0, (n + 3/4) pi], a scale
-    on which the scan's absolute tolerances hold for every R.  u divides
-    by j_0 at the same float product k R, so u(R) = 1 exactly and
+    zeros of the l = 0 dispersion at R = 1 on (0, (n + 3/4) pi], where
+    k = x; the scan works in x = kR, so one call serves every R.  u
+    divides by j_0 at the same float product k R, so u(R) = 1 exactly and
     u'(R) = 0 to root-finding accuracy: u witnesses both boundary
     conditions at once.
     """

@@ -2,18 +2,19 @@
 
 Each ray from the origin meets the boundary at its own radius R_hat, and
 the two-way radial problem along that ray has its own eigenvalue list and
-density R_hat/pi.  A ball gives every ray the same list; a non-ball
-separates the per-ray densities and empties the cross-ray intersection.
+density R_hat/pi.  That list is {x_{l,n}/R_hat}, where x_{l,n} are the
+zeros of x j_l'(x), so it depends on the radius alone: the cross-ray
+intersection and the density spread test whether rho, measured from the
+origin, is equal on the sampled directions.  They use nothing of the
+boundary conditions; the boundary least squares
+(``schifferlab.scatter.overdetermined``) is the layer that tests those.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
-
-import numpy as np
 
 from ..eigsearch import DensityEstimate, EigenvalueRecord, real_eigenvalue_spectra
 from ..eigsearch import find_real_eigenvalues  # noqa: F401  (bench/tracing.py rebinds it)
@@ -79,14 +80,6 @@ def _intersect(lists: list[tuple[float, ...]], tol: float) -> tuple[float, ...]:
     return tuple(survivors)
 
 
-def _scan_rays(directions: Sequence[SphericalDirection], radii: np.ndarray,
-               l_max: int, k_max: float) -> list[RayEigenReport]:
-    spectra = real_eigenvalue_spectra(radii, l_max, k_max)
-    return [RayEigenReport(d, float(R), {l: tuple(recs) for l, recs in eigen.items()},
-                           DensityEstimate.from_count(len(eigen[0]), float(R), k_max))
-            for d, R, eigen in zip(directions, radii, spectra)]
-
-
 def per_ray_eigen_scan(domain: StarlikeDomain,
                        directions: Sequence[SphericalDirection],
                        l_max: int, k_max: float, threads: int = 1) -> RayScanResult:
@@ -94,26 +87,23 @@ def per_ray_eigen_scan(domain: StarlikeDomain,
 
     The per-ray density compares the l = 0 count on (0, k_max] against
     the ray's own target R_hat/pi; the cross-ray intersection keeps the
-    eigenvalues matching on every ray within 1e-6.  Rays are independent,
-    so ``threads > 1`` splits them into contiguous chunks, one batch per
-    chunk; report order follows the input, and a ray's report is the same
-    whatever batch it is scanned in.
+    eigenvalues matching on every ray within 1e-6.  Every ray and degree
+    comes from one scan of x = k R_hat, so a ray's report is the same
+    whatever batch it is scanned in.  ``threads`` is validated (>= 1) and
+    otherwise ignored: the rays share that one scan, with nothing left to
+    split.
     """
     if not directions:
         raise ValueError("at least one direction is required")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     radii = ray_radii(domain, directions)
-    if threads == 1:
-        reports = _scan_rays(directions, radii, l_max, k_max)
-    else:
-        chunks = [c for c in np.array_split(np.arange(len(directions)), threads) if c.size]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(lambda c: _scan_rays([directions[i] for i in c], radii[c],
-                                                  l_max, k_max), chunks)
-            reports = [rep for part in parts for rep in part]
+    spectra = real_eigenvalue_spectra(radii, l_max, k_max)
+    reports = tuple(RayEigenReport(d, float(R), {l: tuple(recs) for l, recs in eigen.items()},
+                                   DensityEstimate.from_count(len(eigen[0]), float(R), k_max))
+                    for d, R, eigen in zip(directions, radii, spectra))
     common = {}
     for l in range(l_max + 1):
         lists = [tuple(rec.k for rec in rep.eigenvalues[l]) for rep in reports]
         common[l] = _intersect(lists, _MATCH_TOL)
-    return RayScanResult(tuple(reports), common)
+    return RayScanResult(reports, common)

@@ -72,6 +72,19 @@ def test_eigen_scan_reference_rows():
     assert ks[2].startswith("10.904121659428")
 
 
+@pytest.mark.parametrize("r_hat, k_max, count", [("1e10", "1e-9", 2), ("1e5", "1.6e-3", 50)])
+def test_eigen_scan_on_a_huge_radius_passes(run_cli, r_hat, k_max, count):
+    # both exited 1 on a residual test absolute in k and |B|; the scan's
+    # tolerances are now on x = k R, so k R are the roots of tan x = x
+    res = run_cli("eigen-scan", "--l", "0", "--r-hat", r_hat, "--k-max", k_max)
+    assert res.returncode == 0
+    rows = [line.split(",") for line in res.stdout.strip().split("\n")[1:-1]]
+    assert len(rows) == count
+    x = [float(row[1]) * float(r_hat) for row in rows[:2]]
+    # the CSV carries 15 significant digits
+    np.testing.assert_allclose(x, [4.493409457909064, 7.725251836937707], rtol=1e-14)
+
+
 def test_eigen_scan_empty_window(run_cli):
     res = run_cli("eigen-scan", "--l", "0", "--r-hat", "1", "--k-max", "2")
     assert res.returncode == 0
@@ -437,7 +450,7 @@ def test_json_output_mirrors_the_table(run_cli, tmp_path):
 
 def test_threads_env_is_validated(run_cli, monkeypatch):
     monkeypatch.setenv("SCHIFFER_LAB_THREADS", "zero")
-    res = run_cli("ray-scan", "--domain", BALL)
+    res = run_cli("domain-residual", "--domain", BALL, "--k", "2.0")
     assert res.returncode == 2
     assert "SCHIFFER_LAB_THREADS" in res.stderr
 

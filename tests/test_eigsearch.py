@@ -107,21 +107,34 @@ def assert_scipy_spectrum(l, R, x_lo, K, recs):
     assert_allclose([r.k for r in recs], np.array(want) / R, rtol=1e-13, atol=0)
 
 
+def x_preimages(k: float, R: float) -> list[float]:
+    """The doubles x within 3 ulp of k R with x / R == k: the scan points
+    a root k can come from."""
+    x = k * R
+    for _ in range(3):
+        x = np.nextafter(x, -np.inf)
+    near = [x]
+    for _ in range(6):
+        near.append(np.nextafter(near[-1], np.inf))
+    return [float(v) for v in near if v / R == k]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(R=st.floats(0.3, 3.0), K=st.floats(1.0, 40.0), l=st.integers(0, 8))
 def test_roots_are_the_zeros_of_the_bessel_derivative(R, K, l):
     # B(k) = R x j_l'(x) at x = k R; the scan starts at k = pi/(4 R).  The
     # batch's table runs Miller's recurrence below x = 8, so the low
     # degrees' first roots come from the Miller regime.  Each residual is
-    # |B| at the root, from a table of the same orders
+    # |x j_l'(x)| = |B|/R at the root's own x, from a table of the same orders
     batch = real_eigenvalue_spectra([R], 8, K)[0]
     for lmax, degree, recs in [(l, l, find_real_eigenvalues(l, R, K))] + [
             (8, degree, recs) for degree, recs in batch.items()]:
         assert_scipy_spectrum(degree, R, math.pi / 4, K, recs)
         for r in recs:
             assert r.l == degree and r.bracket[0] < r.k < r.bracket[1]
-            B = eigsearch._dispersion_rows(lmax, degree, np.array([R]), np.array([r.k]))[0]
-            assert r.residual == abs(B) <= 1e-9
+            f = [abs(eigsearch._dispersion_rows(lmax, degree, np.array([x]))[0])
+                 for x in x_preimages(r.k, R)]
+            assert r.residual in f and r.residual <= 1e-9
 
 
 def _x_djl(l: int, x: float) -> float:
@@ -174,6 +187,29 @@ def test_per_ray_spectrum_scales_with_the_radius(radii, X, l_max):
             assert_allclose(x[l], scaled[0][l], rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("R, K", [(1e10, 1e-9), (1e5, 1.6e-3)])
+def test_huge_radii_give_the_unit_radius_roots_over_the_radius(R, K):
+    # the scan, its Halley steps and tol all work in x = k R on the
+    # dimensionless x j_l'(x); with an absolute step tolerance in k and tol
+    # on |B| = R |x j_l'(x)| both of these scans raised RuntimeError
+    got = [r.k * R for r in find_real_eigenvalues(0, R, K)]
+    want = [r.k for r in find_real_eigenvalues(0, 1.0, K * R)]
+    assert len(got) == len(want) >= 2
+    assert_allclose(got[:2], [4.493409457909064, 7.725251836937707], rtol=1e-15, atol=0)
+    assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(log_R=st.floats(-8.0, 10.0), X=st.floats(1.0, 400.0), l=st.integers(0, 8))
+def test_roots_times_the_radius_are_the_unit_radius_roots(log_R, X, l):
+    # log-uniform R over 18 decades, k_max R = X well inside Z_MAX
+    R = 10.0 ** log_R
+    got = [r.k * R for r in find_real_eigenvalues(l, R, X / R)]
+    want = [r.k for r in find_real_eigenvalues(l, 1.0, X)]
+    assert len(got) == len(want)
+    assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
 def test_empty_below_first_eigenvalue():
     assert find_real_eigenvalues(0, 1.0, 2.0) == []
 
@@ -189,16 +225,17 @@ def test_near_coincident_root_warning():
     (2, [(2.0, (1.875, 2.5))]),  # double root: the node itself, residual 0
 ])
 def test_a_node_on_a_root_nudges_its_bracket_open(monkeypatch, power, want):
-    # B(k) = (k - 2)^power puts a root exactly on the scan node k = 2
-    def rows(lmax, l, R, k, derivatives=False):
+    # f(x) = (x - 2)^power puts a root exactly on the scan node x = 2; at
+    # R_hat = 1 the bracket in x is the bracket in k
+    def rows(lmax, l, x, derivatives=False):
         def tile(v):
-            return np.broadcast_to(v, np.broadcast_shapes(np.shape(l), k.shape))
+            return np.broadcast_to(v, np.broadcast_shapes(np.shape(l), x.shape))
 
-        B = tile((k - 2.0) ** power)
+        f = tile((x - 2.0) ** power)
         if not derivatives:
-            return B
-        return (B, tile(power * (k - 2.0) ** (power - 1)),
-                tile(power * (power - 1) * (k - 2.0) ** max(power - 2, 0)))
+            return f
+        return (f, tile(power * (x - 2.0) ** (power - 1)),
+                tile(power * (power - 1) * (x - 2.0) ** max(power - 2, 0)))
 
     monkeypatch.setattr(eigsearch, "_dispersion_rows", rows)
     recs = find_real_eigenvalues(0, 1.0, 3.0, scan_step=0.5)
@@ -207,29 +244,22 @@ def test_a_node_on_a_root_nudges_its_bracket_open(monkeypatch, power, want):
 
 
 def test_masked_brackets_match_the_per_radius_loop():
-    # one pass over the batched table gives each radius and degree the
-    # brackets of a scan of that radius alone, in k order
+    # one scan of x = k R on the step pi/4 gives each radius and degree its
+    # brackets, divided by R, in k order; the last may straddle K R and is
+    # dropped where its root lies past K
     radii = [0.7, 1.0, 1.9, 1.0]
     l_max, K = 4, 20.0
+    x = eigsearch._scan_nodes(K * max(radii), math.pi / 4)
+    f = eigsearch._dispersion_rows(l_max, np.arange(l_max + 1)[:, None], x)
     for R, eigen in zip(radii, real_eigenvalue_spectra(radii, l_max, K)):
-        k = eigsearch._scan_nodes(K, math.pi / (4 * R))
-        B = eigsearch._dispersion_rows(l_max, np.arange(l_max + 1)[:, None],
-                                       np.full(k.size, R), k)
         for l in range(l_max + 1):
-            v = B[l]
-            want = [(k[i], k[i + 1])
-                    for i in np.flatnonzero((v[:-1] * v[1:] < 0) | (v[:-1] == 0))]
-            assert [r.bracket for r in eigen[l]] == want
-
-
-def test_no_bracket_straddles_two_radii(monkeypatch):
-    # B > 0 all along the first radius's scan and B < 0 along the second's
-    def rows(lmax, l, R, k, derivatives=False):
-        B = np.where(R == 1.0, 1.0, -1.0) + np.zeros(np.shape(l))
-        return (B, np.zeros_like(B), np.zeros_like(B)) if derivatives else B
-
-    monkeypatch.setattr(eigsearch, "_dispersion_rows", rows)
-    assert real_eigenvalue_spectra([1.0, 2.0], 1, 3.0) == [{0: [], 1: []}, {0: [], 1: []}]
+            v = f[l]
+            want = [(x[i] / R, x[i + 1] / R)
+                    for i in np.flatnonzero((v[:-1] * v[1:] < 0) | (v[:-1] == 0))
+                    if x[i] < K * R]
+            got = [r.bracket for r in eigen[l]]
+            assert got == want or (got == want[:-1] and want[-1][1] > K), (R, l)
+            assert all(r.k <= K for r in eigen[l])
 
 
 def test_underflow_is_a_numerical_failure_not_a_root():
@@ -238,20 +268,23 @@ def test_underflow_is_a_numerical_failure_not_a_root():
     assert issubclass(UnderflowError, ValueError)
     with pytest.raises(UnderflowError, match=r"^S_60 and S_60' underflow to 0 at k=1e-05$"):
         find_real_eigenvalues(60, 1.0, 0.01, scan_step=1e-5)
+    # the scan runs in x = k R_hat, and the message still names k
+    with pytest.raises(UnderflowError, match=r"^S_60 and S_60' underflow to 0 at k=5e-06$"):
+        find_real_eigenvalues(60, 2.0, 0.005, scan_step=5e-6)
     with pytest.raises(UnderflowError, match=r"at k=1e-05$"):
         dispersion(60, 1.0, np.array([1.0, 1e-5]))
     with pytest.raises(UnderflowError, match=r"at k=\(1e-05\+0j\)$"):
         dispersion_function(60, 1.0)(np.array([1e-5 + 0j]))
     # where S_60 is subnormal but not 0, B keeps the sign of its k^60 leading term
     k = np.geomspace(3e-4, 1e-2, 50)
-    assert np.all(eigsearch._dispersion_rows(60, 60, np.ones_like(k), k) > 0)
+    assert np.all(eigsearch._dispersion_rows(60, 60, k) > 0)
 
 
 def test_a_node_whose_nudged_neighbour_also_reads_zero_is_a_numerical_failure():
     # below x = k R of about 1e-8, B_0 = R cos(kR) - sin(kR)/k cancels to
     # exactly 0 at every node; those zeros are rounding, not nine roots
     k = np.array([1e-9, 0.75e-9])
-    assert np.all(eigsearch._dispersion_rows(0, 0, np.ones(2), k) == 0.0)
+    assert np.all(eigsearch._dispersion_rows(0, 0, k) == 0.0)
     with pytest.raises(NumericalError, match=r"^B_0 reads exactly 0 at k=1e-09 and a "
                                              r"quarter step below, at k=7\.5"):
         find_real_eigenvalues(0, 1.0, 1e-8, scan_step=1e-9)
@@ -356,29 +389,31 @@ def test_ball_spectra_take_three_riccati_calls(monkeypatch):
 @given(R=st.floats(0.3, 3.0), l=st.integers(0, 8), K=st.floats(10.0, 40.0),
        pick=st.integers(0, 10**6), extra=st.integers(0, 3))
 def test_a_node_rounded_onto_a_root_still_gives_the_scipy_spectrum(R, l, K, pick, extra):
-    # choose the scan step so that a node lands within rounding of a root,
-    # and let the kernel read B = 0 there: the bracket is nudged open a
-    # quarter step to the left and refined like any other
+    # choose the scan step so that a node of the x lattice (step scan_step R)
+    # lands within rounding of a root, and let the kernel read f = 0 there:
+    # the bracket is nudged open a quarter step to the left and refined
+    # like any other
     roots = scipy_djl_zeros(l, math.pi / 4, K * R)
     assume(roots)
-    k_star = roots[pick % len(roots)] / R
-    m = math.ceil(k_star / (math.pi / (4 * R))) + extra
-    step = k_star / m
-    node = eigsearch._scan_nodes(K, step)[m - 1]
-    assert abs(node - k_star) <= 4 * np.spacing(k_star)
+    x_star = roots[pick % len(roots)]
+    m = math.ceil(x_star / (math.pi / 4)) + extra
+    step = x_star / R / m
+    x_step = step * R
+    node = eigsearch._scan_nodes(K * R, x_step)[m - 1]
+    assert abs(node - x_star) <= 4 * np.spacing(x_star)
     dispersion_rows = eigsearch._dispersion_rows
 
-    def rounded(lmax, degrees, radii, k, derivatives=False):
-        out = dispersion_rows(lmax, degrees, radii, k, derivatives)
-        B = out[0] if derivatives else out
-        B[np.broadcast_to((degrees == l) & (k == node), B.shape)] = 0.0
+    def rounded(lmax, degrees, x, derivatives=False):
+        out = dispersion_rows(lmax, degrees, x, derivatives)
+        f = out[0] if derivatives else out
+        f[np.broadcast_to((degrees == l) & (x == node), f.shape)] = 0.0
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(eigsearch, "_dispersion_rows", rounded)
         recs = find_real_eigenvalues(l, R, K, scan_step=step)
-    assert_scipy_spectrum(l, R, step * R, K, recs)
-    assert any(r.bracket[0] == node - 0.25 * step for r in recs)
+    assert_scipy_spectrum(l, R, x_step, K, recs)
+    assert any(r.bracket[0] == (node - 0.25 * x_step) / R for r in recs)
 
 
 def test_argument_principle_counts():

@@ -309,14 +309,6 @@ def test_single_ray_intersection_is_its_own_list():
     assert result.intersection_size == 3
 
 
-def test_threaded_scan_matches_serial():
-    dirs = axis_directions()
-    a = per_ray_eigen_scan(unit_ball(), dirs, 1, 9.0, threads=1)
-    b = per_ray_eigen_scan(unit_ball(), dirs, 1, 9.0, threads=2)
-    for ra, rb in zip(a.reports, b.reports):
-        assert ra.eigenvalues == rb.eigenvalues
-
-
 def report_bits(rep) -> tuple:
     """A ray report as exact data: floats by hex, records in order."""
     return (rep.direction, rep.R_hat.hex(), rep.density,
@@ -333,16 +325,6 @@ def ray_batches(draw):
                          min_size=1, max_size=8))
     return (seeded_domain(draw(st.integers(0, 2**32 - 1))), tuple(dirs),
             draw(st.integers(0, 3)), draw(st.floats(4.0, 14.0)))
-
-
-@settings(max_examples=15, deadline=None, derandomize=True)
-@given(batch=ray_batches(), threads=st.integers(2, 3))
-def test_threaded_ray_scan_is_bitwise_serial(batch, threads):
-    domain, dirs, l_max, K = batch
-    serial = per_ray_eigen_scan(domain, dirs, l_max, K, threads=1)
-    threaded = per_ray_eigen_scan(domain, dirs, l_max, K, threads=threads)
-    assert [report_bits(r) for r in threaded.reports] == [report_bits(r) for r in serial.reports]
-    assert threaded.common == serial.common
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
