@@ -19,7 +19,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 from typing import Callable
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from ._atomic import write_atomic
 from .eigsearch import (
+    _MAX_SCAN_NODES,
     density_estimate,
     dispersion,
     dispersion_log_abs,
@@ -148,19 +148,6 @@ def _merge(args: argparse.Namespace, params: list[_Param]) -> dict:
             raise ConfigError(f"{p.name} must be one of {p.choices}, got {value!r}")
         merged[p.name] = value
     return merged
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("SCHIFFER_LAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"SCHIFFER_LAB_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise ConfigError(f"SCHIFFER_LAB_THREADS must be >= 1, got {threads}")
-    return threads
 
 
 # ---------------------------------------------------------------- rendering
@@ -349,10 +336,14 @@ def _run_domain_residual(p: dict) -> tuple[list[str], list[tuple], str]:
         k_min, k_max, k_step = grid_parts
         if not (0 < k_min <= k_max and k_step > 0):
             raise ConfigError("need 0 < k_min <= k_max and k_step > 0")
+        # np.arange below gives ceil(steps + 1/2) frequencies
+        steps = (k_max - k_min) / k_step
+        if steps + 0.5 > _MAX_SCAN_NODES:
+            raise ConfigError(f"k_step {k_step} gives {steps + 1:.6g} frequencies from "
+                              f"k_min to k_max, more than {_MAX_SCAN_NODES}")
         ks = np.arange(k_min, k_max + k_step / 2, k_step)
         ks = ks[ks <= k_max + 1e-12 * k_max]
-    res = residual_scan(domain, ks, p["l_trial"], p["n_collocation"],
-                        p["neumann"], threads=_env_threads())
+    res = residual_scan(domain, ks, p["l_trial"], p["n_collocation"], p["neumann"])
     ok = bool(res.min() <= p["threshold"])
     rows = [(float(k), float(r)) for k, r in zip(ks, res)]
     return ["k", "residual"], rows, "PASS" if ok else "FAIL"

@@ -22,7 +22,7 @@ factors j_l(k rho) of a whole block from one real-argument table,
 recurrence.  The k-independent products of the harmonic tables with the
 normal are formed once per scan.  Each frequency then writes its raw
 system, with the right-hand side appended as a last column, transposed
-into its block's C-order buffer, so the buffer's transpose is already in
+into the scan's C-order buffer, so the buffer's transpose is already in
 the Fortran order that LAPACK factors.  The factorization is one
 Householder QR, R only, which overwrites the buffer: the residual norm is
 the last diagonal entry of R, and the leading triangle R11 carries the
@@ -41,21 +41,14 @@ cond_2 of the equilibrated system by ||R11 D^-1||_F ||D R11^-1||_F, with
 dtrtri inverting R11.  Column equilibration comes within a factor sqrt(n)
 of the best cond_2 over all column scalings (van der Sluis, Numer. Math.
 14, 1969), and reading D from R11 costs O(n^2) per frequency instead of
-O(mn).  Each block allocates its buffer, dgeqrt's and dtrtri's outputs
-and their ready-made ctypes argument lists once, so block threads share
-no workspace and a call marshals nothing.  Both routines come through
-ctypes from the OpenBLAS that numpy itself loads; where its symbols are
-not found, np.linalg's QR and inverse take their place.  Scans hold
-numpy's OpenBLAS to one thread, so the block thread pool is the only
-parallelism, but the pool's threads still contend inside OpenBLAS: on a
-2-vCPU host, 2,000 dgeqrt calls on 400 x 82 systems took 0.71-0.76 s
-wall (1.3 s CPU, 0.10-0.14 s of it system time) from two threads, no
-faster than from one, while two processes each running the serial scan
-kept about 1.85 times the throughput of one.  Small dtrmm calls contend
-the same way and dgemm does not; a lock around the LAPACK calls and a
-two-stage assemble/factor pipeline were both slower than the block pool.
-So two block threads barely beat one.  Rank warnings are issued once the
-scan is done, in the calling thread, in grid order.
+O(mn).  Each scan allocates its buffer, dgeqrt's and dtrtri's outputs
+and their ready-made ctypes argument lists once, so a call marshals
+nothing.  Both routines come through ctypes from the OpenBLAS that numpy
+itself loads; where its symbols are not found, np.linalg's QR and
+inverse take their place.  Scans hold numpy's OpenBLAS to one thread and
+run their blocks serially: two threads calling dgeqrt contend inside
+OpenBLAS and ran no faster than one.  Rank warnings are issued once the
+scan is done, in grid order.
 
 The Neumann condition comes in two labeled flavors: ``normal`` tests the
 geometric normal derivative on the actual boundary, ``gradient`` asks the
@@ -67,11 +60,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
-import functools
 import math
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -105,6 +96,8 @@ _QR_PANEL = 16
 # overflowed squares beyond rounding
 _SUMSQ_MIN = np.finfo(float).tiny / np.finfo(float).eps
 _SUMSQ_MAX = np.finfo(float).max
+# the largest k whose reciprocal overflows; the Neumann rows are weighted by 1/k
+_K_TINY = 2.0 ** -1024
 
 
 # symbol prefix, symbol suffix and LAPACK integer of the OpenBLAS builds
@@ -149,7 +142,7 @@ def _openblas_routines():
         except AttributeError:
             return (get, set_), None
         p_int = ctypes.POINTER(integer)
-        # every argument is prebuilt once per block (see _Workspace), so the
+        # every argument is prebuilt once per scan (see _Workspace), so the
         # arrays go in as raw addresses and nothing is marshalled per call;
         # dgeqrt(m, n, nb, a, lda, t, ldt, work, info)
         geqrt.argtypes = [p_int, p_int, p_int, ctypes.c_void_p, p_int, ctypes.c_void_p,
@@ -328,7 +321,7 @@ def _assemble(rows: _Rows, j: np.ndarray, jp: np.ndarray, k: float,
 
     ``j`` and ``jp`` hold j_l(k rho) and j_l'(k rho) at the collocation
     points, one row per order from 0.  ``Ab`` is a C-order array of shape
-    (n_modes + 1, rows of A), reused across a block of frequencies.  Row
+    (n_modes + 1, rows of A), reused across a scan's frequencies.  Row
     i < n_modes becomes column i of A as it stands, not equilibrated:
     ``_solve`` reads the column norms from R instead.  The last row is b,
     1 on the Dirichlet points and 0 on the 1/k-weighted Neumann points.
@@ -356,7 +349,7 @@ def _assemble(rows: _Rows, j: np.ndarray, jp: np.ndarray, k: float,
 
 
 class _Workspace:
-    """Everything one block's solves write into, allocated once per block.
+    """Everything one scan's solves write into, allocated once per scan.
 
     ``Ab`` is the C-order (n + 1, m) system buffer that the factorization
     overwrites, ``W`` an n x n scratch that holds R11^T and then the
@@ -364,8 +357,7 @@ class _Workspace:
     LAPACK, ``geqrt_args`` and ``trtri_args`` are the complete argument
     tuples of dgeqrt and dtrtri, raw addresses of ``Ab``, ``W``, ``T``
     and ``work`` and pointers to prebuilt integers, so a call marshals
-    nothing; both routines report through ``info``.  Each block builds its
-    own, so block threads share no buffer.
+    nothing; both routines report through ``info``.
     """
 
     def __init__(self, Ab: np.ndarray, tril: np.ndarray | None = None):
@@ -430,7 +422,7 @@ def _solve(Ab: np.ndarray, ws: _Workspace | None = None) -> tuple[float, float |
     bound is not small an SVD of R11 D^-1 settles it, and the second value
     is cond^2 where it exceeds 1e12, else None; the caller warns.
 
-    Ab is factored in ``ws``, the block's workspace, when it is ``ws.Ab``
+    Ab is factored in ``ws``, the scan's workspace, when it is ``ws.Ab``
     and is overwritten.  Any other array gets a workspace of its own: a
     C-contiguous float64 Ab is overwritten too, any other layout is
     factored as a C-contiguous copy.
@@ -485,11 +477,13 @@ def _solve(Ab: np.ndarray, ws: _Workspace | None = None) -> tuple[float, float |
     return math.sqrt(rss / m), cond2
 
 
-def _scan_block(rows: _Rows, ks: np.ndarray) -> tuple[np.ndarray, list[tuple[float, float]]]:
+def _scan_block(rows: _Rows, ks: np.ndarray,
+                ws: _Workspace) -> tuple[np.ndarray, list[tuple[float, float]]]:
     """Residuals at the frequencies ``ks``, from one Bessel table for all of them.
 
-    Also returns the (k, cond^2) pairs that the rank check flagged, in
-    grid order.
+    Each system is assembled into and factored in the scan's workspace
+    ``ws``.  Also returns the (k, cond^2) pairs that the rank check
+    flagged, in grid order.
     """
     L = rows.frame.L_trial
     x = ks[:, None] * rows.frame.rho
@@ -499,8 +493,6 @@ def _scan_block(rows: _Rows, ks: np.ndarray) -> tuple[np.ndarray, list[tuple[flo
     jp = np.empty((L + 1,) + x.shape)
     jp[0] = -j[1]
     jp[1:] = j[:L] - np.arange(2, L + 2)[:, None, None] * j[1:L + 1] / x
-    n, p = rows.frame.Y.shape
-    ws = _Workspace(np.empty((n + 1, (2 if rows.neumann == "normal" else 4) * p)), rows.tril)
     out = np.empty(ks.size)
     flagged = []
     for i, k in enumerate(ks.tolist()):
@@ -533,7 +525,7 @@ def overdetermined_residual(domain: StarlikeDomain, k: float, L_trial: int = 8,
     """
     if not (np.isfinite(k) and k > 0.0):
         raise ValueError(f"k must be positive and finite, got {k}")
-    res, flagged = _scan(domain, [k], L_trial, n_collocation, neumann, 1)
+    res, flagged = _scan(domain, [k], L_trial, n_collocation, neumann)
     _warn_rank_deficient(flagged)
     return float(res[0])
 
@@ -544,41 +536,39 @@ def residual_scan(domain: StarlikeDomain, k_values: Sequence[float],
     """overdetermined_residual over a k grid, reusing one collocation frame.
 
     The grid is cut into blocks of 16 frequencies, each with one Bessel
-    table and one solve workspace.  Blocks are independent, so
-    ``threads > 1`` fans them out to a thread pool; results come back in
-    grid order either way.  numpy's OpenBLAS is held to one thread for the
-    whole scan, and each point's table and solve do not depend on its
-    block, so threaded results equal serial ones bit for bit.  Rank
-    warnings are issued after the scan, in the calling thread and in grid
-    order.
+    table, run one after another on one solve workspace; each point's
+    table and solve do not depend on its block.  numpy's OpenBLAS is held
+    to one thread for the whole scan.  ``threads`` is validated (>= 1) and
+    otherwise ignored: blocks run serially, because threads calling
+    dgeqrt contend inside OpenBLAS.  Rank warnings are issued after the
+    scan, in grid order.
     """
-    res, flagged = _scan(domain, k_values, L_trial, n_collocation, neumann, threads)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    res, flagged = _scan(domain, k_values, L_trial, n_collocation, neumann)
     _warn_rank_deficient(flagged)
     return res
 
 
 def _scan(domain: StarlikeDomain, k_values: Sequence[float], L_trial: int,
-          n_collocation: int | None, neumann: str,
-          threads: int) -> tuple[np.ndarray, list[tuple[float, float]]]:
+          n_collocation: int | None,
+          neumann: str) -> tuple[np.ndarray, list[tuple[float, float]]]:
     """``residual_scan``'s residuals and its flagged (k, cond^2) pairs, unwarned."""
     if neumann not in _NEUMANN_MODES:
         raise ValueError(f"neumann must be one of {_NEUMANN_MODES}, got {neumann!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     ks = np.asarray(k_values, dtype=float)
     if ks.size == 0:
         raise ValueError("k_values is empty")
     if not np.all(np.isfinite(ks) & (ks > 0.0)):
         raise ValueError("all scan frequencies must be positive and finite")
+    if ks.min() <= _K_TINY:
+        raise ValueError(f"scan frequency k = {ks.min()} is too small: 1/k overflows "
+                         f"at and below 2**-1024")
     rows = _rows(collocation_frame(domain, L_trial, n_collocation), neumann)
-    blocks = [ks[i:i + _BLOCK] for i in range(0, ks.size, _BLOCK)]
-    scan = functools.partial(_scan_block, rows)
+    n, p = rows.frame.Y.shape
+    ws = _Workspace(np.empty((n + 1, (2 if neumann == "normal" else 4) * p)), rows.tril)
     with _one_blas_thread():
-        if threads == 1:
-            parts = list(map(scan, blocks))
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(scan, blocks))
+        parts = [_scan_block(rows, ks[i:i + _BLOCK], ws) for i in range(0, ks.size, _BLOCK)]
     return (np.concatenate([out for out, _ in parts]),
             [pair for _, flagged in parts for pair in flagged])
 

@@ -383,11 +383,9 @@ def test_residual_scan_matches_pointwise_calls():
         for k, r in zip(ks, scan):
             assert_allclose(r, overdetermined_residual(domain, k, L_trial=4),
                             rtol=1e-12)
-        threaded = residual_scan(domain, ks, L_trial=4, threads=2)
-        assert list(threaded) == list(scan)
 
 
-def test_block_scans_are_bitwise_their_pieces_and_their_threaded_runs():
+def test_block_scans_are_bitwise_their_pieces():
     # 40 frequencies span three blocks; cuts inside and across blocks
     domain = seeded_domain(7)
     ks = np.linspace(0.6, 11.0, 40)
@@ -395,8 +393,7 @@ def test_block_scans_are_bitwise_their_pieces_and_their_threaded_runs():
         scan = residual_scan(domain, ks, L_trial=4, neumann=neumann)
         pieces = np.concatenate([residual_scan(domain, ks[a:b], L_trial=4, neumann=neumann)
                                  for a, b in ((0, 5), (5, 21), (21, 40))])
-        threaded = residual_scan(domain, ks, L_trial=4, neumann=neumann, threads=2)
-        assert scan.tobytes() == pieces.tobytes() == threaded.tobytes()
+        assert scan.tobytes() == pieces.tobytes()
         for k, r in zip(ks[::7], scan[::7]):
             assert_allclose(r, overdetermined_residual(domain, k, L_trial=4, neumann=neumann),
                             rtol=1e-12)
@@ -483,6 +480,28 @@ def test_least_squares_validation():
         residual_scan(unit_ball(), (1.0, -2.0))
     with pytest.raises(ValueError, match="threads must be >= 1"):
         residual_scan(unit_ball(), (1.0,), threads=0)
+
+
+def test_a_frequency_whose_reciprocal_overflows_is_rejected_unbuilt(monkeypatch):
+    # the Neumann rows are weighted by 1/k; at and below 2**-1024 that is inf,
+    # which read as numpy overflow warnings and an unconverged SVD
+    smallest = float(np.nextafter(2.0 ** -1024, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", message=".*rank deficient")
+        for neumann in ("normal", "gradient"):
+            assert np.all(residual_scan(unit_ball(), [smallest, 1e-308, 1.0],
+                                        neumann=neumann) >= 0.0)
+
+    def refuse(*args):
+        raise AssertionError("a frame was built")
+
+    monkeypatch.setattr(od, "collocation_frame", refuse)
+    for bad in (5e-324, 2.0 ** -1024):
+        with pytest.raises(ValueError, match=f"k = {bad} is too small: 1/k overflows"):
+            overdetermined_residual(unit_ball(), bad)
+        with pytest.raises(ValueError, match=f"k = {bad} is too small"):
+            residual_scan(unit_ball(), [1.0, bad, 2.0])
 
 
 def test_healthy_solve_emits_no_warnings():
@@ -653,22 +672,19 @@ def test_rank_warnings_point_at_the_caller_in_grid_order(monkeypatch):
         overdetermined_residual(unit_ball(), 1.0, L_trial=2)
     assert [w.filename for w in caught] == [__file__]
     ks = np.linspace(1.0, 4.0, 40)  # three blocks
-    messages = {}
-    for threads in (1, 2):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            residual_scan(unit_ball(), ks, L_trial=2, threads=threads)
-        assert {w.filename for w in caught} == {__file__}
-        messages[threads] = [str(w.message) for w in caught]
-    assert messages[2] == messages[1]
-    assert len(messages[1]) == ks.size
-    for k, message in zip(ks.tolist(), messages[1]):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        residual_scan(unit_ball(), ks, L_trial=2)
+    assert {w.filename for w in caught} == {__file__}
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == ks.size
+    for k, message in zip(ks.tolist(), messages):
         assert f"at k = {k};" in message and "rank deficient" in message
 
 
 def test_concurrent_scans_of_two_domains_equal_their_serial_runs():
-    # each block owns its buffers, so scans running at once share none, and
-    # the counted pin holds BLAS at one thread while either scan runs
+    # each scan owns its workspace, so scans running at once share no
+    # buffer, and the counted pin holds BLAS at one thread while either runs
     ks = np.linspace(0.6, 11.0, 40)
     domains = [seeded_domain(11), seeded_domain(12)]
     serial = [residual_scan(d, ks, L_trial=4).tobytes() for d in domains]
@@ -722,14 +738,30 @@ def test_scans_factor_with_numpy_openblas_lapack(monkeypatch):
 @given(seed=st.integers(0, 2**32 - 1),
        neumann=st.sampled_from(("normal", "gradient")),
        ks=st.lists(st.floats(0.5, 12.0), min_size=1, max_size=6))
-def test_threaded_scan_is_bitwise_serial_and_restores_blas_threads(seed, neumann, ks):
-    domain = seeded_domain(seed)
+def test_scans_restore_the_blas_thread_count(seed, neumann, ks):
     before = openblas_threads()
-    serial = residual_scan(domain, ks, L_trial=4, neumann=neumann)
+    residual_scan(seeded_domain(seed), ks, L_trial=4, neumann=neumann)
     assert openblas_threads() == before
-    threaded = residual_scan(domain, ks, L_trial=4, neumann=neumann, threads=2)
-    assert openblas_threads() == before
-    assert threaded.tobytes() == serial.tobytes()
+
+
+def test_threads_are_validated_and_start_nothing(monkeypatch):
+    # threads > 1 is accepted and ignored: every block runs in the calling
+    # thread, with no other thread alive, and the bits are the serial ones
+    ks = np.linspace(0.6, 11.0, 40)  # three blocks
+    domain = seeded_domain(7)
+    serial = residual_scan(domain, ks, L_trial=4)
+    scan_block, seen = od._scan_block, []
+
+    def counted(*args):
+        seen.append((threading.current_thread(), threading.active_count()))
+        return scan_block(*args)
+
+    monkeypatch.setattr(od, "_scan_block", counted)
+    running = threading.active_count()
+    assert residual_scan(domain, ks, L_trial=4, threads=4).tobytes() == serial.tobytes()
+    assert seen == [(threading.current_thread(), running)] * 3
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        residual_scan(domain, ks, L_trial=4, threads=0)
 
 
 @needs_openblas
@@ -741,12 +773,12 @@ def test_overlapping_scans_from_two_threads_restore_the_blas_thread_count(monkey
     both_in, first_out = threading.Barrier(2), threading.Event()
     scan_block, seen, errors = od._scan_block, [], []
 
-    def gated(rows, ks):
+    def gated(*args):
         both_in.wait(timeout=60)
         if threading.current_thread().name == "second":
             first_out.wait(timeout=60)
         seen.append(get())
-        return scan_block(rows, ks)
+        return scan_block(*args)
 
     def scan(name):
         try:
@@ -784,12 +816,11 @@ def test_scans_hold_blas_to_one_thread_and_restore_it_on_error(monkeypatch):
 
     monkeypatch.setattr(od, "_assemble", rank_deficient)
     before = openblas_threads()
-    for threads in (1, 2):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(RuntimeWarning, match="rank deficient"):
-                residual_scan(unit_ball(), [1.0, 2.0], L_trial=2, threads=threads)
-        assert openblas_threads() == before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="rank deficient"):
+            residual_scan(unit_ball(), [1.0, 2.0], L_trial=2)
+    assert openblas_threads() == before
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeWarning, match="rank deficient"):
