@@ -26,7 +26,7 @@ from scipy.optimize import brentq  # noqa: F401  (uncalled; bench/tracing.py loo
 
 from .entire import Evaluator, winding_count
 from .errors import NumericalError, UnderflowError
-from .specfun import L_MAX, Z_MAX, riccati_s_table
+from .specfun import L_MAX, Z_MAX, riccati_s_rows
 from .specfun import riccati_table  # noqa: F401  (uncalled; bench/tracing.py rebinds it)
 
 __all__ = [
@@ -92,18 +92,23 @@ def _check_dispersion_args(R_hat: float, k) -> None:
         raise ValueError("R_hat must be positive")
 
 
-def _regular_rows(l: int, k, z):
-    """Rows S_0..S_l and S_0'..S_l' at z = k R_hat (k != 0), in z's dtype.
+def _regular_rows(lmax: int, l, k, z):
+    """Rows S_l and S_l' at z = k R_hat (k != 0), in z's dtype, from one
+    riccati_s_rows call with table orders 0..lmax; ``l`` is an int or an
+    array of degrees that broadcasts against z, and k has z's shape.
 
     S_l and S_l' have no common zero at z != 0, so both reading exactly 0
     is underflow (tiny |z|, large l), and B(k) = 0 there would pass for a
-    root: UnderflowError, naming the first such k in its message and its ``k``.
+    root: UnderflowError, naming S_lmax and the first such k in its
+    message and that k in its ``k``.  S_lmax underflows first, so a batch
+    that holds degree lmax names the point where it does.
     """
-    S, Sp = riccati_s_table(l, z)
-    dead = (S[l] == 0) & (Sp[l] == 0)
+    S, Sp = riccati_s_rows(lmax, l, z)
+    dead = (S == 0) & (Sp == 0)
     if dead.any():
-        bad = np.ravel(k)[np.argmax(dead)].item()
-        err = UnderflowError(f"S_{l} and S_{l}' underflow to 0 at k={bad!r}")
+        # the first point of k with a dead row of any degree
+        bad = np.ravel(k)[np.argmax(dead.reshape(-1, np.size(k)).any(axis=0))].item()
+        err = UnderflowError(f"S_{lmax} and S_{lmax}' underflow to 0 at k={bad!r}")
         err.k = bad
         raise err
     return S, Sp
@@ -112,8 +117,7 @@ def _regular_rows(l: int, k, z):
 def _complex_rows(l: int, R_hat: float, k):
     """S_l and S_l' at complex k R_hat, for k validated as dispersion does."""
     _check_dispersion_args(R_hat, k)
-    S, Sp = _regular_rows(l, k, np.asarray(k * R_hat, dtype=complex))
-    return S[l], Sp[l]
+    return _regular_rows(l, l, k, np.asarray(k * R_hat, dtype=complex))
 
 
 def dispersion(l: int, R_hat: float, k):
@@ -122,8 +126,9 @@ def dispersion(l: int, R_hat: float, k):
     Entire in k (the k = 0 singularity of the sin term is removable); the
     argument k = 0 itself is rejected.  For l = 0 this is exactly
     R_hat*cos(k R_hat) - sin(k R_hat)/k, and real k gives real values.
-    An ndarray k is evaluated elementwise in one complex riccati_s_table
-    call.  Where S_l and S_l' both underflow to 0, UnderflowError.
+    An ndarray k is evaluated elementwise in one complex riccati_s_rows
+    call, which reads rows l - 1 and l of one j table.  Where S_l and S_l'
+    both underflow to 0, UnderflowError.
     """
     S, Sp = _complex_rows(l, R_hat, k)
     return _coefficient(R_hat, k, S, Sp)
@@ -132,7 +137,7 @@ def dispersion(l: int, R_hat: float, k):
 def dispersion_function(l: int, R_hat: float) -> Evaluator:
     """The contour evaluator k -> (B(k), B'(k)) of dispersion(l, R_hat, .).
 
-    Both come from one riccati_s_table call, elementwise on an ndarray of
+    Both come from one riccati_s_rows call, elementwise on an ndarray of
     k; B is bitwise dispersion(l, R_hat, k) and B' is the closed form of
     _coefficient_derivative.  Arguments are validated as dispersion does.
     """
@@ -147,14 +152,15 @@ def dispersion_function(l: int, R_hat: float) -> Evaluator:
 def dispersion_log_abs(l: int, R_hat: float, k: complex) -> float:
     """log|dispersion(l, R_hat, k)|, stable for large |Im k|.
 
-    Uses the internally rescaled Riccati-Bessel tables so the exponential
-    growth e^{|Im k| R_hat} enters additively, never as a raw magnitude.
+    Uses the rescaled rows S_l, S_l' of one riccati_s_rows call, so the
+    exponential growth e^{|Im k| R_hat} enters additively, never as a raw
+    magnitude.
     """
     if k == 0:
         raise ValueError("dispersion is evaluated away from k = 0")
     z = complex(k * R_hat)
-    S, Sp = riccati_s_table(l, z, scaled=True)
-    scaled = _coefficient(R_hat, k, S[l], Sp[l])
+    S, Sp = riccati_s_rows(l, l, z, scaled=True)
+    scaled = _coefficient(R_hat, k, S, Sp)
     mag = abs(scaled)
     if mag == 0.0:
         return -math.inf
@@ -189,12 +195,11 @@ def _dispersion_rows(lmax: int, l, x: np.ndarray, derivatives: bool = False):
     the degrees l only: a column (d, 1) of degrees gives a row per degree,
     a (x.size,) array one degree per point.  f_l is B_l at R_hat = 1 and
     k = x, and B_l(k) = R_hat f_l(k R_hat) on any radius.  One float64
-    riccati_s_table of orders 0..lmax, which UnderflowError guards; with
-    ``derivatives`` the triple (f, f', f'') from the same S_l, S_l' rows.
+    riccati_s_rows call over a j table of orders 0..lmax, which
+    UnderflowError guards; with ``derivatives`` the triple (f, f', f'')
+    from the same S_l, S_l' rows.
     """
-    S, Sp = _regular_rows(lmax, x, x)
-    cols = np.arange(x.size)
-    S, Sp = S[l, cols], Sp[l, cols]
+    S, Sp = _regular_rows(lmax, l, x, x)
     f = _coefficient(1.0, x, S, Sp)
     if not derivatives:
         return f
@@ -207,7 +212,7 @@ _RTOL = 4 * np.finfo(float).eps
 _MAX_ITER = 100
 # scan nodes per degree: the default step pi/4 in x needs at most
 # 4 Z_MAX/pi = 12,733, and a scan of degree 60 at this cap peaks at about
-# 65 MB (tracemalloc), most of it the one riccati_s_table of orders 0..60
+# 19 MB (tracemalloc), most of it the one j table of orders 0..60
 _MAX_SCAN_NODES = 1 << 15
 
 
@@ -415,8 +420,9 @@ def real_eigenvalue_spectra(radii: Sequence[float], l_max: int, k_max: float,
 
     Entry r maps each degree to the roots for radius ``radii[r]`` at the
     default step.  All radii share one scan of x = k R up to k_max max(R):
-    one table call for the scan, which also gives the Hermite starts their
-    f' and f'', and one per Halley iteration, usually two; each residual is
+    one riccati_s_rows call for the scan, which also gives the Hermite
+    starts their f' and f'', and one per Halley iteration, at each
+    bracket's own degree, usually two; each residual is
     |f| = |B|/R from the call that evaluated its root.  Each radius gets the
     same records whether scanned alone or in a batch.  Every radius is
     checked as find_real_eigenvalues checks it, and l_max must lie in

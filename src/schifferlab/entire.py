@@ -21,6 +21,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError
 
@@ -95,11 +96,16 @@ def _sector_contour(alpha: float, beta: float, r: float,
 
 
 def _rolling_max(a: np.ndarray, half: int = 8) -> np.ndarray:
-    out = a.copy()
-    for s in range(1, half + 1):
-        out[s:] = np.maximum(out[s:], a[:-s])
-        out[:-s] = np.maximum(out[:-s], a[s:])
-    return out
+    """Maximum of ``a`` over each window i - half..i + half that fits in it;
+    a NaN in a window gives NaN.
+
+    One reduction over the 2 half + 1 shifted views of ``a`` padded with
+    -inf: reducing across the views runs along whole rows, where a
+    maximum over each short window would not.
+    """
+    padded = np.full(a.size + 2 * half, -np.inf)
+    padded[half:half + a.size] = a
+    return sliding_window_view(padded, a.size).max(axis=0)
 
 
 def _winding(f: Evaluator, path: np.ndarray) -> float:

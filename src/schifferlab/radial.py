@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
-from .specfun import riccati_s_table, riccati_table
+from .specfun import riccati_s_rows, riccati_table
 from .specfun.bessel import _scaled_trig
 
 __all__ = [
@@ -359,7 +359,7 @@ def verify_asymptotics_25_26(l: int, k_samples: Sequence[complex],
     In the v_l = S_l(k xi)/k^{l+1} normalization this is the remainder
     bound for the regular solution; the k^{l+1} factors cancel in the
     observed constant, which is reported per sample together with its
-    maximum.  All k x xi samples share one complex riccati_s_table call.
+    maximum.  All k x xi samples share one complex riccati_s_rows call.
     """
     ks = [complex(k) for k in k_samples]
     xis = [float(xi) for xi in xi_samples]
@@ -370,10 +370,10 @@ def verify_asymptotics_25_26(l: int, k_samples: Sequence[complex],
     if not (ks and xis):
         raise ValueError("need at least one k sample and one xi sample")
     z = np.outer(ks, xis)
-    S = riccati_s_table(l, z, scaled=True)[0][l]
+    S, _ = riccati_s_rows(l, l, z, scaled=True)
     # the real phase shift leaves Im unchanged, so both terms carry the
     # same e^{-|Im z|} scaling and subtract without overflow
-    lead, _ = _scaled_trig(z - l * math.pi / 2, np.exp)
+    lead, _ = _scaled_trig(z - l * math.pi / 2)
     c_obs = np.abs(z) * np.abs(S - lead)
     samples = [(k, xi, float(c_obs[i, j]))
                for i, k in enumerate(ks) for j, xi in enumerate(xis)]

@@ -98,6 +98,10 @@ _SUMSQ_MIN = np.finfo(float).tiny / np.finfo(float).eps
 _SUMSQ_MAX = np.finfo(float).max
 # the largest k whose reciprocal overflows; the Neumann rows are weighted by 1/k
 _K_TINY = 2.0 ** -1024
+# collocation points per frame: twice the default 2 (L_MAX + 1)^2 = 7,442
+# at L_trial = L_MAX, rounded up to a power of two; at L_trial = 8 the
+# frame's three harmonic tables then take 32 MB
+_MAX_COLLOCATION = 1 << 14
 
 
 # symbol prefix, symbol suffix and LAPACK integer of the OpenBLAS builds
@@ -243,7 +247,12 @@ def _fibonacci_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def collocation_frame(domain: StarlikeDomain, L_trial: int = 8,
                       n_collocation: int | None = None) -> CollocationFrame:
-    """Precompute the k-independent part of the boundary least squares."""
+    """Precompute the k-independent part of the boundary least squares.
+
+    ``n_collocation`` defaults to max(2 (L_trial + 1)^2, 200); ValueError,
+    before anything is allocated, for fewer than 2 (L_trial + 1)^2 points
+    or more than 16,384.
+    """
     if L_trial < 0:
         raise ValueError(f"L_trial must be nonnegative, got {L_trial}")
     if L_trial > L_MAX:
@@ -251,6 +260,9 @@ def collocation_frame(domain: StarlikeDomain, L_trial: int = 8,
     n_modes = (L_trial + 1) ** 2
     if n_collocation is None:
         n_collocation = max(2 * n_modes, 200)
+    if n_collocation > _MAX_COLLOCATION:
+        raise ValueError(f"n_collocation = {n_collocation} exceeds the limit of "
+                         f"{_MAX_COLLOCATION} collocation points")
     if n_collocation < 2 * n_modes:
         raise ValueError(
             f"n_collocation = {n_collocation} underdetermines the stacked system; "

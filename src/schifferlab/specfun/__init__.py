@@ -8,6 +8,7 @@ spherical harmonic and its theta derivative comes from one kernel,
 from .bessel import (
     L_MAX,
     Z_MAX,
+    riccati_s_rows,
     riccati_s_table,
     riccati_table,
     spherical_bessel_j,
@@ -32,6 +33,7 @@ __all__ = [
     "SphericalDirection",
     "legendre",
     "legendre_column",
+    "riccati_s_rows",
     "riccati_s_table",
     "riccati_table",
     "sphere_quadrature",

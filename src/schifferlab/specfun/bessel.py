@@ -7,7 +7,10 @@ Riccati-Bessel pair S_l(x) = x j_l(x) (regular at 0) and C_l(x) = -x y_l(x)
 One kernel evaluates every table, vectorised over an array of points; a
 scalar z is a one-point array.  For a table of orders 0..lmax each point
 takes one of three regimes for j_l, and each regime runs over the
-compressed array of its points:
+compressed array of its points.  A full table scatters each regime's table
+into place (``_j_scaled``); for a reader of a few rows each regime writes
+its own block of columns of one table in place, and the rows are gathered
+from that (``_j_blocks``):
     * |z| < 1e-6: the leading power series.
     * |z| >= lmax: upward recurrence from j_0, j_1 (the stable direction).
     * otherwise (Miller): downward recurrence from j_{N+1} = 0, j_N = 1 at
@@ -23,15 +26,20 @@ except near the imaginary axis, where it loses up to seven digits).
 x; the recurrence helpers keep the dtype of their points, so the complex
 tables are untouched by the real path.
 
-``riccati_s_table`` is the entry point for callers that read only the
-regular half, S_l and S_l': it runs the j regimes in the dtype of its
-points (float64 for real points, so a real-axis scan does no complex
-arithmetic) and skips y_l, C_l and C_l' altogether.  ``riccati_table``
-takes its S and S' from the same helper and adds the C/C' half, so at
-complex points the two return bitwise the same S and S'.  At real x the
-float64 and complex tables differ by rounding only: complex division
-rounds (2l+1)/z as (2l+1)*(1/z), and the recurrences carry that
-difference along.
+``riccati_s_rows`` is the entry point for callers that read only the
+regular half, S_l and S_l', at one degree or one per point: it runs the j
+regimes in the dtype of its points (float64 for real points, so a
+real-axis scan does no complex arithmetic), skips y_l, C_l and C_l'
+altogether, and forms, unscales and checks rows l - 1 and l alone, so an
+evaluation at degree l costs the j recurrence and two rows.
+``riccati_s_table`` is that call at every degree.  ``riccati_table``
+takes its S and S' from the same helper (``_s_rows``) and adds the C/C'
+half, so at complex points they are bitwise the same S and S'.  At real x the float64
+and complex tables differ by rounding only: complex division rounds
+(2l+1)/z as (2l+1)*(1/z), and the recurrences carry that difference
+along.  The scaled sin z and cos z that seed the complex tables come from
+one real sin/cos pair of Re z and expm1(-2|Im z|) (``_scaled_trig``),
+with no cancellation near the real axis.
 
 The recurrences use plain NumPy arithmetic and act on each point
 independently, so at real z, in either dtype, a point's table does not
@@ -49,7 +57,6 @@ ValueError.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -77,24 +84,39 @@ def _check_order_arg(l: int, z: complex, need_nonzero: bool) -> complex:
     return z
 
 
-def _scaled_trig(z, exp=cmath.exp):
-    """(sin z, cos z) times exp(-|Im z|); exact for real z.
+def _scaled_trig(z):
+    """(sin z, cos z) times exp(-|Im z|), for a complex scalar or ndarray.
 
-    Pass ``exp=np.exp`` for an ndarray of points.
+    With x + iy = z and d = expm1(-2|y|), from one real sin/cos pair of x:
+        e^{-|y|} sin z = (1 + d/2) sin x - i sgn(y) (d/2) cos x
+        e^{-|y|} cos z = (1 + d/2) cos x + i sgn(y) (d/2) sin x
+    expm1 takes d without the cancellation of exp(-2|y|) - 1, so the
+    imaginary part of sin z (the real part of cos z) keeps its relative
+    accuracy for small |y|; at y = 0 the real parts are sin x and cos x
+    exactly.  Scalars go through the same NumPy functions as arrays, so a
+    point gives the same bits either way.
     """
-    b = z.imag
-    m = abs(b)
-    # e^{iz - m} and e^{-iz - m}: one factor is e^{-2m}, the other O(1).
-    ep = exp(1j * z - m)
-    em = exp(-1j * z - m)
-    s = (ep - em) / 2j
-    c = (ep + em) / 2
-    return s, c
+    x, y = np.real(z), np.imag(z)
+    h = np.expm1(-2.0 * np.abs(y))
+    h *= 0.5
+    g = np.copysign(h, y)  # -sgn(y) d/2, as d <= 0
+    h += 1.0
+    sx, cx = np.sin(x), np.cos(x)
+    s = np.empty(np.shape(z), dtype=complex)
+    c = np.empty_like(s)
+    np.multiply(h, sx, out=s.real)
+    np.multiply(g, cx, out=s.imag)
+    np.multiply(h, cx, out=c.real)
+    np.multiply(g, sx, out=c.imag)
+    np.negative(c.imag, out=c.imag)
+    return s[()], c[()]
 
 
-def _upward(lmax: int, z: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-    """Rows t_0..t_lmax of the three-term recurrence from seeds t_0, t_1, of z's dtype."""
-    t = np.empty((lmax + 1, z.size), dtype=z.dtype)
+def _upward(lmax: int, z: np.ndarray, t0: np.ndarray, t1: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Rows t_0..t_lmax of the three-term recurrence from seeds t_0, t_1, of
+    z's dtype, written to ``out`` if given."""
+    t = np.empty((lmax + 1, z.size), dtype=z.dtype) if out is None else out
     t[0] = t0
     if lmax >= 1:
         t[1] = t1
@@ -103,11 +125,11 @@ def _upward(lmax: int, z: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndar
     return t
 
 
-def _miller_downward(lmax: int, z: np.ndarray, zs: np.ndarray,
-                     zc: np.ndarray) -> np.ndarray:
+def _miller_downward(lmax: int, z: np.ndarray, zs: np.ndarray, zc: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """j_0..j_lmax (scaled) by downward recurrence from j_{N+1} = 0, j_N = 1
     at N = lmax + ceil(sqrt(40 (lmax + 1))) + 10, normalised against j_0 or
-    j_1."""
+    j_1; written to ``out`` if given."""
     # Each 8th step from N rescales the values above 1e200: |z| >= 1e-6
     # here, so 8 steps grow a value by at most about 1e67.  The (2l+1)/z
     # come from one division per 8 orders, on the same schedule.
@@ -127,16 +149,16 @@ def _miller_downward(lmax: int, z: np.ndarray, zs: np.ndarray,
             if big.any():
                 hi[big] /= m[big]
                 lo[big] /= m[big]
-    # rows 0..lmax stored, with j_{lmax+1} below them to start the recurrence
-    j = np.empty((lmax + 2, z.size), dtype=z.dtype)
-    j[lmax + 1] = hi
+    # rows lmax..0 stored, the first step taking j_{lmax+1} from ``hi``,
+    # which no later step reads
+    j = np.empty((lmax + 1, z.size), dtype=z.dtype) if out is None else out
     j[lmax] = lo
     for l in range(lmax, 0, -1):
         step = (n - l) % 8
         if step == 0:
             coef = odd[n - l:n - l + 8] / z
         np.multiply(coef[step], j[l], out=j[l - 1])
-        j[l - 1] -= j[l + 1]
+        j[l - 1] -= j[l + 1] if l < lmax else hi
         if step == 7:
             m = np.abs(j[l - 1])
             big = m > 1e200
@@ -144,47 +166,89 @@ def _miller_downward(lmax: int, z: np.ndarray, zs: np.ndarray,
                 j[l - 1:, big] /= m[big]
     j0 = zs / z
     j1 = j0 / z - zc / z
+    row1 = j[1] if lmax else hi
     # normalise against whichever seed is farther from a zero
-    use_j0 = ((np.abs(j0) >= np.abs(j1)) & (j[0] != 0)) | (j[1] == 0)
+    use_j0 = ((np.abs(j0) >= np.abs(j1)) & (j[0] != 0)) | (row1 == 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return j[:-1] * np.where(use_j0, j0 / j[0], j1 / j[1])
+        j *= np.where(use_j0, j0 / j[0], j1 / row1)
+    return j
 
 
-def _j_scaled(lmax: int, z: np.ndarray, zs: np.ndarray, zc: np.ndarray) -> np.ndarray:
-    """Table of j_0..j_lmax at a 1-d array of points, scaled by exp(-|Im z|),
-    of z's dtype; shape (lmax + 1, z.size).  ``zs, zc`` are the scaled
-    sin z and cos z."""
-    j = np.empty((lmax + 1, z.size), dtype=z.dtype)
+def _regimes(lmax: int, z: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
+    """Masks of the points of a 1-d z in each regime for a table of orders
+    0..lmax, the series (|z| < 1e-6), Miller, and upward (|z| >= lmax),
+    and the number of points in each."""
     # |z| by hypot, as abs(complex) rounds it: np.abs can differ in the
     # last bit, which would move a point across a regime cutoff
     az = np.hypot(z.real, z.imag)
     series = az < _SERIES_CUTOFF
     upward = ~series & (az >= lmax)
-    miller = ~(series | upward)
+    masks = [series, ~(series | upward), upward]
+    return masks, [np.count_nonzero(at) for at in masks]
 
-    if series.any():
-        # leading series, times the scale factor exp(-|Im z|): within 1e-6
-        # of 1 here, but dropping it shows as a 1e-6 relative jump at the
-        # cutoff
-        zz = z[series]
-        dfact = 1.0
-        zp = np.exp(-np.abs(zz.imag)).astype(z.dtype)
-        for l in range(lmax + 1):
-            j[l, series] = zp / dfact * (1 - zz * zz / (2 * (2 * l + 3)))
-            zp = zp * zz
-            dfact *= 2 * l + 3
-    if upward.any():
-        zz = z[upward]
-        j0 = zs[upward] / zz
-        j[:, upward] = _upward(lmax, zz, j0, j0 / zz - zc[upward] / zz)
-    if miller.any():
-        j[:, miller] = _miller_downward(lmax, z[miller], zs[miller], zc[miller])
+
+def _j_regime(r: int, lmax: int, z: np.ndarray, zs: np.ndarray, zc: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Scaled j_0..j_lmax at points z that all take regime r, of z's dtype,
+    written to ``out`` if given; ``zs, zc`` are the scaled sin z and cos z."""
+    if r == 1:
+        return _miller_downward(lmax, z, zs, zc, out)
+    if r == 2:
+        j0 = zs / z
+        return _upward(lmax, z, j0, j0 / z - zc / z, out)
+    # leading series, times the scale factor exp(-|Im z|): within 1e-6 of 1
+    # here, but dropping it shows as a 1e-6 relative jump at the cutoff
+    j = np.empty((lmax + 1, z.size), dtype=z.dtype) if out is None else out
+    dfact = 1.0
+    zp = np.exp(-np.abs(z.imag)).astype(z.dtype)
+    for l in range(lmax + 1):
+        j[l] = zp / dfact * (1 - z * z / (2 * (2 * l + 3)))
+        zp = zp * z
+        dfact *= 2 * l + 3
     return j
+
+
+def _j_scaled(lmax: int, z: np.ndarray, zs: np.ndarray, zc: np.ndarray) -> np.ndarray:
+    """Table of j_0..j_lmax at a 1-d array of points, scaled by exp(-|Im z|),
+    of z's dtype; shape (lmax + 1, z.size).  ``zs, zc`` are the scaled
+    sin z and cos z.  Each regime's table is scattered into place."""
+    masks, counts = _regimes(lmax, z)
+    if max(counts) == z.size:
+        return _j_regime(counts.index(z.size), lmax, z, zs, zc)
+    j = np.empty((lmax + 1, z.size), dtype=z.dtype)
+    for r, (at, n) in enumerate(zip(masks, counts)):
+        if n:
+            j[:, at] = _j_regime(r, lmax, z[at], zs[at], zc[at])
+    return j
+
+
+def _j_blocks(lmax: int, z: np.ndarray, zs: np.ndarray,
+              zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(j, cols): ``_j_scaled``'s table with the points in blocks by regime,
+    and the column cols[i] of point i in it.
+
+    Each regime writes its own block of columns in place, so a reader of a
+    few rows gathers just those, where ``_j_scaled`` scatters whole tables.
+    A full table gathered from the blocks ran slower than the scatter.
+    """
+    masks, counts = _regimes(lmax, z)
+    if max(counts) == z.size:
+        return _j_regime(counts.index(z.size), lmax, z, zs, zc), np.arange(z.size)
+    j = np.empty((lmax + 1, z.size), dtype=z.dtype)
+    cols = np.empty(z.size, dtype=np.intp)
+    a = 0
+    # masks, not an argsort: a process's first NumPy sort maps 256 KB
+    for r, (at, n) in enumerate(zip(masks, counts)):
+        if n:
+            cols[at] = np.arange(a, a + n)
+            _j_regime(r, lmax, z[at], zs[at], zc[at], out=j[:, a:a + n])
+            a += n
+    return j, cols
 
 
 def _y_scaled(lmax: int, z: np.ndarray, zs: np.ndarray, zc: np.ndarray) -> np.ndarray:
     """Table of y_0..y_lmax at a 1-d array of complex points, scaled by
-    exp(-|Im z|); ``zs, zc`` are ``_scaled_trig(z, np.exp)``."""
+    exp(-|Im z|); ``zs, zc`` are ``_scaled_trig(z)``."""
     y0 = -zc / z
     return _upward(lmax, z, y0, y0 / z - zs / z)
 
@@ -198,12 +262,35 @@ def _derivative(F: np.ndarray, d0: np.ndarray, z: np.ndarray) -> np.ndarray:
     return Fp
 
 
-def _regular(lmax: int, z: np.ndarray, zs: np.ndarray,
-             zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled S_0..S_lmax and S_0'..S_lmax' at a 1-d array of points, in
-    their dtype; ``zs, zc`` are the scaled sin z and cos z."""
-    S = z * _j_scaled(lmax, z, zs, zc)
-    return S, _derivative(S, zc, z)
+def _s_rows(lmax: int, l, z: np.ndarray, zs: np.ndarray,
+            zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled S_l and S_l' at the points z (at least 1-d), in z's dtype, for
+    the degrees l, an int or an integer array that broadcasts against z;
+    ``zs, zc`` are the scaled sin z and cos z of ``z.ravel()``.
+
+    Rows l - 1 and l of one j table, by _derivative's arithmetic: S_l =
+    z j_l and S_l' = S_{l-1} - (l/z) S_l, with cos z at l = 0.  z takes
+    the rows' number of dimensions first: NumPy multiplies two one-element
+    complex arrays of different dimensions without the fused multiply-add
+    of its other loops, so a row would part from its table in the last bit.
+    """
+    j, cols = _j_blocks(lmax, z.ravel(), zs, zc)
+    cols = cols.reshape(z.shape)
+    jl = j[l, cols]
+    z = z.reshape((1,) * (jl.ndim - z.ndim) + z.shape)
+    zc = zc.reshape(z.shape)
+    S = z * jl
+    if isinstance(l, int) and l == 0:
+        return S, zc
+    # at l = 0 row l - 1 is row lmax, which the copy below replaces
+    lz = l / z
+    Sp = z * j[l - 1, cols]
+    Sp -= lz * S
+    if not isinstance(l, int):
+        # l/z is 0 just where l is (|z| <= Z_MAX); testing it, not l,
+        # spares a first int64 comparison, which maps 128 KB of NumPy code
+        np.copyto(Sp, zc, where=lz == 0)
+    return S, Sp
 
 
 def _check_order_array(lmax: int, z, dtype=complex, need_nonzero: bool = True) -> np.ndarray:
@@ -238,7 +325,7 @@ def _point(l: int, z: complex, table) -> complex:
     """Entry l of the one-point ``table`` (_j_scaled or _y_scaled) at z,
     unscaled; OverflowError names z where it is not finite."""
     z = np.array([z])
-    zs, zc = _scaled_trig(z, np.exp)
+    zs, zc = _scaled_trig(z)
     with np.errstate(over="ignore", invalid="ignore"):
         value = table(l, z, zs, zc)[l:]
     return complex(_unscaled((value,), z)[0][0, 0])
@@ -272,27 +359,71 @@ def spherical_jn_table(lmax: int, x) -> np.ndarray:
     return j.reshape((lmax + 1,) + x.shape)
 
 
+def riccati_s_rows(lmax: int, l, z, scaled: bool = False):
+    """(S_l, S_l') at z for the degrees ``l`` alone, primes w.r.t. z.
+
+    ``l`` is an int or an integer array of degrees in [0, lmax] that
+    broadcasts against z's shape, and both rows have the broadcast shape:
+    a column of degrees against a 1-d z gives a row per degree, an array
+    of z's shape one degree per point.  Both come from rows l - 1 and l of
+    one table of j_0..j_lmax, by ``riccati_table``'s arithmetic: S_l =
+    z j_l, S_l' = S_{l-1} - (l/z) S_l, and S_0' = cos z.  So they are
+    bitwise the entries of ``riccati_s_table(lmax, z, scaled)`` and, at
+    complex z, of riccati_table's S and S'.  Real z (any non-complex
+    dtype) runs in float64.  Only the returned rows are unscaled and
+    checked: without ``scaled``, OverflowError names the first point of z
+    where one of them is not finite.  lmax and z are validated as in
+    ``riccati_table``, before the degrees.
+    """
+    real = not np.iscomplexobj(z)
+    z = _check_order_array(lmax, z, dtype=float if real else complex)
+    single = isinstance(l, (int, np.integer))
+    if single:
+        l = int(l)
+    else:
+        l = np.asarray(l)
+        if l.dtype.kind not in "iu":
+            raise ValueError(f"degrees must be integers, got an array of {l.dtype}")
+    if single or l.size:
+        lo, hi = (l, l) if single else (l.min(), l.max())
+        if lo < 0 or hi > lmax:
+            raise ValueError(f"degree {lo if lo < 0 else hi} outside [0, lmax={lmax}]")
+    flat = z.ravel()
+    # a 0-d z runs as one point: NumPy's scalar arithmetic rounds complex
+    # division differently from its array loops
+    pts = z if z.ndim else flat
+    zs, zc = (np.sin(flat), np.cos(flat)) if real else _scaled_trig(flat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S, Sp = _s_rows(lmax, l, pts, zs, zc)
+        if not scaled:
+            if not real:
+                f = np.exp(np.abs(pts.imag))
+                S, Sp = S * f, Sp * f
+            finite = np.isfinite(S) & np.isfinite(Sp)
+            if not finite.all():
+                points = np.broadcast_to(np.arange(flat.size).reshape(pts.shape), finite.shape)
+                bad = complex(flat[points[~finite].min()])
+                raise OverflowError(f"Riccati table overflows double range at z={bad!r}")
+    if not z.ndim:
+        S, Sp = S.reshape(np.shape(l))[()], Sp.reshape(np.shape(l))[()]
+    return S, Sp
+
+
 def riccati_s_table(lmax: int, z, scaled: bool = False):
     """(S, S') arrays for orders 0..lmax at z, primes w.r.t. z: the regular
     half of ``riccati_table``, with no y_l, C_l or C_l' computed.
 
-    Real z (any non-complex dtype) runs in float64 and returns float64
-    tables; complex z returns complex tables, bitwise the S and S' of
-    ``riccati_table(lmax, z, scaled)``.  Shapes, validation, ``scaled`` and
-    the OverflowError that names the first point whose unscaled S or S' is
-    not finite are as in ``riccati_table``.  Each point's columns depend on
-    that point alone, so a batch equals its one-point calls bitwise.
+    ``riccati_s_rows`` at every degree.  Real z (any non-complex dtype)
+    runs in float64 and returns float64 tables; complex z returns complex
+    tables, bitwise the S and S' of ``riccati_table(lmax, z, scaled)``.
+    Shapes, validation, ``scaled`` and the OverflowError that names the
+    first point whose unscaled S or S' is not finite are as in
+    ``riccati_table``.  Each point's columns depend on that point alone,
+    so a batch equals its one-point calls bitwise.
     """
-    real = not np.iscomplexobj(z)
-    z = _check_order_array(lmax, z, dtype=float if real else complex)
-    flat = z.ravel()
-    zs, zc = (np.sin(flat), np.cos(flat)) if real else _scaled_trig(flat, np.exp)
-    with np.errstate(over="ignore", invalid="ignore"):
-        tables = _regular(lmax, flat, zs, zc)
-    if not scaled:
-        tables = _unscaled(tables, flat)
-    shape = (lmax + 1,) + z.shape
-    return tuple(t.reshape(shape) for t in tables)
+    _check_order_arg(lmax, 1.0, need_nonzero=False)
+    degrees = np.arange(int(lmax) + 1).reshape((-1,) + (1,) * np.ndim(z))
+    return riccati_s_rows(lmax, degrees, z, scaled)
 
 
 def riccati_table(lmax: int, z, scaled: bool = False):
@@ -301,8 +432,8 @@ def riccati_table(lmax: int, z, scaled: bool = False):
     S_l' = S_{l-1} - (l/z) S_l for l >= 1 (same relation for C); the order-0
     derivatives are cos z and -sin z.  With ``scaled=True`` the tables carry
     an implicit factor exp(|Im z|); callers doing log-magnitude work add
-    ``abs(z.imag)`` back themselves and never overflow.  S and S' come from
-    the helper behind ``riccati_s_table``; this adds the C/C' half.
+    ``abs(z.imag)`` back themselves and never overflow.  S and S' are
+    bitwise those of ``riccati_s_table``; this adds the C/C' half.
 
     z may be a scalar or an ndarray; the four arrays have shape
     ``(lmax + 1,) + np.shape(z)``, so a scalar z gives (lmax + 1,) arrays.
@@ -313,10 +444,11 @@ def riccati_table(lmax: int, z, scaled: bool = False):
     """
     z = _check_order_array(lmax, z)
     flat = z.ravel()
-    zs, zc = _scaled_trig(flat, np.exp)
+    zs, zc = _scaled_trig(flat)
     with np.errstate(over="ignore", invalid="ignore"):
-        S, Sp = _regular(lmax, flat, zs, zc)
-        C = -flat * _y_scaled(lmax, flat, zs, zc)
+        S, Sp = _s_rows(lmax, np.arange(lmax + 1)[:, None], flat, zs, zc)
+        # flat as a row, for the fused multiply-add of _s_rows at one point too
+        C = -flat[None] * _y_scaled(lmax, flat, zs, zc)
         Cp = _derivative(C, -zs, flat)
     tables = (S, C, Sp, Cp)
     if not scaled:

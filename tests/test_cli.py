@@ -281,6 +281,16 @@ def test_trial_degree_past_the_order_cap_exits_2(run_cli):
     assert res.stdout == ""
 
 
+def test_collocation_count_past_the_cap_exits_2(run_cli):
+    # 10^8 points would ask for three 65 GB harmonic tables at L_trial = 8
+    res = run_cli("domain-residual", "--domain", BALL, "--k", "2",
+                  "--n-collocation", "100000000")
+    assert res.returncode == 2
+    assert res.stderr == ("schifferlab: config error: n_collocation = 100000000 exceeds "
+                          "the limit of 16384 collocation points\n")
+    assert res.stdout == ""
+
+
 _BALL_RESIDUAL = ("domain-residual", "--domain", BALL, "--k-min", "1", "--k-step", "0.5")
 
 
@@ -486,9 +496,10 @@ _EDGE_FLOATS = st.sampled_from(["0", "-0", "-1", "nan", "inf", "-inf", "1e6", "1
                                 "-1e300", "1e-300", "5e-324", "0.5", "12"])
 _EDGE_INTS = st.sampled_from(["0", "-1", "3", "61", "1000000", "nan", "1e3"])
 # each case: a command line the fuzzed flags are appended to (a later flag
-# wins), and the flags.  --n-collocation stays out of the domain-residual
-# cases: a huge value allocates before any check
-_RESIDUAL_FLAGS = {"--l-trial": _EDGE_INTS, "--threshold": _EDGE_FLOATS}
+# wins), and the flags
+_RESIDUAL_FLAGS = {"--l-trial": _EDGE_INTS, "--threshold": _EDGE_FLOATS,
+                   "--n-collocation": st.sampled_from(["0", "-1", "3", "61", "1000000",
+                                                       "100000000", "nan", "1e3"])}
 _FUZZED = {
     "eigen-scan": (("eigen-scan",), {"--l": _EDGE_INTS, "--r-hat": _EDGE_FLOATS,
                                      "--k-max": _EDGE_FLOATS, "--scan-step": _EDGE_FLOATS,

@@ -375,9 +375,9 @@ def test_ball_spectra_take_three_riccati_calls(monkeypatch):
     calls = []
     regular_rows = eigsearch._regular_rows
 
-    def counted(l, k, z):
+    def counted(lmax, l, k, z):
         calls.append(np.size(z))
-        return regular_rows(l, k, z)
+        return regular_rows(lmax, l, k, z)
 
     monkeypatch.setattr(eigsearch, "_regular_rows", counted)
     result = per_ray_eigen_scan(unit_ball(), axis_directions(), 3, 12.0)

@@ -13,6 +13,7 @@ from schifferlab.eigsearch import (
     dispersion_function,
     dispersion_log_abs,
 )
+from schifferlab import entire
 from schifferlab.entire import density_table, indicator, zero_count_sector
 
 
@@ -101,6 +102,30 @@ def test_one_contour_costs_one_evaluator_call():
     f = CallCounter(dispersion_function(2, 1.0))
     assert count_zeros_argument_principle(f, (0.5, 12.0, -2.0, 2.0)) == 3
     assert f.calls == 1
+
+
+def _shifted_maxima(a, half):
+    """The rolling maximum as 2 half shifted np.maximum calls."""
+    out = a.copy()
+    for s in range(1, half + 1):
+        out[s:] = np.maximum(out[s:], a[:-s])
+        out[:-s] = np.maximum(out[:-s], a[s:])
+    return out
+
+
+def test_rolling_max_equals_the_shifted_maxima():
+    # random signed values over the double range, with NaNs (which spread
+    # over their windows), and arrays shorter than the window of 2 half + 1
+    rng = np.random.default_rng(11)
+    for half in (1, 3, 8):
+        for n in list(range(1, 2 * half + 3)) + [100, 4093]:
+            a = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+            holed = a.copy()
+            holed[rng.integers(0, n, 1 + n // 50)] = np.nan
+            for arr in (a, holed, np.full(n, np.nan)):
+                got = entire._rolling_max(arr, half)
+                assert got.shape == arr.shape and got.dtype == np.float64
+                np.testing.assert_array_equal(got, _shifted_maxima(arr, half))
 
 
 def test_value_only_evaluator_is_rejected():

@@ -467,6 +467,24 @@ def test_trial_degree_past_the_order_cap_is_rejected_before_any_table():
     assert peak < 1 << 20
 
 
+def test_collocation_count_past_the_cap_is_rejected_before_any_table():
+    # the cap admits the default count at every trial degree, and a count
+    # past it fails before the directions are drawn
+    assert max(2 * (L_MAX + 1) ** 2, 200) <= od._MAX_COLLOCATION
+    assert collocation_frame(unit_ball(), L_trial=0,
+                             n_collocation=od._MAX_COLLOCATION).n_points == 16384
+    tracemalloc.start()
+    try:
+        for n in (od._MAX_COLLOCATION + 1, 10**8):
+            with pytest.raises(ValueError, match=f"n_collocation = {n} exceeds the limit "
+                                                 "of 16384 collocation points"):
+                residual_scan(unit_ball(), [2.0], n_collocation=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_least_squares_validation():
     with pytest.raises(ValueError, match="positive and finite"):
         overdetermined_residual(unit_ball(), 0.0)

@@ -10,6 +10,7 @@ import math
 import re
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from schifferlab.specfun import bessel
 from schifferlab.specfun import (
     L_MAX,
     Z_MAX,
+    riccati_s_rows,
     riccati_s_table,
     riccati_table,
     spherical_bessel_j,
@@ -323,9 +325,9 @@ def test_irregular_tables_near_the_imaginary_axis(z, parts):
 
 
 @st.composite
-def _table_args(draw):
+def _table_args(draw, max_lmax=20):
     """lmax, scaled, and z with a point in every regime, in every quadrant."""
-    lmax = draw(st.integers(0, 20))
+    lmax = draw(st.integers(0, max_lmax))
     radii = [st.floats(1e-9, 1e-6, exclude_max=True)]  # series
     if lmax >= 1:
         radii.append(st.floats(1e-6, float(lmax), exclude_max=True))  # Miller
@@ -371,13 +373,13 @@ def test_frozen_references_through_the_array_path():
 
 
 def test_tables_share_one_scaled_trig_evaluation():
-    # one exp(+-iz - |Im z|) pair per call seeds j_0, y_0 and gives the
+    # one scaled sin/cos pair per call seeds j_0, y_0 and gives the
     # order-0 derivative rows; at real z each point's table is its own, so
     # a batch equals its one-point calls bitwise in every regime
     real = np.concatenate([[3e-7, 0.5, 2.3, 7.9], np.linspace(0.01, 30.0, 41)])
     cplx = np.array([2.0 + 1.0j, 5.0 - 3.0j, 0.3 + 12.0j, -7.0 + 0.5j, 1e-7j])
     for z in (real, cplx):
-        zs, zc = bessel._scaled_trig(z, np.exp)
+        zs, zc = bessel._scaled_trig(z)
         for lmax in (0, 3, 8):
             _, _, Sp, Cp = riccati_table(lmax, z, scaled=True)
             assert Sp[0].tobytes() == zc.tobytes()
@@ -482,19 +484,124 @@ def test_real_table_agrees_with_the_complex_kernel_and_validates():
 # ------------------------------------------------------------ S-only tables
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(args=_table_args())
+@st.composite
+def _pair_args(draw):
+    """_table_args up to lmax = L_MAX + 1, now and then a 0-d z, on the
+    real axis (float64 or complex) or off it, now and then with one point
+    whose exp(|Im z|) overflows or one invalid point, and the degrees to
+    read: an int, one per point, or a column."""
+    lmax, scaled, z = draw(_table_args(L_MAX + 1))
+    if draw(st.integers(0, 9)) == 0:
+        z = z.reshape(-1)[draw(st.integers(0, z.size - 1))].reshape(())
+    axis = draw(st.sampled_from((None, float, complex)))
+    if axis is not None:
+        z = z.real.astype(axis)
+    elif draw(st.integers(0, 4)) == 0:
+        z.flat[draw(st.integers(0, z.size - 1))] = complex(
+            draw(st.floats(-5.0, 5.0)), draw(st.sampled_from((-750.0, 750.0))))
+    if draw(st.integers(0, 9)) == 0:
+        z.flat[draw(st.integers(0, z.size - 1))] = draw(
+            st.sampled_from((0.0, math.nan, math.inf, 2.0 * Z_MAX)))
+    top = min(lmax, L_MAX)
+    form = draw(st.sampled_from(("int", "points", "column")))
+    if form == "int":
+        l = draw(st.integers(0, top))
+    elif form == "points":
+        l = np.array(draw(st.lists(st.integers(0, top), min_size=z.size,
+                                   max_size=z.size))).reshape(z.shape)
+    else:
+        l = np.array(draw(st.lists(st.integers(0, top), min_size=1, max_size=4)))
+        l = l.reshape((-1,) + (1,) * z.ndim)
+    return lmax, scaled, z, l
+
+
+def _rows_of(table, l):
+    """Entries l of a (lmax + 1,) + z.shape table, with l broadcast against
+    z's shape as riccati_s_rows broadcasts it."""
+    shape = np.broadcast_shapes(np.shape(l), table.shape[1:])
+    points = np.arange(table[0].size).reshape(table.shape[1:])
+    flat = table.reshape(table.shape[0], -1)
+    return flat[np.broadcast_to(l, shape), np.broadcast_to(points, shape)]
+
+
+def _float64_pair(lmax, x):
+    """S and S' at real x from spherical_jn_table, by riccati_table's
+    arithmetic in float64: S_l = x j_l, S_l' = S_{l-1} - (l/x) S_l, S_0' = cos x."""
+    S = x * spherical_jn_table(lmax, x)
+    Sp = np.empty_like(S)
+    Sp[0] = np.cos(x)
+    Sp[1:] = S[:-1] - np.arange(1, lmax + 1).reshape((-1,) + (1,) * x.ndim) / x * S[1:]
+    return S, Sp
+
+
+def _overflowing_pair(lmax, z, l):
+    """riccati_s_rows(lmax, l, z) where riccati_table(lmax, z) overflows:
+    the pair, or the OverflowError to expect.
+
+    C_l overflows at tiny |z| long before S_l does, so the S rows are the
+    scaled rows times exp(|Im z|), and they raise only where those are
+    not finite, naming the first such point of z as riccati_table names
+    its own.
+    """
+    S, _, Sp, _ = riccati_table(lmax, z, scaled=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.exp(np.abs(z.imag))
+        pair = tuple(_rows_of(t * f, l) for t in (S, Sp))
+    finite = np.isfinite(pair[0]) & np.isfinite(pair[1])
+    if finite.all():
+        return pair
+    points = np.broadcast_to(np.arange(z.size).reshape(z.shape), finite.shape)
+    first = complex(z.flat[points[~finite].min()])
+    return OverflowError(f"Riccati table overflows double range at z={first!r}")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(args=_pair_args())
 def test_the_complex_pair_is_bitwise_the_full_tables(args):
-    lmax, scaled, z = args
+    # riccati_s_table, and riccati_s_rows at every form of degree, against
+    # the S and S' of riccati_table (at float64 points, against the
+    # float64 pair of spherical_jn_table), with the same errors
+    lmax, scaled, z, l = args
+    degrees = np.arange(min(lmax, L_MAX) + 1).reshape((-1,) + (1,) * z.ndim)
+    readers = ((riccati_s_table, (), degrees), (riccati_s_rows, (l,), l))
     try:
         S, _, Sp, _ = riccati_table(lmax, z, scaled=scaled)
-    except OverflowError as exc:
-        with pytest.raises(OverflowError, match=re.escape(str(exc))):
-            riccati_s_table(lmax, z, scaled=scaled)
+    except ValueError as exc:
+        for reader, extra, _ in readers:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                reader(lmax, *extra, z, scaled=scaled)
         return
-    pair = riccati_s_table(lmax, z, scaled=scaled)
-    assert [t.dtype for t in pair] == [np.complex128] * 2
-    assert pair[0].tobytes() == S.tobytes() and pair[1].tobytes() == Sp.tobytes()
+    except OverflowError:
+        S = Sp = None
+    for reader, extra, rows in readers:
+        if z.dtype == np.float64:
+            want = tuple(_rows_of(t, rows) for t in _float64_pair(lmax, z))
+        elif S is None:
+            want = _overflowing_pair(lmax, z, rows)
+        else:
+            want = _rows_of(S, rows), _rows_of(Sp, rows)
+        if isinstance(want, OverflowError):
+            with pytest.raises(OverflowError, match=f"^{re.escape(str(want))}$"):
+                reader(lmax, *extra, z, scaled=scaled)
+            continue
+        got = reader(lmax, *extra, z, scaled=scaled)
+        assert [t.dtype for t in got] == [z.dtype] * 2
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+
+
+def test_row_reader_validates_its_degrees():
+    z = np.array([0.5, 3.0 + 1.0j])
+    for bad, named in ((-1, -1), (4, 4), (np.array([0, 4]), 4), (np.array([[-1], [2]]), -1)):
+        with pytest.raises(ValueError, match=rf"^degree {named} outside \[0, lmax=3\]$"):
+            riccati_s_rows(3, bad, z)
+    with pytest.raises(ValueError, match="^degrees must be integers, got an array of float64$"):
+        riccati_s_rows(3, np.array([0.0, 1.0]), z)
+    assert riccati_s_rows(3, np.zeros((0, 1), dtype=int), z)[0].shape == (0, 2)
+    # lmax and z are checked first, with riccati_table's messages
+    with pytest.raises(ValueError, match="order l=61 exceeds L_MAX=60"):
+        riccati_s_rows(61, 99, z)
+    with pytest.raises(ValueError, match="outside the domain"):
+        riccati_s_rows(3, 99, np.array([0.0, 1.0]))
 
 
 @st.composite
@@ -557,19 +664,51 @@ def test_miller_regime_frozen_references():
     for lmax, x, want in real:
         _assert_close_or_underflowed(spherical_jn_table(lmax, x), want, 2e-13)
     for lmax, z, want in cplx:
-        # the imaginary part of sin z, taken from exp(+-iz), carries a
-        # relative error of about 1e-16 / |Im z| (1.2e-6 here), and j_0 and
-        # j_1 normalise the table from it
-        rtol = 1e-11 if abs(z) < 1e-5 else 1e-14
-        _assert_close_or_underflowed(riccati_s_table(lmax, z)[0], z * want, rtol)
+        _assert_close_or_underflowed(riccati_s_table(lmax, z)[0], z * want, 1e-14)
+
+
+def test_scaled_trig_keeps_its_digits_near_the_real_axis():
+    # sin z and cos z times exp(-|Im z|) against mpmath at 40 digits, each
+    # real and imaginary part to 1e-15 relative: taken from
+    # exp(+-iz - |Im z|), the imaginary part of sin z cancelled down to a
+    # relative error of about 1e-16 / |Im z|.  A Python complex gives the
+    # bits of the same point in an array
+    mpmath.mp.dps = 40
+    x = (0.0, 0.3, 1.0, 2.5, 7.0, 13.0, 31.4, 40.0, -3.0, -40.0)
+    y = [s * 10.0 ** e for e in range(-12, -1) for s in (1.0, -1.0)]
+    z = np.array([complex(a, b) for a in x for b in y])
+    zs, zc = bessel._scaled_trig(z)
+    for zi, si, ci in zip(z, zs, zc):
+        scale = mpmath.exp(-abs(mpmath.mpf(zi.imag)))
+        for got, want in ((si, mpmath.sin(mpmath.mpc(zi)) * scale),
+                          (ci, mpmath.cos(mpmath.mpc(zi)) * scale)):
+            for part, exact in ((got.real, want.real), (got.imag, want.imag)):
+                assert abs(part - exact) <= 1e-15 * abs(exact), (zi, part, exact)
+        one = bessel._scaled_trig(complex(zi))
+        assert [np.complex128(v).tobytes() for v in one] == [si.tobytes(), ci.tobytes()]
+
+
+def test_tables_near_the_origin_keep_their_digits_off_the_axes():
+    # at 1.2e-6 e^{1.5i} (Miller regime) every S_l was off by 1.7e-12
+    # relative, from the imaginary part of sin z that normalises the table
+    mpmath.mp.dps = 40
+    z = 1.2e-6 * cmath.exp(1.5j)
+    zm = mpmath.mpc(z)
+    for lmax in (8, 20, 60):
+        S = riccati_s_table(lmax, z)[0]
+        for l in range(9):
+            want = zm * mpmath.sqrt(mpmath.pi / (2 * zm)) * mpmath.besselj(l + 0.5, zm)
+            assert abs(S[l] - want) <= 1e-15 * abs(want), (lmax, l)
 
 
 def test_complex_miller_batches_equal_their_one_point_calls():
+    # lmax = 0 (no Miller regime; points up to 10) last: its one-point
+    # tables once missed the fused multiply-add that NumPy gives the batch
     _, cplx = _miller_references()
     rng = np.random.default_rng(7)
-    for lmax in (3, 8, 20, 60):
+    for lmax in (3, 8, 20, 60, 0):
         frozen = [z for l, z, _ in cplx if l == lmax]
-        r = rng.uniform(1e-6, lmax, 24)
+        r = rng.uniform(1e-6, lmax or 10.0, 24)
         z = np.concatenate([frozen, r * np.exp(1j * rng.uniform(-math.pi, math.pi, 24))])
         for table in (riccati_s_table, riccati_table):
             batch = table(lmax, z, scaled=True)
@@ -583,7 +722,7 @@ def test_the_miller_rescale_schedule_never_overflows():
     # from order 120 down at lmax 60.  No step may overflow, in either dtype
     for lmax in range(1, L_MAX + 1):
         for z in (np.array([1e-6]), 1e-6 * np.exp(1j * np.array([0.3, 1.5, -2.0]))):
-            zs, zc = (np.sin(z), np.cos(z)) if z.dtype == float else bessel._scaled_trig(z, np.exp)
+            zs, zc = (np.sin(z), np.cos(z)) if z.dtype == float else bessel._scaled_trig(z)
             with np.errstate(over="raise", invalid="raise"):
                 j = bessel._miller_downward(lmax, z, zs, zc)
             assert np.all(np.isfinite(j))
