@@ -7,10 +7,9 @@ Riccati-Bessel pair S_l(x) = x j_l(x) (regular at 0) and C_l(x) = -x y_l(x)
 One kernel evaluates every table, vectorised over an array of points; a
 scalar z is a one-point array.  For a table of orders 0..lmax each point
 takes one of three regimes for j_l, and each regime runs over the
-compressed array of its points.  A full table scatters each regime's table
-into place (``_j_scaled``); for a reader of a few rows each regime writes
-its own block of columns of one table in place, and the rows are gathered
-from that (``_j_blocks``):
+compressed array of its points and writes its own block of columns of one
+table in place (``_j_blocks``); a reader gathers the rows it needs from
+the blocks, a full table (``_j_scaled``) all of them:
     * |z| < 1e-6: the leading power series.
     * |z| >= lmax: upward recurrence from j_0, j_1 (the stable direction).
     * otherwise (Miller): downward recurrence from j_{N+1} = 0, j_N = 1 at
@@ -211,29 +210,23 @@ def _j_regime(r: int, lmax: int, z: np.ndarray, zs: np.ndarray, zc: np.ndarray,
 def _j_scaled(lmax: int, z: np.ndarray, zs: np.ndarray, zc: np.ndarray) -> np.ndarray:
     """Table of j_0..j_lmax at a 1-d array of points, scaled by exp(-|Im z|),
     of z's dtype; shape (lmax + 1, z.size).  ``zs, zc`` are the scaled
-    sin z and cos z.  Each regime's table is scattered into place."""
-    masks, counts = _regimes(lmax, z)
-    if max(counts) == z.size:
-        return _j_regime(counts.index(z.size), lmax, z, zs, zc)
-    j = np.empty((lmax + 1, z.size), dtype=z.dtype)
-    for r, (at, n) in enumerate(zip(masks, counts)):
-        if n:
-            j[:, at] = _j_regime(r, lmax, z[at], zs[at], zc[at])
-    return j
+    sin z and cos z."""
+    j, cols = _j_blocks(lmax, z, zs, zc)
+    return j if cols is None else j[:, cols]
 
 
 def _j_blocks(lmax: int, z: np.ndarray, zs: np.ndarray,
-              zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+              zc: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """(j, cols): ``_j_scaled``'s table with the points in blocks by regime,
-    and the column cols[i] of point i in it.
+    and the column cols[i] of point i in it; cols is None where one regime
+    holds every point, so j is in point order already.
 
     Each regime writes its own block of columns in place, so a reader of a
-    few rows gathers just those, where ``_j_scaled`` scatters whole tables.
-    A full table gathered from the blocks ran slower than the scatter.
+    few rows gathers just those.
     """
     masks, counts = _regimes(lmax, z)
     if max(counts) == z.size:
-        return _j_regime(counts.index(z.size), lmax, z, zs, zc), np.arange(z.size)
+        return _j_regime(counts.index(z.size), lmax, z, zs, zc), None
     j = np.empty((lmax + 1, z.size), dtype=z.dtype)
     cols = np.empty(z.size, dtype=np.intp)
     a = 0
@@ -275,12 +268,14 @@ def _s_rows(lmax: int, l, z: np.ndarray, zs: np.ndarray,
     of its other loops, so a row would part from its table in the last bit.
     """
     j, cols = _j_blocks(lmax, z.ravel(), zs, zc)
-    cols = cols.reshape(z.shape)
+    cols = (np.arange(z.size) if cols is None else cols).reshape(z.shape)
     jl = j[l, cols]
     z = z.reshape((1,) * (jl.ndim - z.ndim) + z.shape)
     zc = zc.reshape(z.shape)
     S = z * jl
     if isinstance(l, int) and l == 0:
+        # an int degree settles l = 0 here, so one-degree reads (a contour
+        # pass, a call per evaluation) skip the masked copy below
         return S, zc
     # at l = 0 row l - 1 is row lmax, which the copy below replaces
     lz = l / z
@@ -375,8 +370,7 @@ def riccati_s_rows(lmax: int, l, z, scaled: bool = False):
     where one of them is not finite.  lmax and z are validated as in
     ``riccati_table``, before the degrees.
     """
-    real = not np.iscomplexobj(z)
-    z = _check_order_array(lmax, z, dtype=float if real else complex)
+    z = _check_order_array(lmax, z, dtype=complex if np.iscomplexobj(z) else float)
     single = isinstance(l, (int, np.integer))
     if single:
         l = int(l)
@@ -388,6 +382,13 @@ def riccati_s_rows(lmax: int, l, z, scaled: bool = False):
         lo, hi = (l, l) if single else (l.min(), l.max())
         if lo < 0 or hi > lmax:
             raise ValueError(f"degree {lo if lo < 0 else hi} outside [0, lmax={lmax}]")
+    return _checked_s_rows(lmax, l, z, scaled)
+
+
+def _checked_s_rows(lmax: int, l, z: np.ndarray, scaled: bool):
+    """``riccati_s_rows`` at a float64 or complex z and degrees l that are
+    both validated already."""
+    real = z.dtype != complex
     flat = z.ravel()
     # a 0-d z runs as one point: NumPy's scalar arithmetic rounds complex
     # division differently from its array loops
@@ -421,9 +422,9 @@ def riccati_s_table(lmax: int, z, scaled: bool = False):
     ``riccati_table``.  Each point's columns depend on that point alone,
     so a batch equals its one-point calls bitwise.
     """
-    _check_order_arg(lmax, 1.0, need_nonzero=False)
-    degrees = np.arange(int(lmax) + 1).reshape((-1,) + (1,) * np.ndim(z))
-    return riccati_s_rows(lmax, degrees, z, scaled)
+    z = _check_order_array(lmax, z, dtype=complex if np.iscomplexobj(z) else float)
+    degrees = np.arange(lmax + 1).reshape((-1,) + (1,) * z.ndim)
+    return _checked_s_rows(lmax, degrees, z, scaled)
 
 
 def riccati_table(lmax: int, z, scaled: bool = False):
