@@ -85,11 +85,11 @@ def _coefficient_derivative(l, R_hat, k, S, Sp):
 
 
 def _check_dispersion_args(R_hat: float, k) -> None:
+    """The checks of dispersion, dispersion_function and dispersion_log_abs."""
+    _check_positive("R_hat", R_hat)
     at_zero = (k == 0).any() if isinstance(k, np.ndarray) else k == 0
     if at_zero:
         raise ValueError("dispersion is evaluated away from k = 0")
-    if R_hat <= 0:
-        raise ValueError("R_hat must be positive")
 
 
 def _regular_rows(lmax: int, l, k, z):
@@ -154,10 +154,9 @@ def dispersion_log_abs(l: int, R_hat: float, k: complex) -> float:
 
     Uses the rescaled rows S_l, S_l' of one riccati_s_rows call, so the
     exponential growth e^{|Im k| R_hat} enters additively, never as a raw
-    magnitude.
+    magnitude.  Arguments are validated as dispersion does.
     """
-    if k == 0:
-        raise ValueError("dispersion is evaluated away from k = 0")
+    _check_dispersion_args(R_hat, k)
     z = complex(k * R_hat)
     S, Sp = riccati_s_rows(l, l, z, scaled=True)
     scaled = _coefficient(R_hat, k, S, Sp)
@@ -454,13 +453,16 @@ def count_zeros_argument_principle(f: Evaluator,
     ``rect`` is (re_lo, re_hi, im_lo, im_hi), traversed counterclockwise;
     ``f`` maps a complex ndarray of nodes to the pair (f, f'), as
     ``dispersion_function`` does, and is called once per pass.  The closed
-    path carries ``quad_nodes`` trapezoid nodes per side.  Errors: a zero
-    of f on the boundary (a node where |f| collapses below 1e-8 of the
-    local boundary scale) raises NumericalError, a ValueError; a
-    non-integer winding (off by more than 0.1 after one refinement) raises
-    RuntimeError.
+    path carries ``quad_nodes`` trapezoid nodes per side.  Errors: a
+    non-finite corner, or ``quad_nodes`` not an integer >= 2, raises
+    ValueError; a zero of f on the boundary (a node where |f| collapses
+    below 1e-8 of the local boundary scale) raises NumericalError, a
+    ValueError; a non-integer winding (off by more than 0.1 after one
+    refinement) raises RuntimeError.
     """
     re_lo, re_hi, im_lo, im_hi = rect
+    if not all(map(math.isfinite, rect)):
+        raise ValueError(f"rectangle corners must be finite, got {rect}")
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ValueError("rectangle must have positive extent")
     return winding_count(f, lambda n: _rect_path(rect, n), quad_nodes,

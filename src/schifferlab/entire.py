@@ -1,11 +1,12 @@
 """Zero-distribution numerics for entire functions of exponential type.
 
-Sector zero counts N(f, alpha, beta, r) by the argument principle, the
-zero density N/r for order-one functions, and the Lindelof indicator
-h_f(theta) = lim log|f(r e^{i theta})|/r.  Callers supply pure evaluators;
-functions that overflow double precision along rays are handled through a
-log-magnitude evaluator instead of raw magnitudes.  Zeros at the origin
-are excluded from every count by a fixed inner contour radius.
+Sector zero counts N(f, alpha, beta, r) by the argument principle, whose
+ratio N/r over growing r is the zero density of an order-one function,
+and the Lindelof indicator h_f(theta) = lim log|f(r e^{i theta})|/r.
+Callers supply pure evaluators; functions that overflow double precision
+along rays are handled through a log-magnitude evaluator instead of raw
+magnitudes.  Zeros at the origin are excluded from every count by a
+fixed inner contour radius.
 
 Contour evaluators act elementwise on a complex ndarray and return the
 pair ``(f(path), f'(path))``, two arrays of ``path.shape``; for example
@@ -27,11 +28,9 @@ from .errors import NumericalError
 
 __all__ = [
     "SectorCount",
-    "DensityTable",
     "IndicatorSample",
     "zero_count_sector",
     "winding_count",
-    "density_table",
     "indicator",
 ]
 
@@ -53,19 +52,6 @@ class SectorCount:
     beta: float
     r: float
     count: int
-
-
-@dataclasses.dataclass(frozen=True)
-class DensityTable:
-    """Convergence table of N(f, alpha, beta, r)/r over increasing r."""
-
-    r_values: tuple[float, ...]
-    counts: tuple[int, ...]
-    ratios: tuple[float, ...]
-
-    @property
-    def value(self) -> float:
-        return self.ratios[-1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -139,8 +125,11 @@ def winding_count(f: Evaluator, contour: Callable[[int], np.ndarray],
     resolution n.  A winding more than 0.1 from an integer is recomputed
     once on ``contour(4 * quad_nodes)``; if it is still off, RuntimeError
     "<name> quadrature failed".  A zero of f on the contour raises
-    NumericalError (a ValueError).
+    NumericalError (a ValueError).  ``quad_nodes`` must be an integer of
+    at least 2, or the path would not close.
     """
+    if not (isinstance(quad_nodes, (int, np.integer)) and quad_nodes >= 2):
+        raise ValueError(f"quad_nodes must be an integer >= 2, got {quad_nodes!r}")
     w = _winding(f, contour(quad_nodes))
     nearest = round(w)
     if abs(w - nearest) > 0.1:
@@ -158,10 +147,14 @@ def zero_count_sector(f: Evaluator, alpha: float, beta: float, r: float,
     The contour consists of two radial segments, the outer arc at radius
     ``r``, and an inner arc at radius 0.25 that excludes any zero at the
     origin.  ``f`` maps a complex ndarray to the pair (f, f') (see the
-    module docstring).  A zero landing on the contour belongs to the
-    countable exceptional set of ray angles; both angles are nudged by 1e-3
-    (up to three times) before the count is abandoned.
+    module docstring).  Non-finite angles or radius, and ``quad_nodes``
+    not an integer >= 2, raise ValueError.  A zero landing on the contour
+    belongs to the countable exceptional set of ray angles; both angles
+    are nudged by 1e-3 (up to three times) before the count is abandoned.
     """
+    if not all(map(math.isfinite, (alpha, beta, r))):
+        raise ValueError(f"sector angles and radius must be finite, "
+                         f"got alpha={alpha}, beta={beta}, r={r}")
     if not alpha < beta:
         raise ValueError("need alpha < beta")
     if r <= _INNER_RADIUS:
@@ -179,24 +172,6 @@ def zero_count_sector(f: Evaluator, alpha: float, beta: float, r: float,
             continue
         return SectorCount(a, b, r, count)
     raise NumericalError(f"could not free the sector contour of zeros: {last_err}")
-
-
-def density_table(f: Evaluator, alpha: float, beta: float,
-                  r_sequence: Sequence[float], quad_nodes: int = 1024) -> DensityTable:
-    """N(f, alpha, beta, r)/r over increasing radii (order-one normalization).
-
-    The zero density is the table's ``value``, the ratio at the largest radius.
-    """
-    rs = [float(r) for r in r_sequence]
-    if len(rs) < 3 or any(b <= a for a, b in zip(rs, rs[1:])):
-        raise ValueError("r_sequence must be increasing with at least 3 entries")
-    counts = []
-    ratios = []
-    for r in rs:
-        c = zero_count_sector(f, alpha, beta, r, quad_nodes=quad_nodes).count
-        counts.append(c)
-        ratios.append(c / r)
-    return DensityTable(tuple(rs), tuple(counts), tuple(ratios))
 
 
 def indicator(f: Callable[[complex], complex], theta: float,

@@ -31,12 +31,10 @@ from .specfun.bessel import _scaled_trig
 __all__ = [
     "RadialProblem",
     "RadialSolution",
-    "BoundaryResiduals",
     "EstimateMargin",
     "AsymptoticReport",
     "Asymptotic46Report",
     "solve_from_boundary",
-    "boundary_residuals",
     "closed_form_coefficients",
     "verify_estimate_123",
     "verify_asymptotics_25_26",
@@ -85,9 +83,9 @@ class RadialSolution:
     """Trajectory on an increasing radial grid with nodal derivatives.
 
     When the potential is absent, ``closed_form`` holds the pair (A, B)
-    with y(r) = A*S_l(kr) + B*C_l(kr); the numerical trajectory agrees
-    with it and the coefficient function a(r) = y(r)/r is the radial
-    expansion coefficient along the ray.
+    with y(r) = A*S_l(kr) + B*C_l(kr), and the numerical trajectory
+    agrees with it.  y(r)/r is the radial expansion coefficient along
+    the ray.
     """
 
     grid: np.ndarray
@@ -103,20 +101,6 @@ class RadialSolution:
             raise ValueError("grid must be strictly increasing")
         if grid[0] < 0:
             raise ValueError("grid must consist of nonnegative radii")
-
-    def coefficient(self) -> np.ndarray:
-        """a(r) = y(r)/r, the spherical-harmonic coefficient along the ray."""
-        grid = np.asarray(self.grid, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.asarray(self.y) / grid
-
-
-@dataclasses.dataclass(frozen=True)
-class BoundaryResiduals:
-    """Defects of the boundary data: F = y(R_hat) - R_hat, G = y'(R_hat) - 1."""
-
-    F: complex
-    G: complex
 
 
 @dataclasses.dataclass(frozen=True)
@@ -273,35 +257,6 @@ def _hermite(grid: np.ndarray, values: np.ndarray, slopes: np.ndarray):
         return lambda r: re(r) + 1j * im(r)
     spline = CubicHermiteSpline(grid, values, slopes)
     return spline
-
-
-def boundary_residuals(solution: RadialSolution, R_hat: float, k: complex) -> BoundaryResiduals:
-    """Defects F = y(R_hat) - R_hat and G = y'(R_hat) - 1 of a trajectory.
-
-    R_hat must lie inside the grid span.  Queries at a grid node are nodal
-    lookups (exact); otherwise y is interpolated by the cubic Hermite
-    spline through (y, y') and y' by its derivative.
-    """
-    grid = np.asarray(solution.grid, dtype=float)
-    if not (grid[0] - 1e-12 <= R_hat <= grid[-1] + 1e-12):
-        raise ValueError(f"R_hat={R_hat} outside the solution span [{grid[0]}, {grid[-1]}]")
-    idx = np.searchsorted(grid, R_hat)
-    for j in (idx - 1, idx, idx + 1):
-        if 0 <= j < grid.size and abs(grid[j] - R_hat) <= 1e-12 * max(1.0, abs(R_hat)):
-            yv = solution.y[j]
-            dv = solution.dy[j]
-            return BoundaryResiduals(yv - R_hat, dv - 1.0)
-    if grid.size < 2:
-        raise ValueError("cannot interpolate on a single-node grid away from the node")
-    yspline = _hermite(grid, np.asarray(solution.y), np.asarray(solution.dy))
-    yv = yspline(R_hat)
-    if np.iscomplexobj(np.asarray(solution.y)):
-        dre = CubicHermiteSpline(grid, np.real(solution.y), np.real(solution.dy)).derivative()
-        dim = CubicHermiteSpline(grid, np.imag(solution.y), np.imag(solution.dy)).derivative()
-        dv = dre(R_hat) + 1j * dim(R_hat)
-    else:
-        dv = CubicHermiteSpline(grid, solution.y, solution.dy).derivative()(R_hat)
-    return BoundaryResiduals(complex(yv) - R_hat, complex(dv) - 1.0)
 
 
 def _gronwall_constant(nu: float, xi: float, potential, xi_floor: float = 1e-3) -> float:

@@ -4,7 +4,6 @@ from .domain import (
     StarlikeDomain,
     load_domain,
     ray_radius,
-    save_domain,
     unit_ball,
 )
 from .farfield import FarFieldPattern, far_field_from_coeffs, rellich_expand
@@ -14,7 +13,6 @@ from .overdetermined import (
     collocation_frame,
     overdetermined_residual,
     residual_scan,
-    trial_convergence,
 )
 from .rays import RayEigenReport, RayScanResult, axis_directions, per_ray_eigen_scan
 
@@ -22,7 +20,6 @@ __all__ = [
     "StarlikeDomain",
     "load_domain",
     "ray_radius",
-    "save_domain",
     "unit_ball",
     "FarFieldPattern",
     "far_field_from_coeffs",
@@ -32,7 +29,6 @@ __all__ = [
     "collocation_frame",
     "overdetermined_residual",
     "residual_scan",
-    "trial_convergence",
     "RayEigenReport",
     "RayScanResult",
     "axis_directions",

@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .._atomic import write_atomic
 from ..errors import NumericalError
 from ..specfun import SphericalDirection, sphere_quadrature, ylm_terms
 
@@ -29,7 +28,6 @@ __all__ = [
     "ray_radii",
     "ray_radius",
     "load_domain",
-    "save_domain",
     "unit_ball",
 ]
 
@@ -153,10 +151,3 @@ def load_domain(path: str | os.PathLike) -> StarlikeDomain:
         raise ValueError("rho_coeffs must be a list of [l, m, value] triples")
     return StarlikeDomain(int(raw["L_geom"]),
                           tuple((int(e[0]), int(e[1]), float(e[2])) for e in entries))
-
-
-def save_domain(domain: StarlikeDomain, path: str | os.PathLike) -> None:
-    """Write the domain file atomically (temp file then rename)."""
-    payload = {"L_geom": domain.L_geom,
-               "rho_coeffs": [[l, m, v] for l, m, v in domain.rho_coeffs]}
-    write_atomic(path, json.dumps(payload, indent=1) + "\n")

@@ -41,16 +41,6 @@ class FarFieldPattern:
             if not np.isfinite(complex(value)):
                 raise ValueError(f"coefficient a[{n},{m}] = {value!r} is not finite")
 
-    @property
-    def n_trunc(self) -> int:
-        """Largest degree carried by the pattern."""
-        return max((n for n, _ in self.a_coeffs), default=0)
-
-    def tail_energy(self, n_from: int) -> float:
-        """Sum of |a_n^m|^2 over degrees n >= n_from, the truncation tail."""
-        return float(sum(abs(v) ** 2 for (n, _), v in self.a_coeffs.items()
-                         if n >= n_from))
-
 
 def far_field_from_coeffs(pattern: FarFieldPattern,
                           dirs: Sequence[SphericalDirection]) -> np.ndarray:

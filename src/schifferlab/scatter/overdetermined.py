@@ -79,7 +79,6 @@ __all__ = [
     "collocation_frame",
     "overdetermined_residual",
     "residual_scan",
-    "trial_convergence",
     "ball_eigenfunction",
 ]
 
@@ -230,10 +229,6 @@ class CollocationFrame:
     Y: np.ndarray
     dYdt: np.ndarray
     dYdp: np.ndarray
-
-    @property
-    def n_points(self) -> int:
-        return self.rho.size
 
 
 def _fibonacci_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -583,18 +578,6 @@ def _scan(domain: StarlikeDomain, k_values: Sequence[float], L_trial: int,
         parts = [_scan_block(rows, ks[i:i + _BLOCK], ws) for i in range(0, ks.size, _BLOCK)]
     return (np.concatenate([out for out, _ in parts]),
             [pair for _, flagged in parts for pair in flagged])
-
-
-def trial_convergence(domain: StarlikeDomain, k: float, l_trials: Sequence[int],
-                      n_collocation: int | None = None,
-                      neumann: str = "normal") -> dict[int, float]:
-    """Residual per truncation degree, to separate truncation from overdetermination.
-
-    A residual floor that survives growing L_trial is attributable to the
-    boundary conditions themselves and not to the trial space.
-    """
-    return {int(L): overdetermined_residual(domain, k, int(L), n_collocation, neumann)
-            for L in l_trials}
 
 
 def ball_eigenfunction(R: float, n: int) -> tuple[float, Callable[[np.ndarray], np.ndarray]]:

@@ -9,13 +9,10 @@ from .bessel import (
     L_MAX,
     Z_MAX,
     riccati_s_rows,
-    riccati_s_table,
     riccati_table,
-    spherical_bessel_j,
-    spherical_bessel_y,
     spherical_jn_table,
 )
-from .legendre import legendre, legendre_column
+from .legendre import legendre_column
 from .harmonics import (
     SphereQuadrature,
     SphericalDirection,
@@ -31,14 +28,10 @@ __all__ = [
     "Z_MAX",
     "SphereQuadrature",
     "SphericalDirection",
-    "legendre",
     "legendre_column",
     "riccati_s_rows",
-    "riccati_s_table",
     "riccati_table",
     "sphere_quadrature",
-    "spherical_bessel_j",
-    "spherical_bessel_y",
     "spherical_jn_table",
     "ylm",
     "ylm_norm",

@@ -31,21 +31,21 @@ regimes in the dtype of its points (float64 for real points, so a
 real-axis scan does no complex arithmetic), skips y_l, C_l and C_l'
 altogether, and forms, unscales and checks rows l - 1 and l alone, so an
 evaluation at degree l costs the j recurrence and two rows.
-``riccati_s_table`` is that call at every degree.  ``riccati_table``
-takes its S and S' from the same helper (``_s_rows``) and adds the C/C'
-half, so at complex points they are bitwise the same S and S'.  At real x the float64
-and complex tables differ by rounding only: complex division rounds
-(2l+1)/z as (2l+1)*(1/z), and the recurrences carry that difference
-along.  The scaled sin z and cos z that seed the complex tables come from
-one real sin/cos pair of Re z and expm1(-2|Im z|) (``_scaled_trig``),
-with no cancellation near the real axis.
+``riccati_table`` takes its S and S' from the same helper (``_s_rows``)
+at every degree and adds the C/C' half, so at complex points they are
+bitwise the same S and S'.  At real x the float64 and complex rows
+differ by rounding only: complex division rounds (2l+1)/z as
+(2l+1)*(1/z), and the recurrences carry that difference along.  The
+scaled sin z and cos z that seed the complex tables come from one real
+sin/cos pair of Re z and expm1(-2|Im z|) (``_scaled_trig``), with no
+cancellation near the real axis.
 
 The recurrences use plain NumPy arithmetic and act on each point
 independently, so at real z, in either dtype, a point's table does not
 depend on the other points of its batch.  They run on values scaled by
-exp(-|Im z|), so tables stay representable for large |Im z|; the unscaled
-public functions (scalar j_l/y_l read entry l of a one-point table)
-multiply the factor back in through ``_unscaled``.  For real z the scale
+exp(-|Im z|), so tables stay representable for large |Im z|; without
+``scaled`` the public functions multiply the factor back in
+(``riccati_table`` through ``_unscaled``).  For real z the scale
 factor is exactly 1 and real inputs propagate zero imaginary parts
 through every recurrence.
 
@@ -66,21 +66,6 @@ Z_MAX = 1.0e4
 
 # |z| below which j_l falls back to the leading power series.
 _SERIES_CUTOFF = 1.0e-6
-
-
-def _check_order_arg(l: int, z: complex, need_nonzero: bool) -> complex:
-    if l < 0 or l != int(l):
-        raise ValueError(f"order l must be a nonnegative integer, got {l!r}")
-    if l > L_MAX:
-        raise ValueError(f"order l={l} exceeds L_MAX={L_MAX}")
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"argument must be finite, got {z!r}")
-    if abs(z) > Z_MAX:
-        raise ValueError(f"|z|={abs(z):.3g} exceeds supported range {Z_MAX:.0e}")
-    if need_nonzero and z == 0:
-        raise ValueError("argument z=0 is outside the domain (irregular at 0)")
-    return z
 
 
 def _scaled_trig(z):
@@ -289,15 +274,26 @@ def _s_rows(lmax: int, l, z: np.ndarray, zs: np.ndarray,
 
 
 def _check_order_array(lmax: int, z, dtype=complex, need_nonzero: bool = True) -> np.ndarray:
-    """z as an array of ``dtype``, every point validated as _check_order_arg would."""
+    """z as an array of ``dtype``, with lmax in [0, L_MAX] and every point
+    finite, within |z| <= Z_MAX and, if ``need_nonzero``, nonzero; the
+    ValueError names the first invalid point."""
     z = np.asarray(z, dtype=dtype)
+    if lmax < 0 or lmax != int(lmax):
+        raise ValueError(f"order l must be a nonnegative integer, got {lmax!r}")
+    if lmax > L_MAX:
+        raise ValueError(f"order l={lmax} exceeds L_MAX={L_MAX}")
     valid = np.isfinite(z) & (np.abs(z) <= Z_MAX)
     if need_nonzero:
         valid &= z != 0
-    # the scalar check of the first invalid point (or of any point, if all
-    # are valid) raises its exact message and validates lmax
-    probe = z.flat[np.argmin(valid)] if z.size else 1.0
-    _check_order_arg(lmax, probe, need_nonzero=need_nonzero)
+    # the first invalid point (or any point, if all are valid) is checked
+    # as a Python complex, whose repr the messages give
+    probe = complex(z.flat[np.argmin(valid)]) if z.size else 1.0
+    if not (math.isfinite(probe.real) and math.isfinite(probe.imag)):
+        raise ValueError(f"argument must be finite, got {probe!r}")
+    if abs(probe) > Z_MAX:
+        raise ValueError(f"|z|={abs(probe):.3g} exceeds supported range {Z_MAX:.0e}")
+    if need_nonzero and probe == 0:
+        raise ValueError("argument z=0 is outside the domain (irregular at 0)")
     return z
 
 
@@ -314,29 +310,6 @@ def _unscaled(tables: tuple[np.ndarray, ...], z: np.ndarray) -> tuple[np.ndarray
         bad = complex(z[np.argmin(finite)])
         raise OverflowError(f"Riccati table overflows double range at z={bad!r}")
     return tables
-
-
-def _point(l: int, z: complex, table) -> complex:
-    """Entry l of the one-point ``table`` (_j_scaled or _y_scaled) at z,
-    unscaled; OverflowError names z where it is not finite."""
-    z = np.array([z])
-    zs, zc = _scaled_trig(z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = table(l, z, zs, zc)[l:]
-    return complex(_unscaled((value,), z)[0][0, 0])
-
-
-def spherical_bessel_j(l: int, z: complex) -> complex:
-    """Spherical Bessel function j_l(z), complex argument allowed."""
-    z = _check_order_arg(l, z, need_nonzero=False)
-    if z == 0:
-        return 1.0 + 0j if l == 0 else 0.0 + 0j
-    return _point(l, z, _j_scaled)
-
-
-def spherical_bessel_y(l: int, z: complex) -> complex:
-    """Spherical Neumann function y_l(z); z=0 is a domain error."""
-    return _point(l, _check_order_arg(l, z, need_nonzero=True), _y_scaled)
 
 
 def spherical_jn_table(lmax: int, x) -> np.ndarray:
@@ -362,12 +335,11 @@ def riccati_s_rows(lmax: int, l, z, scaled: bool = False):
     a column of degrees against a 1-d z gives a row per degree, an array
     of z's shape one degree per point.  Both come from rows l - 1 and l of
     one table of j_0..j_lmax, by ``riccati_table``'s arithmetic: S_l =
-    z j_l, S_l' = S_{l-1} - (l/z) S_l, and S_0' = cos z.  So they are
-    bitwise the entries of ``riccati_s_table(lmax, z, scaled)`` and, at
-    complex z, of riccati_table's S and S'.  Real z (any non-complex
-    dtype) runs in float64.  Only the returned rows are unscaled and
-    checked: without ``scaled``, OverflowError names the first point of z
-    where one of them is not finite.  lmax and z are validated as in
+    z j_l, S_l' = S_{l-1} - (l/z) S_l, and S_0' = cos z.  So at complex
+    z they are bitwise the entries of riccati_table's S and S'.  Real z
+    (any non-complex dtype) runs in float64.  Only the returned rows are
+    unscaled and checked: without ``scaled``, OverflowError names the
+    first point of z where one of them is not finite.  lmax and z are validated as in
     ``riccati_table``, before the degrees.
     """
     z = _check_order_array(lmax, z, dtype=complex if np.iscomplexobj(z) else float)
@@ -382,12 +354,6 @@ def riccati_s_rows(lmax: int, l, z, scaled: bool = False):
         lo, hi = (l, l) if single else (l.min(), l.max())
         if lo < 0 or hi > lmax:
             raise ValueError(f"degree {lo if lo < 0 else hi} outside [0, lmax={lmax}]")
-    return _checked_s_rows(lmax, l, z, scaled)
-
-
-def _checked_s_rows(lmax: int, l, z: np.ndarray, scaled: bool):
-    """``riccati_s_rows`` at a float64 or complex z and degrees l that are
-    both validated already."""
     real = z.dtype != complex
     flat = z.ravel()
     # a 0-d z runs as one point: NumPy's scalar arithmetic rounds complex
@@ -410,23 +376,6 @@ def _checked_s_rows(lmax: int, l, z: np.ndarray, scaled: bool):
     return S, Sp
 
 
-def riccati_s_table(lmax: int, z, scaled: bool = False):
-    """(S, S') arrays for orders 0..lmax at z, primes w.r.t. z: the regular
-    half of ``riccati_table``, with no y_l, C_l or C_l' computed.
-
-    ``riccati_s_rows`` at every degree.  Real z (any non-complex dtype)
-    runs in float64 and returns float64 tables; complex z returns complex
-    tables, bitwise the S and S' of ``riccati_table(lmax, z, scaled)``.
-    Shapes, validation, ``scaled`` and the OverflowError that names the
-    first point whose unscaled S or S' is not finite are as in
-    ``riccati_table``.  Each point's columns depend on that point alone,
-    so a batch equals its one-point calls bitwise.
-    """
-    z = _check_order_array(lmax, z, dtype=complex if np.iscomplexobj(z) else float)
-    degrees = np.arange(lmax + 1).reshape((-1,) + (1,) * z.ndim)
-    return _checked_s_rows(lmax, degrees, z, scaled)
-
-
 def riccati_table(lmax: int, z, scaled: bool = False):
     """(S, C, S', C') arrays for orders 0..lmax at z, primes w.r.t. z.
 
@@ -434,7 +383,7 @@ def riccati_table(lmax: int, z, scaled: bool = False):
     derivatives are cos z and -sin z.  With ``scaled=True`` the tables carry
     an implicit factor exp(|Im z|); callers doing log-magnitude work add
     ``abs(z.imag)`` back themselves and never overflow.  S and S' are
-    bitwise those of ``riccati_s_table``; this adds the C/C' half.
+    bitwise the rows of ``riccati_s_rows``; this adds the C/C' half.
 
     z may be a scalar or an ndarray; the four arrays have shape
     ``(lmax + 1,) + np.shape(z)``, so a scalar z gives (lmax + 1,) arrays.

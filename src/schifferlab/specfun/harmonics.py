@@ -43,12 +43,6 @@ class SphericalDirection:
         if not 0.0 <= self.phi < 2 * math.pi:
             raise ValueError(f"phi={self.phi} outside [0, 2 pi)")
 
-    def unit_vector(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array([st * math.cos(self.phi),
-                         st * math.sin(self.phi),
-                         math.cos(self.theta)])
-
 
 def ylm_norm(l: int, m: int) -> float:
     """The sqrt((2l+1)/(4 pi) (l-|m|)!/(l+|m|)!) normalization constant."""

@@ -49,14 +49,8 @@ def _legendre_rows(lmax: int, m: int, t) -> list:
 def legendre_column(lmax: int, m: int, t):
     """P_{|m|}^{|m|}(t), ..., P_lmax^{|m|}(t): the column of one order, by l.
 
-    Entry ``l - |m|`` is P_l^{|m|}, bitwise ``legendre(l, m, t)``; shape
-    ``(lmax - |m| + 1,) + np.shape(t)``.
+    Entry ``l - |m|`` is P_l^{|m|}, bitwise the last entry of the shorter
+    column ``legendre_column(l, m, t)``; shape ``(lmax - |m| + 1,) +
+    np.shape(t)``.
     """
     return np.stack(_legendre_rows(lmax, m, t))
-
-
-def legendre(l: int, m: int, t):
-    """Associated Legendre P_l^{|m|}(t) on [-1, 1], no Condon-Shortley phase:
-    the last entry of the column ``legendre_column(l, m, t)``."""
-    out = _legendre_rows(l, m, t)[-1]
-    return out if out.ndim else float(out)

@@ -61,6 +61,19 @@ def test_dispersion_validation():
         dispersion_function(0, -1.0)(np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+def test_every_dispersion_entry_rejects_a_bad_radius(bad):
+    # all three entries check R_hat first, with one message: a bad radius
+    # is never evaluated, nor blamed on the argument z = k R_hat
+    want = f"^R_hat must be positive and finite, got {bad}$"
+    for call in (lambda: dispersion(3, bad, 2.0 + 1.0j),
+                 lambda: dispersion(3, bad, np.array([2.0 + 1.0j, 0.0])),
+                 lambda: dispersion_function(3, bad)(np.array([2.0 + 1.0j])),
+                 lambda: dispersion_log_abs(3, bad, 2.0 + 1.0j)):
+        with pytest.raises(ValueError, match=want):
+            call()
+
+
 def test_dispersion_on_an_array_matches_pointwise_calls():
     k = np.array([[0.7, 5.3 + 2.0j, -3.1 - 0.4j], [12.0, 0.2j, 40.0 - 3.0j]])
     for l in (0, 3, 5):

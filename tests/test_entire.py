@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from schifferlab.eigsearch import (
     dispersion_log_abs,
 )
 from schifferlab import entire
-from schifferlab.entire import density_table, indicator, zero_count_sector
+from schifferlab.entire import indicator, zero_count_sector
 
 
 # contour evaluators return the pair (f, f')
@@ -52,23 +53,26 @@ def test_count_tracks_radius_over_pi():
     assert abs(sc.count - 100.0 / math.pi) <= 2.0
 
 
+def _densities(f, alpha, beta, radii=(25.0, 50.0, 100.0)):
+    """Sector counts N(f, alpha, beta, r) over growing radii, and N/r."""
+    counts = [zero_count_sector(f, alpha, beta, r).count for r in radii]
+    return counts, [c / r for c, r in zip(counts, radii)]
+
+
 def test_density_reference_values():
-    assert_allclose(density_table(sin_pair, -0.1, 0.1, (25.0, 50.0, 100.0)).value,
-                    1 / math.pi, rtol=0.05)
+    # the zero density is N/r at the largest radius
+    assert_allclose(_densities(sin_pair, -0.1, 0.1)[1][-1], 1 / math.pi, rtol=0.05)
     f = dispersion_function(0, 2.0)
-    assert_allclose(density_table(f, -0.2, 0.2, (25.0, 50.0, 100.0)).value,
-                    2 / math.pi, rtol=0.05)
+    assert_allclose(_densities(f, -0.2, 0.2)[1][-1], 2 / math.pi, rtol=0.05)
     two_sines = lambda z: (np.sin(z) * np.sin(2.0 * z),
                            np.cos(z) * np.sin(2.0 * z) + 2.0 * np.sin(z) * np.cos(2.0 * z))
-    assert_allclose(density_table(two_sines, -0.1, 0.1, (25.0, 50.0, 100.0)).value,
-                    3 / math.pi, rtol=0.05)
+    assert_allclose(_densities(two_sines, -0.1, 0.1)[1][-1], 3 / math.pi, rtol=0.05)
 
 
 def test_density_table_fields():
-    t = density_table(sin_pair, -0.1, 0.1, (25.0, 50.0, 100.0))
-    assert t.r_values == (25.0, 50.0, 100.0)
-    assert t.counts == (7, 15, 31)
-    assert t.value == t.ratios[-1] == 31 / 100.0
+    counts, ratios = _densities(sin_pair, -0.1, 0.1)
+    assert counts == [7, 15, 31]
+    assert ratios[-1] == 31 / 100.0
 
 
 def test_contour_zero_triggers_the_angle_nudge():
@@ -161,8 +165,42 @@ def test_sector_validation():
         zero_count_sector(sin_pair, 0.5, 0.5, 10.0)
     with pytest.raises(ValueError, match="inner cutoff"):
         zero_count_sector(sin_pair, -0.1, 0.1, 0.2)
-    with pytest.raises(ValueError, match="at least 3"):
-        density_table(sin_pair, -0.1, 0.1, (10.0, 20.0))
+
+
+@pytest.mark.parametrize("quad_nodes", [1, 0, -4, 2.5, np.float64(64.0), None])
+def test_contours_reject_node_counts_that_do_not_close_the_path(quad_nodes):
+    # one node per side makes the rectangle path a single point (it would
+    # count 0 of the 4 zeros of sin), and a sector without ray nodes is an
+    # open path (1 of 3)
+    want = f"^quad_nodes must be an integer >= 2, got {re.escape(repr(quad_nodes))}$"
+    with pytest.raises(ValueError, match=want):
+        count_zeros_argument_principle(sin_pair, (-1.0, 10.0, -1.0, 1.0),
+                                       quad_nodes=quad_nodes)
+    with pytest.raises(ValueError, match=want):
+        zero_count_sector(sin_pair, -0.1, 0.1, 10.0, quad_nodes=quad_nodes)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_contours_reject_non_finite_geometry(bad):
+    # a ValueError that names the geometry, not a failed node count
+    for rect in ((bad, 10.0, -1.0, 1.0), (-1.0, bad, -1.0, 1.0),
+                 (-1.0, 10.0, bad, 1.0), (-1.0, 10.0, -1.0, bad)):
+        with pytest.raises(ValueError, match=r"^rectangle corners must be finite, got \("):
+            count_zeros_argument_principle(sin_pair, rect)
+    for args in ((bad, 0.1, 10.0), (-0.1, bad, 10.0), (-0.1, 0.1, bad)):
+        with pytest.raises(ValueError, match="^sector angles and radius must be finite, got "):
+            zero_count_sector(sin_pair, *args)
+
+
+def test_counts_at_the_node_counts_that_close_the_path():
+    # the checks above leave the counts at the default 1024 nodes and at
+    # the 128 of a quick count as they were
+    assert count_zeros_argument_principle(sin_pair, (-1.0, 10.0, -1.0, 1.0)) == 4
+    assert zero_count_sector(sin_pair, -0.1, 0.1, 10.0).count == 3
+    f = dispersion_function(0, 1.0)
+    for n in (128, 1024):
+        assert count_zeros_argument_principle(f, (1.0, 6.0, -1.0, 1.0), quad_nodes=n) == 1
+        assert zero_count_sector(f, -0.1, 0.1, 6.0, quad_nodes=n).count == 1
 
 
 def test_sine_indicator_is_one():

@@ -10,14 +10,13 @@ from schifferlab import radial
 from schifferlab.radial import (
     RadialProblem,
     RadialSolution,
-    boundary_residuals,
     closed_form_coefficients,
     solve_from_boundary,
     verify_asymptotic_46,
     verify_asymptotics_25_26,
     verify_estimate_123,
 )
-from schifferlab.specfun import riccati_table
+from schifferlab.specfun import riccati_s_rows, riccati_table
 from schifferlab.specfun.bessel import _scaled_trig
 
 
@@ -65,31 +64,29 @@ def test_closed_form_absent_with_potential_or_noninteger_degree():
 
 
 def test_boundary_residuals_of_solver_output_vanish():
+    # the defects F = y(R_hat) - R_hat and G = y'(R_hat) - 1 at the node R_hat
     sol = solve_from_boundary(RadialProblem(2, 5.0, 1.0, None), "outward", 2.5, 1e-3)
-    res = boundary_residuals(sol, 1.0, 5.0)
-    assert abs(res.F) < 1e-10
-    assert abs(res.G) < 1e-10
+    assert sol.grid[0] == 1.0
+    assert abs(sol.y[0] - 1.0) < 1e-10
+    assert abs(sol.dy[0] - 1.0) < 1e-10
 
 
 def test_boundary_residuals_of_reference_trajectories():
+    # the defects of y = S_l(r) (k = 1) at R_hat, from the nodal values at
+    # the grid's last node and from riccati_s_rows
     grid = np.linspace(0.1, math.pi / 2, 201)
     sol = RadialSolution(grid, np.sin(grid), np.cos(grid), None)
-    res = boundary_residuals(sol, math.pi / 2, 1.0)
-    assert_allclose(res.F, 1.0 - math.pi / 2, rtol=1e-12)
-    assert abs(res.G + 1.0) < 1e-15
+    for y, dy in ((sol.y[-1], sol.dy[-1]), riccati_s_rows(0, 0, math.pi / 2)):
+        assert_allclose(y - math.pi / 2, 1.0 - math.pi / 2, rtol=1e-12)
+        assert abs(dy - 1.0 + 1.0) < 1e-15
 
     grid = np.linspace(0.2, 1.0, 161)
     y = np.sin(grid) / grid - np.cos(grid)  # S_1(r)
     dy = np.cos(grid) / grid - np.sin(grid) / grid**2 + np.sin(grid)
-    res = boundary_residuals(RadialSolution(grid, y, dy, None), 1.0, 1.0)
-    assert_allclose(res.F, 0.3011686789397568 - 1.0, rtol=1e-12)  # S_1(1) - 1, mpmath
-    assert_allclose(res.G, math.cos(1.0) - 1.0, rtol=1e-12)
-
-
-def test_residual_query_outside_span_rejected():
-    sol = solve_from_boundary(RadialProblem(0, 1.0, 1.0, None), "outward", 2.0, 1e-3)
-    with pytest.raises(ValueError, match="outside the solution span"):
-        boundary_residuals(sol, 5.0, 1.0)
+    sol = RadialSolution(grid, y, dy, None)
+    for y, dy in ((sol.y[-1], sol.dy[-1]), riccati_s_rows(1, 1, 1.0)):
+        assert_allclose(y - 1.0, 0.3011686789397568 - 1.0, rtol=1e-12)  # S_1(1) - 1, mpmath
+        assert_allclose(dy - 1.0, math.cos(1.0) - 1.0, rtol=1e-12)
 
 
 def test_two_solution_wronskian_is_conserved():

@@ -30,8 +30,6 @@ from schifferlab.scatter import (
     ray_radius,
     rellich_expand,
     residual_scan,
-    save_domain,
-    trial_convergence,
     unit_ball,
 )
 from schifferlab.errors import NumericalError
@@ -251,7 +249,8 @@ def test_positivity_check_reads_one_read_only_grid():
 def test_domain_file_roundtrip(tmp_path):
     egg = egg_domain()
     path = tmp_path / "egg.json"
-    save_domain(egg, path)
+    payload = {"L_geom": egg.L_geom, "rho_coeffs": [list(c) for c in egg.rho_coeffs]}
+    path.write_text(json.dumps(payload, indent=1) + "\n")
     loaded = load_domain(path)
     assert loaded.L_geom == 1
     assert loaded.rho_coeffs == egg.rho_coeffs
@@ -366,8 +365,7 @@ def test_spheroid_residual_regression_value():
 
 
 def test_residual_floor_comes_from_overdetermination_not_truncation():
-    conv = trial_convergence(unit_ball(), 2.0, (2, 4, 6, 8))
-    assert sorted(conv) == [2, 4, 6, 8]
+    conv = {L: overdetermined_residual(unit_ball(), 2.0, L) for L in (2, 4, 6, 8)}
     # dense-scan regression values: enlarging the trial space barely moves
     # the misfit, so the floor is the overdetermination itself
     assert_allclose(conv[2], 0.48907085895307345, rtol=1e-6)
@@ -423,7 +421,7 @@ def complex_basis_residual(frame, k: float, neumann: str) -> float:
         blocks = [dirichlet, g_r, g_t, g_p]
     A = np.vstack([blk.T for blk in blocks])
     b = np.zeros(A.shape[0], dtype=complex)
-    b[:frame.n_points] = 1.0
+    b[:frame.rho.size] = 1.0
     scale = np.linalg.norm(A, axis=0)
     scale[scale == 0.0] = 1.0
     An = A / scale
@@ -445,8 +443,8 @@ def test_real_basis_matches_the_complex_basis(seed, neumann, L_trial, k):
 
 def test_collocation_frame_defaults_and_guards():
     frame = collocation_frame(unit_ball(), L_trial=8)
-    assert frame.n_points == 200  # max(2 (L+1)^2, 200)
-    assert collocation_frame(unit_ball(), L_trial=12).n_points == 338
+    assert frame.rho.size == 200  # max(2 (L+1)^2, 200)
+    assert collocation_frame(unit_ball(), L_trial=12).rho.size == 338
     with pytest.raises(ValueError):
         collocation_frame(unit_ball(), L_trial=8, n_collocation=100)
     with pytest.raises(ValueError, match="L_trial must be nonnegative"):
@@ -472,7 +470,7 @@ def test_collocation_count_past_the_cap_is_rejected_before_any_table():
     # past it fails before the directions are drawn
     assert max(2 * (L_MAX + 1) ** 2, 200) <= od._MAX_COLLOCATION
     assert collocation_frame(unit_ball(), L_trial=0,
-                             n_collocation=od._MAX_COLLOCATION).n_points == 16384
+                             n_collocation=od._MAX_COLLOCATION).rho.size == 16384
     tracemalloc.start()
     try:
         for n in (od._MAX_COLLOCATION + 1, 10**8):
@@ -944,14 +942,6 @@ def test_far_field_matches_brute_force_sum():
         brute = sum(value * ylm(n, m, d.theta, d.phi) / (1j) ** (n + 1)
                     for (n, m), value in coeffs.items()) / k
         assert_allclose(u[i], brute, rtol=1e-12)
-
-
-def test_pattern_truncation_and_tail():
-    assert FarFieldPattern({}, 2.0).n_trunc == 0
-    pattern = FarFieldPattern({(0, 0): 3.0, (2, 1): 4.0j}, 2.0)
-    assert pattern.n_trunc == 2
-    assert pattern.tail_energy(1) == pytest.approx(16.0)
-    assert pattern.tail_energy(0) == pytest.approx(25.0)
 
 
 def test_pattern_validation():

@@ -2,6 +2,9 @@
 
 Frozen reference values come from mpmath at 40 digits through
 j_l(z) = sqrt(pi/(2z)) J_{l+1/2}(z) and y_l(z) = sqrt(pi/(2z)) Y_{l+1/2}(z).
+The kernel returns them as tables: j_l at real x is a row of
+``spherical_jn_table``, and at any z, j_l = S_l/z and y_l = -C_l/z from
+``riccati_table``.
 """
 
 import cmath
@@ -24,14 +27,29 @@ from schifferlab.specfun import (
     L_MAX,
     Z_MAX,
     riccati_s_rows,
-    riccati_s_table,
     riccati_table,
-    spherical_bessel_j,
-    spherical_bessel_y,
     spherical_jn_table,
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def _j(l, z):
+    """j_l(z): row l of spherical_jn_table at real z, S_l/z at complex z."""
+    if np.iscomplexobj(z):
+        return riccati_table(l, z)[0][l] / z
+    return spherical_jn_table(l, z)[l]
+
+
+def _y(l, z):
+    """y_l(z) = -C_l/z from riccati_table."""
+    return -riccati_table(l, z)[1][l] / z
+
+
+def _s_table(lmax, z, scaled=False):
+    """(S, S') for orders 0..lmax at z: riccati_s_rows at every degree."""
+    degrees = np.arange(lmax + 1).reshape((-1,) + (1,) * np.ndim(z))
+    return riccati_s_rows(lmax, degrees, z, scaled=scaled)
 
 # mpmath dps=40
 REAL_CASES = [
@@ -101,29 +119,31 @@ IMAG_AXIS_C_14_20 = [
 
 @pytest.mark.parametrize("l, x, jx, yx", REAL_CASES)
 def test_real_argument_reference_values(l, x, jx, yx):
-    assert_allclose(spherical_bessel_j(l, x), jx, rtol=1e-12)
-    assert_allclose(spherical_bessel_y(l, x), yx, rtol=1e-12)
+    assert_allclose(_j(l, x), jx, rtol=1e-12)
+    assert_allclose(_y(l, x), yx, rtol=1e-12)
 
 
 @pytest.mark.parametrize("l, z, jz, yz", COMPLEX_CASES)
 def test_complex_argument_reference_values(l, z, jz, yz):
-    assert_allclose(spherical_bessel_j(l, z), jz, rtol=1e-12)
-    assert_allclose(spherical_bessel_y(l, z), yz, rtol=1e-12)
+    assert_allclose(_j(l, z), jz, rtol=1e-12)
+    assert_allclose(_y(l, z), yz, rtol=1e-12)
+    assert_allclose(riccati_s_rows(l, l, z)[0], z * jz, rtol=1e-12)
 
 
 def test_real_arguments_return_exactly_real_values():
+    # the complex tables at a real point carry zero imaginary parts
     for l, x, _, _ in REAL_CASES:
-        assert spherical_bessel_j(l, x).imag == 0.0
-        assert spherical_bessel_y(l, x).imag == 0.0
+        for table in riccati_table(l, x):
+            assert not np.any(table.imag)
 
 
 def test_small_and_zero_arguments():
-    assert spherical_bessel_j(0, 0.0) == 1.0
-    assert spherical_bessel_j(2, 0.0) == 0.0
-    assert abs(spherical_bessel_j(0, math.pi)) < 1e-12
-    assert_allclose(spherical_bessel_j(0, 1e-3), 1.0, atol=1e-6)
-    assert abs(spherical_bessel_y(0, math.pi / 2)) < 1e-12
-    assert_allclose(spherical_bessel_y(0, 1.0), -math.cos(1.0), rtol=1e-14)
+    assert spherical_jn_table(0, 0.0)[0] == 1.0
+    assert spherical_jn_table(2, 0.0)[2] == 0.0
+    assert abs(_j(0, math.pi)) < 1e-12
+    assert_allclose(_j(0, 1e-3), 1.0, atol=1e-6)
+    assert abs(_y(0, math.pi / 2)) < 1e-12
+    assert_allclose(_y(0, 1.0), -math.cos(1.0), rtol=1e-14)
 
 
 def test_riccati_reference_table():
@@ -157,7 +177,7 @@ def test_wronskian_identity_on_real_grid():
         assert_allclose(S * Cp - Sp * C, -np.ones(21), rtol=1e-8)
 
 
-@pytest.mark.parametrize("fn", [spherical_bessel_j, spherical_bessel_y])
+@pytest.mark.parametrize("fn", [_j, _y], ids=["spherical_bessel_j", "spherical_bessel_y"])
 def test_three_term_recurrence(fn):
     # f_{l-1} + f_{l+1} = (2l+1)/x f_l, scaled by the largest participant
     for l in (1, 3, 7, 15):
@@ -184,7 +204,7 @@ def test_scaled_tables_match_unscaled():
         assert_allclose(scaled * factor, table, rtol=1e-13)
     z = 1.0 + 30.0j
     S, _, _, _ = riccati_table(3, z, scaled=True)
-    assert_allclose(S[3] * math.exp(30.0), z * spherical_bessel_j(3, z), rtol=1e-13)
+    assert_allclose(S[3] * math.exp(30.0), riccati_s_rows(3, 3, z)[0], rtol=1e-13)
 
 
 def test_strong_imaginary_argument_needs_scaling():
@@ -200,9 +220,7 @@ def test_overflow_past_the_exponent_range_names_the_point():
     with pytest.raises(OverflowError, match=named):
         riccati_table(2, 1.0 + 800.0j)
     with pytest.raises(OverflowError, match=named):
-        spherical_bessel_y(2, 1.0 + 800.0j)
-    with pytest.raises(OverflowError, match=named):
-        spherical_bessel_j(2, 1.0 + 800.0j)
+        riccati_s_rows(2, 2, 1.0 + 800.0j)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -214,14 +232,12 @@ def test_real_argument_overflow_is_named():
         riccati_table(60, 1e-4)
     with pytest.raises(OverflowError, match=named):
         riccati_table(60, np.array([1.0, 1e-4]))
-    with pytest.raises(OverflowError, match=named):
-        spherical_bessel_y(60, 1e-4)
     # at real z the scaled tables are the same numbers, left unchecked
     _, C, _, _ = riccati_table(60, 1e-4, scaled=True)
     assert not np.all(np.isfinite(C))
     # without C the tables are finite; at 1e-5, S_60 and S_60' underflow to 0
     for x in (1e-4, 1e-5, 1e-5 + 0j):
-        S, Sp = riccati_s_table(60, x)
+        S, Sp = _s_table(60, x)
         assert np.all(np.isfinite(S)) and np.all(np.isfinite(Sp))
     assert S[60] == 0.0 and Sp[60] == 0.0
 
@@ -241,8 +257,8 @@ def test_series_cutoff_is_seamless():
 def _seam_gap(lmax: int, u: complex | float) -> float:
     """Largest gap between the S, S' tables at nextafter(lmax, 0) * u (Miller)
     and at lmax * u (upward), per order relative to hypot(|S_l|, |S_l'|)."""
-    below = riccati_s_table(lmax, np.nextafter(float(lmax), 0.0) * u, scaled=True)
-    at = riccati_s_table(lmax, float(lmax) * u, scaled=True)
+    below = _s_table(lmax, np.nextafter(float(lmax), 0.0) * u, scaled=True)
+    at = _s_table(lmax, float(lmax) * u, scaled=True)
     amp = np.hypot(np.abs(at[0]), np.abs(at[1]))
     return max(float(np.max(np.abs(b - a) / amp)) for b, a in zip(below, at))
 
@@ -256,7 +272,7 @@ def test_the_miller_upward_seam_is_seamless_on_the_real_axis(lmax):
         assert _seam_gap(lmax, u) <= 3e-14, u
     below = spherical_jn_table(lmax, np.nextafter(float(lmax), 0.0))
     at = spherical_jn_table(lmax, float(lmax))
-    S, Sp = riccati_s_table(lmax, float(lmax))
+    S, Sp = _s_table(lmax, float(lmax))
     assert np.max(np.abs(below - at) / (np.hypot(S, Sp) / lmax)) <= 3e-14
 
 
@@ -275,11 +291,11 @@ def test_the_miller_upward_seam_off_the_real_axis(lmax):
 
 def test_domain_validation():
     with pytest.raises(ValueError, match="exceeds L_MAX"):
-        spherical_bessel_j(L_MAX + 1, 1.0)
+        spherical_jn_table(L_MAX + 1, 1.0)
     with pytest.raises(ValueError, match="exceeds supported range"):
-        spherical_bessel_j(0, 2.0 * Z_MAX)
+        spherical_jn_table(0, 2.0 * Z_MAX)
     with pytest.raises(ValueError, match="irregular at 0"):
-        spherical_bessel_y(0, 0.0)
+        riccati_s_rows(0, 0, 0.0)
     with pytest.raises(ValueError, match="irregular at 0"):
         riccati_table(2, 0.0)
 
@@ -287,17 +303,17 @@ def test_domain_validation():
 def test_the_order_cap_is_one_fixed_constant():
     assert specfun.L_MAX == bessel.L_MAX == 60
     assert np.all(np.isfinite(riccati_table(60, 70.0)[0]))
-    assert np.isfinite(spherical_bessel_j(60, 70.0))
+    assert np.isfinite(spherical_jn_table(60, 70.0)[60])
     for reject in (lambda: riccati_table(61, 70.0),
-                   lambda: spherical_bessel_j(61, 70.0),
-                   lambda: spherical_bessel_y(61, 70.0)):
+                   lambda: spherical_jn_table(61, 70.0),
+                   lambda: riccati_s_rows(61, 61, 70.0)):
         with pytest.raises(ValueError, match="order l=61 exceeds L_MAX=60"):
             reject()
 
 
 def test_the_order_cap_is_read_where_it_is_set():
     # the package re-export and the CLI's range check read the constant that
-    # _check_order_arg reads, not copies of it; the scalar and array paths
+    # _check_order_array reads, not copies of it; the scalar and array paths
     # reject the first order past it with the same message
     from schifferlab import cli
     assert specfun.L_MAX == cli.L_MAX == bessel.L_MAX
@@ -387,8 +403,8 @@ def test_tables_share_one_scaled_trig_evaluation():
     # the S-only tables keep that in both dtypes, up to lmax = 60, where C
     # would overflow at 3e-7
     for table, z, dtype, orders in ((riccati_table, real, np.complex128, (0, 3, 8)),
-                                    (riccati_s_table, real, np.float64, (0, 3, 8, 60)),
-                                    (riccati_s_table, real.astype(complex), np.complex128,
+                                    (_s_table, real, np.float64, (0, 3, 8, 60)),
+                                    (_s_table, real.astype(complex), np.complex128,
                                      (0, 3, 8, 60))):
         for lmax in orders:
             for scaled in (False, True):
@@ -403,20 +419,20 @@ def test_tables_share_one_scaled_trig_evaluation():
 def test_array_validation_matches_the_scalar_path(bad):
     with pytest.raises(ValueError) as scalar:
         riccati_table(3, bad)
-    for table in (riccati_table, riccati_s_table):
+    for table in (riccati_table, _s_table):
         with pytest.raises(ValueError) as array:
             table(3, np.array([1.0, bad, 2.0 + 1.0j]))
         assert str(array.value) == str(scalar.value)
     if not isinstance(bad, complex):
         # the float64 path validates as the complex one does
         with pytest.raises(ValueError) as real:
-            riccati_s_table(3, np.array([1.0, bad]))
+            _s_table(3, np.array([1.0, bad]))
         assert str(real.value) == str(scalar.value)
 
 
 def test_array_overflow_names_the_point():
     z = np.array([1.0, 1.0 + 800.0j])
-    for table in (riccati_table, riccati_s_table):
+    for table in (riccati_table, _s_table):
         with pytest.raises(OverflowError, match=r"overflows double range at z=\(1\+800j\)"):
             table(2, z)
     S, _, _, _ = riccati_table(2, z, scaled=True)
@@ -470,12 +486,12 @@ def test_real_table_agrees_with_the_complex_kernel_and_validates():
     assert j[0, 0] == 1.0 and np.all(j[1:, 0] == 0.0)
     for l in (0, 5, 12):
         for xi, got in zip(x[1:], j[l, 1:]):
-            assert_allclose(got, spherical_bessel_j(l, xi).real, rtol=1e-13, atol=1e-300)
+            assert_allclose(got, _j(l, complex(xi)).real, rtol=1e-13, atol=1e-300)
     with pytest.raises(ValueError, match=f"order l=61 exceeds L_MAX={L_MAX}"):
         spherical_jn_table(61, x)
     for bad in (math.nan, math.inf, 2.0 * Z_MAX):
         with pytest.raises(ValueError) as scalar:
-            spherical_bessel_j(3, bad)
+            spherical_jn_table(3, bad)
         with pytest.raises(ValueError) as array:
             spherical_jn_table(3, np.array([1.0, bad]))
         assert str(array.value) == str(scalar.value)
@@ -558,12 +574,12 @@ def _overflowing_pair(lmax, z, l):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(args=_pair_args())
 def test_the_complex_pair_is_bitwise_the_full_tables(args):
-    # riccati_s_table, and riccati_s_rows at every form of degree, against
+    # riccati_s_rows at every degree, and at every form of degree, against
     # the S and S' of riccati_table (at float64 points, against the
     # float64 pair of spherical_jn_table), with the same errors
     lmax, scaled, z, l = args
     degrees = np.arange(min(lmax, L_MAX) + 1).reshape((-1,) + (1,) * z.ndim)
-    readers = ((riccati_s_table, (), degrees), (riccati_s_rows, (l,), l))
+    readers = ((riccati_s_rows, (degrees,), degrees), (riccati_s_rows, (l,), l))
     try:
         S, _, Sp, _ = riccati_table(lmax, z, scaled=scaled)
     except ValueError as exc:
@@ -621,7 +637,7 @@ def test_the_float64_pair_matches_the_complex_tables(args):
     # amplitude hypot(S_l, S_l') per order in the table.  Subnormal entries
     # carry fewer bits than that, so points that reach them are skipped.
     lmax, x = args
-    S, Sp = riccati_s_table(lmax, x)
+    S, Sp = _s_table(lmax, x)
     assert S.dtype == Sp.dtype == np.float64 and S.shape == (lmax + 1, x.size)
     Sc, _, Spc, _ = riccati_table(lmax, x, scaled=True)
     assert not (np.any(Sc.imag) or np.any(Spc.imag))
@@ -664,7 +680,7 @@ def test_miller_regime_frozen_references():
     for lmax, x, want in real:
         _assert_close_or_underflowed(spherical_jn_table(lmax, x), want, 2e-13)
     for lmax, z, want in cplx:
-        _assert_close_or_underflowed(riccati_s_table(lmax, z)[0], z * want, 1e-14)
+        _assert_close_or_underflowed(_s_table(lmax, z)[0], z * want, 1e-14)
 
 
 def test_scaled_trig_keeps_its_digits_near_the_real_axis():
@@ -695,7 +711,7 @@ def test_tables_near_the_origin_keep_their_digits_off_the_axes():
     z = 1.2e-6 * cmath.exp(1.5j)
     zm = mpmath.mpc(z)
     for lmax in (8, 20, 60):
-        S = riccati_s_table(lmax, z)[0]
+        S = _s_table(lmax, z)[0]
         for l in range(9):
             want = zm * mpmath.sqrt(mpmath.pi / (2 * zm)) * mpmath.besselj(l + 0.5, zm)
             assert abs(S[l] - want) <= 1e-15 * abs(want), (lmax, l)
@@ -710,7 +726,7 @@ def test_complex_miller_batches_equal_their_one_point_calls():
         frozen = [z for l, z, _ in cplx if l == lmax]
         r = rng.uniform(1e-6, lmax or 10.0, 24)
         z = np.concatenate([frozen, r * np.exp(1j * rng.uniform(-math.pi, math.pi, 24))])
-        for table in (riccati_s_table, riccati_table):
+        for table in (_s_table, riccati_table):
             batch = table(lmax, z, scaled=True)
             for i, zi in enumerate(z):
                 for got, want in zip(batch, table(lmax, zi, scaled=True)):
