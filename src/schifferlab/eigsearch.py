@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import brentq  # noqa: F401  (uncalled; bench/tracing.py looks it up)
 
 from .entire import Evaluator, winding_count
-from .errors import NumericalError, UnderflowError
+from .errors import NumericalError, UnderflowError, check_positive
 from .specfun import L_MAX, Z_MAX, riccati_s_rows
 from .specfun import riccati_table  # noqa: F401  (uncalled; bench/tracing.py rebinds it)
 
@@ -86,7 +86,7 @@ def _coefficient_derivative(l, R_hat, k, S, Sp):
 
 def _check_dispersion_args(R_hat: float, k) -> None:
     """The checks of dispersion, dispersion_function and dispersion_log_abs."""
-    _check_positive("R_hat", R_hat)
+    check_positive("R_hat", R_hat)
     at_zero = (k == 0).any() if isinstance(k, np.ndarray) else k == 0
     if at_zero:
         raise ValueError("dispersion is evaluated away from k = 0")
@@ -189,20 +189,17 @@ def _second_derivative(l, x, S, Sp):
     return S3 - S2 / x + 2.0 * (Sp - S / x) / (x * x)
 
 
-def _dispersion_rows(lmax: int, l, x: np.ndarray, derivatives: bool = False):
-    """f_l(x) = S_l'(x) - S_l(x)/x = x j_l'(x) at real x (a 1-d array) for
-    the degrees l only: a column (d, 1) of degrees gives a row per degree,
-    a (x.size,) array one degree per point.  f_l is B_l at R_hat = 1 and
-    k = x, and B_l(k) = R_hat f_l(k R_hat) on any radius.  One float64
-    riccati_s_rows call over a j table of orders 0..lmax, which
-    UnderflowError guards; with ``derivatives`` the triple (f, f', f'')
-    from the same S_l, S_l' rows.
+def _dispersion_rows(lmax: int, l, x: np.ndarray):
+    """(f, f', f'') for f_l(x) = S_l'(x) - S_l(x)/x = x j_l'(x) at real x (a
+    1-d array) for the degrees l only: a column (d, 1) of degrees gives a
+    row per degree, a (x.size,) array one degree per point.  f_l is B_l at
+    R_hat = 1 and k = x, and B_l(k) = R_hat f_l(k R_hat) on any radius.
+    All three come from the S_l, S_l' rows of one float64 riccati_s_rows
+    call over a j table of orders 0..lmax, which UnderflowError guards.
     """
     S, Sp = _regular_rows(lmax, l, x, x)
-    f = _coefficient(1.0, x, S, Sp)
-    if not derivatives:
-        return f
-    return f, _coefficient_derivative(l, 1.0, x, S, Sp), _second_derivative(l, x, S, Sp)
+    return (_coefficient(1.0, x, S, Sp), _coefficient_derivative(l, 1.0, x, S, Sp),
+            _second_derivative(l, x, S, Sp))
 
 
 # brentq's tolerances, on steps in x; a step this small leaves a rounding-level error
@@ -265,7 +262,7 @@ def _halley(lmax: int, rows: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.n
     residual = np.empty_like(x)
     live = np.arange(x.size)
     for _ in range(_MAX_ITER):
-        f, df, d2f = _dispersion_rows(lmax, rows, x, derivatives=True)
+        f, df, d2f = _dispersion_rows(lmax, rows, x)
         root[live] = x
         residual[live] = np.abs(f)
         left = np.sign(f) == s_lo
@@ -307,7 +304,7 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float], ste
     # the secant point where they are not finite (l(l+1)/x^2 overflows
     # below x of about 1e-154)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        V, dV, d2V = _dispersion_rows(lmax, degrees[:, None], x, derivatives=True)
+        V, dV, d2V = _dispersion_rows(lmax, degrees[:, None], x)
 
     # sign-change brackets (l, a, b, f_a, f_b) in x order per degree, from
     # one pass over the table; f_a = 0 marks a node exactly on a root
@@ -324,7 +321,7 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float], ste
     if on_node.size:
         lo[on_node] -= 0.25 * step
         f_lo[on_node], d_lo[0][on_node], d_lo[1][on_node] = _dispersion_rows(
-            lmax, rows[on_node], lo[on_node], derivatives=True)
+            lmax, rows[on_node], lo[on_node])
         residuals[on_node[f_lo[on_node] == 0]] = np.nan
     live = np.flatnonzero(f_lo * f_hi < 0)
     if live.size:
@@ -356,20 +353,15 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float], ste
     return spectra
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 def _check_scan(R_hat: float, k_max: float, scan_step: float, tol: float) -> None:
     """Reject a scan of (scan_step, k_max] on R_hat before it allocates anything.
 
     Besides non-positive and non-finite values: k_max R_hat above the
     kernel's Z_MAX, and more than _MAX_SCAN_NODES scan nodes.
     """
-    _check_positive("k_max", k_max)
-    _check_positive("scan_step", scan_step)
-    _check_positive("tol", tol)
+    check_positive("k_max", k_max)
+    check_positive("scan_step", scan_step)
+    check_positive("tol", tol)
     if k_max * R_hat > Z_MAX:
         raise ValueError(f"k_max * R_hat = {k_max * R_hat:.6g} exceeds the kernel's "
                          f"limit Z_MAX = {Z_MAX:.0e}")
@@ -401,7 +393,7 @@ def find_real_eigenvalues(l: int, R_hat: float, k_max: float,
     k_max, scan_step or tol, for k_max R_hat above Z_MAX, and for more
     than 32,768 scan nodes.
     """
-    _check_positive("R_hat", R_hat)
+    check_positive("R_hat", R_hat)
     limit = math.pi / (4 * R_hat)
     step = math.pi / 4 if scan_step is None else scan_step * R_hat
     _check_scan(R_hat, k_max, limit if scan_step is None else scan_step, tol)
@@ -431,7 +423,7 @@ def real_eigenvalue_spectra(radii: Sequence[float], l_max: int, k_max: float,
         # checked here, before range(l_max + 1) becomes an array
         raise ValueError(f"l_max={l_max} outside [0, L_MAX={L_MAX}]")
     for R_hat in radii:
-        _check_positive("R_hat", R_hat)
+        check_positive("R_hat", R_hat)
         _check_scan(R_hat, k_max, math.pi / (4 * R_hat), tol)
     return _real_spectra(l_max, range(l_max + 1), radii, math.pi / 4, k_max, tol)
 
@@ -474,7 +466,7 @@ def density_estimate(l: int, R_hat: float, K: float) -> DensityEstimate:
 
     Requires K >= 50/R_hat so the ratio has settled.
     """
-    _check_positive("R_hat", R_hat)
+    check_positive("R_hat", R_hat)
     if K < 50.0 / R_hat:
         raise ValueError(f"K={K} too small for a stable ratio; need K >= {50.0 / R_hat}")
     return DensityEstimate.from_count(len(find_real_eigenvalues(l, R_hat, K)), R_hat, K)

@@ -36,6 +36,7 @@ __all__ = [
 
 _INNER_RADIUS = 0.25
 _ANGLE_NUDGE = 1e-3
+_MAX_CONTOUR_NODES = 1 << 22  # a refined sector path's nodes: 64 MB complex
 
 Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
@@ -68,16 +69,23 @@ class IndicatorSample:
             raise ValueError("indicator extrapolation needs at least 3 radii")
 
 
+def _sector_sizes(alpha: float, beta: float, r: float, nodes: int) -> tuple[int, float, int]:
+    """Nodes on each ray, the outer arc (nodes/(2 pi) per unit length; inf
+    where that overflows) and the inner arc of the path at resolution nodes."""
+    arc = nodes * r * (beta - alpha) / (2 * math.pi)
+    n_arc = max(nodes, int(arc) + 16) if math.isfinite(arc) else math.inf
+    return nodes, n_arc, max(64, nodes // 8)
+
+
 def _sector_contour(alpha: float, beta: float, r: float,
                     nodes: int) -> np.ndarray:
     """Counterclockwise sector boundary with the inner-radius cutout."""
     r0 = _INNER_RADIUS
-    n_rad = nodes
-    n_arc = max(nodes, int(nodes * r * (beta - alpha) / (2 * math.pi)) + 16)
+    n_rad, n_arc, n_inner = _sector_sizes(alpha, beta, r, nodes)
     out_ray = np.linspace(r0, r, n_rad) * np.exp(1j * alpha)
     arc = r * np.exp(1j * np.linspace(alpha, beta, n_arc))
     in_ray = np.linspace(r, r0, n_rad) * np.exp(1j * beta)
-    inner = r0 * np.exp(1j * np.linspace(beta, alpha, max(64, nodes // 8)))
+    inner = r0 * np.exp(1j * np.linspace(beta, alpha, n_inner))
     return np.concatenate([out_ray, arc[1:], in_ray[1:], inner[1:]])
 
 
@@ -147,10 +155,12 @@ def zero_count_sector(f: Evaluator, alpha: float, beta: float, r: float,
     The contour consists of two radial segments, the outer arc at radius
     ``r``, and an inner arc at radius 0.25 that excludes any zero at the
     origin.  ``f`` maps a complex ndarray to the pair (f, f') (see the
-    module docstring).  Non-finite angles or radius, and ``quad_nodes``
-    not an integer >= 2, raise ValueError.  A zero landing on the contour
-    belongs to the countable exceptional set of ray angles; both angles
-    are nudged by 1e-3 (up to three times) before the count is abandoned.
+    module docstring).  Non-finite angles or radius, ``quad_nodes`` not an
+    integer >= 2, and a radius whose refined path (4 ``quad_nodes``) holds
+    more than 2^22 nodes raise ValueError before any node is built.  A
+    zero landing on the contour belongs to the countable exceptional set
+    of ray angles; both angles are nudged by 1e-3 (up to three times)
+    before the count is abandoned.
     """
     if not all(map(math.isfinite, (alpha, beta, r))):
         raise ValueError(f"sector angles and radius must be finite, "
@@ -159,6 +169,13 @@ def zero_count_sector(f: Evaluator, alpha: float, beta: float, r: float,
         raise ValueError("need alpha < beta")
     if r <= _INNER_RADIUS:
         raise ValueError(f"sector radius must exceed the inner cutoff {_INNER_RADIUS}")
+    if isinstance(quad_nodes, (int, np.integer)):  # else winding_count rejects it
+        n_rad, n_arc, n_inner = _sector_sizes(alpha, beta, r, 4 * int(quad_nodes))
+        nodes = 2 * n_rad + n_arc + n_inner - 3  # the pieces share 3 joints
+        if nodes > _MAX_CONTOUR_NODES:
+            raise ValueError(f"sector radius r={r} needs {nodes:.6g} nodes on the refined "
+                             f"contour (4 * quad_nodes = {4 * quad_nodes}), more than "
+                             f"{_MAX_CONTOUR_NODES}")
     a, b = alpha, beta
     last_err: Exception | None = None
     for _ in range(4):

@@ -12,6 +12,11 @@ nonzero potentials and for cross-validation.  The module also verifies
 the large-|k| estimates attached to this problem: the O(1/|k|) remainder
 bound with its explicit Gronwall constant, the small-argument/oscillatory
 asymptotics of S_l, and the fixed-frequency sequence k0^l * y_l(xi_l).
+Every ODE solution is read at its nodes by scipy's ``solve_ivp`` itself;
+the remainder check integrates once per frequency and reads the solution
+at its xi samples, with no interpolation of its own.  Radii, steps and
+frequencies are validated by name: a parameter that must be positive goes
+through ``errors.check_positive``.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
+from .errors import check_positive
 from .specfun import riccati_s_rows, riccati_table
 from .specfun.bessel import _scaled_trig
 
@@ -59,10 +64,9 @@ class RadialProblem:
     potential: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
-        if self.l < -0.5:
+        if not self.l >= -0.5:
             raise ValueError(f"angular parameter must be >= -1/2, got {self.l}")
-        if not (self.R_hat > 0):
-            raise ValueError(f"R_hat must be positive, got {self.R_hat}")
+        check_positive("R_hat", self.R_hat)
         if not (math.isfinite(self.k.real) and math.isfinite(self.k.imag)):
             raise ValueError("k must be finite")
         if self.potential is not None:
@@ -146,6 +150,7 @@ def closed_form_coefficients(l: int, k: complex, R_hat: float) -> tuple[complex,
     The 2x2 system in the variable x = kr has Wronskian determinant
     S*C' - S'*C = -1 exactly, so it is never singular.
     """
+    check_positive("R_hat", R_hat)
     if k == 0:
         raise ValueError("k must be nonzero for the closed form")
     li = int(round(l))
@@ -153,7 +158,14 @@ def closed_form_coefficients(l: int, k: complex, R_hat: float) -> tuple[complex,
     return complex(A[li]), complex(B[li])
 
 
-def _rhs_factory(nu: float, k: complex, potential) -> Callable:
+def _integrate(problem: RadialProblem, y0: complex, dy0: complex,
+               r_targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate from R_hat through the (monotone) target radii.
+
+    The state is split into real and imaginary parts so real data with
+    real k stays exactly real.
+    """
+    nu, potential, k = problem.nu, problem.potential, complex(problem.k)
     k2r = (k * k).real
     k2i = (k * k).imag
 
@@ -166,17 +178,6 @@ def _rhs_factory(nu: float, k: complex, potential) -> Callable:
         yr, yi, dyr, dyi = u
         return [dyr, dyi, c_re * yr - c_im * yi, c_re * yi + c_im * yr]
 
-    return rhs
-
-
-def _integrate(problem: RadialProblem, y0: complex, dy0: complex,
-               r_targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate from R_hat through the (monotone) target radii.
-
-    The state is split into real and imaginary parts so real data with
-    real k stays exactly real.
-    """
-    rhs = _rhs_factory(problem.nu, complex(problem.k), problem.potential)
     u0 = [y0.real, y0.imag, dy0.real, dy0.imag]
     span = (problem.R_hat, float(r_targets[-1]))
     sol = solve_ivp(rhs, span, u0, method="RK45", t_eval=r_targets,
@@ -185,55 +186,9 @@ def _integrate(problem: RadialProblem, y0: complex, dy0: complex,
         reached = sol.t[-1] if sol.t.size else problem.R_hat
         raise RuntimeError(
             f"radial integration failed; smallest radius reached {reached!r}: {sol.message}")
-    y = sol.y[0] + 1j * sol.y[1]
-    dy = sol.y[2] + 1j * sol.y[3]
     if problem.k.imag == 0 and y0.imag == 0 and dy0.imag == 0:
-        y = sol.y[0]
-        dy = sol.y[2]
-    return y, dy
-
-
-def _solve_with_data(problem: RadialProblem, y0: complex, dy0: complex,
-                     direction: str, r_end: float, grid_step: float) -> RadialSolution:
-    R = problem.R_hat
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-    if direction not in ("inward", "outward"):
-        raise ValueError(f"direction must be 'inward' or 'outward', got {direction!r}")
-
-    if direction == "outward":
-        if r_end < R:
-            raise ValueError("outward integration needs r_end >= R_hat")
-        stop = r_end
-    else:
-        if r_end >= R:
-            raise ValueError("inward integration needs r_end < R_hat")
-        if r_end < 0:
-            raise ValueError("r_end must be nonnegative")
-        regular_at_zero = problem.nu == 0.0 and problem.potential is None
-        if regular_at_zero:
-            stop = max(r_end, 0.0)
-        else:
-            # the centrifugal/potential term is singular at r=0
-            stop = max(r_end, grid_step, 1e-6 * R)
-
-    closed = None
-    if problem.potential is None and float(problem.l
-            ) == round(problem.l) and problem.l >= 0 and problem.k != 0:
-        closed = closed_form_coefficients(int(round(problem.l)), problem.k, R)
-
-    if stop == R:
-        is_real = problem.k.imag == 0 and complex(y0).imag == 0 and complex(dy0).imag == 0
-        dtype = float if is_real else complex
-        return RadialSolution(np.array([R]), np.array([y0], dtype=dtype),
-                              np.array([dy0], dtype=dtype), closed)
-
-    n = max(1, int(math.ceil(abs(R - stop) / grid_step)))
-    targets = np.linspace(R, stop, n + 1)
-    y, dy = _integrate(problem, complex(y0), complex(dy0), targets)
-    if direction == "inward":
-        targets, y, dy = targets[::-1].copy(), y[::-1].copy(), dy[::-1].copy()
-    return RadialSolution(targets, y, dy, closed)
+        return sol.y[0], sol.y[2]
+    return sol.y[0] + 1j * sol.y[1], sol.y[2] + 1j * sol.y[3]
 
 
 def solve_from_boundary(problem: RadialProblem, direction: str,
@@ -246,17 +201,45 @@ def solve_from_boundary(problem: RadialProblem, direction: str,
     max(grid_step, 1e-6 * R_hat)) or "outward" (r_end >= R_hat; equality
     returns the single-node initial data).  Grid is returned ascending.
     For p = 0 and integer l the closed-form pair (A, B) is attached.
+    ValueError, naming the parameter, for a grid_step that is not positive
+    and finite and for a non-finite r_end.
     """
-    return _solve_with_data(problem, problem.R_hat, 1.0, direction, r_end, grid_step)
+    R = problem.R_hat
+    check_positive("grid_step", grid_step)
+    if not math.isfinite(r_end):
+        raise ValueError(f"r_end must be finite, got {r_end}")
+    if direction not in ("inward", "outward"):
+        raise ValueError(f"direction must be 'inward' or 'outward', got {direction!r}")
 
+    if direction == "outward":
+        if r_end < R:
+            raise ValueError("outward integration needs r_end >= R_hat")
+        stop = r_end
+    else:
+        if r_end >= R:
+            raise ValueError("inward integration needs r_end < R_hat")
+        if r_end < 0:
+            raise ValueError("r_end must be nonnegative")
+        # the centrifugal/potential term is singular at r=0
+        singular = problem.nu != 0.0 or problem.potential is not None
+        stop = max(r_end, grid_step, 1e-6 * R) if singular else r_end
 
-def _hermite(grid: np.ndarray, values: np.ndarray, slopes: np.ndarray):
-    if np.iscomplexobj(values) or np.iscomplexobj(slopes):
-        re = CubicHermiteSpline(grid, np.real(values), np.real(slopes))
-        im = CubicHermiteSpline(grid, np.imag(values), np.imag(slopes))
-        return lambda r: re(r) + 1j * im(r)
-    spline = CubicHermiteSpline(grid, values, slopes)
-    return spline
+    closed = None
+    if problem.potential is None and float(problem.l
+            ) == round(problem.l) and problem.l >= 0 and problem.k != 0:
+        closed = closed_form_coefficients(int(round(problem.l)), problem.k, R)
+
+    if stop == R:
+        dtype = float if problem.k.imag == 0 else complex
+        return RadialSolution(np.array([R]), np.array([R], dtype=dtype),
+                              np.array([1.0], dtype=dtype), closed)
+
+    n = max(1, int(math.ceil(abs(R - stop) / grid_step)))
+    targets = np.linspace(R, stop, n + 1)
+    y, dy = _integrate(problem, complex(R), 1.0 + 0.0j, targets)
+    if direction == "inward":
+        targets, y, dy = targets[::-1].copy(), y[::-1].copy(), dy[::-1].copy()
+    return RadialSolution(targets, y, dy, closed)
 
 
 def _gronwall_constant(nu: float, xi: float, potential, xi_floor: float = 1e-3) -> float:
@@ -282,27 +265,33 @@ def verify_estimate_123(problem: RadialProblem, a: float, b: float,
 
     The problem is posed on [0, 1] with data z(1) = -b, z'(1) = a; each
     sample frequency must satisfy |k| >= 1.  Returns one margin record
-    per (xi, k) pair.
+    per (xi, k) pair, k by k, with xi ascending; a repeated xi repeats its
+    record.  Each k takes one integration inward from r = 1 that stops at
+    the distinct xi, and K(xi) is computed once per xi.
     """
     if problem.R_hat != 1.0:
         raise ValueError("the remainder estimate is posed on [0, 1]; use R_hat = 1")
     xi_grid = sorted(float(x) for x in xi_grid)
-    if not xi_grid or xi_grid[0] <= 0 or xi_grid[-1] >= 1:
-        raise ValueError("xi samples must lie in (0, 1)")
+    if not xi_grid or not all(0 < xi < 1 for xi in xi_grid):
+        raise ValueError(f"xi samples must lie in (0, 1), got {xi_grid}")
+    # solve_ivp rejects a repeated t_eval value, so the integration stops at
+    # each distinct xi once (descending), and at[i] is sample i's stop
+    distinct, at = np.unique(xi_grid, return_inverse=True)
+    stops = distinct[::-1]
+    at = stops.size - 1 - at
+    K = [_gronwall_constant(problem.nu, xi, problem.potential) for xi in stops]
     records = []
     for k in k_samples:
         k = complex(k)
         if abs(k) < 1.0:
             raise ValueError("the estimate is stated for |k| >= 1")
         sub = RadialProblem(problem.l, k, 1.0, problem.potential)
-        solution = _solve_with_data(sub, -b, a, "inward", xi_grid[0], 2e-3)
-        yspline = _hermite(solution.grid, solution.y, solution.dy)
-        for xi in xi_grid:
-            z = complex(yspline(xi))
+        y, _ = _integrate(sub, complex(-b), complex(a), stops)
+        for xi, i in zip(xi_grid, at.tolist()):
+            z = complex(y[i])
             lead = b * np.cos(k * (1 - xi)) + a * np.sin(k * (1 - xi)) / k
             lhs = abs(z + lead)
-            K = _gronwall_constant(sub.nu, xi, sub.potential)
-            rhs = K / abs(k) * math.exp(abs(k.imag) * (1 - xi))
+            rhs = K[i] / abs(k) * math.exp(abs(k.imag) * (1 - xi))
             records.append(EstimateMargin(xi, k, float(lhs), float(rhs), bool(lhs <= rhs)))
     return records
 
@@ -320,8 +309,8 @@ def verify_asymptotics_25_26(l: int, k_samples: Sequence[complex],
     xis = [float(xi) for xi in xi_samples]
     if any(k.real < 0 for k in ks):
         raise ValueError("samples need Re k >= 0")
-    if any(xi <= 0 for xi in xis):
-        raise ValueError("xi must be positive")
+    for xi in xis:
+        check_positive("xi", xi)
     if not (ks and xis):
         raise ValueError("need at least one k sample and one xi sample")
     z = np.outer(ks, xis)
@@ -348,6 +337,8 @@ def verify_asymptotic_46(l_max: int, k0: float, R_hat: float) -> Asymptotic46Rep
     s_l from log space, where the k0^l power cannot overflow; a log|s_l|
     above 700 is capped there, with a RuntimeWarning.
     """
+    check_positive("k0", k0)
+    check_positive("R_hat", R_hat)
     if k0 < 1.0:
         raise ValueError("k0 must be >= 1")
     ls = np.arange(l_max + 1)

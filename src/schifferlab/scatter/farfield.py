@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..errors import check_positive
 from ..specfun import SphereQuadrature, SphericalDirection, ylm_terms
 
 __all__ = ["FarFieldPattern", "far_field_from_coeffs", "rellich_expand"]
@@ -31,8 +32,7 @@ class FarFieldPattern:
     k: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.k) and self.k > 0.0):
-            raise ValueError(f"k must be positive and finite, got {self.k}")
+        check_positive("k", self.k)
         for (n, m), value in self.a_coeffs.items():
             if not (isinstance(n, (int, np.integer)) and isinstance(m, (int, np.integer))):
                 raise ValueError(f"coefficient index ({n!r}, {m!r}) is not integer")

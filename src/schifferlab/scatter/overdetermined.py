@@ -69,7 +69,7 @@ import numpy as np
 from scipy.special import spherical_jn  # noqa: F401 (uncalled; bench/tracing.py rebinds it)
 
 from ..eigsearch import find_real_eigenvalues
-from ..errors import NumericalError
+from ..errors import NumericalError, check_positive
 from ..specfun import L_MAX, spherical_jn_table, ylm_terms
 from ..specfun import ylm, ylm_theta_derivative  # noqa: F401 (bench/tracing.py rebinds them)
 from .domain import StarlikeDomain
@@ -530,8 +530,7 @@ def overdetermined_residual(domain: StarlikeDomain, k: float, L_trial: int = 8,
     sits at machine-precision depth while any other (domain, k) pair does
     not.  It is the one-frequency ``residual_scan``.
     """
-    if not (np.isfinite(k) and k > 0.0):
-        raise ValueError(f"k must be positive and finite, got {k}")
+    check_positive("k", k)
     res, flagged = _scan(domain, [k], L_trial, n_collocation, neumann)
     _warn_rank_deficient(flagged)
     return float(res[0])
@@ -591,8 +590,7 @@ def ball_eigenfunction(R: float, n: int) -> tuple[float, Callable[[np.ndarray], 
     u'(R) = 0 to root-finding accuracy: u witnesses both boundary
     conditions at once.
     """
-    if not (np.isfinite(R) and R > 0.0):
-        raise ValueError(f"R must be positive and finite, got {R}")
+    check_positive("R", R)
     if not (isinstance(n, (int, np.integer)) and 1 <= n <= 50):
         raise ValueError(f"n must be an integer in [1, 50], got {n!r}")
     k = find_real_eigenvalues(0, 1.0, (n + 0.75) * math.pi)[n - 1].k / R

@@ -9,7 +9,7 @@ scalar z is a one-point array.  For a table of orders 0..lmax each point
 takes one of three regimes for j_l, and each regime runs over the
 compressed array of its points and writes its own block of columns of one
 table in place (``_j_blocks``); a reader gathers the rows it needs from
-the blocks, a full table (``_j_scaled``) all of them:
+the blocks, ``spherical_jn_table`` all of them:
     * |z| < 1e-6: the leading power series.
     * |z| >= lmax: upward recurrence from j_0, j_1 (the stable direction).
     * otherwise (Miller): downward recurrence from j_{N+1} = 0, j_N = 1 at
@@ -44,10 +44,11 @@ The recurrences use plain NumPy arithmetic and act on each point
 independently, so at real z, in either dtype, a point's table does not
 depend on the other points of its batch.  They run on values scaled by
 exp(-|Im z|), so tables stay representable for large |Im z|; without
-``scaled`` the public functions multiply the factor back in
-(``riccati_table`` through ``_unscaled``).  For real z the scale
-factor is exactly 1 and real inputs propagate zero imaginary parts
-through every recurrence.
+``scaled`` the public functions multiply the factor back in through one
+helper, ``_unscaled``, which also names the first point that overflows:
+``riccati_table`` for its four tables, ``riccati_s_rows`` for its two
+rows.  For real z the scale factor is exactly 1 and real inputs
+propagate zero imaginary parts through every recurrence.
 
 Orders are capped at L_MAX = 60, a module constant that no call changes:
 every public function rejects an order (or a table's lmax) above it with a
@@ -192,19 +193,13 @@ def _j_regime(r: int, lmax: int, z: np.ndarray, zs: np.ndarray, zc: np.ndarray,
     return j
 
 
-def _j_scaled(lmax: int, z: np.ndarray, zs: np.ndarray, zc: np.ndarray) -> np.ndarray:
-    """Table of j_0..j_lmax at a 1-d array of points, scaled by exp(-|Im z|),
-    of z's dtype; shape (lmax + 1, z.size).  ``zs, zc`` are the scaled
-    sin z and cos z."""
-    j, cols = _j_blocks(lmax, z, zs, zc)
-    return j if cols is None else j[:, cols]
-
-
 def _j_blocks(lmax: int, z: np.ndarray, zs: np.ndarray,
               zc: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(j, cols): ``_j_scaled``'s table with the points in blocks by regime,
-    and the column cols[i] of point i in it; cols is None where one regime
-    holds every point, so j is in point order already.
+    """(j, cols): the table of j_0..j_lmax at a 1-d array of points, scaled
+    by exp(-|Im z|), of z's dtype, with the points in blocks by regime, and
+    the column cols[i] of point i in it; cols is None where one regime
+    holds every point, so j is in point order already.  ``zs, zc`` are the
+    scaled sin z and cos z.
 
     Each regime writes its own block of columns in place, so a reader of a
     few rows gathers just those.
@@ -298,16 +293,19 @@ def _check_order_array(lmax: int, z, dtype=complex, need_nonzero: bool = True) -
 
 
 def _unscaled(tables: tuple[np.ndarray, ...], z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Scaled tables at the 1-d points z times exp(|Im z|) (real z: as they
-    are); OverflowError names the first point where an entry is not finite,
-    with no numpy warning before it."""
+    """Scaled tables at the points z times exp(|Im z|) (real z: as they
+    are), where z broadcasts against each table; OverflowError names the
+    first point of z where an entry is not finite, with no numpy warning
+    before it."""
     if np.iscomplexobj(z):
         with np.errstate(over="ignore", invalid="ignore"):
             f = np.exp(np.abs(z.imag))
             tables = tuple(t * f for t in tables)
-    finite = np.logical_and.reduce([np.isfinite(t).all(axis=0) for t in tables])
-    if not finite.all():
-        bad = complex(z[np.argmin(finite)])
+    if not all(np.isfinite(t).all() for t in tables):
+        points = np.arange(z.size).reshape(z.shape)
+        first = min(np.broadcast_to(points, t.shape)[~np.isfinite(t)].min(initial=z.size)
+                    for t in tables)
+        bad = complex(z.flat[first])
         raise OverflowError(f"Riccati table overflows double range at z={bad!r}")
     return tables
 
@@ -323,7 +321,9 @@ def spherical_jn_table(lmax: int, x) -> np.ndarray:
     """
     x = _check_order_array(lmax, x, dtype=float, need_nonzero=False)
     flat = x.ravel()
-    j = _j_scaled(lmax, flat, np.sin(flat), np.cos(flat))
+    j, cols = _j_blocks(lmax, flat, np.sin(flat), np.cos(flat))
+    if cols is not None:
+        j = j[:, cols]
     return j.reshape((lmax + 1,) + x.shape)
 
 
@@ -362,15 +362,8 @@ def riccati_s_rows(lmax: int, l, z, scaled: bool = False):
     zs, zc = (np.sin(flat), np.cos(flat)) if real else _scaled_trig(flat)
     with np.errstate(over="ignore", invalid="ignore"):
         S, Sp = _s_rows(lmax, l, pts, zs, zc)
-        if not scaled:
-            if not real:
-                f = np.exp(np.abs(pts.imag))
-                S, Sp = S * f, Sp * f
-            finite = np.isfinite(S) & np.isfinite(Sp)
-            if not finite.all():
-                points = np.broadcast_to(np.arange(flat.size).reshape(pts.shape), finite.shape)
-                bad = complex(flat[points[~finite].min()])
-                raise OverflowError(f"Riccati table overflows double range at z={bad!r}")
+    if not scaled:
+        S, Sp = _unscaled((S, Sp), pts)
     if not z.ndim:
         S, Sp = S.reshape(np.shape(l))[()], Sp.reshape(np.shape(l))[()]
     return S, Sp

@@ -112,14 +112,13 @@ def ylm_theta_derivative(l: int, m: int, theta, phi):
 class SphereQuadrature:
     """Tensor rule on S^2: Gauss-Legendre in cos(theta) x trapezoid in phi.
 
-    ``theta``/``phi`` are the 1-d node vectors; ``theta_grid``/``phi_grid``
-    and ``weights`` are (n_theta, n_phi) arrays with sum(weights) = 4 pi.
+    ``theta``/``phi`` are the 1-d node vectors and ``weights`` is the
+    (n_theta, n_phi) array with sum(weights) = 4 pi; a field on the grid
+    is sampled at the broadcast ``theta[:, None], phi[None, :]``.
     """
 
     theta: np.ndarray
     phi: np.ndarray
-    theta_grid: np.ndarray
-    phi_grid: np.ndarray
     weights: np.ndarray
 
     def integrate(self, samples: np.ndarray):
@@ -138,7 +137,5 @@ def sphere_quadrature(n_theta: int = 64, n_phi: int = 128) -> SphereQuadrature:
     w_theta = w[::-1]
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
     w_phi = 2 * np.pi / n_phi
-    tg, pg = np.meshgrid(theta, phi, indexing="ij")
     weights = np.outer(w_theta, np.full(n_phi, w_phi))
-    return SphereQuadrature(theta=theta, phi=phi, theta_grid=tg,
-                            phi_grid=pg, weights=weights)
+    return SphereQuadrature(theta=theta, phi=phi, weights=weights)

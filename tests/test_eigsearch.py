@@ -145,7 +145,7 @@ def test_roots_are_the_zeros_of_the_bessel_derivative(R, K, l):
         assert_scipy_spectrum(degree, R, math.pi / 4, K, recs)
         for r in recs:
             assert r.l == degree and r.bracket[0] < r.k < r.bracket[1]
-            f = [abs(eigsearch._dispersion_rows(lmax, degree, np.array([x]))[0])
+            f = [abs(eigsearch._dispersion_rows(lmax, degree, np.array([x]))[0][0])
                  for x in x_preimages(r.k, R)]
             assert r.residual in f and r.residual <= 1e-9
 
@@ -240,14 +240,11 @@ def test_near_coincident_root_warning():
 def test_a_node_on_a_root_nudges_its_bracket_open(monkeypatch, power, want):
     # f(x) = (x - 2)^power puts a root exactly on the scan node x = 2; at
     # R_hat = 1 the bracket in x is the bracket in k
-    def rows(lmax, l, x, derivatives=False):
+    def rows(lmax, l, x):
         def tile(v):
             return np.broadcast_to(v, np.broadcast_shapes(np.shape(l), x.shape))
 
-        f = tile((x - 2.0) ** power)
-        if not derivatives:
-            return f
-        return (f, tile(power * (x - 2.0) ** (power - 1)),
+        return (tile((x - 2.0) ** power), tile(power * (x - 2.0) ** (power - 1)),
                 tile(power * (power - 1) * (x - 2.0) ** max(power - 2, 0)))
 
     monkeypatch.setattr(eigsearch, "_dispersion_rows", rows)
@@ -263,7 +260,7 @@ def test_masked_brackets_match_the_per_radius_loop():
     radii = [0.7, 1.0, 1.9, 1.0]
     l_max, K = 4, 20.0
     x = eigsearch._scan_nodes(K * max(radii), math.pi / 4)
-    f = eigsearch._dispersion_rows(l_max, np.arange(l_max + 1)[:, None], x)
+    f = eigsearch._dispersion_rows(l_max, np.arange(l_max + 1)[:, None], x)[0]
     for R, eigen in zip(radii, real_eigenvalue_spectra(radii, l_max, K)):
         for l in range(l_max + 1):
             v = f[l]
@@ -290,14 +287,14 @@ def test_underflow_is_a_numerical_failure_not_a_root():
         dispersion_function(60, 1.0)(np.array([1e-5 + 0j]))
     # where S_60 is subnormal but not 0, B keeps the sign of its k^60 leading term
     k = np.geomspace(3e-4, 1e-2, 50)
-    assert np.all(eigsearch._dispersion_rows(60, 60, k) > 0)
+    assert np.all(eigsearch._dispersion_rows(60, 60, k)[0] > 0)
 
 
 def test_a_node_whose_nudged_neighbour_also_reads_zero_is_a_numerical_failure():
     # below x = k R of about 1e-8, B_0 = R cos(kR) - sin(kR)/k cancels to
     # exactly 0 at every node; those zeros are rounding, not nine roots
     k = np.array([1e-9, 0.75e-9])
-    assert np.all(eigsearch._dispersion_rows(0, 0, k) == 0.0)
+    assert np.all(eigsearch._dispersion_rows(0, 0, k)[0] == 0.0)
     with pytest.raises(NumericalError, match=r"^B_0 reads exactly 0 at k=1e-09 and a "
                                              r"quarter step below, at k=7\.5"):
         find_real_eigenvalues(0, 1.0, 1e-8, scan_step=1e-9)
@@ -416,10 +413,9 @@ def test_a_node_rounded_onto_a_root_still_gives_the_scipy_spectrum(R, l, K, pick
     assert abs(node - x_star) <= 4 * np.spacing(x_star)
     dispersion_rows = eigsearch._dispersion_rows
 
-    def rounded(lmax, degrees, x, derivatives=False):
-        out = dispersion_rows(lmax, degrees, x, derivatives)
-        f = out[0] if derivatives else out
-        f[np.broadcast_to((degrees == l) & (x == node), f.shape)] = 0.0
+    def rounded(lmax, degrees, x):
+        out = dispersion_rows(lmax, degrees, x)
+        out[0][np.broadcast_to((degrees == l) & (x == node), out[0].shape)] = 0.0
         return out
 
     with pytest.MonkeyPatch.context() as mp:

@@ -167,6 +167,20 @@ def test_sector_validation():
         zero_count_sector(sin_pair, -0.1, 0.1, 0.2)
 
 
+@pytest.mark.parametrize("r, nodes", [(1e13, "1.3038e+15"), (1e6, "1.30388e+08"),
+                                      (33000.0, "4.31125e+06")])
+def test_sector_radius_past_the_node_cap_is_rejected_before_allocating(r, nodes):
+    # the refined path (4 * quad_nodes) is sized from the radius: r = 1e13
+    # asked numpy for 2.32 PiB, and r = 33000 sits just past the 2^22 cap
+    def never(z):
+        raise AssertionError("the evaluator ran")
+
+    want = (rf"^sector radius r={re.escape(repr(r))} needs {re.escape(nodes)} nodes on the "
+            rf"refined contour \(4 \* quad_nodes = 4096\), more than 4194304$")
+    with pytest.raises(ValueError, match=want):
+        zero_count_sector(never, -0.1, 0.1, r)
+
+
 @pytest.mark.parametrize("quad_nodes", [1, 0, -4, 2.5, np.float64(64.0), None])
 def test_contours_reject_node_counts_that_do_not_close_the_path(quad_nodes):
     # one node per side makes the rectangle path a single point (it would

@@ -1,6 +1,7 @@
 """Two-way radial Helmholtz solves anchored at y(R) = R, y'(R) = 1."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,9 +93,10 @@ def test_boundary_residuals_of_reference_trajectories():
 def test_two_solution_wronskian_is_conserved():
     # no first-derivative term, so y1 y2' - y1' y2 is exactly constant
     prob = RadialProblem(2, 3.0, 1.0, None)
-    s1 = radial._solve_with_data(prob, 1.0, 0.0, "outward", 2.0, 1e-3)
-    s2 = radial._solve_with_data(prob, 0.0, 1.0, "outward", 2.0, 1e-3)
-    w = s1.y * s2.dy - s1.dy * s2.y
+    grid = np.linspace(1.0, 2.0, 1001)
+    y1, dy1 = radial._integrate(prob, 1.0 + 0.0j, 0.0j, grid)
+    y2, dy2 = radial._integrate(prob, 0.0j, 1.0 + 0.0j, grid)
+    w = y1 * dy2 - dy1 * y2
     assert_allclose(w, np.full_like(np.real(w), np.real(w[0])), rtol=1e-6)
 
 
@@ -139,6 +141,47 @@ def test_remainder_estimate_validation():
         verify_estimate_123(prob, 1.0, 1.0, (0.0, 0.5), (10.0,))
     with pytest.raises(ValueError, match=">= 1"):
         verify_estimate_123(prob, 1.0, 1.0, (0.5,), (0.5,))
+
+
+def test_remainder_estimate_reads_repeated_and_unsorted_xi_once():
+    # solve_ivp rejects repeated t_eval values: each distinct xi is read
+    # once, and a repeated xi repeats its record, in ascending xi order
+    prob = RadialProblem(1, 1.0, 1.0, lambda r: 1.0)
+    ks = (20.0, 40.0 + 1.0j)
+    once = verify_estimate_123(prob, 1.0, 1.0, (0.25, 0.5), ks)
+    twice = verify_estimate_123(prob, 1.0, 1.0, (0.5, 0.25, 0.5), ks)
+    assert [(r.xi, r.k) for r in twice] == [(xi, k) for k in ks for xi in (0.25, 0.5, 0.5)]
+    assert twice == [once[0], once[1], once[1], once[2], once[3], once[3]]
+
+
+def test_remainder_estimate_rejects_non_finite_xi():
+    prob = RadialProblem(0, 1.0, 1.0, None)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^xi samples must lie in \(0, 1\)"):
+            verify_estimate_123(prob, 1.0, 1.0, (0.5, bad), (10.0,))
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: RadialProblem(0, 1.0, math.inf), "R_hat must be positive and finite, got inf"),
+    (lambda: RadialProblem(math.nan, 1.0, 1.0), "angular parameter must be >= -1/2, got nan"),
+    (lambda: solve_from_boundary(RadialProblem(0, 1.0, 1.0), "inward", 0.0, math.nan),
+     "grid_step must be positive and finite, got nan"),
+    (lambda: solve_from_boundary(RadialProblem(0, 1.0, 1.0), "inward", math.nan, 1e-3),
+     "r_end must be finite, got nan"),
+    (lambda: solve_from_boundary(RadialProblem(0, 1.0, 1.0), "outward", math.inf, 1e-3),
+     "r_end must be finite, got inf"),
+    (lambda: verify_asymptotic_46(3, 2.0, -1.0), "R_hat must be positive and finite, got -1.0"),
+    (lambda: verify_asymptotic_46(3, math.nan, 1.0), "k0 must be positive and finite, got nan"),
+    (lambda: closed_form_coefficients(2, 1.0, -1.0),
+     "R_hat must be positive and finite, got -1.0"),
+    (lambda: verify_asymptotics_25_26(0, [5.0], [math.nan]),
+     "xi must be positive and finite, got nan"),
+])
+def test_radial_parameters_are_rejected_by_name(call, want):
+    # each used to pass, or to fail on a kernel argument or a float-to-int
+    # conversion that does not name the parameter
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        call()
 
 
 def test_oscillatory_asymptotics_reference_constants():

@@ -961,7 +961,7 @@ def test_pattern_validation():
 
 def test_expansion_recovers_a_pure_mode():
     quad = sphere_quadrature()
-    coeffs = rellich_expand(ylm(2, 1, quad.theta_grid, quad.phi_grid), 4, quad)
+    coeffs = rellich_expand(ylm(2, 1, quad.theta[:, None], quad.phi[None, :]), 4, quad)
     assert_allclose(coeffs[(2, 1)], 1.0, rtol=1e-12)
     others = [abs(v) for key, v in coeffs.items() if key != (2, 1)]
     assert max(others) < 1e-10
@@ -976,7 +976,7 @@ def test_expansion_of_a_constant():
 def test_expansion_reads_off_the_radial_factor():
     # u = j_1(kr) Y_1^0 sampled on the sphere kr = 6
     quad = sphere_quadrature()
-    samples = spherical_jn(1, 6.0) * ylm(1, 0, quad.theta_grid, quad.phi_grid)
+    samples = spherical_jn(1, 6.0) * ylm(1, 0, quad.theta[:, None], quad.phi[None, :])
     coeffs = rellich_expand(samples, 3, quad)
     assert_allclose(coeffs[(1, 0)], -0.16778992272503115, rtol=1e-12)
 
@@ -986,7 +986,8 @@ def test_band_limited_roundtrip():
     quad = sphere_quadrature()
     truth = {(l, m): complex(rng.standard_normal(), rng.standard_normal())
              for l in range(9) for m in range(-l, l + 1)}
-    samples = sum(c * ylm(l, m, quad.theta_grid, quad.phi_grid) for (l, m), c in truth.items())
+    samples = sum(c * ylm(l, m, quad.theta[:, None], quad.phi[None, :])
+                  for (l, m), c in truth.items())
     recovered = rellich_expand(samples, 8, quad)
     for key, c in truth.items():
         assert_allclose(recovered[key], c, rtol=1e-10, atol=1e-12)

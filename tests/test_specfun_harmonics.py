@@ -87,8 +87,8 @@ def test_quadrature_weights_sum_to_sphere_area():
 
 def test_harmonics_are_orthonormal_under_the_quadrature():
     quad = sphere_quadrature()
-    assert_allclose(quad.integrate(np.abs(ylm(2, 1, quad.theta_grid, quad.phi_grid)) ** 2),
-                    1.0, rtol=1e-10)
+    y21 = ylm(2, 1, quad.theta[:, None], quad.phi[None, :])
+    assert_allclose(quad.integrate(np.abs(y21) ** 2), 1.0, rtol=1e-10)
     pairs = [(l, m) for l in range(9) for m in range(-l, l + 1)]
     basis = np.array(list(ylm_terms(pairs, quad.theta[:, None], quad.phi[None, :])))
     gram = np.einsum("iab,ab,jab->ij", basis, quad.weights, np.conj(basis))
@@ -99,13 +99,13 @@ def test_grid_synthesis_matches_pointwise_values():
     # the kernel on a broadcast (theta, phi) grid gives each term bitwise as
     # the one-mode call on the full grid, value and theta derivative
     quad = sphere_quadrature(24, 48)
+    theta_grid, phi_grid = np.meshgrid(quad.theta, quad.phi, indexing="ij")
     modes = [(4, -3), (0, 0), (6, 1), (4, 3), (2, -1)]
     terms = ylm_terms(modes, quad.theta[:, None], quad.phi[None, :], derivative=True)
     for (l, m), (y, dy) in zip(modes, terms):
         assert y.shape == dy.shape == quad.weights.shape
-        assert y.tobytes() == ylm(l, m, quad.theta_grid, quad.phi_grid).tobytes()
-        assert dy.tobytes() == ylm_theta_derivative(l, m, quad.theta_grid,
-                                                    quad.phi_grid).tobytes()
+        assert y.tobytes() == ylm(l, m, theta_grid, phi_grid).tobytes()
+        assert dy.tobytes() == ylm_theta_derivative(l, m, theta_grid, phi_grid).tobytes()
 
 
 def test_legendre_theta_derivative_matches_finite_differences():
