@@ -17,9 +17,10 @@ becoming k = x/R_hat.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import warnings
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import brentq  # noqa: F401  (uncalled; bench/tracing.py looks it up)
@@ -42,9 +43,12 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class EigenvalueRecord:
-    """A refined real zero of the dispersion function."""
+class EigenvalueRecord(NamedTuple):
+    """A refined real zero of the dispersion function.
+
+    An immutable record, built at a few hundred ns: a scan makes one per
+    root and radius.
+    """
 
     l: int
     k: float
@@ -104,8 +108,8 @@ def _regular_rows(lmax: int, l, k, z):
     that holds degree lmax names the point where it does.
     """
     S, Sp = riccati_s_rows(lmax, l, z)
-    dead = (S == 0) & (Sp == 0)
-    if dead.any():
+    dead = S == 0
+    if np.count_nonzero(dead) and np.count_nonzero(np.logical_and(dead, Sp == 0, out=dead)):
         # the first point of k with a dead row of any degree
         bad = np.ravel(k)[np.argmax(dead.reshape(-1, np.size(k)).any(axis=0))].item()
         err = UnderflowError(f"S_{lmax} and S_{lmax}' underflow to 0 at k={bad!r}")
@@ -176,19 +180,6 @@ def _scan_nodes(x_max: float, step: float) -> np.ndarray:
     return np.minimum(np.arange(step, x_max + 1.5 * step, step), Z_MAX)
 
 
-def _second_derivative(l, x, S, Sp):
-    """f''(x) = S_l''' - S_l''/x + 2 S_l'/x^2 - 2 S_l/x^3 for f = S_l' - S_l/x.
-
-    S_l'' = (l(l+1)/x^2 - 1) S_l and S_l''' = -2 l(l+1) S_l/x^3
-    + (l(l+1)/x^2 - 1) S_l', from the rows of _coefficient.
-    """
-    ll = l * (l + 1)
-    q = ll / (x * x) - 1.0
-    S2 = q * S
-    S3 = q * Sp - 2.0 * ll * S / (x * x * x)
-    return S3 - S2 / x + 2.0 * (Sp - S / x) / (x * x)
-
-
 def _dispersion_rows(lmax: int, l, x: np.ndarray):
     """(f, f', f'') for f_l(x) = S_l'(x) - S_l(x)/x = x j_l'(x) at real x (a
     1-d array) for the degrees l only: a column (d, 1) of degrees gives a
@@ -196,10 +187,22 @@ def _dispersion_rows(lmax: int, l, x: np.ndarray):
     R_hat = 1 and k = x, and B_l(k) = R_hat f_l(k R_hat) on any radius.
     All three come from the S_l, S_l' rows of one float64 riccati_s_rows
     call over a j table of orders 0..lmax, which UnderflowError guards.
+
+    f and f' are _coefficient and _coefficient_derivative at R_hat = 1,
+    whose products by R_hat are exact.  f'' = S_l''' - S_l''/x + 2 f/x^2,
+    with S_l'' = q S_l and S_l''' = q S_l' - 2 l(l+1) S_l/x^3 for
+    q = l(l+1)/x^2 - 1 (the Riccati-Bessel equation).  The three share
+    x^2, q and q S_l, each rounded as the separate formulas round it.
     """
     S, Sp = _regular_rows(lmax, l, x, x)
-    return (_coefficient(1.0, x, S, Sp), _coefficient_derivative(l, 1.0, x, S, Sp),
-            _second_derivative(l, x, S, Sp))
+    ll = l * (l + 1)
+    xx = x * x
+    q = ll / xx - 1.0
+    S2 = q * S
+    f = Sp - S / x
+    df = S2 - Sp / x + S / xx
+    d2f = q * Sp - 2.0 * ll * S / (xx * x) - S2 / x + 2.0 * f / xx
+    return f, df, d2f
 
 
 # brentq's tolerances, on steps in x; a step this small leaves a rounding-level error
@@ -226,11 +229,13 @@ def _hermite_start(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.nd
     dy = f_hi - f_lo
     # p(t) = f(lo + t h) on [0, 1]: the quintic that matches the value,
     # slope h f' and curvature h^2 f'' at both ends
+    hh = h * h
     d0, d1 = h * d_lo[0], h * d_hi[0]
-    s0, s1 = h * h * d_lo[1], h * h * d_hi[1]
+    s0, s1 = hh * d_lo[1], hh * d_hi[1]
+    s0_15 = 1.5 * s0
     c = (f_lo, d0, 0.5 * s0,
-         10.0 * dy - 6.0 * d0 - 4.0 * d1 - 1.5 * s0 + 0.5 * s1,
-         -15.0 * dy + 8.0 * d0 + 7.0 * d1 + 1.5 * s0 - s1,
+         10.0 * dy - 6.0 * d0 - 4.0 * d1 - s0_15 + 0.5 * s1,
+         -15.0 * dy + 8.0 * d0 + 7.0 * d1 + s0_15 - s1,
          6.0 * dy - 3.0 * (d0 + d1) - 0.5 * (s0 - s1))
     secant = lo - f_lo * h / dy
     secant = np.where((lo < secant) & (secant < hi), secant, 0.5 * (lo + hi))
@@ -238,8 +243,10 @@ def _hermite_start(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.nd
     # a flat or non-finite polynomial is caught by the test below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(3):
-            p, dp = c[5], 0.0
-            for coef in c[4::-1]:
+            # Horner for p and p', its first step taking p' = c5 for 0 t + c5:
+            # they differ only where t is not finite, which leaves t so
+            p, dp = c[5] * t + c[4], c[5]
+            for coef in c[3::-1]:
                 dp = dp * t + p
                 p = p * t + coef
             t = t - p / dp
@@ -273,14 +280,14 @@ def _halley(lmax: int, rows: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.n
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = f / df
             step = newton / (1.0 - 0.5 * newton * d2f / df)
-        xn = x - step
         tol = _XTOL + _RTOL * np.abs(x)
-        keep = ~((np.abs(step) <= tol) | (hi - lo <= tol))
+        keep = (~((np.abs(step) <= tol) | (hi - lo <= tol))).nonzero()[0]
+        if keep.size == 0:
+            break
+        xn = x - step
         xn = np.where((lo < xn) & (xn < hi), xn, 0.5 * (lo + hi))
         live, x, lo, hi, s_lo, rows = (
             live[keep], xn[keep], lo[keep], hi[keep], s_lo[keep], rows[keep])
-        if live.size == 0:
-            break
     return root, residual
 
 
@@ -309,47 +316,63 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float], ste
     # sign-change brackets (l, a, b, f_a, f_b) in x order per degree, from
     # one pass over the table; f_a = 0 marks a node exactly on a root
     d, i = np.nonzero((V[:, :-1] * V[:, 1:] < 0) | (V[:, :-1] == 0))
-    rows, lo, hi, f_lo, f_hi = degrees[d], x[i], x[i + 1], V[d, i], V[d, i + 1]
-    d_lo, d_hi = (dV[d, i], d2V[d, i]), (dV[d, i + 1], d2V[d, i + 1])
+    i1 = i + 1
+    rows, lo, hi, f_lo, f_hi = degrees[d], x[i], x[i1], V[d, i], V[d, i1]
+    d_lo, d_hi = (dV[d, i], d2V[d, i]), (dV[d, i1], d2V[d, i1])
 
     # a node on a root opens its bracket a quarter step to the left; if f
     # keeps its sign there, the node itself is the root, with residual 0;
     # if f reads 0 there too, it is rounding (f_0 below x = 1e-8), not a
     # root, and its residual is NaN until a radius reports it below
     roots, residuals = lo.copy(), np.zeros(lo.size)
-    on_node = np.flatnonzero(f_lo == 0)
+    on_node = (f_lo == 0).nonzero()[0]
     if on_node.size:
         lo[on_node] -= 0.25 * step
         f_lo[on_node], d_lo[0][on_node], d_lo[1][on_node] = _dispersion_rows(
             lmax, rows[on_node], lo[on_node])
         residuals[on_node[f_lo[on_node] == 0]] = np.nan
-    live = np.flatnonzero(f_lo * f_hi < 0)
+    live = (f_lo * f_hi < 0).nonzero()[0]
     if live.size:
+        if live.size == lo.size:  # every bracket open, the usual case: views
+            live = slice(None)
         start = _hermite_start(lo[live], hi[live], f_lo[live], f_hi[live],
                                (d_lo[0][live], d_lo[1][live]),
                                (d_hi[0][live], d_hi[1][live]))
         roots[live], residuals[live] = _halley(lmax, rows[live], start, lo[live], hi[live],
                                                np.sign(f_lo[live]))
 
-    spectra = []
-    found = list(zip(*(c.tolist() for c in (rows, roots, residuals, lo, hi))))
-    for R in map(float, radii):
-        eigen = {l: [] for l in degrees.tolist()}
-        for j in np.flatnonzero(roots / R <= k_max).tolist():
-            l, root, residual, a, b = found[j]
-            k = root / R
-            if math.isnan(residual):
-                raise NumericalError(f"B_{l} reads exactly 0 at k={k!r} and a quarter step "
-                                     f"below, at k={a / R!r}: rounding hides any root there")
-            if residual > tol:
-                raise RuntimeError(f"root refinement at k={k} left residual {residual} > {tol}")
-            eigen[l].append(EigenvalueRecord(l, k, residual, (a / R, b / R)))
-        for records in eigen.values():
-            for prev, cur in zip(records, records[1:]):
-                if (cur.k - prev.k) * R < 10 * tol:
-                    warnings.warn(f"near-coincident roots at k={prev.k} and k={cur.k}; "
-                                  "possible multiplicity", RuntimeWarning)
-        spectra.append(eigen)
+    # every (radius, root) pair with k = x/R <= k_max, by radius, then in
+    # bracket order, which is x order per degree
+    R = np.array(radii, dtype=float)
+    k = roots / R[:, None]
+    r, j = (k <= k_max).nonzero()
+    k, R, l, residual = k[r, j], R[r], rows[j], residuals[j]
+    a, b = lo[j] / R, hi[j] / R
+    bad = (np.isnan(residual) | (residual > tol)).nonzero()[0]
+    # near-coincident roots of one radius and degree, on the radii before
+    # the first with a bad residual
+    close = ((k[1:] - k[:-1]) * R[1:] < 10 * tol) & (l[1:] == l[:-1]) & (r[1:] == r[:-1])
+    for c in close.nonzero()[0].tolist():
+        if bad.size and r[c] >= r[bad[0]]:
+            break
+        warnings.warn(f"near-coincident roots at k={k[c].item()} and k={k[c + 1].item()}; "
+                      "possible multiplicity", RuntimeWarning)
+    if bad.size:
+        first = bad[0]
+        l, k, residual, a = l[first].item(), k[first].item(), residual[first].item(), a[first].item()
+        if math.isnan(residual):
+            raise NumericalError(f"B_{l} reads exactly 0 at k={k!r} and a quarter step "
+                                 f"below, at k={a!r}: rounding hides any root there")
+        raise RuntimeError(f"root refinement at k={k} left residual {residual} > {tol}")
+    # tuple.__new__, as EigenvalueRecord._make builds a record, without a
+    # Python-level call per record
+    records = list(map(tuple.__new__, itertools.repeat(EigenvalueRecord),
+                       zip(l.tolist(), k.tolist(), residual.tolist(), zip(a.tolist(), b.tolist()))))
+    # the records of one radius and degree are consecutive: one slice each
+    spectra = [{d: [] for d in degrees.tolist()} for _ in radii]
+    cuts = [0, *(((r[1:] != r[:-1]) | (l[1:] != l[:-1])).nonzero()[0] + 1).tolist()]
+    for start, end, i in zip(cuts, cuts[1:] + [len(records)], r[cuts[:len(records)]].tolist()):
+        spectra[i][records[start].l] = records[start:end]
     return spectra
 
 
@@ -410,10 +433,11 @@ def real_eigenvalue_spectra(radii: Sequence[float], l_max: int, k_max: float,
     """find_real_eigenvalues for l = 0..l_max on every radius, batched.
 
     Entry r maps each degree to the roots for radius ``radii[r]`` at the
-    default step.  All radii share one scan of x = k R up to k_max max(R):
-    one riccati_s_rows call for the scan, which also gives the Hermite
-    starts their f' and f'', and one per Halley iteration, at each
-    bracket's own degree, usually two; each residual is
+    default step.  All radii share one scan of x = k R up to k_max max(R),
+    which costs three kernel calls in all: one riccati_s_rows call for the
+    scan, which also gives the Hermite starts their f' and f'', and one per
+    Halley iteration, at each bracket's own degree, usually two (a node
+    exactly on a root costs one more); each residual is
     |f| = |B|/R from the call that evaluated its root.  Each radius gets the
     same records whether scanned alone or in a batch.  Every radius is
     checked as find_real_eigenvalues checks it, and l_max must lie in

@@ -137,6 +137,13 @@ class Asymptotic46Report:
     c_common: float
 
 
+def _check_finite(name: str, value) -> None:
+    """ValueError "<name> must be finite, got <value>" for a NaN or infinite
+    real or complex value."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _coefficient_rows(lmax: int, k: complex, R_hat: float) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (A_l, B_l) of closed_form_coefficients for l = 0..lmax, as
     two rows from one riccati_table at k R_hat."""
@@ -151,6 +158,7 @@ def closed_form_coefficients(l: int, k: complex, R_hat: float) -> tuple[complex,
     S*C' - S'*C = -1 exactly, so it is never singular.
     """
     check_positive("R_hat", R_hat)
+    _check_finite("k", k)
     if k == 0:
         raise ValueError("k must be nonzero for the closed form")
     li = int(round(l))
@@ -246,7 +254,9 @@ def _gronwall_constant(nu: float, xi: float, potential, xi_floor: float = 1e-3) 
     """K(xi) = exp(int_xi^1 [l(l+1)/t^2 + |p(t)|] dt), lower-truncated at xi_floor.
 
     The centrifugal integral diverges at xi = 0 for l > 0, so the bound is
-    only reported on [xi_floor, 1].
+    only reported on [xi_floor, 1].  Where the exponent passes double
+    range (l(l+1)/xi beyond about 710), K is math.inf: the bound holds
+    trivially there.
     """
     lo = max(xi, xi_floor) if nu > 0 else max(xi, 0.0)
     centrifugal = nu * (1.0 / lo - 1.0) if lo > 0 else 0.0
@@ -255,7 +265,10 @@ def _gronwall_constant(nu: float, xi: float, potential, xi_floor: float = 1e-3) 
         ts = np.linspace(max(lo, 1e-12), 1.0, 2001)
         pv = np.abs([potential(float(t)) for t in ts])
         pot = float(np.trapezoid(pv, ts))
-    return math.exp(centrifugal + pot)
+    try:
+        return math.exp(centrifugal + pot)
+    except OverflowError:
+        return math.inf
 
 
 def verify_estimate_123(problem: RadialProblem, a: float, b: float,
@@ -267,10 +280,14 @@ def verify_estimate_123(problem: RadialProblem, a: float, b: float,
     sample frequency must satisfy |k| >= 1.  Returns one margin record
     per (xi, k) pair, k by k, with xi ascending; a repeated xi repeats its
     record.  Each k takes one integration inward from r = 1 that stops at
-    the distinct xi, and K(xi) is computed once per xi.
+    the distinct xi, and K(xi) is computed once per xi; where K(xi)
+    overflows it is math.inf and the record is satisfied.  A non-finite a
+    or b is a ValueError that names it.
     """
     if problem.R_hat != 1.0:
         raise ValueError("the remainder estimate is posed on [0, 1]; use R_hat = 1")
+    _check_finite("a", a)
+    _check_finite("b", b)
     xi_grid = sorted(float(x) for x in xi_grid)
     if not xi_grid or not all(0 < xi < 1 for xi in xi_grid):
         raise ValueError(f"xi samples must lie in (0, 1), got {xi_grid}")
@@ -305,6 +322,8 @@ def verify_asymptotics_25_26(l: int, k_samples: Sequence[complex],
     observed constant, which is reported per sample together with its
     maximum.  All k x xi samples share one complex riccati_s_rows call.
     """
+    for k in k_samples:
+        _check_finite("k", k)
     ks = [complex(k) for k in k_samples]
     xis = [float(xi) for xi in xi_samples]
     if any(k.real < 0 for k in ks):

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import NumericalError
-from ..specfun import SphericalDirection, sphere_quadrature, ylm_terms
+from ..specfun import SphericalDirection, sphere_quadrature, ylm_blocks
 
 __all__ = [
     "StarlikeDomain",
@@ -90,27 +90,39 @@ class StarlikeDomain:
     def synthesis(self, theta, phi, derivatives: bool = False):
         """rho at (theta, phi), or (rho, d rho/d theta, d rho/d phi) with ``derivatives``.
 
-        Sums value * Y_l^m term by term in ``rho_coeffs`` order, with the
-        terms from ``specfun.ylm_terms``; the angles broadcast as they do
-        there, so a grid passes ``theta[:, None], phi[None, :]``.
+        Sums value * Y_l^m in ``rho_coeffs`` order, with the terms from
+        ``specfun.ylm_blocks``: each run of terms is weighted in one call
+        and added in order (``_add_in_order``), so every sum is bitwise the
+        term-by-term loop.  The angles broadcast as they do there, so a
+        grid passes ``theta[:, None], phi[None, :]``.
         """
         modes = [(l, m) for l, m, _ in self.rho_coeffs]
-        rho = np.zeros(np.broadcast_shapes(np.shape(theta), np.shape(phi)), dtype=complex)
-        # each term is taken with next() so that none stays bound while the
-        # next one is built
-        terms = ylm_terms(modes, theta, phi, derivative=derivatives)
+        shape = np.broadcast(theta, phi).shape
+        lead = (-1,) + (1,) * len(shape)
+        values = np.reshape([v for _, _, v in self.rho_coeffs], lead)
+        if derivatives:
+            # d/dphi of value * Y_l^m is value * (i m) * Y_l^m
+            turns = np.reshape([v * (1j * m) for _, m, v in self.rho_coeffs], lead)
+        sums = [np.zeros(shape, dtype=complex) for _ in range(3 if derivatives else 1)]
+        for span, Y, dY in ylm_blocks(modes, theta, phi, derivative=derivatives):
+            w = values[span]
+            parts = [(w, Y)] if dY is None else [(w, Y), (w, dY), (turns[span], Y)]
+            sums = [_add_in_order(total, *part) for total, part in zip(sums, parts)]
         if not derivatives:
-            for _, _, value in self.rho_coeffs:
-                rho += value * next(terms)
-            return rho.real
-        dth = np.zeros_like(rho)
-        dph = np.zeros_like(rho)
-        for _, m, value in self.rho_coeffs:
-            y, dy = next(terms)
-            rho += value * y
-            dth += value * dy
-            dph += value * (1j * m) * y
-        return rho.real, dth.real, dph.real
+            return sums[0].real
+        return tuple(total.real for total in sums)
+
+
+def _add_in_order(total: np.ndarray, w: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """total + w[0] terms[0] + w[1] terms[1] + ..., added in that order; a
+    single term (a grid's run) is added to total in place."""
+    if len(terms) == 1:
+        total += w[0] * terms[0]
+        return total
+    acc = np.empty((len(terms) + 1,) + total.shape, dtype=total.dtype)
+    acc[0] = total
+    np.multiply(w, terms, out=acc[1:])
+    return np.add.accumulate(acc, axis=0)[-1]
 
 
 def unit_ball() -> StarlikeDomain:

@@ -8,6 +8,10 @@ intersection and the density spread test whether rho, measured from the
 origin, is equal on the sampled directions.  They use nothing of the
 boundary conditions; the boundary least squares
 (``schifferlab.scatter.overdetermined``) is the layer that tests those.
+
+One scan costs one synthesis, which gives every ray radius, and three
+calls of the Riccati kernel: the x-scan and, usually, two Halley
+iterations (``eigsearch.real_eigenvalue_spectra``).
 """
 
 from __future__ import annotations
@@ -71,12 +75,14 @@ def axis_directions() -> tuple[SphericalDirection, ...]:
     )
 
 
-def _intersect(lists: list[tuple[float, ...]], tol: float) -> tuple[float, ...]:
-    if not lists:
-        return ()
-    survivors = list(lists[0])
+def _intersect(lists: list[tuple[EigenvalueRecord, ...]], tol: float) -> tuple[float, ...]:
+    """The k of the first list that lie within tol of a k on every other list."""
+    survivors = [rec.k for rec in lists[0]] if lists else []
     for other in lists[1:]:
-        survivors = [k for k in survivors if any(abs(k - q) <= tol for q in other)]
+        if not survivors:
+            break
+        ks = [rec.k for rec in other]
+        survivors = [k for k in survivors if any(abs(k - q) <= tol for q in ks)]
     return tuple(survivors)
 
 
@@ -89,7 +95,8 @@ def per_ray_eigen_scan(domain: StarlikeDomain,
     the ray's own target R_hat/pi; the cross-ray intersection keeps the
     eigenvalues matching on every ray within 1e-6.  Every ray and degree
     comes from one scan of x = k R_hat, so a ray's report is the same
-    whatever batch it is scanned in.  ``threads`` is validated (>= 1) and
+    whatever batch it is scanned in; the scan costs one synthesis of the
+    ray radii and three kernel calls.  ``threads`` is validated (>= 1) and
     otherwise ignored: the rays share that one scan, with nothing left to
     split.
     """
@@ -97,13 +104,11 @@ def per_ray_eigen_scan(domain: StarlikeDomain,
         raise ValueError("at least one direction is required")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    radii = ray_radii(domain, directions)
+    radii = ray_radii(domain, directions).tolist()
     spectra = real_eigenvalue_spectra(radii, l_max, k_max)
-    reports = tuple(RayEigenReport(d, float(R), {l: tuple(recs) for l, recs in eigen.items()},
-                                   DensityEstimate.from_count(len(eigen[0]), float(R), k_max))
+    reports = tuple(RayEigenReport(d, R, {l: tuple(recs) for l, recs in eigen.items()},
+                                   DensityEstimate.from_count(len(eigen[0]), R, k_max))
                     for d, R, eigen in zip(directions, radii, spectra))
-    common = {}
-    for l in range(l_max + 1):
-        lists = [tuple(rec.k for rec in rep.eigenvalues[l]) for rep in reports]
-        common[l] = _intersect(lists, _MATCH_TOL)
+    common = {l: _intersect([rep.eigenvalues[l] for rep in reports], _MATCH_TOL)
+              for l in range(l_max + 1)}
     return RayScanResult(reports, common)

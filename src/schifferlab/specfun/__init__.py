@@ -3,7 +3,8 @@ Legendre, spherical harmonics, and the sphere quadrature rule used by every
 other module.  All evaluators are pure functions of their arguments; orders
 are capped at the fixed ``L_MAX`` = 60 and arguments at ``Z_MAX``.  Every
 spherical harmonic and its theta derivative comes from one kernel,
-``ylm_terms``, which takes each order's Legendre values from one column."""
+``ylm_blocks`` (``ylm_terms`` yields its rows one by one), which takes
+every Legendre value from one ``legendre_table``."""
 
 from .bessel import (
     L_MAX,
@@ -12,12 +13,13 @@ from .bessel import (
     riccati_table,
     spherical_jn_table,
 )
-from .legendre import legendre_column
+from .legendre import legendre_table
 from .harmonics import (
     SphereQuadrature,
     SphericalDirection,
     sphere_quadrature,
     ylm,
+    ylm_blocks,
     ylm_norm,
     ylm_terms,
     ylm_theta_derivative,
@@ -28,12 +30,13 @@ __all__ = [
     "Z_MAX",
     "SphereQuadrature",
     "SphericalDirection",
-    "legendre_column",
+    "legendre_table",
     "riccati_s_rows",
     "riccati_table",
     "sphere_quadrature",
     "spherical_jn_table",
     "ylm",
+    "ylm_blocks",
     "ylm_norm",
     "ylm_terms",
     "ylm_theta_derivative",

@@ -18,7 +18,8 @@ the blocks, ``spherical_jn_table`` all of them:
       j_1.  N depends on lmax alone.  Orders above lmax run on two vectors,
       and only rows 0..lmax are stored.  Every 8th step from N rescales the
       values above 1e200 (|z| >= 1e-6, so 8 steps grow a value by at most
-      about 1e67).
+      about 1e67); where a bound on the growth over all N steps shows no
+      value can reach 1e200, the rescale tests are skipped.
 y_l always recurs upward from y_0, y_1 (y is the dominant solution upward,
 except near the imaginary axis, where it loses up to seven digits).
 ``spherical_jn_table`` runs the same three j regimes in float64 for real
@@ -106,81 +107,79 @@ def _upward(lmax: int, z: np.ndarray, t0: np.ndarray, t1: np.ndarray,
     if lmax >= 1:
         t[1] = t1
     for l in range(1, lmax):
-        t[l + 1] = (2 * l + 1) / z * t[l] - t[l - 1]
+        # t_{l+1} = (2l+1)/z t_l - t_{l-1}, formed in its own row
+        np.multiply((2 * l + 1) / z, t[l], out=t[l + 1])
+        t[l + 1] -= t[l - 1]
     return t
 
 
-def _miller_downward(lmax: int, z: np.ndarray, zs: np.ndarray, zc: np.ndarray,
+def _miller_downward(lmax: int, z: np.ndarray, j0: np.ndarray, j1: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
     """j_0..j_lmax (scaled) by downward recurrence from j_{N+1} = 0, j_N = 1
-    at N = lmax + ceil(sqrt(40 (lmax + 1))) + 10, normalised against j_0 or
-    j_1; written to ``out`` if given."""
+    at N = lmax + ceil(sqrt(40 (lmax + 1))) + 10, normalised against the
+    seed j0 or j1 (``_seeds``); written to ``out`` if given."""
     # Each 8th step from N rescales the values above 1e200: |z| >= 1e-6
     # here, so 8 steps grow a value by at most about 1e67.  The (2l+1)/z
-    # come from one division per 8 orders, on the same schedule.
+    # come from one division per run of steps.
     n = lmax + math.isqrt(40 * (lmax + 1) - 1) + 11  # isqrt(m - 1) + 1 = ceil(sqrt(m))
-    odd = np.arange(2 * n + 1, 2, -2)[:, None]
-    # orders N..lmax+1 on two vectors, without storing rows
+    odd = np.arange(2 * n + 1, 2, -2)[:, None]  # 2l + 1 for l = n..1
+    # a step multiplies the larger of two neighbouring values by at most
+    # (2l+1)/|z| + 1, so where N log10((2N+1)/min|z| + 1) stays below 190,
+    # no value reaches 1e200 and the rescale tests are skipped
+    rescale = n * math.log10((2 * n + 1) / float(np.abs(z).min()) + 1.0) >= 190.0
+    # orders N..lmax+1 on two vectors, without storing rows, 8 steps a run
     hi = np.zeros_like(z)
     lo = np.ones_like(z)
-    for l in range(n, lmax, -1):
-        step = (n - l) % 8
-        if step == 0:
-            coef = odd[n - l:n - l + 8] / z
-        hi, lo = lo, coef[step] * lo - hi
-        if step == 7:
+    for top in range(n, lmax, -8):
+        for c in odd[n - top:n - max(top - 8, lmax)] / z:
+            hi, lo = lo, c * lo - hi
+        if rescale and top - 8 >= lmax:
             m = np.abs(lo)
             big = m > 1e200
-            if big.any():
+            if np.count_nonzero(big):
                 hi[big] /= m[big]
                 lo[big] /= m[big]
     # rows lmax..0 stored, the first step taking j_{lmax+1} from ``hi``,
     # which no later step reads
     j = np.empty((lmax + 1, z.size), dtype=z.dtype) if out is None else out
     j[lmax] = lo
-    for l in range(lmax, 0, -1):
-        step = (n - l) % 8
-        if step == 0:
-            coef = odd[n - l:n - l + 8] / z
-        np.multiply(coef[step], j[l], out=j[l - 1])
-        j[l - 1] -= j[l + 1] if l < lmax else hi
-        if step == 7:
-            m = np.abs(j[l - 1])
+    rows = list(j)
+    for l, c in zip(range(lmax, 0, -1), odd[n - lmax:] / z):
+        row = rows[l - 1]
+        np.multiply(c, rows[l], out=row)
+        row -= rows[l + 1] if l < lmax else hi
+        if rescale and (n - l) % 8 == 7:
+            m = np.abs(row)
             big = m > 1e200
-            if big.any():
+            if np.count_nonzero(big):
                 j[l - 1:, big] /= m[big]
-    j0 = zs / z
-    j1 = j0 / z - zc / z
     row1 = j[1] if lmax else hi
-    # normalise against whichever seed is farther from a zero
-    use_j0 = ((np.abs(j0) >= np.abs(j1)) & (j[0] != 0)) | (row1 == 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        j *= np.where(use_j0, j0 / j[0], j1 / row1)
+    # normalise against whichever seed is farther from a zero, j_1 where row
+    # 0 is 0 and j_0 where row 1 is; only the chosen quotient is formed, so
+    # no division by a zero row
+    use_j0 = np.abs(j0) >= np.abs(j1)
+    if np.count_nonzero(j[0]) + np.count_nonzero(row1) < 2 * z.size:
+        use_j0 = (use_j0 & (j[0] != 0)) | (row1 == 0)
+    j *= np.where(use_j0, j0, j1) / np.where(use_j0, j[0], row1)
     return j
 
 
-def _regimes(lmax: int, z: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
-    """Masks of the points of a 1-d z in each regime for a table of orders
-    0..lmax, the series (|z| < 1e-6), Miller, and upward (|z| >= lmax),
-    and the number of points in each."""
-    # |z| by hypot, as abs(complex) rounds it: np.abs can differ in the
-    # last bit, which would move a point across a regime cutoff
-    az = np.hypot(z.real, z.imag)
-    series = az < _SERIES_CUTOFF
-    upward = ~series & (az >= lmax)
-    masks = [series, ~(series | upward), upward]
-    return masks, [np.count_nonzero(at) for at in masks]
+def _seeds(z: np.ndarray, zs: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scaled j_0 = sin z / z and j_1 = j_0 / z - cos z / z at z, from
+    the scaled sin z and cos z: the seeds of the upward recurrence and the
+    norms of Miller's."""
+    j0 = zs / z
+    return j0, j0 / z - zc / z
 
 
-def _j_regime(r: int, lmax: int, z: np.ndarray, zs: np.ndarray, zc: np.ndarray,
+def _j_regime(r: int, lmax: int, z: np.ndarray, j0: np.ndarray, j1: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
     """Scaled j_0..j_lmax at points z that all take regime r, of z's dtype,
-    written to ``out`` if given; ``zs, zc`` are the scaled sin z and cos z."""
+    written to ``out`` if given; ``j0, j1`` are the ``_seeds`` at z."""
     if r == 1:
-        return _miller_downward(lmax, z, zs, zc, out)
+        return _miller_downward(lmax, z, j0, j1, out)
     if r == 2:
-        j0 = zs / z
-        return _upward(lmax, z, j0, j0 / z - zc / z, out)
+        return _upward(lmax, z, j0, j1, out)
     # leading series, times the scale factor exp(-|Im z|): within 1e-6 of 1
     # here, but dropping it shows as a 1e-6 relative jump at the cutoff
     j = np.empty((lmax + 1, z.size), dtype=z.dtype) if out is None else out
@@ -201,20 +200,36 @@ def _j_blocks(lmax: int, z: np.ndarray, zs: np.ndarray,
     holds every point, so j is in point order already.  ``zs, zc`` are the
     scaled sin z and cos z.
 
-    Each regime writes its own block of columns in place, so a reader of a
-    few rows gathers just those.
+    The regimes are the series (|z| < 1e-6), Miller, and upward (|z| >=
+    lmax).  Each writes its own block of columns in place, so a reader of
+    a few rows gathers just those; the seeds come from one ``_seeds`` call
+    over every point.
     """
-    masks, counts = _regimes(lmax, z)
+    # complex |z| by hypot, as abs(complex) rounds it: np.abs can differ in
+    # the last bit, which would move a point across a regime cutoff; a real
+    # |x| is exact either way
+    az = np.hypot(z.real, z.imag) if z.dtype == complex else np.abs(z)
+    series = az < _SERIES_CUTOFF
+    # at lmax = 0 every point past the series is upward
+    upward = az >= max(lmax, _SERIES_CUTOFF)
+    n_series, n_upward = np.count_nonzero(series), np.count_nonzero(upward)
+    counts = [n_series, z.size - n_series - n_upward, n_upward]
+    if n_series:
+        # the series reads no seed, and x = 0 (spherical_jn_table) gives 0/0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            j0, j1 = _seeds(z, zs, zc)
+    else:
+        j0, j1 = _seeds(z, zs, zc)
     if max(counts) == z.size:
-        return _j_regime(counts.index(z.size), lmax, z, zs, zc), None
+        return _j_regime(counts.index(z.size), lmax, z, j0, j1), None
     j = np.empty((lmax + 1, z.size), dtype=z.dtype)
     cols = np.empty(z.size, dtype=np.intp)
     a = 0
     # masks, not an argsort: a process's first NumPy sort maps 256 KB
-    for r, (at, n) in enumerate(zip(masks, counts)):
+    for r, (at, n) in enumerate(zip((series, ~(series | upward), upward), counts)):
         if n:
             cols[at] = np.arange(a, a + n)
-            _j_regime(r, lmax, z[at], zs[at], zc[at], out=j[:, a:a + n])
+            _j_regime(r, lmax, z[at], j0[at], j1[at], out=j[:, a:a + n])
             a += n
     return j, cols
 
@@ -277,19 +292,20 @@ def _check_order_array(lmax: int, z, dtype=complex, need_nonzero: bool = True) -
         raise ValueError(f"order l must be a nonnegative integer, got {lmax!r}")
     if lmax > L_MAX:
         raise ValueError(f"order l={lmax} exceeds L_MAX={L_MAX}")
-    valid = np.isfinite(z) & (np.abs(z) <= Z_MAX)
+    # NaN and infinite points fail |z| <= Z_MAX too
+    valid = np.abs(z) <= Z_MAX
+    if np.count_nonzero(valid) == z.size and (not need_nonzero or np.count_nonzero(z) == z.size):
+        return z
     if need_nonzero:
         valid &= z != 0
-    # the first invalid point (or any point, if all are valid) is checked
-    # as a Python complex, whose repr the messages give
-    probe = complex(z.flat[np.argmin(valid)]) if z.size else 1.0
+    # the first invalid point is checked as a Python complex, whose repr
+    # the messages give
+    probe = complex(z.flat[np.argmin(valid)])
     if not (math.isfinite(probe.real) and math.isfinite(probe.imag)):
         raise ValueError(f"argument must be finite, got {probe!r}")
     if abs(probe) > Z_MAX:
         raise ValueError(f"|z|={abs(probe):.3g} exceeds supported range {Z_MAX:.0e}")
-    if need_nonzero and probe == 0:
-        raise ValueError("argument z=0 is outside the domain (irregular at 0)")
-    return z
+    raise ValueError("argument z=0 is outside the domain (irregular at 0)")
 
 
 def _unscaled(tables: tuple[np.ndarray, ...], z: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -301,10 +317,11 @@ def _unscaled(tables: tuple[np.ndarray, ...], z: np.ndarray) -> tuple[np.ndarray
         with np.errstate(over="ignore", invalid="ignore"):
             f = np.exp(np.abs(z.imag))
             tables = tuple(t * f for t in tables)
-    if not all(np.isfinite(t).all() for t in tables):
+    finite = [np.isfinite(t) for t in tables]
+    if any(np.count_nonzero(ok) < ok.size for ok in finite):
         points = np.arange(z.size).reshape(z.shape)
-        first = min(np.broadcast_to(points, t.shape)[~np.isfinite(t)].min(initial=z.size)
-                    for t in tables)
+        first = min(np.broadcast_to(points, ok.shape)[~ok].min(initial=z.size)
+                    for ok in finite)
         bad = complex(z.flat[first])
         raise OverflowError(f"Riccati table overflows double range at z={bad!r}")
     return tables
@@ -350,10 +367,9 @@ def riccati_s_rows(lmax: int, l, z, scaled: bool = False):
         l = np.asarray(l)
         if l.dtype.kind not in "iu":
             raise ValueError(f"degrees must be integers, got an array of {l.dtype}")
-    if single or l.size:
+    if np.count_nonzero((l < 0) | (l > lmax)):
         lo, hi = (l, l) if single else (l.min(), l.max())
-        if lo < 0 or hi > lmax:
-            raise ValueError(f"degree {lo if lo < 0 else hi} outside [0, lmax={lmax}]")
+        raise ValueError(f"degree {lo if lo < 0 else hi} outside [0, lmax={lmax}]")
     real = z.dtype != complex
     flat = z.ravel()
     # a 0-d z runs as one point: NumPy's scalar arithmetic rounds complex

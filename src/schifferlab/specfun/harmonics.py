@@ -9,10 +9,11 @@ for m = -l..l, with P_l^{|m|} free of the Condon-Shortley phase.  Note the
 same P_l^{|m|} and the same positive normalization constant appear for +m
 and -m, so conj(Y_l^m) = Y_l^{-m}.
 
-Every harmonic value in the package comes from one kernel, ``ylm_terms``:
-it yields Y_l^m, and dY_l^m/dtheta on request, for a list of modes at
-broadcasting (theta, phi), taking each order's P_l^{|m|} from one Legendre
-column.  ``ylm`` and ``ylm_theta_derivative`` are its one-mode case.
+Every harmonic value in the package comes from one kernel, ``ylm_blocks``:
+it gives Y_l^m, and dY_l^m/dtheta on request, for a list of modes at
+broadcasting (theta, phi), in runs of terms, taking every P_l^{|m|} from
+one Legendre table.  ``ylm_terms`` yields its terms one at a time, and
+``ylm`` and ``ylm_theta_derivative`` are its one-mode case.
 
 Surface integrals use a Gauss-Legendre rule in theta (64 nodes by default)
 crossed with a uniform trapezoid rule in phi (128 nodes); this integrates
@@ -23,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .legendre import legendre_column
+from .legendre import legendre_table
 
 
 @dataclass(frozen=True)
@@ -51,49 +52,93 @@ def ylm_norm(l: int, m: int) -> float:
     return math.sqrt((2 * l + 1) / (4 * math.pi) * math.exp(logratio))
 
 
+# values per run of ylm_blocks: a grid of 64 x 128 runs one term at a time
+_BLOCK = 1 << 11
+
+
+def ylm_blocks(modes: Sequence[tuple[int, int]], theta, phi, derivative: bool = False
+               ) -> Iterator[tuple[slice, np.ndarray, np.ndarray | None]]:
+    """(span, Y, dY) for consecutive runs ``modes[span]`` of the modes.
+
+    Y[i] is Y_l^m(theta, phi) for the mode ``modes[span][i]``, and dY[i]
+    its dY_l^m/dtheta with ``derivative`` (else dY is None).  ``theta`` and
+    ``phi`` broadcast against each other, so a grid passes ``theta[:, None],
+    phi[None, :]``.  A run holds at most 2048 values, or one term: a grid's
+    runs are single terms, and a few rays take every term in one run.
+
+    The P_l^{|m|}(cos theta) come from one Legendre table and the phases
+    from one exp call over the distinct m, so every term is bitwise
+    ylm_norm(l, m) * P_l^{|m|}(cos theta) * exp(i m phi).  The theta
+    derivative uses dP_l^m/dtheta = (l cos(theta) P_l^m - (l + m) P_{l-1}^m)
+    / sin(theta); where cos(theta) rounds to +-1 it takes the pole limit
+    instead, l (l + 1) / 2 (+-1)^l for |m| = 1 and 0 otherwise.
+    """
+    lmax, ms = 0, set()
+    for l, m in modes:
+        if abs(m) > l:
+            raise ValueError(f"order |m|={abs(m)} exceeds degree l={l}")
+        lmax = max(lmax, l)
+        ms.add(m)
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    shape = np.broadcast(theta, phi).shape
+    lead = (-1,) + (1,) * len(shape)  # a column of terms against the angles
+    t = np.cos(theta)
+    orders = sorted({abs(m) for m in ms}) or [0]
+    P, base = legendre_table(lmax, orders, t)
+    P = P.reshape(P.shape[:1] + (1,) * (len(shape) - t.ndim) + t.shape)
+    ms = sorted(ms)
+    phases = np.exp(1j * np.reshape(ms, lead) * phi)
+    # per mode: its row of P, its phase and its norm (one ylm_norm per l, |m|)
+    pos = {m: i for i, m in enumerate(orders)}
+    phase_of = {m: i for i, m in enumerate(ms)}
+    norms: dict[tuple[int, int], float] = {}
+    at, phase_at, norm = [], [], []
+    for l, m in modes:
+        am = abs(m)
+        if (l, am) not in norms:
+            norms[l, am] = ylm_norm(l, m)
+        at.append(base[l - am] + pos[am])
+        phase_at.append(phase_of[m])
+        norm.append(norms[l, am])
+    at, phase_at = np.array(at, dtype=np.intp), np.array(phase_at, dtype=np.intp)
+    norm = np.reshape(norm, lead)
+    if derivative:
+        st = np.sin(theta)
+        pole = np.abs(t) == 1.0
+        # P_{l-1}^{|m|}, row 0 (unread) where l = |m|
+        at_prev = np.array([base[l - 1 - abs(m)] + pos[abs(m)] if l > abs(m) else 0
+                            for l, m in modes], dtype=np.intp)
+        degree = np.reshape([l for l, _ in modes], lead)
+        order = np.abs(np.reshape([m for _, m in modes], lead))
+    step = max(1, _BLOCK // max(1, math.prod(shape)))
+    for a in range(0, len(modes), step):
+        span = slice(a, a + step)
+        Pl = P[at[span]]
+        phase = phases[phase_at[span]]
+        Y = norm[span] * Pl * phase
+        if not derivative:
+            yield span, Y, None
+            continue
+        deg, am = degree[span], order[span]
+        dp = np.zeros(Pl.shape)
+        limit = np.broadcast_to((am == 1) & pole, dp.shape)
+        dp[limit] = np.broadcast_to(deg * (deg + 1) / 2 * t ** deg, dp.shape)[limit]
+        num = deg * t * Pl
+        np.subtract(num, (deg + am) * P[at_prev[span]], out=num, where=deg > am)
+        np.divide(num, st, out=dp, where=~pole & (deg > 0))
+        yield span, Y, norm[span] * dp * phase
+
+
 def ylm_terms(modes: Iterable[tuple[int, int]], theta, phi,
               derivative: bool = False) -> Iterator:
     """Y_l^m(theta, phi) for each (l, m) of ``modes``, in the order given.
 
-    With ``derivative`` each item is the pair (Y_l^m, dY_l^m/dtheta).
-    ``theta`` and ``phi`` broadcast against each other, so a grid passes
-    ``theta[:, None], phi[None, :]``; one term is built at a time.  Each
-    order |m| takes P_l^{|m|}(cos theta) from one Legendre column, so every
-    term is bitwise ylm_norm(l, m) * P_l^{|m|}(cos theta) * exp(i m phi).
-    The theta derivative uses
-    dP_l^m/dtheta = (l cos(theta) P_l^m - (l + m) P_{l-1}^m) / sin(theta);
-    where cos(theta) rounds to +-1 it takes the pole limit instead,
-    l (l + 1) / 2 (+-1)^l for |m| = 1 and 0 otherwise.
+    With ``derivative`` each item is the pair (Y_l^m, dY_l^m/dtheta); the
+    terms are the rows of ``ylm_blocks``, with its conventions.
     """
-    modes = list(modes)
-    for l, m in modes:
-        if abs(m) > l:
-            raise ValueError(f"order |m|={abs(m)} exceeds degree l={l}")
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    t = np.cos(theta)
-    lmax = max((l for l, _ in modes), default=0)
-    columns = {am: legendre_column(lmax, am, t) for am in {abs(m) for _, m in modes}}
-    if derivative:
-        st = np.sin(theta)
-        pole = np.abs(t) == 1.0
-    # no term stays bound here while the next one is built
-    for l, m in modes:
-        am = abs(m)
-        norm = ylm_norm(l, m)
-        phase = np.exp(1j * m * phi)
-        if not derivative:
-            yield norm * columns[am][l - am] * phase
-            continue
-        dp = np.zeros(t.shape)
-        if l > 0:
-            if am == 1:
-                dp[pole] = l * (l + 1) / 2 * t[pole] ** l
-            num = l * t * columns[am][l - am]
-            if l > am:
-                num = num - (l + am) * columns[am][l - 1 - am]
-            np.divide(num, st, out=dp, where=~pole)
-        yield norm * columns[am][l - am] * phase, norm * dp * phase
+    for _, Y, dY in ylm_blocks(list(modes), theta, phi, derivative):
+        yield from (Y if dY is None else zip(Y, dY))
 
 
 def ylm(l: int, m: int, theta, phi):

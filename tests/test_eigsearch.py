@@ -30,6 +30,38 @@ TAN_ROOTS = (4.4934094579090642, 7.7252518369377072, 10.904121659428899,
              14.066193912831473)
 
 
+def _second_derivative(l, x, S, Sp):
+    """f''(x) = S_l''' - S_l''/x + 2 S_l'/x^2 - 2 S_l/x^3 for f = S_l' - S_l/x.
+
+    S_l'' = (l(l+1)/x^2 - 1) S_l and S_l''' = -2 l(l+1) S_l/x^3
+    + (l(l+1)/x^2 - 1) S_l': the formula whose terms _dispersion_rows shares.
+    """
+    ll = l * (l + 1)
+    q = ll / (x * x) - 1.0
+    S2 = q * S
+    S3 = q * Sp - 2.0 * ll * S / (x * x * x)
+    return S3 - S2 / x + 2.0 * (Sp - S / x) / (x * x)
+
+
+@pytest.mark.parametrize("lmax, shape", [(3, "column"), (3, "per point"), (20, "column"),
+                                         (60, "per point"), (0, "column")])
+def test_dispersion_rows_are_bitwise_the_separate_formulas(lmax, shape):
+    # f, f' and f'' share x^2, q and q S_l, and drop the exact products by
+    # R_hat = 1; each stays bitwise the formula it replaces
+    rng = np.random.default_rng(lmax)
+    x = np.concatenate([rng.uniform(0.05, 80.0, 40), [1e-3, 0.5, 3.0, 59.9, 60.0, 1e4]])
+    l = (np.arange(lmax + 1)[:, None] if shape == "column"
+         else rng.integers(0, lmax + 1, x.size))
+    S, Sp = eigsearch.riccati_s_rows(lmax, l, x)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f, df, d2f = eigsearch._dispersion_rows(lmax, l, x)
+        want = (eigsearch._coefficient(1.0, x, S, Sp),
+                eigsearch._coefficient_derivative(l, 1.0, x, S, Sp),
+                _second_derivative(l, x, S, Sp))
+    for got, ref in zip((f, df, d2f), want):
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_degree_zero_closed_form():
     # B(k) = R cos(kR) - sin(kR)/k at R = 1
     for k in (0.7, 2.0, 5.3):

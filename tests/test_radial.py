@@ -161,6 +161,40 @@ def test_remainder_estimate_rejects_non_finite_xi():
             verify_estimate_123(prob, 1.0, 1.0, (0.5, bad), (10.0,))
 
 
+def test_remainder_bound_past_double_range_is_vacuous():
+    # at l = 2 the Gronwall exponent 6 (1/xi - 1) passes exp's range below
+    # xi of about 0.0084: K(xi) is inf there and the bound holds, where it
+    # used to raise a bare OverflowError
+    prob = RadialProblem(2, 1.0, 1.0)
+    (margin,) = verify_estimate_123(prob, 1.0, 1.0, (1e-3,), (20.0,))
+    assert margin.rhs == math.inf and margin.satisfied
+    assert math.isfinite(margin.lhs)
+    low, high = verify_estimate_123(prob, 1.0, 1.0, (1e-3, 0.5), (20.0,))
+    assert low.rhs == math.inf and math.isfinite(high.rhs) and high.satisfied
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: closed_form_coefficients(2, math.nan, 1.0), "k must be finite, got nan"),
+    (lambda: verify_asymptotics_25_26(0, [math.nan], [1.0]), "k must be finite, got nan"),
+    (lambda: verify_asymptotics_25_26(0, [5.0, complex(math.inf, 1.0)], [1.0]),
+     "k must be finite, got (inf+1j)"),
+    (lambda: verify_estimate_123(RadialProblem(0, 1.0, 1.0), math.nan, 1.0, (0.5,), (10.0,)),
+     "a must be finite, got nan"),
+    (lambda: verify_estimate_123(RadialProblem(0, 1.0, 1.0), 1.0, -math.inf, (0.5,), (10.0,)),
+     "b must be finite, got -inf"),
+])
+def test_non_finite_frequency_and_data_are_named_before_any_table(call, want, monkeypatch):
+    # a NaN k used to reach the Bessel kernel, which blamed its argument,
+    # and a NaN a or b reached solve_ivp's check of its initial state
+    def unreachable(*args, **kwargs):
+        raise AssertionError("called before the arguments were checked")
+
+    for name in ("riccati_table", "riccati_s_rows", "solve_ivp"):
+        monkeypatch.setattr(radial, name, unreachable)
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        call()
+
+
 @pytest.mark.parametrize("call, want", [
     (lambda: RadialProblem(0, 1.0, math.inf), "R_hat must be positive and finite, got inf"),
     (lambda: RadialProblem(math.nan, 1.0, 1.0), "angular parameter must be >= -1/2, got nan"),

@@ -97,12 +97,19 @@ def test_radius_matches_direct_synthesis():
                         direct.real, rtol=1e-10)
 
 
-def _ylm_synthesis(domain: StarlikeDomain, theta, phi) -> np.ndarray:
-    """rho as the sum of c_lm ylm(l, m, theta, phi), one ylm call per mode."""
-    rho = np.zeros(np.shape(theta), dtype=complex)
+def _ylm_synthesis(domain: StarlikeDomain, theta, phi, derivatives: bool = False):
+    """rho as the sum of c_lm ylm(l, m, theta, phi), one ylm call per mode, and
+    with ``derivatives`` its angular derivatives from ylm_theta_derivative
+    and c_lm (i m) ylm, added term by term in rho_coeffs order."""
+    shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
+    rho, dth, dph = (np.zeros(shape, dtype=complex) for _ in range(3))
     for l, m, value in domain.rho_coeffs:
-        rho += value * ylm(l, m, theta, phi)
-    return rho.real
+        y = ylm(l, m, theta, phi)
+        rho += value * y
+        if derivatives:
+            dth += value * ylm_theta_derivative(l, m, theta, phi)
+            dph += value * (1j * m) * y
+    return (rho.real, dth.real, dph.real) if derivatives else rho.real
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -123,6 +130,16 @@ def test_ray_radii_are_bitwise_the_per_mode_synthesis(seed, L, angles):
     theta = np.array([d.theta for d in dirs])
     phi = np.array([d.phi for d in dirs])
     assert ray_radii(domain, dirs).tobytes() == _ylm_synthesis(domain, theta, phi).tobytes()
+    # the grid that construction checks, whose runs of terms are shorter
+    grid = theta[:, None], phi[None, :]
+    assert domain.synthesis(*grid).tobytes() == _ylm_synthesis(domain, *grid).tobytes()
+    # rho and its angular derivatives in one synthesis
+    for got, want in zip(domain.synthesis(theta, phi, derivatives=True),
+                         _ylm_synthesis(domain, theta, phi, derivatives=True)):
+        assert got.tobytes() == want.tobytes()
+    # the collocation frame reads rho from that synthesis at its own points
+    frame = collocation_frame(domain, L_trial=2)
+    assert frame.rho.tobytes() == _ylm_synthesis(domain, frame.theta, frame.phi).tobytes()
 
 
 def test_synthesis_derivatives_match_finite_differences():

@@ -11,6 +11,7 @@ import cmath
 import json
 import math
 import re
+import types
 from pathlib import Path
 
 import mpmath
@@ -740,6 +741,31 @@ def test_the_miller_rescale_schedule_never_overflows():
         for z in (np.array([1e-6]), 1e-6 * np.exp(1j * np.array([0.3, 1.5, -2.0]))):
             zs, zc = (np.sin(z), np.cos(z)) if z.dtype == float else bessel._scaled_trig(z)
             with np.errstate(over="raise", invalid="raise"):
-                j = bessel._miller_downward(lmax, z, zs, zc)
+                j = bessel._miller_downward(lmax, z, *bessel._seeds(z, zs, zc))
             assert np.all(np.isfinite(j))
             assert_allclose(j[0], zs / z, rtol=1e-15)
+
+
+def test_skipped_rescale_tests_leave_every_table_bitwise(monkeypatch):
+    # where N log10((2N+1)/min|z| + 1) < 190 no value can pass 1e200, so the
+    # rescale tests are skipped; running them anyway changes no bit, in
+    # either dtype, whether or not the bound skips them
+    rng = np.random.default_rng(8)
+    cases = []
+    for lmax in (1, 3, 20, 60):
+        r = rng.uniform(0.3, lmax, 12)
+        if lmax >= 20:
+            r = np.append(r, [1e-6, 1e-3])  # points that keep the tests
+        cases += [(lmax, r), (lmax, r * np.exp(1j * rng.uniform(-math.pi, math.pi, r.size)))]
+    skipped = []
+    for lmax, z in cases:
+        n = lmax + math.isqrt(40 * (lmax + 1) - 1) + 11
+        skipped.append(n * math.log10((2 * n + 1) / np.abs(z).min() + 1.0) < 190.0)
+    assert any(skipped) and not all(skipped)
+    seeds = [bessel._seeds(z, *((np.sin(z), np.cos(z)) if z.dtype == float
+                                 else bessel._scaled_trig(z))) for _, z in cases]
+    fast = [bessel._miller_downward(lmax, z, *s) for (lmax, z), s in zip(cases, seeds)]
+    always = types.SimpleNamespace(isqrt=math.isqrt, log10=lambda v: math.inf)
+    monkeypatch.setattr(bessel, "math", always)
+    for (lmax, z), s, got in zip(cases, seeds, fast):
+        assert got.tobytes() == bessel._miller_downward(lmax, z, *s).tobytes()

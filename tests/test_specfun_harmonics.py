@@ -12,13 +12,19 @@ from numpy.testing import assert_allclose
 from scipy.special import lpmv
 
 from schifferlab.specfun import (
-    legendre_column,
+    legendre_table,
     sphere_quadrature,
     ylm,
+    ylm_blocks,
     ylm_norm,
     ylm_terms,
     ylm_theta_derivative,
 )
+
+
+def legendre_column(lmax, m, t):
+    """P_{|m|}^{|m|}(t), ..., P_lmax^{|m|}(t): the one-order legendre_table."""
+    return legendre_table(lmax, [abs(m)], t)[0]
 
 
 def legendre(l, m, t):
@@ -59,6 +65,39 @@ def test_each_column_entry_is_bitwise_the_degree_call():
         legendre_column(2, 3, t)
     with pytest.raises(ValueError, match="outside"):
         legendre_column(2, 0, 1.1)
+
+
+def test_a_table_of_many_orders_is_bitwise_its_one_order_columns():
+    # one chain of diagonal seeds and one recurrence step per diagonal give
+    # each order's column as the one-order table does, at any shape of t
+    rng = np.random.default_rng(11)
+    for t in (rng.uniform(-1.0, 1.0, (3, 5)), np.array([-1.0, 0.0, 1.0]), 0.3):
+        for orders in ([0, 1, 2, 3, 4, 5, 6], [2, 5], [6], [0, 3]):
+            P, base = legendre_table(9, orders, t)
+            assert P.shape == (base[-1],) + np.shape(t)
+            for i, m in enumerate(orders):
+                column = legendre_column(9, m, t)
+                for l in range(m, 10):
+                    assert P[base[l - m] + i].tobytes() == column[l - m].tobytes()
+    for bad in ([3, 1], [1, 1], [-1], []):
+        with pytest.raises(ValueError, match="ascending and nonnegative"):
+            legendre_table(4, bad, 0.5)
+
+
+def test_a_term_does_not_depend_on_its_run():
+    # ylm_blocks holds at most 2048 values a run: 9000 points take one term
+    # a run, their first 7 every term in one run, and both give each term
+    # the same bits, value and theta derivative
+    rng = np.random.default_rng(3)
+    theta = np.concatenate([[0.0, math.pi], rng.uniform(0.0, math.pi, 8998)])
+    phi = rng.uniform(0.0, 2 * math.pi, theta.size)
+    modes = [(l, m) for l in range(5) for m in range(-l, l + 1)]
+    many = list(ylm_blocks(modes, theta, phi, derivative=True))
+    few = list(ylm_blocks(modes, theta[:7], phi[:7], derivative=True))
+    assert len(many) == len(modes) and len(few) == 1
+    for span, Y, dY in many:
+        assert Y[:, :7].tobytes() == few[0][1][span].tobytes()
+        assert dY[:, :7].tobytes() == few[0][2][span].tobytes()
 
 
 def test_harmonic_reference_values():
