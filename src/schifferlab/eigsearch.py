@@ -469,7 +469,12 @@ def count_zeros_argument_principle(f: Evaluator,
     ``rect`` is (re_lo, re_hi, im_lo, im_hi), traversed counterclockwise;
     ``f`` maps a complex ndarray of nodes to the pair (f, f'), as
     ``dispersion_function`` does, and is called once per pass.  The closed
-    path carries ``quad_nodes`` trapezoid nodes per side.  Errors: a
+    path carries ``quad_nodes`` trapezoid nodes per side; at ``quad_nodes``
+    >= 256 a first pass at ``quad_nodes // 4`` per side gives the count
+    when it is clean: no boundary zero, a winding within 1e-2 of an
+    integer, and the every-other-node winding within 1e-2 of it.  Any
+    failure there only hands the count to the passes below, whose errors
+    are these.  Errors: a
     non-finite corner, or ``quad_nodes`` not an integer >= 2, raises
     ValueError; a zero of f on the boundary (a node where |f| collapses
     below 1e-8 of the local boundary scale) raises NumericalError, a

@@ -11,8 +11,10 @@ fixed inner contour radius.
 Contour evaluators act elementwise on a complex ndarray and return the
 pair ``(f(path), f'(path))``, two arrays of ``path.shape``; for example
 ``lambda z: (np.sin(z), np.cos(z))`` or ``eigsearch.dispersion_function``.
-One contour costs one call, whatever the number of nodes, and f'/f has
-no step-size error.  The indicator evaluates f alone, at scalar points.
+One contour costs one call when its first pass, at a quarter of the
+nodes, is clean, and one more per pass of the refinement ladder after
+it (``winding_count``); f'/f has no step-size error.  The indicator
+evaluates f alone, at scalar points.
 """
 
 from __future__ import annotations
@@ -102,8 +104,15 @@ def _rolling_max(a: np.ndarray, half: int = 8) -> np.ndarray:
     return sliding_window_view(padded, a.size).max(axis=0)
 
 
-def _winding(f: Evaluator, path: np.ndarray) -> float:
-    """Winding of f along a closed node path, from one call f(path) -> (f, f').
+def _trapezoid_winding(g: np.ndarray, path: np.ndarray) -> float:
+    """(1/2 pi i) times the trapezoid integral of g = f'/f along path, real part."""
+    return (np.trapezoid(g, path) / (2j * math.pi)).real
+
+
+def _winding(f: Evaluator, path: np.ndarray) -> tuple[float, float]:
+    """Winding of f along a closed node path, from one call f(path) -> (f, f'),
+    and the winding of the same closed path at every other node (nodes
+    0, 2, 4, ... and the closing node).
 
     A node is flagged as a boundary zero when |f| collapses 8 orders of
     magnitude below its neighborhood; the scale is local because entire
@@ -121,8 +130,26 @@ def _winding(f: Evaluator, path: np.ndarray) -> float:
         raise _ContourZeroError("f vanishes identically on the contour")
     if np.any(mags <= 1e-8 * _rolling_max(mags)):
         raise _ContourZeroError("zero of f detected on the contour")
-    integral = np.trapezoid(deriv / values, path)
-    return (integral / (2j * math.pi)).real
+    g = deriv / values
+    half = np.r_[0:path.size - 1:2, path.size - 1]
+    return _trapezoid_winding(g, path), _trapezoid_winding(g[half], path[half])
+
+
+def _coarse_count(f: Evaluator, path: np.ndarray) -> int | None:
+    """The count on a coarse path when that pass is clean, else None.
+
+    Clean means no boundary zero, a winding within 1e-2 of an integer,
+    and the every-other-node winding within 1e-2 of it.  Any failure,
+    the evaluator's own included, is left to the refinement ladder.
+    """
+    try:
+        w, w_half = _winding(f, path)
+    except (ValueError, ArithmeticError):
+        return None
+    nearest = round(w)
+    if abs(w - nearest) <= 1e-2 and abs(w - w_half) <= 1e-2:
+        return int(nearest)
+    return None
 
 
 def winding_count(f: Evaluator, contour: Callable[[int], np.ndarray],
@@ -130,18 +157,28 @@ def winding_count(f: Evaluator, contour: Callable[[int], np.ndarray],
     """Zero count of f inside ``contour(quad_nodes)`` by the argument principle.
 
     ``contour(n)`` builds the closed counterclockwise node path at
-    resolution n.  A winding more than 0.1 from an integer is recomputed
-    once on ``contour(4 * quad_nodes)``; if it is still off, RuntimeError
-    "<name> quadrature failed".  A zero of f on the contour raises
-    NumericalError (a ValueError).  ``quad_nodes`` must be an integer of
-    at least 2, or the path would not close.
+    resolution n.  When ``quad_nodes // 4`` is at least 64, a first pass
+    runs on ``contour(quad_nodes // 4)`` and its count stands if the pass
+    is clean: no boundary zero, a winding within 1e-2 of an integer, and
+    the same path's winding at every other node within 1e-2 of it.
+    Otherwise, and whatever failed, the count comes from the ladder: a
+    pass on ``contour(quad_nodes)``, and a winding more than 0.1 from an
+    integer is recomputed once on ``contour(4 * quad_nodes)``; if it is
+    still off, RuntimeError "<name> quadrature failed".  A zero of f on
+    the ladder's contour raises NumericalError (a ValueError).
+    ``quad_nodes`` must be an integer of at least 2, or the path would
+    not close.
     """
     if not (isinstance(quad_nodes, (int, np.integer)) and quad_nodes >= 2):
         raise ValueError(f"quad_nodes must be an integer >= 2, got {quad_nodes!r}")
-    w = _winding(f, contour(quad_nodes))
+    if quad_nodes // 4 >= 64:
+        count = _coarse_count(f, contour(quad_nodes // 4))
+        if count is not None:
+            return count
+    w = _winding(f, contour(quad_nodes))[0]
     nearest = round(w)
     if abs(w - nearest) > 0.1:
-        w = _winding(f, contour(4 * quad_nodes))
+        w = _winding(f, contour(4 * quad_nodes))[0]
         nearest = round(w)
         if abs(w - nearest) > 0.1:
             raise RuntimeError(f"{name} quadrature failed: winding {w}")
@@ -155,12 +192,17 @@ def zero_count_sector(f: Evaluator, alpha: float, beta: float, r: float,
     The contour consists of two radial segments, the outer arc at radius
     ``r``, and an inner arc at radius 0.25 that excludes any zero at the
     origin.  ``f`` maps a complex ndarray to the pair (f, f') (see the
-    module docstring).  Non-finite angles or radius, ``quad_nodes`` not an
+    module docstring).  The count comes from ``winding_count``: at
+    ``quad_nodes`` >= 256 a first pass at ``quad_nodes // 4`` stands when
+    it is clean (no boundary zero, a winding within 1e-2 of an integer and
+    within 1e-2 of the every-other-node winding); otherwise, and never
+    nudging for it, the ladder at ``quad_nodes`` and 4 ``quad_nodes``
+    runs as below.  Non-finite angles or radius, ``quad_nodes`` not an
     integer >= 2, and a radius whose refined path (4 ``quad_nodes``) holds
     more than 2^22 nodes raise ValueError before any node is built.  A
-    zero landing on the contour belongs to the countable exceptional set
-    of ray angles; both angles are nudged by 1e-3 (up to three times)
-    before the count is abandoned.
+    zero landing on the ladder's contour belongs to the countable
+    exceptional set of ray angles; both angles are nudged by 1e-3 (up to
+    three times) before the count is abandoned.
     """
     if not all(map(math.isfinite, (alpha, beta, r))):
         raise ValueError(f"sector angles and radius must be finite, "

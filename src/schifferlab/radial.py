@@ -27,7 +27,6 @@ import warnings
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import check_positive
 from .specfun import riccati_s_rows, riccati_table
@@ -173,6 +172,10 @@ def _integrate(problem: RadialProblem, y0: complex, dy0: complex,
     The state is split into real and imaginary parts so real data with
     real k stays exactly real.
     """
+    # imported at its one use, so importing radial does not load
+    # scipy.integrate
+    from scipy.integrate import solve_ivp
+
     nu, potential, k = problem.nu, problem.potential, complex(problem.k)
     k2r = (k * k).real
     k2i = (k * k).imag

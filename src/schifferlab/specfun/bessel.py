@@ -62,6 +62,8 @@ import math
 
 import numpy as np
 
+from ..errors import UnderflowError
+
 # Hard validation ceilings: orders in [0, L_MAX], arguments in |z| <= Z_MAX.
 L_MAX = 60
 Z_MAX = 1.0e4
@@ -312,7 +314,9 @@ def _unscaled(tables: tuple[np.ndarray, ...], z: np.ndarray) -> tuple[np.ndarray
     """Scaled tables at the points z times exp(|Im z|) (real z: as they
     are), where z broadcasts against each table; OverflowError names the
     first point of z where an entry is not finite, with no numpy warning
-    before it."""
+    before it.  Real rows are bounded, so at a real point the one
+    non-finite entry is S_l' = S_{l-1} - (l/x) S_l at a subnormal x, where
+    l/x overflows to inf and meets S_l = 0: UnderflowError names x."""
     if np.iscomplexobj(z):
         with np.errstate(over="ignore", invalid="ignore"):
             f = np.exp(np.abs(z.imag))
@@ -322,6 +326,9 @@ def _unscaled(tables: tuple[np.ndarray, ...], z: np.ndarray) -> tuple[np.ndarray
         points = np.arange(z.size).reshape(z.shape)
         first = min(np.broadcast_to(points, ok.shape)[~ok].min(initial=z.size)
                     for ok in finite)
+        if not np.iscomplexobj(z):
+            raise UnderflowError(f"Riccati rows at x={float(z.flat[first])!r}: "
+                                 "S_l underflows to 0 where l/x overflows")
         bad = complex(z.flat[first])
         raise OverflowError(f"Riccati table overflows double range at z={bad!r}")
     return tables
@@ -356,8 +363,9 @@ def riccati_s_rows(lmax: int, l, z, scaled: bool = False):
     z they are bitwise the entries of riccati_table's S and S'.  Real z
     (any non-complex dtype) runs in float64.  Only the returned rows are
     unscaled and checked: without ``scaled``, OverflowError names the
-    first point of z where one of them is not finite.  lmax and z are validated as in
-    ``riccati_table``, before the degrees.
+    first point of z where one of them is not finite; at real z,
+    UnderflowError names the first subnormal x where l/x overflows.  lmax
+    and z are validated as in ``riccati_table``, before the degrees.
     """
     z = _check_order_array(lmax, z, dtype=complex if np.iscomplexobj(z) else float)
     single = isinstance(l, (int, np.integer))

@@ -6,13 +6,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from schifferlab.eigsearch import (
+    _rect_path,
     count_zeros_argument_principle,
     dispersion,
     dispersion_function,
     dispersion_log_abs,
+    find_real_eigenvalues,
 )
 from schifferlab import entire
 from schifferlab.entire import indicator, zero_count_sector
@@ -90,9 +94,11 @@ class CallCounter:
     def __init__(self, f):
         self.f = f
         self.calls = 0
+        self.sizes = []
 
     def __call__(self, z):
         self.calls += 1
+        self.sizes.append(z.size)
         return self.f(z)
 
 
@@ -106,6 +112,89 @@ def test_one_contour_costs_one_evaluator_call():
     f = CallCounter(dispersion_function(2, 1.0))
     assert count_zeros_argument_principle(f, (0.5, 12.0, -2.0, 2.0)) == 3
     assert f.calls == 1
+
+
+@st.composite
+def _clear_contours(draw):
+    """dispersion_function(l, R) with a rectangle or a sector whose edges
+    pass a quarter root spacing from every real root (and from the zero at
+    the origin), and the roots inside it."""
+    l = draw(st.integers(0, 5))
+    R = draw(st.floats(0.5, 2.0))
+    roots = [rec.k for rec in find_real_eigenvalues(l, R, 40.0)]
+    quarter = 0.25 * math.pi / R
+
+    def clear(k):
+        return all(abs(k - root) >= quarter for root in [0.0] + roots)
+
+    if draw(st.booleans()):
+        a = draw(st.floats(0.25, 10.0))
+        b = a + draw(st.floats(2.0, 25.0))
+        h = draw(st.floats(0.5, 3.0))
+        assume(clear(a) and clear(b))
+        rect = (a, b, -h, h)
+        return (l, R, lambda f, n: count_zeros_argument_principle(f, rect, quad_nodes=n),
+                lambda n: _rect_path(rect, n), sum(a < k < b for k in roots))
+    # a ray at angle t passes root k at distance k sin t
+    t_min = math.asin(quarter / roots[0])
+    alpha = -draw(st.floats(t_min, t_min + 0.3))
+    beta = draw(st.floats(t_min, t_min + 0.3))
+    r = draw(st.floats(1.0, 20.0))
+    assume(clear(r))
+    return (l, R, lambda f, n: zero_count_sector(f, alpha, beta, r, quad_nodes=n).count,
+            lambda n: entire._sector_contour(alpha, beta, r, n), sum(k < r for k in roots))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_clear_contours())
+def test_a_clean_quarter_resolution_pass_gives_todays_count(case):
+    # on contours clear of the zeros, the quarter-resolution pass is clean
+    # and its count is the winding at quad_nodes, in one evaluator call
+    l, R, count, contour, inside = case
+    f = CallCounter(dispersion_function(l, R))
+    todays = round(entire._winding(f.f, contour(1024))[0])
+    assert count(f, 1024) == todays == inside
+    assert f.sizes == [contour(256).size]
+
+
+@pytest.mark.parametrize("z0", [0.5 + 0.0015j, 0.3 + 0.0024j, 0.0015 + 0.0015j])
+def test_a_zero_near_the_coarse_rectangle_drops_into_the_ladder(z0):
+    # z0 sits 0.4 or 0.6 of the coarse node spacing (1/255) above the
+    # bottom edge, or 0.4 of it from both edges at a corner
+    rect = (0.0, 1.0, 0.0, 1.0)
+    f = CallCounter(lambda z: (z - z0, np.ones_like(z)))
+    assert count_zeros_argument_principle(f, rect) == 1
+    assert f.sizes == [_rect_path(rect, 256).size, _rect_path(rect, 1024).size]
+
+
+@pytest.mark.parametrize("r, want", [(3 * math.pi + 0.005, 3), (3 * math.pi - 0.01, 2),
+                                     (3 * math.pi - 0.02, 2)])
+def test_a_zero_near_the_coarse_outer_arc_drops_into_the_ladder(r, want):
+    # the zero of sin at 3 pi sits 0.14 to 0.55 of the coarse ray spacing
+    # from the outer arc; the ladder at 1024 nodes counts it right
+    f = CallCounter(sin_pair)
+    sc = zero_count_sector(f, -0.5, 0.5, r)
+    assert (sc.alpha, sc.beta, sc.count) == (-0.5, 0.5, want)
+    assert f.calls >= 2
+    assert f.sizes[0] == entire._sector_contour(-0.5, 0.5, r, 256).size
+
+
+@pytest.mark.parametrize("n", [16, 64, 128, 255])
+def test_node_counts_below_256_run_one_pass_at_quad_nodes(n):
+    # quad_nodes // 4 < 64: no quarter-resolution pass, so the one call is
+    # on contour(quad_nodes) and the count is its winding, as before
+    g = dispersion_function(0, 1.0)
+    rect = (1.0, 6.0, -1.0, 1.0)
+    f = CallCounter(g)
+    assert count_zeros_argument_principle(f, rect, quad_nodes=n) == 1
+    assert f.sizes == [_rect_path(rect, n).size]
+    f = CallCounter(g)
+    assert zero_count_sector(f, -0.1, 0.1, 6.0, quad_nodes=n).count == 1
+    assert f.sizes == [entire._sector_contour(-0.1, 0.1, 6.0, n).size]
+    # at 256 the quarter pass runs at 64 nodes per side
+    f = CallCounter(g)
+    assert count_zeros_argument_principle(f, rect, quad_nodes=256) == 1
+    assert f.sizes == [_rect_path(rect, 64).size]
 
 
 def _shifted_maxima(a, half):

@@ -186,10 +186,11 @@ def test_remainder_bound_past_double_range_is_vacuous():
 def test_non_finite_frequency_and_data_are_named_before_any_table(call, want, monkeypatch):
     # a NaN k used to reach the Bessel kernel, which blamed its argument,
     # and a NaN a or b reached solve_ivp's check of its initial state
+    # (through _integrate, which imports solve_ivp where it calls it)
     def unreachable(*args, **kwargs):
         raise AssertionError("called before the arguments were checked")
 
-    for name in ("riccati_table", "riccati_s_rows", "solve_ivp"):
+    for name in ("riccati_table", "riccati_s_rows", "_integrate"):
         monkeypatch.setattr(radial, name, unreachable)
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         call()

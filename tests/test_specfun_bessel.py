@@ -31,6 +31,7 @@ from schifferlab.specfun import (
     riccati_table,
     spherical_jn_table,
 )
+from schifferlab.errors import UnderflowError
 
 DATA = Path(__file__).parent / "data"
 
@@ -241,6 +242,18 @@ def test_real_argument_overflow_is_named():
         S, Sp = _s_table(60, x)
         assert np.all(np.isfinite(S)) and np.all(np.isfinite(Sp))
     assert S[60] == 0.0 and Sp[60] == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subnormal_real_point_names_the_underflow():
+    # at x = 1e-310, 2/x overflows to inf and meets S_2 = 0 in S_2': the
+    # point is real and nothing passes double range, so the error is the
+    # underflow, with x printed as a real number
+    named = r"^Riccati rows at x=1e-310: S_l underflows to 0 where l/x overflows$"
+    for x in (np.array([1e-310, 2.0]), np.array([2.0, 1e-310, 5e-324]), 1e-310):
+        with pytest.raises(UnderflowError, match=named):
+            riccati_s_rows(3, 2, x)
+    assert riccati_s_rows(3, 2, np.array([1e-300, 2.0]))[1][0] == 0.0
 
 
 def test_series_cutoff_is_seamless():
