@@ -17,6 +17,7 @@ becoming k = x/R_hat.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import warnings
@@ -170,16 +171,6 @@ def dispersion_log_abs(l: int, R_hat: float, k: complex) -> float:
     return math.log(mag) + abs(z.imag)
 
 
-def _scan_nodes(x_max: float, step: float) -> np.ndarray:
-    """The x lattice step, 2 step, ... through the first node past x_max.
-
-    Node i is step + i*step, as np.arange builds it, so its value does not
-    depend on where the lattice stops; a node past the kernel's Z_MAX is
-    held at Z_MAX.
-    """
-    return np.minimum(np.arange(step, x_max + 1.5 * step, step), Z_MAX)
-
-
 def _dispersion_rows(lmax: int, l, x: np.ndarray):
     """(f, f', f'') for f_l(x) = S_l'(x) - S_l(x)/x = x j_l'(x) at real x (a
     1-d array) for the degrees l only: a column (d, 1) of degrees gives a
@@ -213,6 +204,16 @@ _MAX_ITER = 100
 # 4 Z_MAX/pi = 12,733, and a scan of degree 60 at this cap peaks at about
 # 19 MB (tracemalloc), most of it the one j table of orders 0..60
 _MAX_SCAN_NODES = 1 << 15
+# the memo's lattices grow in blocks of this many nodes, so scans of nearby
+# lengths share an entry: every ray of the per-ray workloads (x <= 14,
+# below 64 pi/4)
+_LATTICE_BLOCK = 64
+# lattices the memo keeps; a full entry (degrees 0..60 up to Z_MAX, about
+# 190,000 brackets of 40 bytes) holds 7.7 MB
+_LATTICE_MEMO = 4
+# brackets per Halley call: the j table of orders 0..60 at 4,096 points is
+# 2 MB, where one call over every bracket of a full scan held 95 MB
+_HALLEY_CHUNK = 4096
 
 
 def _hermite_start(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray,
@@ -291,55 +292,100 @@ def _halley(lmax: int, rows: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.n
     return root, residual
 
 
+def _lattice_length(x_max: float, step: float) -> int:
+    """Nodes of the memo's lattice for a scan through x_max: the
+    np.arange(step, x_max + 1.5 step, step) count, rounded up to a multiple
+    of _LATTICE_BLOCK, but never past the first node at or beyond Z_MAX."""
+    n = math.ceil((x_max + 1.5 * step - step) / step)  # np.arange's own count
+    n = -(-n // _LATTICE_BLOCK) * _LATTICE_BLOCK
+    # node i is step + i step; drop the last while the one before it is at
+    # or past Z_MAX (at most a block's worth of steps)
+    while n > 1 and step + (n - 2) * step >= Z_MAX:
+        n -= 1
+    return n
+
+
+@functools.lru_cache(maxsize=_LATTICE_MEMO)
+def _lattice_roots(lmax: int, degrees: tuple[int, ...], step: float,
+                   nodes: int) -> tuple[np.ndarray, ...]:
+    """(rows, lo, hi, roots, residuals): every bracketed root of f_l in x,
+    for each degree l of ``degrees``, on the lattice of ``nodes`` nodes
+    step, 2 step, ..., from j tables of orders 0..lmax.
+
+    Node i is step + i step, as np.arange builds it, so its value does not
+    depend on where the lattice stops; a node past Z_MAX is held at Z_MAX.
+    One call gives f, f' and f'' at every node for every degree.  Each
+    bracket (lo, hi) starts at the root of the quintic Hermite interpolant
+    of (f, f', f'') at its two nodes and is refined by safeguarded Halley
+    steps, one call per iteration over the brackets of a chunk still open,
+    usually two; nodes exactly on a root cost one more call.  ``roots`` is
+    the last evaluated iterate and ``residuals`` its |f| from the call that
+    evaluated it; the brackets are in x order per degree, and ``rows``
+    gives their degrees.
+
+    The x zeros are the same constants for every radius, so the result is
+    memoised (lru_cache, _LATTICE_MEMO entries) and read-only.  lmax is in
+    the key because Miller's start order depends on it.  Every floating-point
+    warning is suppressed here, so a memo hit warns as a miss does.
+    """
+    x = np.minimum(step + np.arange(nodes) * step, Z_MAX)
+    degrees = np.asarray(degrees)
+    # no floating-point warning, as a hit would give none: f' and f'' at
+    # the nodes only seed _hermite_start, which falls back to the secant
+    # point where they are not finite (l(l+1)/x^2 overflows below x of
+    # about 1e-154)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        V, dV, d2V = _dispersion_rows(lmax, degrees[:, None], x)
+
+        # sign-change brackets (l, a, b, f_a, f_b) in x order per degree,
+        # from one pass over the table; f_a = 0 marks a node exactly on a root
+        d, i = np.nonzero((V[:, :-1] * V[:, 1:] < 0) | (V[:, :-1] == 0))
+        i1 = i + 1
+        rows, lo, hi, f_lo, f_hi = degrees[d], x[i], x[i1], V[d, i], V[d, i1]
+        d_lo, d_hi = (dV[d, i], d2V[d, i]), (dV[d, i1], d2V[d, i1])
+
+        # a node on a root opens its bracket a quarter step to the left; if
+        # f keeps its sign there, the node itself is the root, with residual
+        # 0; if f reads 0 there too, it is rounding (f_0 below x = 1e-8),
+        # not a root, and its residual is NaN until a radius reports it
+        roots, residuals = lo.copy(), np.zeros(lo.size)
+        on_node = (f_lo == 0).nonzero()[0]
+        if on_node.size:
+            lo[on_node] -= 0.25 * step
+            f_lo[on_node], d_lo[0][on_node], d_lo[1][on_node] = _dispersion_rows(
+                lmax, rows[on_node], lo[on_node])
+            residuals[on_node[f_lo[on_node] == 0]] = np.nan
+        live = (f_lo * f_hi < 0).nonzero()[0]
+        for c in range(0, live.size, _HALLEY_CHUNK):
+            at = live[c:c + _HALLEY_CHUNK]
+            if at.size == lo.size:  # every bracket open in one chunk, the usual case: views
+                at = slice(None)
+            start = _hermite_start(lo[at], hi[at], f_lo[at], f_hi[at],
+                                   (d_lo[0][at], d_lo[1][at]), (d_hi[0][at], d_hi[1][at]))
+            roots[at], residuals[at] = _halley(lmax, rows[at], start, lo[at], hi[at],
+                                               np.sign(f_lo[at]))
+    out = rows, lo, hi, roots, residuals
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float], step: float,
                   k_max: float, tol: float) -> list[dict[int, list[EigenvalueRecord]]]:
     """Bracketed roots of B_l on (step/R, k_max] for each radius R and degree l.
 
-    B_l(k) = R f_l(k R), so one scan of the x lattice step, 2 step, ...
-    through k_max max(R) serves every radius: one call gives f, f' and f''
-    at every node for every degree.  Each bracket starts at the root of the
-    quintic Hermite interpolant of (f, f', f'') at its two nodes and is
-    refined by safeguarded Halley steps in x, one call per iteration over
-    the brackets still open, usually two; nodes exactly on a root cost one
-    more call.  Each root x, with its |f| from the call that evaluated it,
-    goes to every radius where k = x/R <= k_max, with the bracket
-    (x_lo/R, x_hi/R), which may reach past k_max by less than one step.
+    B_l(k) = R f_l(k R), so the roots x of f_l on the lattice step,
+    2 step, ... through k_max max(R) (``_lattice_roots``, memoised) serve
+    every radius.  Each root x, with its |f|, goes to every radius where
+    k = x/R <= k_max, with the bracket (x_lo/R, x_hi/R), which may reach
+    past k_max by less than one step.  The memo's lattice may run further
+    than this scan's (``_lattice_length``), but node i is the same wherever
+    it stops and each bracket is refined on its own, so what a radius gets
+    is bitwise the same on a hit as on a miss.
     """
-    x = _scan_nodes(k_max * max(radii), step)
-    degrees = np.asarray(degrees)
-    # f' and f'' at the nodes only seed _hermite_start, which falls back to
-    # the secant point where they are not finite (l(l+1)/x^2 overflows
-    # below x of about 1e-154)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        V, dV, d2V = _dispersion_rows(lmax, degrees[:, None], x)
-
-    # sign-change brackets (l, a, b, f_a, f_b) in x order per degree, from
-    # one pass over the table; f_a = 0 marks a node exactly on a root
-    d, i = np.nonzero((V[:, :-1] * V[:, 1:] < 0) | (V[:, :-1] == 0))
-    i1 = i + 1
-    rows, lo, hi, f_lo, f_hi = degrees[d], x[i], x[i1], V[d, i], V[d, i1]
-    d_lo, d_hi = (dV[d, i], d2V[d, i]), (dV[d, i1], d2V[d, i1])
-
-    # a node on a root opens its bracket a quarter step to the left; if f
-    # keeps its sign there, the node itself is the root, with residual 0;
-    # if f reads 0 there too, it is rounding (f_0 below x = 1e-8), not a
-    # root, and its residual is NaN until a radius reports it below
-    roots, residuals = lo.copy(), np.zeros(lo.size)
-    on_node = (f_lo == 0).nonzero()[0]
-    if on_node.size:
-        lo[on_node] -= 0.25 * step
-        f_lo[on_node], d_lo[0][on_node], d_lo[1][on_node] = _dispersion_rows(
-            lmax, rows[on_node], lo[on_node])
-        residuals[on_node[f_lo[on_node] == 0]] = np.nan
-    live = (f_lo * f_hi < 0).nonzero()[0]
-    if live.size:
-        if live.size == lo.size:  # every bracket open, the usual case: views
-            live = slice(None)
-        start = _hermite_start(lo[live], hi[live], f_lo[live], f_hi[live],
-                               (d_lo[0][live], d_lo[1][live]),
-                               (d_hi[0][live], d_hi[1][live]))
-        roots[live], residuals[live] = _halley(lmax, rows[live], start, lo[live], hi[live],
-                                               np.sign(f_lo[live]))
+    degrees = tuple(degrees)
+    rows, lo, hi, roots, residuals = _lattice_roots(
+        lmax, degrees, step, _lattice_length(k_max * max(radii), step))
 
     # every (radius, root) pair with k = x/R <= k_max, by radius, then in
     # bracket order, which is x order per degree
@@ -369,7 +415,7 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float], ste
     records = list(map(tuple.__new__, itertools.repeat(EigenvalueRecord),
                        zip(l.tolist(), k.tolist(), residual.tolist(), zip(a.tolist(), b.tolist()))))
     # the records of one radius and degree are consecutive: one slice each
-    spectra = [{d: [] for d in degrees.tolist()} for _ in radii]
+    spectra = [{d: [] for d in degrees} for _ in radii]
     cuts = [0, *(((r[1:] != r[:-1]) | (l[1:] != l[:-1])).nonzero()[0] + 1).tolist()]
     for start, end, i in zip(cuts, cuts[1:] + [len(records)], r[cuts[:len(records)]].tolist()):
         spectra[i][records[start].l] = records[start:end]
@@ -411,6 +457,9 @@ def find_real_eigenvalues(l: int, R_hat: float, k_max: float,
     ``bracket`` is the scan bracket over R_hat; the last one may reach past
     k_max by less than one step.  Roots closer than 10*tol in x emit a
     warning rather than being merged.  At R_hat = 1, x is k and f is B.
+    The roots x come from the memo of ``real_eigenvalue_spectra``, keyed
+    here by (l, (l,), step, lattice length); a hit gives bitwise the
+    records, warnings and errors of a miss.
 
     ValueError, naming the value, for a non-positive or non-finite R_hat,
     k_max, scan_step or tol, for k_max R_hat above Z_MAX, and for more
@@ -433,15 +482,19 @@ def real_eigenvalue_spectra(radii: Sequence[float], l_max: int, k_max: float,
     """find_real_eigenvalues for l = 0..l_max on every radius, batched.
 
     Entry r maps each degree to the roots for radius ``radii[r]`` at the
-    default step.  All radii share one scan of x = k R up to k_max max(R),
-    which costs three kernel calls in all: one riccati_s_rows call for the
-    scan, which also gives the Hermite starts their f' and f'', and one per
-    Halley iteration, at each bracket's own degree, usually two (a node
-    exactly on a root costs one more); each residual is
-    |f| = |B|/R from the call that evaluated its root.  Each radius gets the
-    same records whether scanned alone or in a batch.  Every radius is
-    checked as find_real_eigenvalues checks it, and l_max must lie in
-    [0, L_MAX].
+    default step.  All radii share one scan of x = k R up to k_max max(R).
+    Its roots x come from a memo keyed by (l_max, degrees, step, lattice
+    length), the lattice rounded up to a block of 64 nodes but never past
+    Z_MAX; it keeps 4 lattices, at most about 7.7 MB each (degrees 0..60
+    up to Z_MAX), and a hit is bitwise a miss, warnings and errors too.  A
+    miss costs one riccati_s_rows call for the scan, which also gives the
+    Hermite starts their f' and f'', and then, for each chunk of 4,096
+    brackets, one call per Halley iteration at each bracket's own degree,
+    usually two (a node exactly on a root costs one more): three calls for
+    a batch of rays.  Each residual is |f| = |B|/R from the call that
+    evaluated its root.  Each radius gets the same records whether scanned
+    alone or in a batch.  Every radius is checked as find_real_eigenvalues
+    checks it, and l_max must lie in [0, L_MAX].
     """
     if not 0 <= l_max <= L_MAX:
         # checked here, before range(l_max + 1) becomes an array

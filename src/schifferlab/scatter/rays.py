@@ -9,9 +9,12 @@ origin, is equal on the sampled directions.  They use nothing of the
 boundary conditions; the boundary least squares
 (``schifferlab.scatter.overdetermined``) is the layer that tests those.
 
-One scan costs one synthesis, which gives every ray radius, and three
-calls of the Riccati kernel: the x-scan and, usually, two Halley
-iterations (``eigsearch.real_eigenvalue_spectra``).
+One scan costs one synthesis, which gives every ray radius, and a
+lookup of the x roots in a memo (``eigsearch.real_eigenvalue_spectra``),
+keyed by table order, degrees, step and lattice length; a miss fills it
+with three calls of the Riccati kernel: the x-scan and, usually, two
+Halley iterations.  Every batch at k_max = 12 on radii up to 4 with the
+same l_max shares one entry, and a hit is bitwise a miss.
 """
 
 from __future__ import annotations
@@ -96,9 +99,10 @@ def per_ray_eigen_scan(domain: StarlikeDomain,
     eigenvalues matching on every ray within 1e-6.  Every ray and degree
     comes from one scan of x = k R_hat, so a ray's report is the same
     whatever batch it is scanned in; the scan costs one synthesis of the
-    ray radii and three kernel calls.  ``threads`` is validated (>= 1) and
-    otherwise ignored: the rays share that one scan, with nothing left to
-    split.
+    ray radii and a memo lookup of the x roots, three kernel calls on a
+    miss and none on a hit, with bitwise the same reports.  ``threads`` is
+    validated (>= 1) and otherwise ignored: the rays share that one scan,
+    with nothing left to split.
     """
     if not directions:
         raise ValueError("at least one direction is required")

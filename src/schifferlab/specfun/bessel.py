@@ -48,8 +48,9 @@ exp(-|Im z|), so tables stay representable for large |Im z|; without
 ``scaled`` the public functions multiply the factor back in through one
 helper, ``_unscaled``, which also names the first point that overflows:
 ``riccati_table`` for its four tables, ``riccati_s_rows`` for its two
-rows.  For real z the scale factor is exactly 1 and real inputs
-propagate zero imaginary parts through every recurrence.
+rows, where a subnormal z whose l/z overflows against S_l = 0 is an
+underflow instead.  For real z the scale factor is exactly 1 and real
+inputs propagate zero imaginary parts through every recurrence.
 
 Orders are capped at L_MAX = 60, a module constant that no call changes:
 every public function rejects an order (or a table's lmax) above it with a
@@ -310,28 +311,37 @@ def _check_order_array(lmax: int, z, dtype=complex, need_nonzero: bool = True) -
     raise ValueError("argument z=0 is outside the domain (irregular at 0)")
 
 
-def _unscaled(tables: tuple[np.ndarray, ...], z: np.ndarray) -> tuple[np.ndarray, ...]:
+def _unscaled(tables: tuple[np.ndarray, ...], z: np.ndarray,
+              regular: bool = False) -> tuple[np.ndarray, ...]:
     """Scaled tables at the points z times exp(|Im z|) (real z: as they
     are), where z broadcasts against each table; OverflowError names the
     first point of z where an entry is not finite, with no numpy warning
-    before it.  Real rows are bounded, so at a real point the one
-    non-finite entry is S_l' = S_{l-1} - (l/x) S_l at a subnormal x, where
-    l/x overflows to inf and meets S_l = 0: UnderflowError names x."""
+    before it.  ``regular`` says the tables are S and S' rows alone, which
+    are bounded before the scale factor: a non-finite scaled entry there
+    is S_l' = S_{l-1} - (l/z) S_l at a subnormal z, where l/z overflows to
+    inf and meets S_l = 0, and UnderflowError names that z when it is the
+    first point.  Real points come only as such rows."""
+    unscaled = tables
     if np.iscomplexobj(z):
         with np.errstate(over="ignore", invalid="ignore"):
             f = np.exp(np.abs(z.imag))
-            tables = tuple(t * f for t in tables)
-    finite = [np.isfinite(t) for t in tables]
+            unscaled = tuple(t * f for t in tables)
+    finite = [np.isfinite(t) for t in unscaled]
     if any(np.count_nonzero(ok) < ok.size for ok in finite):
         points = np.arange(z.size).reshape(z.shape)
-        first = min(np.broadcast_to(points, ok.shape)[~ok].min(initial=z.size)
-                    for ok in finite)
-        if not np.iscomplexobj(z):
-            raise UnderflowError(f"Riccati rows at x={float(z.flat[first])!r}: "
-                                 "S_l underflows to 0 where l/x overflows")
-        bad = complex(z.flat[first])
+
+        def first(oks):
+            return min(np.broadcast_to(points, ok.shape)[~ok].min(initial=z.size)
+                       for ok in oks)
+
+        at = first(finite)
+        if regular and first([np.isfinite(t) for t in tables]) == at:
+            name, bad = ("z", complex(z.flat[at])) if np.iscomplexobj(z) else ("x", float(z.flat[at]))
+            raise UnderflowError(f"Riccati rows at {name}={bad!r}: "
+                                 f"S_l underflows to 0 where l/{name} overflows")
+        bad = complex(z.flat[at])
         raise OverflowError(f"Riccati table overflows double range at z={bad!r}")
-    return tables
+    return unscaled
 
 
 def spherical_jn_table(lmax: int, x) -> np.ndarray:
@@ -363,8 +373,8 @@ def riccati_s_rows(lmax: int, l, z, scaled: bool = False):
     z they are bitwise the entries of riccati_table's S and S'.  Real z
     (any non-complex dtype) runs in float64.  Only the returned rows are
     unscaled and checked: without ``scaled``, OverflowError names the
-    first point of z where one of them is not finite; at real z,
-    UnderflowError names the first subnormal x where l/x overflows.  lmax
+    first point of z where one of them is not finite, and UnderflowError
+    the first subnormal z where l/z overflows against S_l = 0.  lmax
     and z are validated as in ``riccati_table``, before the degrees.
     """
     z = _check_order_array(lmax, z, dtype=complex if np.iscomplexobj(z) else float)
@@ -387,7 +397,7 @@ def riccati_s_rows(lmax: int, l, z, scaled: bool = False):
     with np.errstate(over="ignore", invalid="ignore"):
         S, Sp = _s_rows(lmax, l, pts, zs, zc)
     if not scaled:
-        S, Sp = _unscaled((S, Sp), pts)
+        S, Sp = _unscaled((S, Sp), pts, regular=True)
     if not z.ndim:
         S, Sp = S.reshape(np.shape(l))[()], Sp.reshape(np.shape(l))[()]
     return S, Sp

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -28,6 +29,12 @@ from schifferlab.scatter import axis_directions, per_ray_eigen_scan, unit_ball
 # roots of tan x = x, mpmath findroot dps=30
 TAN_ROOTS = (4.4934094579090642, 7.7252518369377072, 10.904121659428899,
              14.066193912831473)
+
+
+def scan_nodes(x_max, step):
+    """The scan's own lattice: step, 2 step, ... through the first node past
+    x_max, as np.arange builds it, with a node past Z_MAX held at Z_MAX."""
+    return np.minimum(np.arange(step, x_max + 1.5 * step, step), eigsearch.Z_MAX)
 
 
 def _second_derivative(l, x, S, Sp):
@@ -279,8 +286,13 @@ def test_a_node_on_a_root_nudges_its_bracket_open(monkeypatch, power, want):
         return (tile((x - 2.0) ** power), tile(power * (x - 2.0) ** (power - 1)),
                 tile(power * (power - 1) * (x - 2.0) ** max(power - 2, 0)))
 
+    # the memo holds no roots of the real f, and keeps none of the patched one
+    eigsearch._lattice_roots.cache_clear()
     monkeypatch.setattr(eigsearch, "_dispersion_rows", rows)
-    recs = find_real_eigenvalues(0, 1.0, 3.0, scan_step=0.5)
+    try:
+        recs = find_real_eigenvalues(0, 1.0, 3.0, scan_step=0.5)
+    finally:
+        eigsearch._lattice_roots.cache_clear()
     assert [(r.k, r.bracket) for r in recs] == want
     assert recs[0].residual == 0.0
 
@@ -291,7 +303,7 @@ def test_masked_brackets_match_the_per_radius_loop():
     # dropped where its root lies past K
     radii = [0.7, 1.0, 1.9, 1.0]
     l_max, K = 4, 20.0
-    x = eigsearch._scan_nodes(K * max(radii), math.pi / 4)
+    x = scan_nodes(K * max(radii), math.pi / 4)
     f = eigsearch._dispersion_rows(l_max, np.arange(l_max + 1)[:, None], x)[0]
     for R, eigen in zip(radii, real_eigenvalue_spectra(radii, l_max, K)):
         for l in range(l_max + 1):
@@ -412,8 +424,9 @@ def test_spectra_degree_is_checked_before_the_degree_table(bad):
 
 
 def test_ball_spectra_take_three_riccati_calls(monkeypatch):
-    # one scan call, whose B' and B'' give every bracket its quintic
-    # Hermite start, then two Halley calls; the residuals come from the last
+    # on a cold memo: one scan call, whose B' and B'' give every bracket its
+    # quintic Hermite start, then two Halley calls, the residuals coming
+    # from the last; on a warm memo the roots are reused, with no call
     calls = []
     regular_rows = eigsearch._regular_rows
 
@@ -421,10 +434,87 @@ def test_ball_spectra_take_three_riccati_calls(monkeypatch):
         calls.append(np.size(z))
         return regular_rows(lmax, l, k, z)
 
+    eigsearch._lattice_roots.cache_clear()
     monkeypatch.setattr(eigsearch, "_regular_rows", counted)
-    result = per_ray_eigen_scan(unit_ball(), axis_directions(), 3, 12.0)
-    assert len(calls) == 3
-    assert result.intersection_size > 0
+    try:
+        cold = per_ray_eigen_scan(unit_ball(), axis_directions(), 3, 12.0)
+        assert len(calls) == 3
+        warm = per_ray_eigen_scan(unit_ball(), axis_directions(), 3, 12.0)
+        assert len(calls) == 3
+    finally:
+        eigsearch._lattice_roots.cache_clear()
+    assert cold.intersection_size > 0
+    assert warm == cold
+
+
+def _outcome(call):
+    """(repr of the records or of the error's type and message, warnings) of a call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = call()
+        except Exception as err:
+            out = (type(err).__name__, str(err))
+    return repr(out), [(w.category.__name__, str(w.message)) for w in caught]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(radii=st.lists(st.floats(0.2, 3.0), min_size=1, max_size=4), l_max=st.integers(0, 8),
+       k_max=st.floats(0.5, 40.0), frac=st.floats(0.05, 1.0), grow=st.floats(1.0, 3.0),
+       tol=st.sampled_from([1e-9, 0.5, 1e-300]))
+def test_a_memo_hit_is_bitwise_a_miss(radii, l_max, k_max, frac, grow, tol):
+    # each call on an empty memo, then all of them in turn, where a call may
+    # reuse the lattice of one before it (the same block of 64 nodes) or
+    # extend past it, then all again on the memo they left: records (floats
+    # by repr, which round-trips), warnings and errors are the same bits
+    R = radii[0]
+    step = frac * math.pi / (4 * R)
+    calls = [lambda kk=kk, fn=fn: fn(kk) for kk in (k_max, grow * k_max, 1.01 * k_max)
+             for fn in (lambda kk: real_eigenvalue_spectra(radii, l_max, kk, tol=tol),
+                        lambda kk: find_real_eigenvalues(l_max, R, kk, scan_step=step, tol=tol),
+                        lambda kk: find_real_eigenvalues(l_max, R, kk, tol=tol))]
+    cold = []
+    for call in calls:
+        eigsearch._lattice_roots.cache_clear()
+        cold.append(_outcome(call))
+    eigsearch._lattice_roots.cache_clear()
+    assert [_outcome(call) for call in calls] == cold
+    assert [_outcome(call) for call in reversed(calls)] == cold[::-1]
+
+
+def test_the_root_memo_is_read_only_and_bounded():
+    # a call that raises stores nothing
+    with pytest.raises(UnderflowError):
+        find_real_eigenvalues(60, 1.0, 0.01, scan_step=1e-5)
+    assert eigsearch._lattice_roots.cache_info().currsize == 0
+    for l in range(2 * eigsearch._LATTICE_MEMO):
+        find_real_eigenvalues(l, 1.0, 12.0)
+    info = eigsearch._lattice_roots.cache_info()
+    assert info.maxsize == eigsearch._LATTICE_MEMO == 4
+    assert info.currsize == eigsearch._LATTICE_MEMO
+    # the ball's six rays at K = 12: one lattice of 64 nodes, then a hit
+    per_ray_eigen_scan(unit_ball(), axis_directions(), 3, 12.0)
+    entry = eigsearch._lattice_roots(3, (0, 1, 2, 3), math.pi / 4, 64)
+    assert eigsearch._lattice_roots.cache_info().hits == info.hits + 1
+    for a in entry:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+@pytest.mark.parametrize("x_max, step, nodes", [
+    (12.0, math.pi / 4, 64),  # 17 nodes, up to a block of 64
+    (64 * math.pi / 4 - 0.6 * math.pi / 4, math.pi / 4, 64),
+    (64 * math.pi / 4, math.pi / 4, 128),
+    (1e4, math.pi / 4, 12733),  # node 12,732 is the first past Z_MAX
+    (1e4 - 0.3, 0.5, 20000),  # node 19,999 is Z_MAX exactly
+])
+def test_the_memo_lattice_is_a_block_of_64_nodes_within_z_max(x_max, step, nodes):
+    assert eigsearch._lattice_length(x_max, step) == nodes
+    assert nodes >= scan_nodes(x_max, step).size
+    last = step + (nodes - 1) * step
+    assert last >= x_max + 0.5 * step
+    assert nodes % 64 == 0 or (last >= eigsearch.Z_MAX > step + (nodes - 2) * step)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -441,7 +531,7 @@ def test_a_node_rounded_onto_a_root_still_gives_the_scipy_spectrum(R, l, K, pick
     m = math.ceil(x_star / (math.pi / 4)) + extra
     step = x_star / R / m
     x_step = step * R
-    node = eigsearch._scan_nodes(K * R, x_step)[m - 1]
+    node = scan_nodes(K * R, x_step)[m - 1]
     assert abs(node - x_star) <= 4 * np.spacing(x_star)
     dispersion_rows = eigsearch._dispersion_rows
 
@@ -450,9 +540,15 @@ def test_a_node_rounded_onto_a_root_still_gives_the_scipy_spectrum(R, l, K, pick
         out[0][np.broadcast_to((degrees == l) & (x == node), out[0].shape)] = 0.0
         return out
 
+    # hypothesis runs every example in one test call, so the memo is
+    # cleared around each patched scan here
+    eigsearch._lattice_roots.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(eigsearch, "_dispersion_rows", rounded)
-        recs = find_real_eigenvalues(l, R, K, scan_step=step)
+        try:
+            recs = find_real_eigenvalues(l, R, K, scan_step=step)
+        finally:
+            eigsearch._lattice_roots.cache_clear()
     assert_scipy_spectrum(l, R, x_step, K, recs)
     assert any(r.bracket[0] == (node - 0.25 * x_step) / R for r in recs)
 

@@ -256,6 +256,25 @@ def test_subnormal_real_point_names_the_underflow():
     assert riccati_s_rows(3, 2, np.array([1e-300, 2.0]))[1][0] == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subnormal_complex_point_names_the_underflow():
+    # the same l/z overflow against S_2 = 0 at a complex point: S and S'
+    # are bounded before the scale factor, so this too is the underflow,
+    # while riccati_table's C_l does pass double range there
+    for z, shown in ((np.array([1e-310 + 0j, 2.0]), r"\(1e-310\+0j\)"),
+                     (np.array([2.0, 1e-310j]), "1e-310j"),
+                     (1e-310 + 1e-310j, r"\(1e-310\+1e-310j\)")):
+        with pytest.raises(UnderflowError, match=f"^Riccati rows at z={shown}: "
+                                                 "S_l underflows to 0 where l/z overflows$"):
+            riccati_s_rows(3, 2, z)
+        with pytest.raises(OverflowError, match=f"^Riccati table overflows double range "
+                                                f"at z={shown}$"):
+            riccati_table(3, z)
+    # a point past double range before it is still the overflow
+    with pytest.raises(OverflowError, match=r"at z=800j$"):
+        riccati_s_rows(3, 2, np.array([800j, 1e-310 + 0j]))
+
+
 def test_series_cutoff_is_seamless():
     # the series regime (|z| < 1e-6) carries the exp(-|Im z|) scale too
     z = 9e-7j
