@@ -308,8 +308,8 @@ def _lattice_length(x_max: float, step: float) -> int:
 @functools.lru_cache(maxsize=_LATTICE_MEMO)
 def _lattice_roots(lmax: int, degrees: tuple[int, ...], step: float,
                    nodes: int) -> tuple[np.ndarray, ...]:
-    """(rows, lo, hi, roots, residuals): every bracketed root of f_l in x,
-    for each degree l of ``degrees``, on the lattice of ``nodes`` nodes
+    """(rows, column, lo, hi, roots, residuals): every bracketed root of f_l
+    in x, for each degree l of ``degrees``, on the lattice of ``nodes`` nodes
     step, 2 step, ..., from j tables of orders 0..lmax.
 
     Node i is step + i step, as np.arange builds it, so its value does not
@@ -320,8 +320,8 @@ def _lattice_roots(lmax: int, degrees: tuple[int, ...], step: float,
     steps, one call per iteration over the brackets of a chunk still open,
     usually two; nodes exactly on a root cost one more call.  ``roots`` is
     the last evaluated iterate and ``residuals`` its |f| from the call that
-    evaluated it; the brackets are in x order per degree, and ``rows``
-    gives their degrees.
+    evaluated it; the brackets are in x order per degree, ``rows`` gives
+    their degrees and ``column`` the place of that degree in ``degrees``.
 
     The x zeros are the same constants for every radius, so the result is
     memoised (lru_cache, _LATTICE_MEMO entries) and read-only.  lmax is in
@@ -364,7 +364,7 @@ def _lattice_roots(lmax: int, degrees: tuple[int, ...], step: float,
                                    (d_lo[0][at], d_lo[1][at]), (d_hi[0][at], d_hi[1][at]))
             roots[at], residuals[at] = _halley(lmax, rows[at], start, lo[at], hi[at],
                                                np.sign(f_lo[at]))
-    out = rows, lo, hi, roots, residuals
+    out = rows, d, lo, hi, roots, residuals
     for a in out:
         a.flags.writeable = False
     return out
@@ -384,7 +384,7 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float], ste
     is bitwise the same on a hit as on a miss.
     """
     degrees = tuple(degrees)
-    rows, lo, hi, roots, residuals = _lattice_roots(
+    rows, column, lo, hi, roots, residuals = _lattice_roots(
         lmax, degrees, step, _lattice_length(k_max * max(radii), step))
 
     # every (radius, root) pair with k = x/R <= k_max, by radius, then in
@@ -395,9 +395,11 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float], ste
     k, R, l, residual = k[r, j], R[r], rows[j], residuals[j]
     a, b = lo[j] / R, hi[j] / R
     bad = (np.isnan(residual) | (residual > tol)).nonzero()[0]
-    # near-coincident roots of one radius and degree, on the radii before
-    # the first with a bad residual
-    close = ((k[1:] - k[:-1]) * R[1:] < 10 * tol) & (l[1:] == l[:-1]) & (r[1:] == r[:-1])
+    # near-coincident roots of one radius and degree (one key), on the radii
+    # before the first with a bad residual
+    n = len(degrees)
+    key = r * n + column[j]
+    close = ((k[1:] - k[:-1]) * R[1:] < 10 * tol) & (key[1:] == key[:-1])
     for c in close.nonzero()[0].tolist():
         if bad.size and r[c] >= r[bad[0]]:
             break
@@ -414,12 +416,11 @@ def _real_spectra(lmax: int, degrees: Sequence[int], radii: Sequence[float], ste
     # Python-level call per record
     records = list(map(tuple.__new__, itertools.repeat(EigenvalueRecord),
                        zip(l.tolist(), k.tolist(), residual.tolist(), zip(a.tolist(), b.tolist()))))
-    # the records of one radius and degree are consecutive: one slice each
-    spectra = [{d: [] for d in degrees} for _ in radii]
-    cuts = [0, *(((r[1:] != r[:-1]) | (l[1:] != l[:-1])).nonzero()[0] + 1).tolist()]
-    for start, end, i in zip(cuts, cuts[1:] + [len(records)], r[cuts[:len(records)]].tolist()):
-        spectra[i][records[start].l] = records[start:end]
-    return spectra
+    # the records of one key are consecutive, in key order, which is
+    # (radius, degree) order: one slice each, cut at the running counts
+    ends = list(itertools.accumulate(np.bincount(key, minlength=len(radii) * n).tolist()))
+    parts = list(map(records.__getitem__, map(slice, [0, *ends], ends)))
+    return [dict(zip(degrees, parts[i:i + n])) for i in range(0, len(parts), n)]
 
 
 def _check_scan(R_hat: float, k_max: float, scan_step: float, tol: float) -> None:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import NumericalError
-from ..specfun import SphericalDirection, sphere_quadrature, ylm_blocks
+from ..specfun import ModePlan, SphericalDirection, sphere_quadrature, ylm_blocks
 
 __all__ = [
     "StarlikeDomain",
@@ -55,6 +55,10 @@ class StarlikeDomain:
 
     L_geom: int
     rho_coeffs: tuple[tuple[int, int, float], ...]
+    # (plan, values, turns): the ModePlan of the modes of rho_coeffs, their
+    # values, and value * (i m), each set once by construction
+    _terms: tuple[ModePlan, np.ndarray, np.ndarray] = dataclasses.field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 <= self.L_geom <= _L_GEOM_CAP):
@@ -81,8 +85,15 @@ class StarlikeDomain:
                     raise ValueError(
                         f"realness needs c_({l},{-m}) = c_({l},{m}); "
                         f"got {mirror} vs {value}")
-        object.__setattr__(self, "rho_coeffs",
-                           tuple(sorted((l, m, v) for (l, m), v in seen.items())))
+        coeffs = tuple(sorted((l, m, v) for (l, m), v in seen.items()))
+        object.__setattr__(self, "rho_coeffs", coeffs)
+        # d/dphi of value * Y_l^m is value * (i m) * Y_l^m
+        columns = (np.array([v for _, _, v in coeffs], dtype=float),
+                   np.array([v * (1j * m) for _, m, v in coeffs], dtype=complex))
+        for column in columns:
+            column.flags.writeable = False
+        object.__setattr__(self, "_terms",
+                           (ModePlan.build((l, m) for l, m, _ in coeffs), *columns))
         grid = self.synthesis(*_positivity_grid())
         if float(np.min(grid)) <= 0.0:
             raise ValueError("rho must be positive: the domain must contain the origin")
@@ -94,17 +105,16 @@ class StarlikeDomain:
         ``specfun.ylm_blocks``: each run of terms is weighted in one call
         and added in order (``_add_in_order``), so every sum is bitwise the
         term-by-term loop.  The angles broadcast as they do there, so a
-        grid passes ``theta[:, None], phi[None, :]``.
+        grid passes ``theta[:, None], phi[None, :]``; a non-finite theta
+        raises ValueError.  The mode plan and the weights come from
+        construction, so a call costs the evaluation alone.
         """
-        modes = [(l, m) for l, m, _ in self.rho_coeffs]
+        plan, values, turns = self._terms
         shape = np.broadcast(theta, phi).shape
         lead = (-1,) + (1,) * len(shape)
-        values = np.reshape([v for _, _, v in self.rho_coeffs], lead)
-        if derivatives:
-            # d/dphi of value * Y_l^m is value * (i m) * Y_l^m
-            turns = np.reshape([v * (1j * m) for _, m, v in self.rho_coeffs], lead)
+        values, turns = values.reshape(lead), turns.reshape(lead)
         sums = [np.zeros(shape, dtype=complex) for _ in range(3 if derivatives else 1)]
-        for span, Y, dY in ylm_blocks(modes, theta, phi, derivative=derivatives):
+        for span, Y, dY in ylm_blocks(plan, theta, phi, derivative=derivatives):
             w = values[span]
             parts = [(w, Y)] if dY is None else [(w, Y), (w, dY), (turns[span], Y)]
             sums = [_add_in_order(total, *part) for total, part in zip(sums, parts)]

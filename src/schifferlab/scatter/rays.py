@@ -14,13 +14,21 @@ lookup of the x roots in a memo (``eigsearch.real_eigenvalue_spectra``),
 keyed by table order, degrees, step and lattice length; a miss fills it
 with three calls of the Riccati kernel: the x-scan and, usually, two
 Halley iterations.  Every batch at k_max = 12 on radii up to 4 with the
-same l_max shares one entry, and a hit is bitwise a miss.
+same l_max shares one entry, and a hit is bitwise a miss.  The synthesis
+is one Legendre table and one exp over the domain's orders, from the
+mode plan the domain built at construction, with no ``ylm_norm`` call;
+the roots go to the radii in a fixed number of array operations, and
+the records are cut into per-radius, per-degree lists by their counts.
+The cross-ray intersection tests each k against the two nearest k of
+every other ray.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
+import operator
 from typing import Sequence
 
 from ..eigsearch import DensityEstimate, EigenvalueRecord, real_eigenvalue_spectra
@@ -32,6 +40,7 @@ from .domain import ray_radius  # noqa: F401  (bench/tracing.py rebinds it)
 __all__ = ["RayEigenReport", "RayScanResult", "per_ray_eigen_scan", "axis_directions"]
 
 _MATCH_TOL = 1e-6
+_K = operator.attrgetter("k")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,13 +88,24 @@ def axis_directions() -> tuple[SphericalDirection, ...]:
 
 
 def _intersect(lists: list[tuple[EigenvalueRecord, ...]], tol: float) -> tuple[float, ...]:
-    """The k of the first list that lie within tol of a k on every other list."""
-    survivors = [rec.k for rec in lists[0]] if lists else []
+    """The k of the first list that lie within tol of a k on every other list.
+
+    Each other list is sorted once, and only the two nearest q of a k are
+    tested: rounding is monotone, so abs(k - q) never shrinks as q moves
+    away from k on either side, and any q within tol means the nearest q
+    below k or the nearest at or above it is.
+    """
+    survivors = list(map(_K, lists[0])) if lists else []
     for other in lists[1:]:
         if not survivors:
             break
-        ks = [rec.k for rec in other]
-        survivors = [k for k in survivors if any(abs(k - q) <= tol for q in ks)]
+        ks = sorted(map(_K, other))
+        keep = []
+        for k in survivors:
+            i = bisect.bisect_left(ks, k)
+            if (i < len(ks) and abs(k - ks[i]) <= tol) or (i and abs(k - ks[i - 1]) <= tol):
+                keep.append(k)
+        survivors = keep
     return tuple(survivors)
 
 

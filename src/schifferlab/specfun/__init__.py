@@ -4,7 +4,9 @@ other module.  All evaluators are pure functions of their arguments; orders
 are capped at the fixed ``L_MAX`` = 60 and arguments at ``Z_MAX``.  Every
 spherical harmonic and its theta derivative comes from one kernel,
 ``ylm_blocks`` (``ylm_terms`` yields its rows one by one), which takes
-every Legendre value from one ``legendre_table``."""
+every Legendre value from one table.  A ``ModePlan`` holds the part of
+that kernel that depends on the mode list alone, so a caller that
+evaluates one list at many angles builds it once."""
 
 from .bessel import (
     L_MAX,
@@ -15,6 +17,7 @@ from .bessel import (
 )
 from .legendre import legendre_table
 from .harmonics import (
+    ModePlan,
     SphereQuadrature,
     SphericalDirection,
     sphere_quadrature,
@@ -28,6 +31,7 @@ from .harmonics import (
 __all__ = [
     "L_MAX",
     "Z_MAX",
+    "ModePlan",
     "SphereQuadrature",
     "SphericalDirection",
     "legendre_table",

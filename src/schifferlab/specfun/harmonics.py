@@ -13,7 +13,15 @@ Every harmonic value in the package comes from one kernel, ``ylm_blocks``:
 it gives Y_l^m, and dY_l^m/dtheta on request, for a list of modes at
 broadcasting (theta, phi), in runs of terms, taking every P_l^{|m|} from
 one Legendre table.  ``ylm_terms`` yields its terms one at a time, and
-``ylm`` and ``ylm_theta_derivative`` are its one-mode case.
+``ylm`` and ``ylm_theta_derivative`` are its one-mode case.  What depends
+on the mode list alone is a ``ModePlan``: the Legendre layout of the
+modes' degrees and orders with its recurrence coefficients, and per mode
+its rows and ``ylm_norm``.  ``ylm_blocks``
+builds one from a list of modes or takes one built before, with bitwise
+the same terms, so an evaluation costs one Legendre table, one exp over
+the distinct orders and the products of each run; a ``StarlikeDomain``
+builds its plan at construction, and each later synthesis, the ray
+radii of a per-ray scan among them, pays the evaluation alone.
 
 Surface integrals use a Gauss-Legendre rule in theta (64 nodes by default)
 crossed with a uniform trapezoid rule in phi (128 nodes); this integrates
@@ -28,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .legendre import legendre_table
+from .legendre import LegendrePlan
 
 
 @dataclass(frozen=True)
@@ -56,15 +64,73 @@ def ylm_norm(l: int, m: int) -> float:
 _BLOCK = 1 << 11
 
 
-def ylm_blocks(modes: Sequence[tuple[int, int]], theta, phi, derivative: bool = False
+@dataclass(frozen=True, eq=False, slots=True)
+class ModePlan:
+    """The angle-independent part of ``ylm_blocks`` for one list of modes.
+
+    Built once per mode list (``ModePlan.build``, which validates it), it
+    holds the Legendre layout of the modes' degrees and orders
+    (``legendre``, a ``LegendrePlan``), i m for each distinct order m in
+    ascending order (``phase``), and per mode its ``ylm_norm`` (``norm``)
+    and the rows of its P_l^{|m|} and its phase (``at``, shape (2, modes)).
+    The theta derivative reads ``slope``, shape (3, modes): the degree l,
+    the order |m| and the row of P_{l-1}^{|m|} (0, unread, where l = |m|).
+    Every array is read-only.
+    """
+
+    legendre: LegendrePlan
+    phase: np.ndarray
+    norm: np.ndarray
+    at: np.ndarray
+    slope: np.ndarray
+
+    @classmethod
+    def build(cls, modes: Iterable[tuple[int, int]]) -> "ModePlan":
+        """Validate the (l, m) pairs (|m| <= l) and lay out their terms."""
+        modes = list(modes)
+        lmax, ms = 0, set()
+        for l, m in modes:
+            if abs(m) > l:
+                raise ValueError(f"order |m|={abs(m)} exceeds degree l={l}")
+            lmax = max(lmax, l)
+            ms.add(m)
+        orders = sorted({abs(m) for m in ms}) or [0]
+        legendre = LegendrePlan.build(lmax, orders)
+        base, ms = legendre.base, sorted(ms)
+        # per mode: its row of P, its phase and its norm (one ylm_norm per l, |m|)
+        pos = {m: i for i, m in enumerate(orders)}
+        phase_of = {m: i for i, m in enumerate(ms)}
+        norms: dict[tuple[int, int], float] = {}
+        at, slope, norm = [], [], []
+        for l, m in modes:
+            am = abs(m)
+            if (l, am) not in norms:
+                norms[l, am] = ylm_norm(l, m)
+            norm.append(norms[l, am])
+            at.append((base[l - am] + pos[am], phase_of[m]))
+            slope.append((l, am, base[l - 1 - am] + pos[am] if l > am else 0))
+        arrays = (1j * np.array(ms, dtype=int), np.array(norm, dtype=float),
+                  np.ascontiguousarray(np.array(at, dtype=np.intp).reshape(-1, 2).T),
+                  np.ascontiguousarray(np.array(slope, dtype=np.intp).reshape(-1, 3).T))
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(legendre, *arrays)
+
+
+def ylm_blocks(modes: Sequence[tuple[int, int]] | ModePlan, theta, phi,
+               derivative: bool = False
                ) -> Iterator[tuple[slice, np.ndarray, np.ndarray | None]]:
     """(span, Y, dY) for consecutive runs ``modes[span]`` of the modes.
 
     Y[i] is Y_l^m(theta, phi) for the mode ``modes[span][i]``, and dY[i]
-    its dY_l^m/dtheta with ``derivative`` (else dY is None).  ``theta`` and
-    ``phi`` broadcast against each other, so a grid passes ``theta[:, None],
-    phi[None, :]``.  A run holds at most 2048 values, or one term: a grid's
-    runs are single terms, and a few rays take every term in one run.
+    its dY_l^m/dtheta with ``derivative`` (else dY is None).  ``modes`` is
+    a list of (l, m) pairs or a ``ModePlan`` built from one, with bitwise
+    the same terms; a caller that evaluates one mode list at many angles
+    builds its plan once.  ``theta`` and ``phi`` broadcast against each
+    other, so a grid passes ``theta[:, None], phi[None, :]``.  A run holds
+    at most 2048 values, or one term: a grid's runs are single terms, and
+    a few rays take every term in one run.  A non-finite theta raises
+    ValueError.
 
     The P_l^{|m|}(cos theta) come from one Legendre table and the phases
     from one exp call over the distinct m, so every term is bitwise
@@ -73,46 +139,24 @@ def ylm_blocks(modes: Sequence[tuple[int, int]], theta, phi, derivative: bool = 
     / sin(theta); where cos(theta) rounds to +-1 it takes the pole limit
     instead, l (l + 1) / 2 (+-1)^l for |m| = 1 and 0 otherwise.
     """
-    lmax, ms = 0, set()
-    for l, m in modes:
-        if abs(m) > l:
-            raise ValueError(f"order |m|={abs(m)} exceeds degree l={l}")
-        lmax = max(lmax, l)
-        ms.add(m)
+    plan = modes if isinstance(modes, ModePlan) else ModePlan.build(modes)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     shape = np.broadcast(theta, phi).shape
     lead = (-1,) + (1,) * len(shape)  # a column of terms against the angles
     t = np.cos(theta)
-    orders = sorted({abs(m) for m in ms}) or [0]
-    P, base = legendre_table(lmax, orders, t)
+    # cos(theta) is finite wherever theta is, so this names theta's defect
+    P = plan.legendre.table(t, "cos(theta)")
     P = P.reshape(P.shape[:1] + (1,) * (len(shape) - t.ndim) + t.shape)
-    ms = sorted(ms)
-    phases = np.exp(1j * np.reshape(ms, lead) * phi)
-    # per mode: its row of P, its phase and its norm (one ylm_norm per l, |m|)
-    pos = {m: i for i, m in enumerate(orders)}
-    phase_of = {m: i for i, m in enumerate(ms)}
-    norms: dict[tuple[int, int], float] = {}
-    at, phase_at, norm = [], [], []
-    for l, m in modes:
-        am = abs(m)
-        if (l, am) not in norms:
-            norms[l, am] = ylm_norm(l, m)
-        at.append(base[l - am] + pos[am])
-        phase_at.append(phase_of[m])
-        norm.append(norms[l, am])
-    at, phase_at = np.array(at, dtype=np.intp), np.array(phase_at, dtype=np.intp)
-    norm = np.reshape(norm, lead)
+    phases = np.exp(plan.phase.reshape(lead) * phi)
+    (at, phase_at), norm = plan.at, plan.norm.reshape(lead)
     if derivative:
         st = np.sin(theta)
         pole = np.abs(t) == 1.0
-        # P_{l-1}^{|m|}, row 0 (unread) where l = |m|
-        at_prev = np.array([base[l - 1 - abs(m)] + pos[abs(m)] if l > abs(m) else 0
-                            for l, m in modes], dtype=np.intp)
-        degree = np.reshape([l for l, _ in modes], lead)
-        order = np.abs(np.reshape([m for _, m in modes], lead))
+        degree, order, at_prev = plan.slope
+        degree, order = degree.reshape(lead), order.reshape(lead)
     step = max(1, _BLOCK // max(1, math.prod(shape)))
-    for a in range(0, len(modes), step):
+    for a in range(0, norm.shape[0], step):
         span = slice(a, a + step)
         Pl = P[at[span]]
         phase = phases[phase_at[span]]

@@ -32,10 +32,13 @@ from schifferlab.scatter import (
     residual_scan,
     unit_ball,
 )
+from schifferlab.eigsearch import EigenvalueRecord
 from schifferlab.errors import NumericalError
 from schifferlab.scatter import domain as domain_module
 from schifferlab.scatter import overdetermined as od
 from schifferlab.scatter.domain import ray_radii
+from schifferlab.scatter.rays import _intersect
+from schifferlab.specfun import harmonics, legendre
 from schifferlab.specfun import (
     L_MAX,
     SphericalDirection,
@@ -351,6 +354,43 @@ def test_a_ray_report_does_not_depend_on_its_batch(batch, pick):
     together = per_ray_eigen_scan(domain, dirs, l_max, K).reports[i]
     alone = per_ray_eigen_scan(domain, (dirs[i],), l_max, K).reports[0]
     assert report_bits(alone) == report_bits(together)
+
+
+def test_a_built_domain_scans_with_one_legendre_table_and_no_norms(monkeypatch):
+    # the mode plan, its norms and its weights are set at construction: a scan
+    # evaluates one Legendre table and calls ylm_norm not at all
+    domain = seeded_domain(7)
+    tables, norms = [], []
+    table, norm = legendre.LegendrePlan.table, harmonics.ylm_norm
+    monkeypatch.setattr(legendre.LegendrePlan, "table",
+                        lambda self, *a, **kw: tables.append(1) or table(self, *a, **kw))
+    monkeypatch.setattr(harmonics, "ylm_norm", lambda *a: norms.append(1) or norm(*a))
+    result = per_ray_eigen_scan(domain, axis_directions(), 3, 12.0)
+    assert len(tables) == 1 and not norms
+    assert result.reports[0].R_hat == ray_radius(domain, axis_directions()[0])
+    # the plan is data of the instance: equality, hash and repr ignore it
+    twin = StarlikeDomain(domain.L_geom, domain.rho_coeffs)
+    assert twin == domain and hash(twin) == hash(domain)
+    assert repr(twin) == repr(domain) and "_terms" not in repr(domain)
+    assert len(norms) == len({(l, abs(m)) for l, m, _ in domain.rho_coeffs})
+
+
+# values a rounding away from a distance of 1e-6 to each other
+_NEAR = [1.0, 1.0 + 1e-6, 1.0 - 1e-6, 1.0 + 2e-6, math.nextafter(1.0 + 1e-6, 2.0),
+         math.nextafter(1.0 - 1e-6, 0.0), 7.5, 7.5 + 1e-6, 7.5 - 1e-6 * (1 + 1e-15)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(lists=st.lists(st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from(_NEAR)),
+                               max_size=6), min_size=1, max_size=5),
+       tol=st.sampled_from([0.0, 1e-6, 0.5]))
+def test_the_intersection_is_the_all_pairs_test(lists, tol):
+    # each k is tested against the two nearest k of another list only;
+    # the brute-force test over every pair keeps the same k, in order
+    records = [tuple(EigenvalueRecord(0, k, 0.0, (k, k)) for k in ks) for ks in lists]
+    brute = [k for k in lists[0]
+             if all(any(abs(k - q) <= tol for q in other) for other in lists[1:])]
+    assert _intersect(records, tol) == tuple(brute)
 
 
 def test_ray_scan_validation():

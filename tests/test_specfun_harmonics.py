@@ -8,10 +8,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import lpmv
 
+from schifferlab.scatter import StarlikeDomain, unit_ball
 from schifferlab.specfun import (
+    ModePlan,
     legendre_table,
     sphere_quadrature,
     ylm,
@@ -207,3 +211,110 @@ def test_integrate_rejects_wrong_shape():
     quad = sphere_quadrature(16, 32)
     with pytest.raises(ValueError):
         quad.integrate(np.ones((4, 4)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_are_rejected(bad):
+    # NaN fails every comparison, so a range check written as "abs(t) > 1"
+    # let it through and the ball read rho = 1 at a NaN angle
+    with pytest.raises(ValueError, match="argument t=.* is not finite"):
+        legendre_table(0, [0], bad)
+    with pytest.raises(ValueError, match="not finite"):
+        legendre_table(3, [0, 2], np.array([0.5, bad, -0.2]))
+    domain = StarlikeDomain(2, ((0, 0, math.sqrt(4 * math.pi)), (2, 1, 0.05), (2, -1, 0.05)))
+    # cos(+-inf) is NaN with numpy's "invalid" warning, silenced here
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match=r"cos\(theta\)=nan is not finite"):
+            ylm(0, 0, bad, 0.3)
+        with pytest.raises(ValueError, match="not finite"):
+            ylm_theta_derivative(2, 1, np.array([[0.1], [bad]]), np.array([0.0, 1.0]))
+        for dom in (unit_ball(), domain):
+            with pytest.raises(ValueError, match="not finite"):
+                dom.synthesis(bad, 0.0)
+            with pytest.raises(ValueError, match="not finite"):
+                dom.synthesis(np.array([0.2, bad]), 0.0, derivatives=True)
+    # the range check itself is unchanged
+    with pytest.raises(ValueError, match=r"argument t outside \[-1, 1\]"):
+        legendre_table(2, [0], -1.5)
+
+
+def _real_domain(seed: int, L: int) -> StarlikeDomain:
+    """Real coefficients c_(l,-m) = c_(l,m) up to degree L, small enough that
+    rho stays above 1 - 0.5 on the whole sphere."""
+    rng = np.random.default_rng(seed)
+    coeffs = [(0, 0, math.sqrt(4 * math.pi))]
+    for l in range(1, L + 1):
+        for m in range(l + 1):
+            value = float(rng.uniform(-0.1, 0.1)) / (l + 1) ** 2
+            coeffs += [(l, m, value)] + ([(l, -m, value)] if m else [])
+    return StarlikeDomain(L, tuple(coeffs))
+
+
+def _term_by_term(domain: StarlikeDomain, theta, phi, derivatives: bool):
+    """rho, and with ``derivatives`` d rho/d theta and d rho/d phi, as the sum
+    of value * ylm(l, m, theta, phi) in rho_coeffs order, one mode a call."""
+    shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
+    rho, dth, dph = (np.zeros(shape, dtype=complex) for _ in range(3))
+    for l, m, value in domain.rho_coeffs:
+        y = ylm(l, m, theta, phi)
+        rho += value * y
+        if derivatives:
+            dth += value * ylm_theta_derivative(l, m, theta, phi)
+            dph += value * (1j * m) * y
+    return (rho.real, dth.real, dph.real) if derivatives else rho.real
+
+
+_POLAR = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi))
+_AZIMUTH = st.floats(0.0, 2 * math.pi, exclude_max=True)
+
+
+@st.composite
+def _angles(draw):
+    """(theta, phi) as scalars, 1-d arrays, a broadcast grid or empty arrays."""
+    kind = draw(st.sampled_from(["scalar", "rays", "grid", "empty"]))
+    if kind == "scalar":
+        return draw(_POLAR), draw(_AZIMUTH)
+    if kind == "empty":
+        return np.empty(0), np.empty(0)
+    thetas = np.array(draw(st.lists(_POLAR, min_size=1, max_size=9)))
+    phis = np.array(draw(st.lists(_AZIMUTH, min_size=1, max_size=9)))
+    if kind == "grid":
+        return thetas[:, None], phis[None, :]
+    n = min(thetas.size, phis.size)
+    return thetas[:n], phis[:n]
+
+
+def _bits(blocks) -> list:
+    return [(span, Y.tobytes(), None if dY is None else dY.tobytes()) for span, Y, dY in blocks]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), L=st.integers(0, 16), angles=_angles())
+def test_a_plan_gives_the_term_by_term_bits(seed, L, angles):
+    domain = _real_domain(seed, L)
+    theta, phi = angles
+    # the synthesis from the plan built at construction
+    got = domain.synthesis(theta, phi)
+    assert got.tobytes() == _term_by_term(domain, theta, phi, False).tobytes()
+    for got, want in zip(domain.synthesis(theta, phi, derivatives=True),
+                         _term_by_term(domain, theta, phi, True)):
+        assert got.shape == np.broadcast_shapes(np.shape(theta), np.shape(phi))
+        assert got.tobytes() == want.tobytes()
+    # a plan gives ylm_blocks the bits of its mode list: the domain's modes,
+    # and collocation_frame's (l, |m|) list
+    for modes in ([(l, m) for l, m, _ in domain.rho_coeffs],
+                  [(l, am) for l in range(L + 1) for am in range(l + 1)]):
+        plan = ModePlan.build(modes)
+        for derivative in (False, True):
+            assert (_bits(ylm_blocks(plan, theta, phi, derivative))
+                    == _bits(ylm_blocks(modes, theta, phi, derivative)))
+
+
+def test_a_plan_is_read_only():
+    plan = ModePlan.build([(2, -1), (0, 0), (3, 2)])
+    assert plan.at.shape == (2, 3) and plan.slope.shape == (3, 3)
+    assert plan.slope[:2].tolist() == [[2, 0, 3], [1, 0, 2]]
+    for array in (plan.phase, plan.norm, plan.at, plan.slope, plan.legendre.coef):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="exceeds degree"):
+        ModePlan.build([(1, 2)])
