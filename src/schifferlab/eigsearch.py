@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import brentq  # noqa: F401  (uncalled; bench/tracing.py looks it up)
 
-from .entire import Evaluator, winding_count
+from .entire import Evaluator, PanelPath, winding_count
 from .errors import NumericalError, UnderflowError, check_positive
 from .specfun import L_MAX, Z_MAX, riccati_s_rows
 from .specfun import riccati_table  # noqa: F401  (uncalled; bench/tracing.py rebinds it)
@@ -506,15 +506,6 @@ def real_eigenvalue_spectra(radii: Sequence[float], l_max: int, k_max: float,
     return _real_spectra(l_max, range(l_max + 1), radii, math.pi / 4, k_max, tol)
 
 
-def _rect_path(rect: tuple[float, float, float, float], n: int) -> np.ndarray:
-    re_lo, re_hi, im_lo, im_hi = rect
-    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
-               complex(re_hi, im_hi), complex(re_lo, im_hi),
-               complex(re_lo, im_lo)]
-    pieces = [np.linspace(a, b, n) for a, b in zip(corners, corners[1:])]
-    return np.concatenate([pieces[0]] + [p[1:] for p in pieces[1:]])
-
-
 def count_zeros_argument_principle(f: Evaluator,
                                    rect: tuple[float, float, float, float],
                                    quad_nodes: int = 1024) -> int:
@@ -522,25 +513,22 @@ def count_zeros_argument_principle(f: Evaluator,
 
     ``rect`` is (re_lo, re_hi, im_lo, im_hi), traversed counterclockwise;
     ``f`` maps a complex ndarray of nodes to the pair (f, f'), as
-    ``dispersion_function`` does, and is called once per pass.  The closed
-    path carries ``quad_nodes`` trapezoid nodes per side; at ``quad_nodes``
-    >= 256 a first pass at ``quad_nodes // 4`` per side gives the count
-    when it is clean: no boundary zero, a winding within 1e-2 of an
-    integer, and the every-other-node winding within 1e-2 of it.  Any
-    failure there only hands the count to the passes below, whose errors
-    are these.  Errors: a
-    non-finite corner, or ``quad_nodes`` not an integer >= 2, raises
-    ValueError; a zero of f on the boundary (a node where |f| collapses
-    below 1e-8 of the local boundary scale) raises NumericalError, a
-    ValueError; a non-integer winding (off by more than 0.1 after one
-    refinement) raises RuntimeError.
+    ``dispersion_function`` does.  The count is ``entire.winding_count`` on
+    ``PanelPath.rectangle``, G7/K15 panels, one evaluator call a pass: it
+    stands when the summed |K15 - G7| / 2 pi and the distance from an
+    integer are both at most 1e-2.  Errors: a non-finite corner,
+    or ``quad_nodes`` not an integer >= 2, raises ValueError; a node where
+    |f| is at most 1e-8 of the largest |f| on its panel raises
+    NumericalError (a ValueError), "zero of f detected on the contour";
+    no convergence within 2^22 nodes or 40 bisections of a panel, or a
+    non-finite f, raises RuntimeError.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     if not all(map(math.isfinite, rect)):
         raise ValueError(f"rectangle corners must be finite, got {rect}")
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ValueError("rectangle must have positive extent")
-    return winding_count(f, lambda n: _rect_path(rect, n), quad_nodes,
+    return winding_count(f, lambda n: PanelPath.rectangle(rect, n), quad_nodes,
                          "argument-principle")
 
 

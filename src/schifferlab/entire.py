@@ -11,9 +11,13 @@ fixed inner contour radius.
 Contour evaluators act elementwise on a complex ndarray and return the
 pair ``(f(path), f'(path))``, two arrays of ``path.shape``; for example
 ``lambda z: (np.sin(z), np.cos(z))`` or ``eigsearch.dispersion_function``.
-One contour costs one call when its first pass, at a quarter of the
-nodes, is clean, and one more per pass of the refinement ladder after
-it (``winding_count``); f'/f has no step-size error.  The indicator
+A contour is a ``PanelPath`` of panels carrying the 15 nodes of the
+Gauss-Kronrod pair G7/K15 (QUADPACK, Piessens et al. 1983), geometrically
+convergent on each side, corners included.  The K15 winding of f'/f is
+the count when it and the summed |K15 - G7| / 2 pi lie within 1e-2 of an
+integer and of 0; else flagged panels are bisected, one evaluator call a
+pass (``winding_count``).  A node where |f| is at most 1e-8 of the
+largest |f| on its panel is a zero of f on the contour.  The indicator
 evaluates f alone, at scalar points.
 """
 
@@ -24,11 +28,11 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError
 
 __all__ = [
+    "PanelPath",
     "SectorCount",
     "IndicatorSample",
     "zero_count_sector",
@@ -38,13 +42,30 @@ __all__ = [
 
 _INNER_RADIUS = 0.25
 _ANGLE_NUDGE = 1e-3
-_MAX_CONTOUR_NODES = 1 << 22  # a refined sector path's nodes: 64 MB complex
+_MAX_CONTOUR_NODES = 1 << 22  # a refined path's nodes: 64 MB complex
+_BAND = 1e-2  # bound on the error estimate and on the winding's distance from an integer
+_MAX_BISECTIONS = 40  # 2^-40 of a first-pass panel nears the spacing of doubles
+
+# G7/K15 on [-1, 1] (QUADPACK's qk15): the Kronrod nodes x >= 0 from the
+# outermost in, their K15 weights, and the G7 weights of the Gauss nodes
+# among them (every second node from the second)
+_XK = np.array([0.991455371120812639, 0.949107912342758525, 0.864864423359769073,
+                0.741531185599394440, 0.586087235467691130, 0.405845151377397167,
+                0.207784955007898468, 0.0])
+_WK = np.array([0.022935322010529225, 0.063092092629978553, 0.104790010322250184,
+                0.140653259715525919, 0.169004726639267903, 0.190350578064785410,
+                0.204432940075298892, 0.209482141084727828])
+_WG = np.array([0.129484966168869693, 0.279705391489276668, 0.381830050505118945,
+                0.417959183673469388])
+_X, _K = np.r_[-_XK, _XK[-2::-1]], np.r_[_WK, _WK[-2::-1]]  # all 15, ascending
+_G = np.zeros(15)
+_G[1::2] = np.r_[_WG, _WG[-2::-1]]
 
 Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 class _ContourZeroError(NumericalError):
-    """f vanishes at a contour node (or everywhere on the contour)."""
+    """f vanishes at a contour node."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,118 +92,122 @@ class IndicatorSample:
             raise ValueError("indicator extrapolation needs at least 3 radii")
 
 
-def _sector_sizes(alpha: float, beta: float, r: float, nodes: int) -> tuple[int, float, int]:
-    """Nodes on each ray, the outer arc (nodes/(2 pi) per unit length; inf
-    where that overflows) and the inner arc of the path at resolution nodes."""
-    arc = nodes * r * (beta - alpha) / (2 * math.pi)
-    n_arc = max(nodes, int(arc) + 16) if math.isfinite(arc) else math.inf
-    return nodes, n_arc, max(64, nodes // 8)
+@dataclasses.dataclass(frozen=True)
+class PanelPath:
+    """A closed counterclockwise contour as panels, each the straight
+    segment ``centre[i] + half[i] x`` for x in [-1, 1].  The segments lie
+    in the z plane, or with ``log`` in the log z plane, where an arc about
+    the origin is straight and a ray is graded geometrically.
+
+    The constructors take a node budget n: the sides share n // 15 panels
+    in proportion to their z-plane length, rounded down, at least one a
+    side."""
+
+    centre: np.ndarray
+    half: np.ndarray
+    log: bool = False
+
+    @classmethod
+    def _polygon(cls, corners: list[complex], lengths: list[float], nodes: int,
+                 log: bool = False) -> "PanelPath":
+        counts = [max(1, int(nodes // 15 * length / sum(lengths))) for length in lengths]
+        frac = np.concatenate([(np.arange(n) + 0.5) / n for n in counts])
+        start = np.repeat(np.array(corners, dtype=complex), counts)
+        side = np.repeat(np.roll(np.array(corners, dtype=complex), -1) - corners, counts)
+        return cls(start + side * frac, side / (2 * np.repeat(counts, counts)), log)
+
+    @classmethod
+    def rectangle(cls, rect: tuple[float, float, float, float], nodes: int) -> "PanelPath":
+        """The boundary of (re_lo, re_hi, im_lo, im_hi)."""
+        re_lo, re_hi, im_lo, im_hi = rect
+        return cls._polygon([complex(re_lo, im_lo), complex(re_hi, im_lo),
+                             complex(re_hi, im_hi), complex(re_lo, im_hi)],
+                            [re_hi - re_lo, im_hi - im_lo] * 2, nodes)
+
+    @classmethod
+    def sector(cls, alpha: float, beta: float, r: float, nodes: int) -> "PanelPath":
+        """The boundary of alpha < arg z < beta, 0.25 < |z| < r: two rays,
+        the outer arc and the inner arc."""
+        lo, hi = math.log(_INNER_RADIUS), math.log(r)
+        ray, arc = r - _INNER_RADIUS, beta - alpha
+        return cls._polygon([complex(lo, alpha), complex(hi, alpha),
+                             complex(hi, beta), complex(lo, beta)],
+                            [ray, r * arc, ray, _INNER_RADIUS * arc], nodes, log=True)
+
+    def nodes(self) -> np.ndarray:
+        """The (panels, 15) array of nodes in the z plane."""
+        w = self.centre[:, None] + self.half[:, None] * _X
+        return np.exp(w) if self.log else w
 
 
-def _sector_contour(alpha: float, beta: float, r: float,
-                    nodes: int) -> np.ndarray:
-    """Counterclockwise sector boundary with the inner-radius cutout."""
-    r0 = _INNER_RADIUS
-    n_rad, n_arc, n_inner = _sector_sizes(alpha, beta, r, nodes)
-    out_ray = np.linspace(r0, r, n_rad) * np.exp(1j * alpha)
-    arc = r * np.exp(1j * np.linspace(alpha, beta, n_arc))
-    in_ray = np.linspace(r, r0, n_rad) * np.exp(1j * beta)
-    inner = r0 * np.exp(1j * np.linspace(beta, alpha, n_inner))
-    return np.concatenate([out_ray, arc[1:], in_ray[1:], inner[1:]])
-
-
-def _rolling_max(a: np.ndarray, half: int = 8) -> np.ndarray:
-    """Maximum of ``a`` over each window i - half..i + half that fits in it;
-    a NaN in a window gives NaN.
-
-    One reduction over the 2 half + 1 shifted views of ``a`` padded with
-    -inf: reducing across the views runs along whole rows, where a
-    maximum over each short window would not.
-    """
-    padded = np.full(a.size + 2 * half, -np.inf)
-    padded[half:half + a.size] = a
-    return sliding_window_view(padded, a.size).max(axis=0)
-
-
-def _trapezoid_winding(g: np.ndarray, path: np.ndarray) -> float:
-    """(1/2 pi i) times the trapezoid integral of g = f'/f along path, real part."""
-    return (np.trapezoid(g, path) / (2j * math.pi)).real
-
-
-def _winding(f: Evaluator, path: np.ndarray) -> tuple[float, float]:
-    """Winding of f along a closed node path, from one call f(path) -> (f, f'),
-    and the winding of the same closed path at every other node (nodes
-    0, 2, 4, ... and the closing node).
-
-    A node is flagged as a boundary zero when |f| collapses 8 orders of
-    magnitude below its neighborhood; the scale is local because entire
-    functions of exponential type vary by many orders along one contour.
-    """
-    pair = f(path)
-    if not (isinstance(pair, tuple) and [np.shape(v) for v in pair] == [path.shape] * 2):
+def _panel_windings(f: Evaluator, path: PanelPath, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each panel's K15 winding (1/2 pi i) times the integral of f'/f, and
+    its estimate |K15 - G7| / 2 pi, from one call f(nodes) -> (f, f')."""
+    z = path.nodes()
+    pair = f(z.reshape(-1))
+    if not (isinstance(pair, tuple) and [np.shape(v) for v in pair] == [(z.size,)] * 2):
         raise ValueError(
             "contour evaluators must act elementwise on a complex ndarray and "
-            f"return the pair (f, f') of arrays of the path's shape {path.shape}")
-    values, deriv = np.asarray(pair[0]), np.asarray(pair[1])
+            f"return the pair (f, f') of arrays of the path's shape {(z.size,)}")
+    values, deriv = (np.asarray(v).reshape(z.shape) for v in pair)
     mags = np.abs(values)
-    scale = float(np.max(mags))
-    if scale == 0.0:
-        raise _ContourZeroError("f vanishes identically on the contour")
-    if np.any(mags <= 1e-8 * _rolling_max(mags)):
+    peak = mags.max(axis=1, keepdims=True)
+    if not (np.isfinite(peak).all() and np.isfinite(deriv).all()):
+        raise RuntimeError(f"{name} quadrature failed: f or f' is not finite on the contour")
+    # the scale is the panel's own: entire functions of exponential type
+    # vary by many orders of magnitude along one contour
+    if np.any(mags <= 1e-8 * peak):
         raise _ContourZeroError("zero of f detected on the contour")
-    g = deriv / values
-    half = np.r_[0:path.size - 1:2, path.size - 1]
-    return _trapezoid_winding(g, path), _trapezoid_winding(g[half], path[half])
+    g = deriv / values * (path.half[:, None] / (2j * math.pi))
+    if path.log:
+        g *= z  # dz = z dw
+    k15 = (g * _K).sum(axis=1)  # no BLAS call, as in the rest of a contour pass
+    return k15, np.abs(k15 - (g * _G).sum(axis=1))
 
 
-def _coarse_count(f: Evaluator, path: np.ndarray) -> int | None:
-    """The count on a coarse path when that pass is clean, else None.
-
-    Clean means no boundary zero, a winding within 1e-2 of an integer,
-    and the every-other-node winding within 1e-2 of it.  Any failure,
-    the evaluator's own included, is left to the refinement ladder.
-    """
-    try:
-        w, w_half = _winding(f, path)
-    except (ValueError, ArithmeticError):
-        return None
-    nearest = round(w)
-    if abs(w - nearest) <= 1e-2 and abs(w - w_half) <= 1e-2:
-        return int(nearest)
-    return None
-
-
-def winding_count(f: Evaluator, contour: Callable[[int], np.ndarray],
+def winding_count(f: Evaluator, contour: Callable[[int], PanelPath],
                   quad_nodes: int, name: str) -> int:
     """Zero count of f inside ``contour(quad_nodes)`` by the argument principle.
 
-    ``contour(n)`` builds the closed counterclockwise node path at
-    resolution n.  When ``quad_nodes // 4`` is at least 64, a first pass
-    runs on ``contour(quad_nodes // 4)`` and its count stands if the pass
-    is clean: no boundary zero, a winding within 1e-2 of an integer, and
-    the same path's winding at every other node within 1e-2 of it.
-    Otherwise, and whatever failed, the count comes from the ladder: a
-    pass on ``contour(quad_nodes)``, and a winding more than 0.1 from an
-    integer is recomputed once on ``contour(4 * quad_nodes)``; if it is
-    still off, RuntimeError "<name> quadrature failed".  A zero of f on
-    the ladder's contour raises NumericalError (a ValueError).
-    ``quad_nodes`` must be an integer of at least 2, or the path would
-    not close.
+    ``contour(n)`` builds the first pass's ``PanelPath`` from the node
+    budget n.  Each pass makes one evaluator call.  The count stands when
+    the summed |K15 - G7| / 2 pi and the K15 winding's distance from an
+    integer are both at most 1e-2.  Otherwise the panels whose estimate
+    exceeds an equal share of 1e-2 (every panel, if none does) are
+    bisected, and the next pass evaluates only the new panels.  A path
+    that would pass 2^22 nodes, or a flagged panel bisected 40 times
+    already, raises RuntimeError "<name> quadrature failed: winding <w>";
+    a non-finite f or f' raises it at once.  A node where |f| is at most
+    1e-8 of the largest |f| on its panel is a zero on the contour:
+    NumericalError (a ValueError).  ``quad_nodes`` must be an integer >= 2.
     """
     if not (isinstance(quad_nodes, (int, np.integer)) and quad_nodes >= 2):
         raise ValueError(f"quad_nodes must be an integer >= 2, got {quad_nodes!r}")
-    if quad_nodes // 4 >= 64:
-        count = _coarse_count(f, contour(quad_nodes // 4))
-        if count is not None:
-            return count
-    w = _winding(f, contour(quad_nodes))[0]
-    nearest = round(w)
-    if abs(w - nearest) > 0.1:
-        w = _winding(f, contour(4 * quad_nodes))[0]
+    path = contour(int(quad_nodes))
+    # per panel: centre, half-length, bisections, K15 winding, estimate
+    panels = [path.centre, path.half, np.zeros(path.centre.size, dtype=int),
+              *_panel_windings(f, path, name)]
+    while True:
+        centre, half, depth, k15, est = panels
+        w, err = float(k15.sum().real), float(est.sum())
+        if not math.isfinite(w + err):  # f'/f overflowed between detected zeros
+            break
         nearest = round(w)
-        if abs(w - nearest) > 0.1:
-            raise RuntimeError(f"{name} quadrature failed: winding {w}")
-    return int(nearest)
+        if err <= _BAND and abs(w - nearest) <= _BAND:
+            return int(nearest)
+        flag = est > _BAND / est.size
+        if not flag.any():
+            flag[:] = True
+        if 15 * (centre.size + np.count_nonzero(flag)) > _MAX_CONTOUR_NODES \
+                or depth[flag].max() >= _MAX_BISECTIONS:
+            break
+        h = half[flag] / 2
+        new = PanelPath(np.concatenate([centre[flag] - h, centre[flag] + h]),
+                        np.concatenate([h, h]), path.log)
+        born = [new.centre, new.half, np.tile(depth[flag] + 1, 2),
+                *_panel_windings(f, new, name)]
+        panels = [np.concatenate([old[~flag], young]) for old, young in zip(panels, born)]
+    raise RuntimeError(f"{name} quadrature failed: winding {w}")
 
 
 def zero_count_sector(f: Evaluator, alpha: float, beta: float, r: float,
@@ -191,18 +216,16 @@ def zero_count_sector(f: Evaluator, alpha: float, beta: float, r: float,
 
     The contour consists of two radial segments, the outer arc at radius
     ``r``, and an inner arc at radius 0.25 that excludes any zero at the
-    origin.  ``f`` maps a complex ndarray to the pair (f, f') (see the
-    module docstring).  The count comes from ``winding_count``: at
-    ``quad_nodes`` >= 256 a first pass at ``quad_nodes // 4`` stands when
-    it is clean (no boundary zero, a winding within 1e-2 of an integer and
-    within 1e-2 of the every-other-node winding); otherwise, and never
-    nudging for it, the ladder at ``quad_nodes`` and 4 ``quad_nodes``
-    runs as below.  Non-finite angles or radius, ``quad_nodes`` not an
-    integer >= 2, and a radius whose refined path (4 ``quad_nodes``) holds
-    more than 2^22 nodes raise ValueError before any node is built.  A
-    zero landing on the ladder's contour belongs to the countable
-    exceptional set of ray angles; both angles are nudged by 1e-3 (up to
-    three times) before the count is abandoned.
+    origin; ``f`` maps a complex ndarray to the pair (f, f').  The count
+    is ``winding_count`` on ``PanelPath.sector``, G7/K15 panels of log z,
+    accepted when the summed estimate and the distance from an integer
+    are both at most 1e-2.  Non-finite angles or radius, ``quad_nodes``
+    not an integer >= 2, and a path too long to refine to panels of
+    length 1/4 within 2^22 nodes raise ValueError before any evaluation.
+    A node where |f| is at most 1e-8 of the largest |f| on its panel is a
+    zero on the contour, which belongs to the countable exceptional set
+    of ray angles; both angles are nudged by 1e-3 (up to three times)
+    before the count is abandoned.
     """
     if not all(map(math.isfinite, (alpha, beta, r))):
         raise ValueError(f"sector angles and radius must be finite, "
@@ -211,18 +234,16 @@ def zero_count_sector(f: Evaluator, alpha: float, beta: float, r: float,
         raise ValueError("need alpha < beta")
     if r <= _INNER_RADIUS:
         raise ValueError(f"sector radius must exceed the inner cutoff {_INNER_RADIUS}")
-    if isinstance(quad_nodes, (int, np.integer)):  # else winding_count rejects it
-        n_rad, n_arc, n_inner = _sector_sizes(alpha, beta, r, 4 * int(quad_nodes))
-        nodes = 2 * n_rad + n_arc + n_inner - 3  # the pieces share 3 joints
-        if nodes > _MAX_CONTOUR_NODES:
-            raise ValueError(f"sector radius r={r} needs {nodes:.6g} nodes on the refined "
-                             f"contour (4 * quad_nodes = {4 * quad_nodes}), more than "
-                             f"{_MAX_CONTOUR_NODES}")
+    length = 2 * (r - _INNER_RADIUS) + (r + _INNER_RADIUS) * (beta - alpha)
+    if 60 * length > _MAX_CONTOUR_NODES:
+        raise ValueError(f"sector radius r={r} needs {60 * length:.6g} nodes to refine its "
+                         f"path of length {length:.6g} to panels of length 1/4, more than "
+                         f"{_MAX_CONTOUR_NODES}")
     a, b = alpha, beta
     last_err: Exception | None = None
     for _ in range(4):
         try:
-            count = winding_count(f, lambda n: _sector_contour(a, b, r, n),
+            count = winding_count(f, lambda n: PanelPath.sector(a, b, r, n),
                                   quad_nodes, "sector")
         except _ContourZeroError as err:
             last_err = err

@@ -15,7 +15,6 @@ from .bessel import (
     riccati_table,
     spherical_jn_table,
 )
-from .legendre import legendre_table
 from .harmonics import (
     ModePlan,
     SphereQuadrature,
@@ -34,7 +33,6 @@ __all__ = [
     "ModePlan",
     "SphereQuadrature",
     "SphericalDirection",
-    "legendre_table",
     "riccati_s_rows",
     "riccati_table",
     "sphere_quadrature",

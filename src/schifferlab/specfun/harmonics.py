@@ -129,8 +129,8 @@ def ylm_blocks(modes: Sequence[tuple[int, int]] | ModePlan, theta, phi,
     builds its plan once.  ``theta`` and ``phi`` broadcast against each
     other, so a grid passes ``theta[:, None], phi[None, :]``.  A run holds
     at most 2048 values, or one term: a grid's runs are single terms, and
-    a few rays take every term in one run.  A non-finite theta raises
-    ValueError.
+    a few rays take every term in one run.  A non-finite theta or phi
+    raises ValueError, before any numpy warning.
 
     The P_l^{|m|}(cos theta) come from one Legendre table and the phases
     from one exp call over the distinct m, so every term is bitwise
@@ -142,6 +142,11 @@ def ylm_blocks(modes: Sequence[tuple[int, int]] | ModePlan, theta, phi,
     plan = modes if isinstance(modes, ModePlan) else ModePlan.build(modes)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
+    # before cos or exp warns; a NaN theta is named below, as cos(theta)
+    if np.isinf(theta).any():
+        raise ValueError(f"angle theta={float(theta[np.isinf(theta)][0])} is not finite")
+    if not np.isfinite(phi).all():
+        raise ValueError(f"angle phi={float(phi[~np.isfinite(phi)][0])} is not finite")
     shape = np.broadcast(theta, phi).shape
     lead = (-1,) + (1,) * len(shape)  # a column of terms against the angles
     t = np.cos(theta)

@@ -4,10 +4,10 @@ No Condon-Shortley phase anywhere: the (1-t^2)^{m/2} prefactor carries no
 (-1)^m factor, so P_1^1(0) = +1.  This matches the convention in which Y_l^m
 carries the plain square-root normalization factor.
 
-``legendre_table`` accepts scalar or ndarray ``t``.  Its layout and
-recurrence coefficients depend on the degrees and orders alone, so they
-are held by a ``LegendrePlan``, built once per (lmax, orders); a caller
-that evaluates the same orders at many arguments keeps the plan.
+A ``LegendrePlan``, built once per (lmax, orders), holds the table's
+layout and recurrence coefficients, which depend on the degrees and
+orders alone; its ``table(t)`` accepts scalar or ndarray ``t``, so a
+caller that evaluates the same orders at many arguments keeps the plan.
 """
 
 from __future__ import annotations
@@ -21,13 +21,19 @@ import numpy as np
 
 @dataclasses.dataclass(frozen=True, eq=False, slots=True)
 class LegendrePlan:
-    """The angle-independent part of ``legendre_table(lmax, orders, t)``.
+    """P_l^m(t) for l = m..lmax and each order m of ``orders``, distinct and
+    ascending in [0, lmax]: the angle-independent layout, and ``table(t)``.
 
-    Diagonal d = l - m holds the first ``counts[d]`` orders, those with
+    The table is stored by diagonals d = l - m.  Diagonal d holds the first ``counts[d]`` orders, those with
     m + d <= lmax, in rows ``base[d]`` on.  ``seeds[m - 1]`` is the row of
     P_m^m for m = 1..orders[-1] (-1 for an order not in the table).
     ``coef`` holds, for the row of each P_l^m, the exact integers 2l - 1
     and l + m - 1 of the recurrence, as a (2, rows, 1) array of floats.
+
+    Every entry comes from the upward recurrence in l from the diagonal
+    seed P_m^m = (2m-1)!! (1-t^2)^{m/2}, so an entry does not depend on
+    lmax or on the other orders; each step of the recurrence runs on a
+    whole diagonal, and one chain of seed products serves every order.
     """
 
     lmax: int
@@ -39,7 +45,7 @@ class LegendrePlan:
 
     @classmethod
     def build(cls, lmax: int, orders: Sequence[int]) -> "LegendrePlan":
-        """Validate (lmax, orders) as legendre_table does and lay out the table."""
+        """Validate (lmax, orders) and lay out the table."""
         if lmax < 0 or lmax != int(lmax):
             raise ValueError(f"degree l must be a nonnegative integer, got {lmax!r}")
         lmax = int(lmax)
@@ -63,8 +69,9 @@ class LegendrePlan:
         return cls(lmax, tuple(orders), tuple(counts), tuple(base), seeds, coef)
 
     def table(self, t, name: str = "t") -> np.ndarray:
-        """P for ``legendre_table``: row ``base[l - m] + i`` is P_l^m(t) for
-        m = orders[i], with shape ``(base[-1],) + np.shape(t)``.
+        """P: row ``base[l - m] + i`` is P_l^m(t) for m = orders[i], with
+        shape ``(base[-1],) + np.shape(t)``.  With one order m, row l - m
+        is P_l^m, so P is that order's column by degree.
 
         ValueError where t lies outside [-1, 1] (1e-12 of slack), and, naming
         the argument as ``name``, where t is not finite.
@@ -106,23 +113,3 @@ class LegendrePlan:
                 row -= falling[b:b + n] * P[older:older + n]
                 row /= d
         return P.reshape(P.shape[:1] + shape)
-
-
-def legendre_table(lmax: int, orders: Sequence[int], t) -> tuple[np.ndarray, list[int]]:
-    """(P, base): P_l^m(t) for l = m..lmax and each order m of ``orders``.
-
-    ``orders`` are distinct and ascending in [0, lmax].  P is stored by
-    diagonals d = l - m, each holding the orders with m + d <= lmax, a
-    prefix of ``orders``: row ``base[l - m] + i`` of P is P_l^m for
-    m = orders[i], and P has shape ``(base[-1],) + np.shape(t)``.  With one
-    order m, row l - m is P_l^m, so P is that order's column by degree.
-
-    Every entry comes from the upward recurrence in l from the diagonal
-    seed P_m^m = (2m-1)!! (1-t^2)^{m/2}, so an entry does not depend on
-    lmax or on the other orders; each step of the recurrence runs on a
-    whole diagonal, and one chain of seed products serves every order.
-    The table is ``LegendrePlan.build(lmax, orders).table(t)``; a t
-    outside [-1, 1], or not finite, raises ValueError.
-    """
-    plan = LegendrePlan.build(lmax, orders)
-    return plan.table(t), list(plan.base)

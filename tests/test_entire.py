@@ -1,5 +1,6 @@
 """Sector zero counts, zero density, and the Lindelof indicator."""
 
+import cmath
 import functools
 import math
 import re
@@ -11,15 +12,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from schifferlab.eigsearch import (
-    _rect_path,
     count_zeros_argument_principle,
     dispersion,
     dispersion_function,
     dispersion_log_abs,
     find_real_eigenvalues,
 )
-from schifferlab import entire
-from schifferlab.entire import indicator, zero_count_sector
+from schifferlab.entire import PanelPath, indicator, zero_count_sector
+from schifferlab.errors import NumericalError
 
 
 # contour evaluators return the pair (f, f')
@@ -80,11 +80,11 @@ def test_density_table_fields():
 
 
 def test_contour_zero_triggers_the_angle_nudge():
-    # place a zero exactly on a ray node so the collapse detector fires
-    nodes = np.linspace(0.25, 10.0, 4096)
-    z0 = complex(nodes[2000])
-    sc = zero_count_sector(lambda z: (z - z0, np.ones_like(z)), 0.0, 0.5, 10.0,
-                           quad_nodes=4096)
+    # place a zero exactly on a node of the ray arg z = 0 (the centre node
+    # of its 11th panel) so the boundary-zero rule fires
+    z0 = PanelPath.sector(0.0, 0.5, 10.0, 1024).nodes()[10, 7]
+    assert z0.imag == 0.0
+    sc = zero_count_sector(lambda z: (z - z0, np.ones_like(z)), 0.0, 0.5, 10.0)
     assert sc.count == 1
     assert sc.alpha == pytest.approx(-1e-3)
     assert sc.beta == pytest.approx(0.5 - 1e-3)
@@ -134,7 +134,7 @@ def _clear_contours(draw):
         assume(clear(a) and clear(b))
         rect = (a, b, -h, h)
         return (l, R, lambda f, n: count_zeros_argument_principle(f, rect, quad_nodes=n),
-                lambda n: _rect_path(rect, n), sum(a < k < b for k in roots))
+                lambda n: PanelPath.rectangle(rect, n), sum(a < k < b for k in roots))
     # a ray at angle t passes root k at distance k sin t
     t_min = math.asin(quarter / roots[0])
     alpha = -draw(st.floats(t_min, t_min + 0.3))
@@ -142,83 +142,74 @@ def _clear_contours(draw):
     r = draw(st.floats(1.0, 20.0))
     assume(clear(r))
     return (l, R, lambda f, n: zero_count_sector(f, alpha, beta, r, quad_nodes=n).count,
-            lambda n: entire._sector_contour(alpha, beta, r, n), sum(k < r for k in roots))
+            lambda n: PanelPath.sector(alpha, beta, r, n), sum(k < r for k in roots))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=_clear_contours())
-def test_a_clean_quarter_resolution_pass_gives_todays_count(case):
-    # on contours clear of the zeros, the quarter-resolution pass is clean
-    # and its count is the winding at quad_nodes, in one evaluator call
+def test_a_clean_first_pass_gives_the_count(case):
+    # on contours clear of the zeros, the first pass of G7/K15 panels is
+    # clean and its count is the real-axis count, in one evaluator call
     l, R, count, contour, inside = case
     f = CallCounter(dispersion_function(l, R))
-    todays = round(entire._winding(f.f, contour(1024))[0])
-    assert count(f, 1024) == todays == inside
-    assert f.sizes == [contour(256).size]
+    assert count(f, 1024) == inside
+    assert f.sizes == [contour(1024).nodes().size]
 
 
 @pytest.mark.parametrize("z0", [0.5 + 0.0015j, 0.3 + 0.0024j, 0.0015 + 0.0015j])
 def test_a_zero_near_the_coarse_rectangle_drops_into_the_ladder(z0):
-    # z0 sits 0.4 or 0.6 of the coarse node spacing (1/255) above the
-    # bottom edge, or 0.4 of it from both edges at a corner
+    # z0 sits 0.0015 or 0.0024 above the bottom edge, or 0.0015 from both
+    # edges at a corner, where the first pass's panels are 1/17 long: the
+    # bisection passes count it, each evaluating only the new panels
     rect = (0.0, 1.0, 0.0, 1.0)
     f = CallCounter(lambda z: (z - z0, np.ones_like(z)))
     assert count_zeros_argument_principle(f, rect) == 1
-    assert f.sizes == [_rect_path(rect, 256).size, _rect_path(rect, 1024).size]
+    assert f.sizes[0] == PanelPath.rectangle(rect, 1024).nodes().size == 1020
+    assert len(f.sizes) >= 2 and all(n % 30 == 0 and n < 1020 for n in f.sizes[1:])
 
 
 @pytest.mark.parametrize("r, want", [(3 * math.pi + 0.005, 3), (3 * math.pi - 0.01, 2),
                                      (3 * math.pi - 0.02, 2)])
 def test_a_zero_near_the_coarse_outer_arc_drops_into_the_ladder(r, want):
-    # the zero of sin at 3 pi sits 0.14 to 0.55 of the coarse ray spacing
-    # from the outer arc; the ladder at 1024 nodes counts it right
+    # the zero of sin at 3 pi sits 0.005 to 0.02 from the outer arc, whose
+    # first-pass panels are about 0.43 long; the bisection passes count it
     f = CallCounter(sin_pair)
     sc = zero_count_sector(f, -0.5, 0.5, r)
     assert (sc.alpha, sc.beta, sc.count) == (-0.5, 0.5, want)
     assert f.calls >= 2
-    assert f.sizes[0] == entire._sector_contour(-0.5, 0.5, r, 256).size
+    assert f.sizes[0] == PanelPath.sector(-0.5, 0.5, r, 1024).nodes().size
 
 
 @pytest.mark.parametrize("n", [16, 64, 128, 255])
 def test_node_counts_below_256_run_one_pass_at_quad_nodes(n):
-    # quad_nodes // 4 < 64: no quarter-resolution pass, so the one call is
-    # on contour(quad_nodes) and the count is its winding, as before
+    # the first pass is the path at quad_nodes: n // 15 panels shared by
+    # the sides in proportion to length, at least one a side; later
+    # passes evaluate only the panels they bisect
     g = dispersion_function(0, 1.0)
     rect = (1.0, 6.0, -1.0, 1.0)
     f = CallCounter(g)
     assert count_zeros_argument_principle(f, rect, quad_nodes=n) == 1
-    assert f.sizes == [_rect_path(rect, n).size]
+    assert f.sizes[0] == PanelPath.rectangle(rect, n).nodes().size
+    assert all(m % 30 == 0 for m in f.sizes[1:])
     f = CallCounter(g)
     assert zero_count_sector(f, -0.1, 0.1, 6.0, quad_nodes=n).count == 1
-    assert f.sizes == [entire._sector_contour(-0.1, 0.1, 6.0, n).size]
-    # at 256 the quarter pass runs at 64 nodes per side
-    f = CallCounter(g)
-    assert count_zeros_argument_principle(f, rect, quad_nodes=256) == 1
-    assert f.sizes == [_rect_path(rect, 64).size]
+    assert f.sizes[0] == PanelPath.sector(-0.1, 0.1, 6.0, n).nodes().size
+    assert all(m % 30 == 0 for m in f.sizes[1:])
 
 
-def _shifted_maxima(a, half):
-    """The rolling maximum as 2 half shifted np.maximum calls."""
-    out = a.copy()
-    for s in range(1, half + 1):
-        out[s:] = np.maximum(out[s:], a[:-s])
-        out[:-s] = np.maximum(out[:-s], a[s:])
-    return out
+def test_a_boundary_zero_is_judged_against_its_own_panel():
+    # e^{40 z} (z - z0) spans 17 orders of magnitude over the rectangle, so
+    # the left edge sits far below 1e-8 of the largest |f| on the contour;
+    # against each panel's own largest |f| only a node on z0 is a zero
+    rect = (0.0, 1.0, -0.5, 0.5)
 
+    def pair(z0):
+        return lambda z: (np.exp(40 * z) * (z - z0), np.exp(40 * z) * (40 * (z - z0) + 1))
 
-def test_rolling_max_equals_the_shifted_maxima():
-    # random signed values over the double range, with NaNs (which spread
-    # over their windows), and arrays shorter than the window of 2 half + 1
-    rng = np.random.default_rng(11)
-    for half in (1, 3, 8):
-        for n in list(range(1, 2 * half + 3)) + [100, 4093]:
-            a = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
-            holed = a.copy()
-            holed[rng.integers(0, n, 1 + n // 50)] = np.nan
-            for arr in (a, holed, np.full(n, np.nan)):
-                got = entire._rolling_max(arr, half)
-                assert got.shape == arr.shape and got.dtype == np.float64
-                np.testing.assert_array_equal(got, _shifted_maxima(arr, half))
+    assert count_zeros_argument_principle(pair(0.3 + 0.1j), rect) == 1
+    node = PanelPath.rectangle(rect, 1024).nodes()[20, 3]
+    with pytest.raises(NumericalError, match="^zero of f detected on the contour$"):
+        count_zeros_argument_principle(pair(node), rect)
 
 
 def test_value_only_evaluator_is_rejected():
@@ -249,6 +240,82 @@ def test_zero_on_the_outer_arc_raises():
         zero_count_sector(sin_pair, -0.5, 0.5, 3 * math.pi)
 
 
+def test_a_first_pass_of_two_or_three_nodes_counts_every_zero():
+    # at 2 or 3 nodes the first pass has one panel a side, and bisection
+    # resolves the rest: every zero is counted, not a rounded wrong integer
+    for n in (2, 3):
+        f = CallCounter(sin_pair)
+        assert zero_count_sector(f, -0.1, 0.1, 10.0, quad_nodes=n).count == 3
+        assert f.sizes[0] == 60
+
+
+def test_density_sectors_cost_at_most_two_passes():
+    # the density sectors at r = 25, 50 and 100 take a first pass of at most
+    # 1020 nodes and at most one bisection pass after it
+    two_sines = lambda z: (np.sin(z) * np.sin(2.0 * z),
+                           np.cos(z) * np.sin(2.0 * z) + 2.0 * np.sin(z) * np.cos(2.0 * z))
+    for g, alpha, beta in ((sin_pair, -0.1, 0.1), (dispersion_function(0, 2.0), -0.2, 0.2),
+                           (two_sines, -0.1, 0.1)):
+        for r in (25.0, 50.0, 100.0):
+            f = CallCounter(g)
+            zero_count_sector(f, alpha, beta, r)
+            assert f.calls <= 2 and f.sizes[0] <= 1020 and sum(f.sizes) < 1200
+
+
+@pytest.mark.parametrize("l", [20, 32])
+def test_high_degree_sectors_count_the_real_zeros(l):
+    # |B_l| grows like |z|^l out of the inner arc; rays graded geometrically
+    # keep that growth on each panel far below the boundary-zero rule's 1e8
+    f = dispersion_function(l, 1.0)
+    real = [rec.k for rec in find_real_eigenvalues(l, 1.0, l + 30.0)]
+    assert zero_count_sector(f, -0.3, 0.3, l + 30.0).count == len(real)
+    assert zero_count_sector(f, math.pi / 2 - 0.4, math.pi / 2 + 0.4, 0.8 * l + 1).count == 0
+
+
+def _near_zero(place, d, side):
+    """A zero d from the contour, inside (side = 1) or outside (side = -1)
+    the rectangle (-1, 2, -1, 1) or the sector (-0.2, 0.3, 5)."""
+    t = side * d
+    return {"edge": complex(0.3, -1 + t), "corner": complex(-1 + t, -1 + t),
+            "ray": (2.0 + 1j * t) * cmath.exp(-0.2j), "arc": (5.0 - t) * cmath.exp(0.1j)}[place]
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-9])
+@pytest.mark.parametrize("place", ["edge", "corner", "ray", "arc"])
+def test_zeros_near_the_contour_are_counted_or_reported(place, d, side):
+    # bisection resolves a zero d from an edge, a corner, a ray or the
+    # outer arc; a wrong integer is never returned.  A sector's nudged
+    # angles, if any, decide what is inside
+    z0 = _near_zero(place, d, side)
+    f = lambda z: (z - z0, np.ones_like(z))
+    try:
+        if place in ("edge", "corner"):
+            assert count_zeros_argument_principle(f, (-1.0, 2.0, -1.0, 1.0)) == (side > 0)
+        else:
+            sc = zero_count_sector(f, -0.2, 0.3, 5.0)
+            assert sc.count == (sc.alpha < cmath.phase(z0) < sc.beta and abs(z0) < 5.0)
+    except (NumericalError, RuntimeError):
+        assert d < 1e-3, "a zero 1e-3 from the contour is within the bisection's reach"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_an_evaluator_that_is_not_finite_fails_before_dividing(bad):
+    # bisection cannot refine a NaN or an overflow away, and an infinite
+    # |f| would make every other node of its panel look like a zero
+    def pair(z):
+        f = np.sin(z)
+        f[3] = bad
+        return f, np.cos(z)
+
+    want = "^argument-principle quadrature failed: f or f' is not finite on the contour$"
+    with pytest.raises(RuntimeError, match=want):
+        count_zeros_argument_principle(pair, (0.5, 10.0, -1.0, 1.0))
+    # the same defect in f' (the pair swapped: cos and its "derivative")
+    with pytest.raises(RuntimeError, match="^sector quadrature failed: f or f' is not finite"):
+        zero_count_sector(lambda z: pair(z)[::-1], -0.1, 0.1, 10.0)
+
+
 def test_sector_validation():
     with pytest.raises(ValueError, match="alpha < beta"):
         zero_count_sector(sin_pair, 0.5, 0.5, 10.0)
@@ -256,16 +323,19 @@ def test_sector_validation():
         zero_count_sector(sin_pair, -0.1, 0.1, 0.2)
 
 
-@pytest.mark.parametrize("r, nodes", [(1e13, "1.3038e+15"), (1e6, "1.30388e+08"),
-                                      (33000.0, "4.31125e+06")])
-def test_sector_radius_past_the_node_cap_is_rejected_before_allocating(r, nodes):
-    # the refined path (4 * quad_nodes) is sized from the radius: r = 1e13
-    # asked numpy for 2.32 PiB, and r = 33000 sits just past the 2^22 cap
+@pytest.mark.parametrize("r, nodes, length", [(1e13, "1.32e+15", "2.2e+13"),
+                                              (1e6, "1.32e+08", "2.2e+06"),
+                                              (33000.0, "4.35597e+06", "72599.6")])
+def test_sector_radius_past_the_node_cap_is_rejected_before_allocating(r, nodes, length):
+    # the path's length bounds the radius: panels of length 1/4 on all of
+    # it must fit the 2^22-node cap.  r = 1e13 once asked numpy for
+    # 2.32 PiB, and r = 33000 sits just past the cap
     def never(z):
         raise AssertionError("the evaluator ran")
 
-    want = (rf"^sector radius r={re.escape(repr(r))} needs {re.escape(nodes)} nodes on the "
-            rf"refined contour \(4 \* quad_nodes = 4096\), more than 4194304$")
+    want = (rf"^sector radius r={re.escape(repr(r))} needs {re.escape(nodes)} nodes to "
+            rf"refine its path of length {re.escape(length)} to panels of length 1/4, "
+            rf"more than 4194304$")
     with pytest.raises(ValueError, match=want):
         zero_count_sector(never, -0.1, 0.1, r)
 

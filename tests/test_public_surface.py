@@ -29,7 +29,6 @@ UNCALLED = {
     "ylm": "bench/tracing.py rebinds it in scatter.overdetermined",
     "ylm_theta_derivative": "bench/tracing.py rebinds it in scatter.overdetermined",
     "ray_radius": "bench/tracing.py rebinds it in scatter.rays",
-    "legendre_table": "the table by (lmax, orders); the harmonic kernel keeps its LegendrePlan",
     "zero_count_sector": "the contour_count benchmark counts sectors with it",
     "rellich_expand": "the sphere re-expansion that back-scattering data will feed",
     "verify_asymptotics_25_26": "a paper estimate, checked as it stands",

@@ -5,6 +5,7 @@ relate to scipy's lpmv by a factor (-1)^m.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from scipy.special import lpmv
 from schifferlab.scatter import StarlikeDomain, unit_ball
 from schifferlab.specfun import (
     ModePlan,
-    legendre_table,
     sphere_quadrature,
     ylm,
     ylm_blocks,
@@ -24,11 +24,12 @@ from schifferlab.specfun import (
     ylm_terms,
     ylm_theta_derivative,
 )
+from schifferlab.specfun.legendre import LegendrePlan
 
 
 def legendre_column(lmax, m, t):
-    """P_{|m|}^{|m|}(t), ..., P_lmax^{|m|}(t): the one-order legendre_table."""
-    return legendre_table(lmax, [abs(m)], t)[0]
+    """P_{|m|}^{|m|}(t), ..., P_lmax^{|m|}(t): the one-order Legendre table."""
+    return LegendrePlan.build(lmax, [abs(m)]).table(t)
 
 
 def legendre(l, m, t):
@@ -77,7 +78,8 @@ def test_a_table_of_many_orders_is_bitwise_its_one_order_columns():
     rng = np.random.default_rng(11)
     for t in (rng.uniform(-1.0, 1.0, (3, 5)), np.array([-1.0, 0.0, 1.0]), 0.3):
         for orders in ([0, 1, 2, 3, 4, 5, 6], [2, 5], [6], [0, 3]):
-            P, base = legendre_table(9, orders, t)
+            plan = LegendrePlan.build(9, orders)
+            P, base = plan.table(t), plan.base
             assert P.shape == (base[-1],) + np.shape(t)
             for i, m in enumerate(orders):
                 column = legendre_column(9, m, t)
@@ -85,7 +87,7 @@ def test_a_table_of_many_orders_is_bitwise_its_one_order_columns():
                     assert P[base[l - m] + i].tobytes() == column[l - m].tobytes()
     for bad in ([3, 1], [1, 1], [-1], []):
         with pytest.raises(ValueError, match="ascending and nonnegative"):
-            legendre_table(4, bad, 0.5)
+            LegendrePlan.build(4, bad)
 
 
 def test_a_term_does_not_depend_on_its_run():
@@ -218,13 +220,16 @@ def test_non_finite_angles_are_rejected(bad):
     # NaN fails every comparison, so a range check written as "abs(t) > 1"
     # let it through and the ball read rho = 1 at a NaN angle
     with pytest.raises(ValueError, match="argument t=.* is not finite"):
-        legendre_table(0, [0], bad)
+        LegendrePlan.build(0, [0]).table(bad)
     with pytest.raises(ValueError, match="not finite"):
-        legendre_table(3, [0, 2], np.array([0.5, bad, -0.2]))
+        LegendrePlan.build(3, [0, 2]).table(np.array([0.5, bad, -0.2]))
     domain = StarlikeDomain(2, ((0, 0, math.sqrt(4 * math.pi)), (2, 1, 0.05), (2, -1, 0.05)))
-    # cos(+-inf) is NaN with numpy's "invalid" warning, silenced here
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(ValueError, match=r"cos\(theta\)=nan is not finite"):
+    # a NaN theta is named through its cosine; an infinite one by itself,
+    # before cos(+-inf) can raise numpy's "invalid value" warning
+    want = r"cos\(theta\)=nan is not finite" if math.isnan(bad) else f"^angle theta={bad} is not"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=want):
             ylm(0, 0, bad, 0.3)
         with pytest.raises(ValueError, match="not finite"):
             ylm_theta_derivative(2, 1, np.array([[0.1], [bad]]), np.array([0.0, 1.0]))
@@ -235,7 +240,23 @@ def test_non_finite_angles_are_rejected(bad):
                 dom.synthesis(np.array([0.2, bad]), 0.0, derivatives=True)
     # the range check itself is unchanged
     with pytest.raises(ValueError, match=r"argument t outside \[-1, 1\]"):
-        legendre_table(2, [0], -1.5)
+        LegendrePlan.build(2, [0]).table(-1.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_phi_is_rejected(bad):
+    # a NaN phi gave NaN terms, so the ball read rho = nan, and an infinite
+    # one tripped numpy's "invalid value" warning in exp first
+    domain = StarlikeDomain(2, ((0, 0, math.sqrt(4 * math.pi)), (2, 1, 0.05), (2, -1, 0.05)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^angle phi={bad} is not finite$"):
+            ylm(2, 1, 0.3, bad)
+        for dom in (unit_ball(), domain):
+            with pytest.raises(ValueError, match=f"^angle phi={bad} is not finite$"):
+                dom.synthesis(0.3, bad)
+            with pytest.raises(ValueError, match=f"^angle phi={bad} is not finite$"):
+                dom.synthesis(np.array([0.2, 0.4]), np.array([0.1, bad]), derivatives=True)
 
 
 def _real_domain(seed: int, L: int) -> StarlikeDomain:
