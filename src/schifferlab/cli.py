@@ -19,14 +19,14 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
+import tempfile
 from typing import Callable
 
 import numpy as np
 
-from ._atomic import write_atomic
 from .eigsearch import (
-    _MAX_SCAN_NODES,
     density_estimate,
     dispersion,
     dispersion_log_abs,
@@ -49,11 +49,11 @@ from .specfun import (
     L_MAX,
     SphericalDirection,
     riccati_table,
+    scaled_sin_cos,
     sphere_quadrature,
     spherical_jn_table,
     ylm_terms,
 )
-from .specfun.bessel import _scaled_trig
 
 __all__ = ["main", "ConfigError"]
 
@@ -74,6 +74,8 @@ _LISTS = {
 # argparse type of each kind with a flag form; parameters of the other
 # kinds come from a config file only
 _FLAG_TYPES = {"int": int, "float": float, "str": str, "float_list": str}
+# frequencies in a domain-residual grid: 32,768, each a least-squares solve
+_MAX_FREQUENCIES = 1 << 15
 
 
 def _cast(name: str, kind: str, value):
@@ -282,7 +284,7 @@ def _run_indicator(p: dict) -> tuple[list[str], list[tuple], str]:
 
         def log_abs(z: complex) -> float:
             z = complex(z)
-            zs, zc = _scaled_trig(z * d)
+            zs, zc = scaled_sin_cos(z * d)
             val = abs(r_hat * zc - zs / z)
             if val == 0.0:
                 return -math.inf
@@ -338,9 +340,9 @@ def _run_domain_residual(p: dict) -> tuple[list[str], list[tuple], str]:
             raise ConfigError("need 0 < k_min <= k_max and k_step > 0")
         # np.arange below gives ceil(steps + 1/2) frequencies
         steps = (k_max - k_min) / k_step
-        if steps + 0.5 > _MAX_SCAN_NODES:
+        if steps + 0.5 > _MAX_FREQUENCIES:
             raise ConfigError(f"k_step {k_step} gives {steps + 1:.6g} frequencies from "
-                              f"k_min to k_max, more than {_MAX_SCAN_NODES}")
+                              f"k_min to k_max, more than {_MAX_FREQUENCIES}")
         ks = np.arange(k_min, k_max + k_step / 2, k_step)
         ks = ks[ks <= k_max + 1e-12 * k_max]
     res = residual_scan(domain, ks, p["l_trial"], p["n_collocation"], p["neumann"])
@@ -472,6 +474,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 with bare newlines through a temp file in the
+    target's directory and a rename, so no reader sees a partial file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".schifferlab-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -489,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
     if merged["out"] is None:
         sys.stdout.write(text)
     else:
-        write_atomic(merged["out"], text)
+        _write_atomic(merged["out"], text)
         print(summary)
     return 0 if summary == "PASS" else 1
 

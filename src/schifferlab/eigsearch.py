@@ -516,20 +516,14 @@ def count_zeros_argument_principle(f: Evaluator,
     ``dispersion_function`` does.  The count is ``entire.winding_count`` on
     ``PanelPath.rectangle``, G7/K15 panels, one evaluator call a pass: it
     stands when the summed |K15 - G7| / 2 pi and the distance from an
-    integer are both at most 1e-2.  Errors: a non-finite corner,
-    or ``quad_nodes`` not an integer >= 2, raises ValueError; a node where
-    |f| is at most 1e-8 of the largest |f| on its panel raises
-    NumericalError (a ValueError), "zero of f detected on the contour";
-    no convergence within 2^22 nodes or 40 bisections of a panel, or a
-    non-finite f, raises RuntimeError.
+    integer are both at most 1e-2.  Errors: ``PanelPath.rectangle`` raises
+    the ValueError of a non-finite corner, an empty rectangle, or
+    ``quad_nodes`` not an integer >= 2; a node where |f| is at most 1e-8
+    of the largest |f| on its panel raises NumericalError (a ValueError),
+    "zero of f detected on the contour"; no convergence within 2^22 nodes
+    or 40 bisections of a panel, or a non-finite f, raises RuntimeError.
     """
-    re_lo, re_hi, im_lo, im_hi = rect
-    if not all(map(math.isfinite, rect)):
-        raise ValueError(f"rectangle corners must be finite, got {rect}")
-    if not (re_lo < re_hi and im_lo < im_hi):
-        raise ValueError("rectangle must have positive extent")
-    return winding_count(f, lambda n: PanelPath.rectangle(rect, n), quad_nodes,
-                         "argument-principle")
+    return winding_count(f, PanelPath.rectangle(rect, quad_nodes), "argument-principle")
 
 
 def density_estimate(l: int, R_hat: float, K: float) -> DensityEstimate:

@@ -17,8 +17,12 @@ convergent on each side, corners included.  The K15 winding of f'/f is
 the count when it and the summed |K15 - G7| / 2 pi lie within 1e-2 of an
 integer and of 0; else flagged panels are bisected, one evaluator call a
 pass (``winding_count``).  A node where |f| is at most 1e-8 of the
-largest |f| on its panel is a zero of f on the contour.  The indicator
-evaluates f alone, at scalar points.
+largest |f| on its panel is a zero of f on the contour.  Each job has one
+home: the ``PanelPath`` constructors check a contour's input,
+``winding_count`` counts on the path it is given, and
+``zero_count_sector`` only nudges the angles off a zero on the contour.
+The indicator evaluates f alone, at scalar points, after checking theta
+and every radius.
 """
 
 from __future__ import annotations
@@ -99,40 +103,65 @@ class PanelPath:
     in the z plane, or with ``log`` in the log z plane, where an arc about
     the origin is straight and a ray is graded geometrically.
 
-    The constructors take a node budget n: the sides share n // 15 panels
-    in proportion to their z-plane length, rounded down, at least one a
-    side."""
+    The constructors take a node budget ``quad_nodes``: the sides share
+    quad_nodes // 15 panels in proportion to their z-plane length, rounded
+    down, at least one a side.  They hold every check of a contour's
+    input, each a ValueError raised before any node exists: first their
+    own checks of the shape, then ``quad_nodes`` not an integer >= 2."""
 
     centre: np.ndarray
     half: np.ndarray
     log: bool = False
 
     @classmethod
-    def _polygon(cls, corners: list[complex], lengths: list[float], nodes: int,
+    def _polygon(cls, corners: list[complex], lengths: list[float], quad_nodes: int,
                  log: bool = False) -> "PanelPath":
-        counts = [max(1, int(nodes // 15 * length / sum(lengths))) for length in lengths]
+        if not (isinstance(quad_nodes, (int, np.integer)) and quad_nodes >= 2):
+            raise ValueError(f"quad_nodes must be an integer >= 2, got {quad_nodes!r}")
+        counts = [max(1, int(int(quad_nodes) // 15 * length / sum(lengths)))
+                  for length in lengths]
         frac = np.concatenate([(np.arange(n) + 0.5) / n for n in counts])
         start = np.repeat(np.array(corners, dtype=complex), counts)
         side = np.repeat(np.roll(np.array(corners, dtype=complex), -1) - corners, counts)
         return cls(start + side * frac, side / (2 * np.repeat(counts, counts)), log)
 
     @classmethod
-    def rectangle(cls, rect: tuple[float, float, float, float], nodes: int) -> "PanelPath":
-        """The boundary of (re_lo, re_hi, im_lo, im_hi)."""
+    def rectangle(cls, rect: tuple[float, float, float, float], quad_nodes: int) -> "PanelPath":
+        """The boundary of (re_lo, re_hi, im_lo, im_hi).  ValueError for a
+        non-finite corner or an empty rectangle."""
         re_lo, re_hi, im_lo, im_hi = rect
+        if not all(map(math.isfinite, rect)):
+            raise ValueError(f"rectangle corners must be finite, got {rect}")
+        if not (re_lo < re_hi and im_lo < im_hi):
+            raise ValueError("rectangle must have positive extent")
         return cls._polygon([complex(re_lo, im_lo), complex(re_hi, im_lo),
                              complex(re_hi, im_hi), complex(re_lo, im_hi)],
-                            [re_hi - re_lo, im_hi - im_lo] * 2, nodes)
+                            [re_hi - re_lo, im_hi - im_lo] * 2, quad_nodes)
 
     @classmethod
-    def sector(cls, alpha: float, beta: float, r: float, nodes: int) -> "PanelPath":
+    def sector(cls, alpha: float, beta: float, r: float, quad_nodes: int) -> "PanelPath":
         """The boundary of alpha < arg z < beta, 0.25 < |z| < r: two rays,
-        the outer arc and the inner arc."""
-        lo, hi = math.log(_INNER_RADIUS), math.log(r)
+        the outer arc and the inner arc.  ValueError for non-finite angles
+        or radius, alpha >= beta, r <= 0.25, and a path too long to refine
+        to panels of length 1/4 within 2^22 nodes."""
+        if not all(map(math.isfinite, (alpha, beta, r))):
+            raise ValueError(f"sector angles and radius must be finite, "
+                             f"got alpha={alpha}, beta={beta}, r={r}")
+        if not alpha < beta:
+            raise ValueError("need alpha < beta")
+        if r <= _INNER_RADIUS:
+            raise ValueError(f"sector radius must exceed the inner cutoff {_INNER_RADIUS}")
         ray, arc = r - _INNER_RADIUS, beta - alpha
+        sides = [ray, r * arc, ray, _INNER_RADIUS * arc]
+        length = sum(sides)
+        if 60 * length > _MAX_CONTOUR_NODES:
+            raise ValueError(f"sector radius r={r} needs {60 * length:.6g} nodes to refine "
+                             f"its path of length {length:.6g} to panels of length 1/4, "
+                             f"more than {_MAX_CONTOUR_NODES}")
+        lo, hi = math.log(_INNER_RADIUS), math.log(r)
         return cls._polygon([complex(lo, alpha), complex(hi, alpha),
                              complex(hi, beta), complex(lo, beta)],
-                            [ray, r * arc, ray, _INNER_RADIUS * arc], nodes, log=True)
+                            sides, quad_nodes, log=True)
 
     def nodes(self) -> np.ndarray:
         """The (panels, 15) array of nodes in the z plane."""
@@ -165,25 +194,21 @@ def _panel_windings(f: Evaluator, path: PanelPath, name: str) -> tuple[np.ndarra
     return k15, np.abs(k15 - (g * _G).sum(axis=1))
 
 
-def winding_count(f: Evaluator, contour: Callable[[int], PanelPath],
-                  quad_nodes: int, name: str) -> int:
-    """Zero count of f inside ``contour(quad_nodes)`` by the argument principle.
+def winding_count(f: Evaluator, path: PanelPath, name: str) -> int:
+    """Zero count of f inside ``path`` by the argument principle.
 
-    ``contour(n)`` builds the first pass's ``PanelPath`` from the node
-    budget n.  Each pass makes one evaluator call.  The count stands when
-    the summed |K15 - G7| / 2 pi and the K15 winding's distance from an
-    integer are both at most 1e-2.  Otherwise the panels whose estimate
-    exceeds an equal share of 1e-2 (every panel, if none does) are
-    bisected, and the next pass evaluates only the new panels.  A path
-    that would pass 2^22 nodes, or a flagged panel bisected 40 times
-    already, raises RuntimeError "<name> quadrature failed: winding <w>";
-    a non-finite f or f' raises it at once.  A node where |f| is at most
-    1e-8 of the largest |f| on its panel is a zero on the contour:
-    NumericalError (a ValueError).  ``quad_nodes`` must be an integer >= 2.
+    ``path`` is the first pass, checked by the constructor that built it.
+    Each pass makes one evaluator call.  The count stands when the summed
+    |K15 - G7| / 2 pi and the K15 winding's distance from an integer are
+    both at most 1e-2.  Otherwise the panels whose estimate exceeds an
+    equal share of 1e-2 (every panel, if none does) are bisected, and the
+    next pass evaluates only the new panels.  A path that would pass 2^22
+    nodes, or a flagged panel bisected 40 times already, raises
+    RuntimeError "<name> quadrature failed: winding <w>"; a non-finite f
+    or f' raises it at once.  A node where |f| is at most 1e-8 of the
+    largest |f| on its panel is a zero on the contour: NumericalError (a
+    ValueError).
     """
-    if not (isinstance(quad_nodes, (int, np.integer)) and quad_nodes >= 2):
-        raise ValueError(f"quad_nodes must be an integer >= 2, got {quad_nodes!r}")
-    path = contour(int(quad_nodes))
     # per panel: centre, half-length, bisections, K15 winding, estimate
     panels = [path.centre, path.half, np.zeros(path.centre.size, dtype=int),
               *_panel_windings(f, path, name)]
@@ -219,32 +244,18 @@ def zero_count_sector(f: Evaluator, alpha: float, beta: float, r: float,
     origin; ``f`` maps a complex ndarray to the pair (f, f').  The count
     is ``winding_count`` on ``PanelPath.sector``, G7/K15 panels of log z,
     accepted when the summed estimate and the distance from an integer
-    are both at most 1e-2.  Non-finite angles or radius, ``quad_nodes``
-    not an integer >= 2, and a path too long to refine to panels of
-    length 1/4 within 2^22 nodes raise ValueError before any evaluation.
-    A node where |f| is at most 1e-8 of the largest |f| on its panel is a
-    zero on the contour, which belongs to the countable exceptional set
-    of ray angles; both angles are nudged by 1e-3 (up to three times)
-    before the count is abandoned.
+    are both at most 1e-2.  ``PanelPath.sector`` raises the ValueError of
+    a bad angle, radius or ``quad_nodes``, before any evaluation.  A node
+    where |f| is at most 1e-8 of the largest |f| on its panel is a zero on
+    the contour, which belongs to the countable exceptional set of ray
+    angles; both angles are nudged by 1e-3 (up to three times) before the
+    count is abandoned.
     """
-    if not all(map(math.isfinite, (alpha, beta, r))):
-        raise ValueError(f"sector angles and radius must be finite, "
-                         f"got alpha={alpha}, beta={beta}, r={r}")
-    if not alpha < beta:
-        raise ValueError("need alpha < beta")
-    if r <= _INNER_RADIUS:
-        raise ValueError(f"sector radius must exceed the inner cutoff {_INNER_RADIUS}")
-    length = 2 * (r - _INNER_RADIUS) + (r + _INNER_RADIUS) * (beta - alpha)
-    if 60 * length > _MAX_CONTOUR_NODES:
-        raise ValueError(f"sector radius r={r} needs {60 * length:.6g} nodes to refine its "
-                         f"path of length {length:.6g} to panels of length 1/4, more than "
-                         f"{_MAX_CONTOUR_NODES}")
     a, b = alpha, beta
     last_err: Exception | None = None
     for _ in range(4):
         try:
-            count = winding_count(f, lambda n: PanelPath.sector(a, b, r, n),
-                                  quad_nodes, "sector")
+            count = winding_count(f, PanelPath.sector(a, b, r, quad_nodes), "sector")
         except _ContourZeroError as err:
             last_err = err
             a -= _ANGLE_NUDGE
@@ -265,12 +276,18 @@ def indicator(f: Callable[[complex], complex], theta: float,
     convergence model of sine-type functions.  For functions whose
     magnitude overflows doubles along the ray, pass ``log_abs`` computing
     log|f| directly; raw magnitudes are never required in that case.
+    A non-finite theta, or a non-finite or non-positive radius, raises
+    ValueError before any evaluation.
     """
     rs = [float(r) for r in r_sequence]
     if len(rs) < 3 or any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("r_sequence must be increasing with at least 3 entries")
     if rs[-1] < 50.0:
         raise ValueError("largest radius must be at least 50")
+    if not all(math.isfinite(r) and r > 0.0 for r in rs):
+        raise ValueError(f"radii must be finite and positive, got {rs}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     direction = complex(math.cos(theta), math.sin(theta))
     hs = []
     for r in rs:

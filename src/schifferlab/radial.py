@@ -29,8 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import check_positive
-from .specfun import riccati_s_rows, riccati_table
-from .specfun.bessel import _scaled_trig
+from .specfun import riccati_s_rows, riccati_table, scaled_sin_cos
 
 __all__ = [
     "RadialProblem",
@@ -339,7 +338,7 @@ def verify_asymptotics_25_26(l: int, k_samples: Sequence[complex],
     S, _ = riccati_s_rows(l, l, z, scaled=True)
     # the real phase shift leaves Im unchanged, so both terms carry the
     # same e^{-|Im z|} scaling and subtract without overflow
-    lead, _ = _scaled_trig(z - l * math.pi / 2)
+    lead, _ = scaled_sin_cos(z - l * math.pi / 2)
     c_obs = np.abs(z) * np.abs(S - lead)
     samples = [(k, xi, float(c_obs[i, j]))
                for i, k in enumerate(ks) for j, xi in enumerate(xis)]

@@ -70,7 +70,7 @@ from scipy.special import spherical_jn  # noqa: F401 (uncalled; bench/tracing.py
 
 from ..eigsearch import find_real_eigenvalues
 from ..errors import NumericalError, check_positive
-from ..specfun import L_MAX, spherical_jn_table, ylm_terms
+from ..specfun import L_MAX, Z_MAX, spherical_jn_table, ylm_terms
 from ..specfun import ylm, ylm_theta_derivative  # noqa: F401 (bench/tracing.py rebinds them)
 from .domain import StarlikeDomain
 
@@ -245,9 +245,15 @@ def collocation_frame(domain: StarlikeDomain, L_trial: int = 8,
     """Precompute the k-independent part of the boundary least squares.
 
     ``n_collocation`` defaults to max(2 (L_trial + 1)^2, 200); ValueError,
-    before anything is allocated, for fewer than 2 (L_trial + 1)^2 points
-    or more than 16,384.
+    before anything is allocated, for an ``L_trial`` or ``n_collocation``
+    that is not an integer (a bool is not one, a NumPy integer is), for
+    fewer than 2 (L_trial + 1)^2 points or more than 16,384.
     """
+    for name, value in (("L_trial", L_trial), ("n_collocation", n_collocation)):
+        if value is None and name == "n_collocation":
+            continue  # the default
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if L_trial < 0:
         raise ValueError(f"L_trial must be nonnegative, got {L_trial}")
     if L_trial > L_MAX:
@@ -301,15 +307,12 @@ class _Rows:
     T = n_t dYdt / rho + n_p dYdp / (rho sin theta), and ``factors`` is
     (NY, T).  With ``gradient`` the three Neumann blocks are j_l' Y,
     (j_l / k) Dt and (j_l / k) Dp, with Dt = dYdt / rho and
-    Dp = dYdp / (rho sin theta), and ``factors`` is (Dt, Dp).  ``tril`` is
-    the lower-triangle mask of an n_modes x n_modes C array, where R11^T
-    sits after the factorization.
+    Dp = dYdp / (rho sin theta), and ``factors`` is (Dt, Dp).
     """
 
     frame: CollocationFrame
     neumann: str
     factors: tuple[np.ndarray, np.ndarray]
-    tril: np.ndarray
 
 
 def _rows(frame: CollocationFrame, neumann: str) -> _Rows:
@@ -319,7 +322,7 @@ def _rows(frame: CollocationFrame, neumann: str) -> _Rows:
         factors = (frame.n_r * frame.Y, frame.n_t * dt + frame.n_p * dp)
     else:
         factors = (dt, dp)
-    return _Rows(frame, neumann, factors, np.tri(frame.Y.shape[0], dtype=bool))
+    return _Rows(frame, neumann, factors)
 
 
 def _assemble(rows: _Rows, j: np.ndarray, jp: np.ndarray, k: float,
@@ -367,10 +370,10 @@ class _Workspace:
     nothing; both routines report through ``info``.
     """
 
-    def __init__(self, Ab: np.ndarray, tril: np.ndarray | None = None):
+    def __init__(self, Ab: np.ndarray):
         n, m = Ab.shape[0] - 1, Ab.shape[1]
         self.Ab = Ab
-        self.tril = np.tri(n, dtype=bool) if tril is None else tril
+        self.tril = np.tri(n, dtype=bool)
         # dtrtri writes only W's lower triangle, so the upper stays zero
         self.W = np.zeros((n, n))
         self.lapack = _LAPACK
@@ -547,7 +550,9 @@ def residual_scan(domain: StarlikeDomain, k_values: Sequence[float],
     to one thread for the whole scan.  ``threads`` is validated (>= 1) and
     otherwise ignored: blocks run serially, because threads calling
     dgeqrt contend inside OpenBLAS.  Rank warnings are issued after the
-    scan, in grid order.
+    scan, in grid order.  A largest k whose product with the largest
+    boundary radius exceeds the Bessel kernel's Z_MAX raises ValueError,
+    naming both, once the collocation frame is built.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -570,9 +575,17 @@ def _scan(domain: StarlikeDomain, k_values: Sequence[float], L_trial: int,
     if ks.min() <= _K_TINY:
         raise ValueError(f"scan frequency k = {ks.min()} is too small: 1/k overflows "
                          f"at and below 2**-1024")
-    rows = _rows(collocation_frame(domain, L_trial, n_collocation), neumann)
+    frame = collocation_frame(domain, L_trial, n_collocation)
+    # the Bessel tables take x = k rho up to Z_MAX; the largest x is the
+    # product of the largest k and the largest rho, rounded alike
+    k_top, rho_top = float(ks.max()), float(frame.rho.max())
+    if k_top * rho_top > Z_MAX:
+        raise ValueError(f"scan frequency k = {k_top:.6g} times the largest boundary "
+                         f"radius max rho = {rho_top:.6g} is {k_top * rho_top:.6g}, beyond "
+                         f"the Bessel kernel's limit Z_MAX = {Z_MAX:.0e}")
+    rows = _rows(frame, neumann)
     n, p = rows.frame.Y.shape
-    ws = _Workspace(np.empty((n + 1, (2 if neumann == "normal" else 4) * p)), rows.tril)
+    ws = _Workspace(np.empty((n + 1, (2 if neumann == "normal" else 4) * p)))
     with _one_blas_thread():
         parts = [_scan_block(rows, ks[i:i + _BLOCK], ws) for i in range(0, ks.size, _BLOCK)]
     return (np.concatenate([out for out, _ in parts]),

@@ -38,7 +38,8 @@ bitwise the same S and S'.  At real x the float64 and complex rows
 differ by rounding only: complex division rounds (2l+1)/z as
 (2l+1)*(1/z), and the recurrences carry that difference along.  The
 scaled sin z and cos z that seed the complex tables come from one real
-sin/cos pair of Re z and expm1(-2|Im z|) (``_scaled_trig``), with no
+sin/cos pair of Re z and expm1(-2|Im z|) (``scaled_sin_cos``, which the
+package exports for the callers that need the same scaling), with no
 cancellation near the real axis.
 
 The recurrences use plain NumPy arithmetic and act on each point
@@ -73,7 +74,7 @@ Z_MAX = 1.0e4
 _SERIES_CUTOFF = 1.0e-6
 
 
-def _scaled_trig(z):
+def scaled_sin_cos(z):
     """(sin z, cos z) times exp(-|Im z|), for a complex scalar or ndarray.
 
     With x + iy = z and d = expm1(-2|y|), from one real sin/cos pair of x:
@@ -239,7 +240,7 @@ def _j_blocks(lmax: int, z: np.ndarray, zs: np.ndarray,
 
 def _y_scaled(lmax: int, z: np.ndarray, zs: np.ndarray, zc: np.ndarray) -> np.ndarray:
     """Table of y_0..y_lmax at a 1-d array of complex points, scaled by
-    exp(-|Im z|); ``zs, zc`` are ``_scaled_trig(z)``."""
+    exp(-|Im z|); ``zs, zc`` are ``scaled_sin_cos(z)``."""
     y0 = -zc / z
     return _upward(lmax, z, y0, y0 / z - zs / z)
 
@@ -393,7 +394,7 @@ def riccati_s_rows(lmax: int, l, z, scaled: bool = False):
     # a 0-d z runs as one point: NumPy's scalar arithmetic rounds complex
     # division differently from its array loops
     pts = z if z.ndim else flat
-    zs, zc = (np.sin(flat), np.cos(flat)) if real else _scaled_trig(flat)
+    zs, zc = (np.sin(flat), np.cos(flat)) if real else scaled_sin_cos(flat)
     with np.errstate(over="ignore", invalid="ignore"):
         S, Sp = _s_rows(lmax, l, pts, zs, zc)
     if not scaled:
@@ -421,7 +422,7 @@ def riccati_table(lmax: int, z, scaled: bool = False):
     """
     z = _check_order_array(lmax, z)
     flat = z.ravel()
-    zs, zc = _scaled_trig(flat)
+    zs, zc = scaled_sin_cos(flat)
     with np.errstate(over="ignore", invalid="ignore"):
         S, Sp = _s_rows(lmax, np.arange(lmax + 1)[:, None], flat, zs, zc)
         # flat as a row, for the fused multiply-add of _s_rows at one point too

@@ -292,6 +292,17 @@ def test_collocation_count_past_the_cap_exits_2(run_cli):
     assert res.stdout == ""
 
 
+def test_a_frequency_past_the_kernel_range_exits_2_naming_k(run_cli):
+    # the spheroid's largest radius is 1.19737, so k = 9000 asks the
+    # Bessel kernel for x = 10776; the message once named only that x
+    res = run_cli("domain-residual", "--domain", SPHEROID, "--k", "9000")
+    assert res.returncode == 2
+    assert res.stderr == ("schifferlab: config error: scan frequency k = 9000 times the "
+                          "largest boundary radius max rho = 1.19737 is 10776.3, beyond "
+                          "the Bessel kernel's limit Z_MAX = 1e+04\n")
+    assert res.stdout == ""
+
+
 _BALL_RESIDUAL = ("domain-residual", "--domain", BALL, "--k-min", "1", "--k-step", "0.5")
 
 
@@ -328,6 +339,7 @@ def test_config_errors_exit_2(run_cli, tmp_path):
         ("indicator", "--l", "2", "--xi", "0.25"),
         ("indicator", "--theta", "0"),
         ("indicator", "--theta", "nan"),
+        ("indicator", "--r-values", "0,20,60"),  # once a ZeroDivisionError traceback
     ]
     for args in cases:
         res = run_cli(*args)

@@ -317,10 +317,15 @@ def test_an_evaluator_that_is_not_finite_fails_before_dividing(bad):
 
 
 def test_sector_validation():
-    with pytest.raises(ValueError, match="alpha < beta"):
-        zero_count_sector(sin_pair, 0.5, 0.5, 10.0)
-    with pytest.raises(ValueError, match="inner cutoff"):
-        zero_count_sector(sin_pair, -0.1, 0.1, 0.2)
+    # PanelPath.sector holds the checks, so it raises them too
+    for count in (functools.partial(zero_count_sector, sin_pair),
+                  lambda *args: PanelPath.sector(*args, 1024)):
+        with pytest.raises(ValueError, match="alpha < beta"):
+            count(0.5, 0.5, 10.0)
+        with pytest.raises(ValueError, match="inner cutoff"):
+            count(-0.1, 0.1, 0.2)
+    with pytest.raises(ValueError, match="^rectangle must have positive extent$"):
+        PanelPath.rectangle((1.0, 1.0, -1.0, 1.0), 1024)
 
 
 @pytest.mark.parametrize("r, nodes, length", [(1e13, "1.32e+15", "2.2e+13"),
@@ -338,6 +343,9 @@ def test_sector_radius_past_the_node_cap_is_rejected_before_allocating(r, nodes,
             rf"more than 4194304$")
     with pytest.raises(ValueError, match=want):
         zero_count_sector(never, -0.1, 0.1, r)
+    # before the node count, as the front end checked it
+    with pytest.raises(ValueError, match=want):
+        PanelPath.sector(-0.1, 0.1, r, 1)
 
 
 @pytest.mark.parametrize("quad_nodes", [1, 0, -4, 2.5, np.float64(64.0), None])
@@ -351,6 +359,10 @@ def test_contours_reject_node_counts_that_do_not_close_the_path(quad_nodes):
                                        quad_nodes=quad_nodes)
     with pytest.raises(ValueError, match=want):
         zero_count_sector(sin_pair, -0.1, 0.1, 10.0, quad_nodes=quad_nodes)
+    with pytest.raises(ValueError, match=want):
+        PanelPath.rectangle((-1.0, 10.0, -1.0, 1.0), quad_nodes)
+    with pytest.raises(ValueError, match=want):
+        PanelPath.sector(-0.1, 0.1, 10.0, quad_nodes)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -360,9 +372,13 @@ def test_contours_reject_non_finite_geometry(bad):
                  (-1.0, 10.0, bad, 1.0), (-1.0, 10.0, -1.0, bad)):
         with pytest.raises(ValueError, match=r"^rectangle corners must be finite, got \("):
             count_zeros_argument_principle(sin_pair, rect)
+        with pytest.raises(ValueError, match=r"^rectangle corners must be finite, got \("):
+            PanelPath.rectangle(rect, 1)  # before the node count
     for args in ((bad, 0.1, 10.0), (-0.1, bad, 10.0), (-0.1, 0.1, bad)):
         with pytest.raises(ValueError, match="^sector angles and radius must be finite, got "):
             zero_count_sector(sin_pair, *args)
+        with pytest.raises(ValueError, match="^sector angles and radius must be finite, got "):
+            PanelPath.sector(*args, 1)
 
 
 def test_counts_at_the_node_counts_that_close_the_path():
@@ -374,6 +390,39 @@ def test_counts_at_the_node_counts_that_close_the_path():
     for n in (128, 1024):
         assert count_zeros_argument_principle(f, (1.0, 6.0, -1.0, 1.0), quad_nodes=n) == 1
         assert zero_count_sector(f, -0.1, 0.1, 6.0, quad_nodes=n).count == 1
+
+
+@pytest.mark.parametrize("theta, radii, message", [
+    (math.nan, (10.0, 20.0, 50.0), "theta must be finite, got nan"),
+    (math.inf, (10.0, 20.0, 50.0), "theta must be finite, got inf"),
+    (-math.inf, (10.0, 20.0, 50.0), "theta must be finite, got -inf"),
+    (math.pi / 2, (10.0, 20.0, math.nan), "radii must be finite and positive, "
+                                          "got [10.0, 20.0, nan]"),
+    (math.pi / 2, (10.0, 20.0, math.inf), "radii must be finite and positive, "
+                                          "got [10.0, 20.0, inf]"),
+    (math.pi / 2, (-1.0, 0.0, 50.0), "radii must be finite and positive, "
+                                     "got [-1.0, 0.0, 50.0]"),
+    (math.pi / 2, (0.0, 20.0, 50.0), "radii must be finite and positive, "
+                                     "got [0.0, 20.0, 50.0]"),
+])
+def test_indicator_rejects_bad_rays_before_evaluating(theta, radii, message):
+    # a NaN theta once read "evaluator overflowed", or with log_abs
+    # "argument must be finite"; an infinite theta "math domain error";
+    # r = 0 divided by zero; and (10, 20, nan) passed the increasing check
+    def never(z):
+        raise AssertionError("the evaluator ran")
+
+    for log_abs in (None, never):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            indicator(never, theta, radii, log_abs=log_abs)
+
+
+def test_indicator_sequence_checks_come_first():
+    # the sequence checks, and their messages, stand as they were
+    with pytest.raises(ValueError, match="^r_sequence must be increasing"):
+        indicator(np.sin, math.nan, (50.0, 20.0, 10.0))
+    with pytest.raises(ValueError, match="^largest radius must be at least 50$"):
+        indicator(np.sin, math.nan, (-1.0, 0.0, 20.0))
 
 
 def test_sine_indicator_is_one():

@@ -1,5 +1,6 @@
-"""The public surface: every exported name has a caller, and every name the
-benchmark tracer rebinds still exists.
+"""The public surface: every exported name has a caller, every name the
+benchmark tracer rebinds still exists, and no module imports another
+module's private names.
 
 A name in a module's ``__all__`` counts as called when a module under
 ``src/`` or ``tests/test_acceptance.py`` uses it as code.  Its own
@@ -10,6 +11,7 @@ few names that lack such a caller are listed below with the reason each
 one stays.
 """
 
+import ast
 import importlib
 import importlib.util
 import io
@@ -70,6 +72,57 @@ def test_every_exported_name_has_a_caller():
     assert not uncalled, f"exported but never called: {uncalled}"
     # an allowlisted name that gains a caller leaves the list
     assert not UNCALLED.keys() & used
+
+
+def _private_imports(path: Path, root: Path = SRC.parent) -> list[str]:
+    """``from <module> import _name`` statements in ``path``, a module of
+    the package tree under ``root``, that take a private name from a
+    schifferlab module, as "line: module._name"."""
+    package = path.relative_to(root).parts[:-1]  # a module's package, or an __init__'s own
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:  # relative: up from the importing package
+            base = package[:len(package) - node.level + 1]
+            module = ".".join([*base, *([node.module] if node.module else [])])
+        else:
+            module = node.module or ""
+        if module.split(".")[0] != "schifferlab":
+            continue
+        found += [f"{node.lineno}: {module}.{alias.name}" for alias in node.names
+                  if alias.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a private name is its own module's business; another module that
+    # needs it needs a public name
+    found = {str(p.relative_to(SRC)): _private_imports(p) for p in sorted(SRC.rglob("*.py"))}
+    assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_the_private_import_check_reads_every_form_of_import(tmp_path):
+    # the shapes of import the check must catch, and the public names and
+    # third-party private names it must pass
+    probe = tmp_path / "schifferlab" / "scatter" / "probe.py"
+    probe.parent.mkdir(parents=True)
+    probe.write_text("from ..specfun.bessel import _kernel\n"
+                     "from . import _helper\n"
+                     "from schifferlab.eigsearch import _CAP, find_real_eigenvalues\n"
+                     "from .domain import StarlikeDomain\n"
+                     "from numpy.linalg import _umath_linalg\n"
+                     "def f():\n"
+                     "    from .. import _atomic\n")
+    init = probe.with_name("__init__.py")
+    init.write_text("from .overdetermined import _Rows\n")
+    assert _private_imports(probe, tmp_path) == [
+        "1: schifferlab.specfun.bessel._kernel",
+        "2: schifferlab.scatter._helper",
+        "3: schifferlab.eigsearch._CAP",
+        "7: schifferlab._atomic",
+    ]
+    assert _private_imports(init, tmp_path) == ["1: schifferlab.scatter.overdetermined._Rows"]
 
 
 def _tracing_targets():

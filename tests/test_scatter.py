@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import threading
 import tracemalloc
 import warnings
@@ -506,6 +507,55 @@ def test_collocation_frame_defaults_and_guards():
         collocation_frame(unit_ball(), L_trial=8, n_collocation=100)
     with pytest.raises(ValueError, match="L_trial must be nonnegative"):
         collocation_frame(unit_ball(), L_trial=-1)
+
+
+@pytest.mark.parametrize("bad", [2.5, 300.5, np.float64(8.0), True, False, "8"])
+def test_collocation_counts_must_be_integers(bad):
+    # range() once raised a bare TypeError for 2.5 and 300.5, and True ran
+    # as L_trial = 1
+    for name in ("L_trial", "n_collocation"):
+        want = f"^{name} must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=want):
+            collocation_frame(unit_ball(), **{name: bad})
+        with pytest.raises(ValueError, match=want):
+            residual_scan(unit_ball(), [2.0], **{name: bad})
+        with pytest.raises(ValueError, match=want):
+            overdetermined_residual(unit_ball(), 2.0, **{name: bad})
+
+
+def test_numpy_integer_counts_are_python_ints():
+    want = residual_scan(egg_domain(), [2.0, 3.5], L_trial=4, n_collocation=300)
+    got = residual_scan(egg_domain(), [2.0, 3.5], L_trial=np.int64(4),
+                        n_collocation=np.int32(300))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_scan_past_the_kernel_range_names_k_and_the_radius(monkeypatch):
+    # the Bessel tables once refused "|z|=2e+04 exceeds supported range",
+    # a z the caller never passed; k max(rho) is now checked against Z_MAX
+    # once the frame is built, and exactly where the tables would refuse
+    want = (r"^scan frequency k = 20000 times the largest boundary radius max rho = 1 "
+            r"is 20000, beyond the Bessel kernel's limit Z_MAX = 1e\+04$")
+    with pytest.raises(ValueError, match=want):
+        residual_scan(unit_ball(), [2.0, 2e4])
+    with pytest.raises(ValueError, match=want):
+        overdetermined_residual(unit_ball(), 2e4)
+    rho_top = float(collocation_frame(egg_domain()).rho.max())
+    k = 1e4 / rho_top
+    while k * rho_top > 1e4:
+        k = float(np.nextafter(k, 0.0))
+    while float(np.nextafter(k, math.inf)) * rho_top <= 1e4:
+        k = float(np.nextafter(k, math.inf))
+    assert residual_scan(egg_domain(), [k]).shape == (1,)
+
+    def refuse(*args):
+        raise AssertionError("a Bessel table was built")
+
+    monkeypatch.setattr(od, "spherical_jn_table", refuse)
+    past = float(np.nextafter(k, math.inf))
+    with pytest.raises(ValueError, match=f"^scan frequency k = {past:.6g} times the "
+                                         f"largest boundary radius max rho = {rho_top:.6g}"):
+        residual_scan(egg_domain(), [past])
 
 
 def test_trial_degree_past_the_order_cap_is_rejected_before_any_table():

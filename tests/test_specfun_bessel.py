@@ -428,7 +428,7 @@ def test_tables_share_one_scaled_trig_evaluation():
     real = np.concatenate([[3e-7, 0.5, 2.3, 7.9], np.linspace(0.01, 30.0, 41)])
     cplx = np.array([2.0 + 1.0j, 5.0 - 3.0j, 0.3 + 12.0j, -7.0 + 0.5j, 1e-7j])
     for z in (real, cplx):
-        zs, zc = bessel._scaled_trig(z)
+        zs, zc = bessel.scaled_sin_cos(z)
         for lmax in (0, 3, 8):
             _, _, Sp, Cp = riccati_table(lmax, z, scaled=True)
             assert Sp[0].tobytes() == zc.tobytes()
@@ -726,14 +726,14 @@ def test_scaled_trig_keeps_its_digits_near_the_real_axis():
     x = (0.0, 0.3, 1.0, 2.5, 7.0, 13.0, 31.4, 40.0, -3.0, -40.0)
     y = [s * 10.0 ** e for e in range(-12, -1) for s in (1.0, -1.0)]
     z = np.array([complex(a, b) for a in x for b in y])
-    zs, zc = bessel._scaled_trig(z)
+    zs, zc = bessel.scaled_sin_cos(z)
     for zi, si, ci in zip(z, zs, zc):
         scale = mpmath.exp(-abs(mpmath.mpf(zi.imag)))
         for got, want in ((si, mpmath.sin(mpmath.mpc(zi)) * scale),
                           (ci, mpmath.cos(mpmath.mpc(zi)) * scale)):
             for part, exact in ((got.real, want.real), (got.imag, want.imag)):
                 assert abs(part - exact) <= 1e-15 * abs(exact), (zi, part, exact)
-        one = bessel._scaled_trig(complex(zi))
+        one = bessel.scaled_sin_cos(complex(zi))
         assert [np.complex128(v).tobytes() for v in one] == [si.tobytes(), ci.tobytes()]
 
 
@@ -771,7 +771,7 @@ def test_the_miller_rescale_schedule_never_overflows():
     # from order 120 down at lmax 60.  No step may overflow, in either dtype
     for lmax in range(1, L_MAX + 1):
         for z in (np.array([1e-6]), 1e-6 * np.exp(1j * np.array([0.3, 1.5, -2.0]))):
-            zs, zc = (np.sin(z), np.cos(z)) if z.dtype == float else bessel._scaled_trig(z)
+            zs, zc = (np.sin(z), np.cos(z)) if z.dtype == float else bessel.scaled_sin_cos(z)
             with np.errstate(over="raise", invalid="raise"):
                 j = bessel._miller_downward(lmax, z, *bessel._seeds(z, zs, zc))
             assert np.all(np.isfinite(j))
@@ -795,7 +795,7 @@ def test_skipped_rescale_tests_leave_every_table_bitwise(monkeypatch):
         skipped.append(n * math.log10((2 * n + 1) / np.abs(z).min() + 1.0) < 190.0)
     assert any(skipped) and not all(skipped)
     seeds = [bessel._seeds(z, *((np.sin(z), np.cos(z)) if z.dtype == float
-                                 else bessel._scaled_trig(z))) for _, z in cases]
+                                 else bessel.scaled_sin_cos(z))) for _, z in cases]
     fast = [bessel._miller_downward(lmax, z, *s) for (lmax, z), s in zip(cases, seeds)]
     always = types.SimpleNamespace(isqrt=math.isqrt, log10=lambda v: math.inf)
     monkeypatch.setattr(bessel, "math", always)
