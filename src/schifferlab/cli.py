@@ -6,7 +6,9 @@ mode, the overdetermined boundary residual, the per-ray comparison, and
 far-field synthesis.  Parameters come from inline flags or a JSON config
 file (flags win).  Output is a CSV or JSON table written atomically, with a
 machine-readable PASS/FAIL summary line; exit status is 0 on PASS, 1 on a
-numerical failure, 2 on a usage or config error.
+numerical failure, 2 on a usage or config error: a bad value, an
+unreadable config or domain file, or an --out path that is a directory or
+lies in no existing one, which is refused before the subcommand runs.
 
 Floats are printed with 15 significant digits and lines end with a bare
 newline, so identical configs give byte-identical files.
@@ -33,7 +35,7 @@ from .eigsearch import (
     find_real_eigenvalues,
 )
 from .entire import indicator
-from .errors import NumericalError
+from .errors import NumericalError, as_integer, check_positive
 from .scatter import (
     FarFieldPattern,
     StarlikeDomain,
@@ -62,35 +64,46 @@ class ConfigError(Exception):
     """Bad flag, bad config value, or an unusable parameter combination."""
 
 
-# list kinds: how a flag string or JSON value parses, and what it must hold
+def _number(value) -> float:
+    """A JSON number as a float; TypeError for a bool, a string or a list."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return float(value)
+
+
+# list kinds: how a flag string or JSON value parses, and what it must hold.
+# A flag's string is split at commas; the elements of a JSON list follow
+# the scalar rules of the int and float kinds
 _LISTS = {
-    "float_list": (lambda v: tuple(float(x) for x in (v.split(",") if isinstance(v, str) else v)),
+    "float_list": (lambda v: tuple(map(float, v.split(",")) if isinstance(v, str)
+                                   else map(_number, v)),
                    "a list of numbers"),
-    "directions": (lambda v: tuple((float(a), float(b)) for a, b in v),
+    "directions": (lambda v: tuple((_number(a), _number(b)) for a, b in v),
                    "a list of [theta, phi] pairs"),
-    "coeff_list": (lambda v: {(int(n), int(m)): complex(re, im) for n, m, re, im in v},
+    "coeff_list": (lambda v: {(as_integer("n", n), as_integer("m", m)):
+                              complex(_number(re), _number(im)) for n, m, re, im in v},
                    "a list of [n, m, re, im] rows"),
 }
 # argparse type of each kind with a flag form; parameters of the other
 # kinds come from a config file only
-_FLAG_TYPES = {"int": int, "float": float, "str": str, "float_list": str}
+_FLAG_TYPES = {"int": int, "float": float, "positive": float, "str": str, "float_list": str}
 # frequencies in a domain-residual grid: 32,768, each a least-squares solve
 _MAX_FREQUENCIES = 1 << 15
 
 
 def _cast(name: str, kind: str, value):
     if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        return int(value)
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return as_integer(name, value)
+    if kind in ("float", "positive"):
+        try:
+            value = _number(value)
+        except TypeError:
             raise ConfigError(f"{name} must be a number, got {value!r}")
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
-        return float(value)
+        if kind == "positive":
+            check_positive(name, value)
+        return value
     if kind == "str":
         if not isinstance(value, str):
             raise ConfigError(f"{name} must be a string, got {value!r}")
@@ -98,7 +111,7 @@ def _cast(name: str, kind: str, value):
     parse, shape = _LISTS[kind]
     try:
         out = parse(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be {shape}, got {value!r}")
     if not out:
         raise ConfigError(f"{name} must be nonempty")
@@ -198,8 +211,6 @@ def _run_specfun_check(p: dict) -> tuple[list[str], list[tuple], str]:
         raise ConfigError(f"l_max = {p['l_max']} outside the supported range [0, {L_MAX}]")
     if not (p["x_min"] > 0 and p["x_max"] > p["x_min"] and p["n_x"] >= 2):
         raise ConfigError("need 0 < x_min < x_max and n_x >= 2")
-    if p["tol"] <= 0 or p["gram_tol"] <= 0:
-        raise ConfigError("tolerances must be positive")
     if not 0 <= p["gram_l_max"] <= 20:
         raise ConfigError(f"gram_l_max = {p['gram_l_max']} outside [0, 20]")
     lmax = max(p["l_max"], 1)
@@ -247,8 +258,6 @@ def _run_eigen_scan(p: dict) -> tuple[list[str], list[tuple], str]:
 
 
 def _run_density(p: dict) -> tuple[list[str], list[tuple], str]:
-    if p["gap_tol"] <= 0:
-        raise ConfigError("gap_tol must be positive")
     est = density_estimate(p["l"], p["r_hat"], p["k_max"])
     ok = est.relative_gap <= p["gap_tol"]
     rows = [(p["l"], p["r_hat"], p["k_max"], est.count, est.density,
@@ -309,8 +318,6 @@ def _run_indicator(p: dict) -> tuple[list[str], list[tuple], str]:
 
 
 def _run_ball_check(p: dict) -> tuple[list[str], list[tuple], str]:
-    if p["tol"] <= 0:
-        raise ConfigError("tol must be positive")
     R, n = p["r"], p["n"]
     k, _ = ball_eigenfunction(R, n)
     ball = StarlikeDomain(0, ((0, 0, R * math.sqrt(4.0 * math.pi)),))
@@ -324,8 +331,6 @@ def _run_ball_check(p: dict) -> tuple[list[str], list[tuple], str]:
 
 
 def _run_domain_residual(p: dict) -> tuple[list[str], list[tuple], str]:
-    if p["threshold"] <= 0:
-        raise ConfigError("threshold must be positive")
     domain = load_domain(p["domain"])
     grid_parts = (p["k_min"], p["k_max"], p["k_step"])
     if p["k"] is not None:
@@ -352,8 +357,6 @@ def _run_domain_residual(p: dict) -> tuple[list[str], list[tuple], str]:
 
 
 def _run_ray_scan(p: dict) -> tuple[list[str], list[tuple], str]:
-    if p["spread_tol"] <= 0:
-        raise ConfigError("spread_tol must be positive")
     domain = load_domain(p["domain"])
     result = per_ray_eigen_scan(domain, p["directions"], p["l_max"], p["k_max"])
     spread = result.density_spread
@@ -392,9 +395,9 @@ _COMMANDS: dict[str, tuple[str, list[_Param], _Runner]] = {
         [_Param("l_max", "int", 20, help="largest order checked"),
          _Param("x_min", "float", 0.1), _Param("x_max", "float", 100.0),
          _Param("n_x", "int", 1000, help="argument grid size"),
-         _Param("tol", "float", 1e-8, help="identity margin tolerance"),
+         _Param("tol", "positive", 1e-8, help="identity margin tolerance"),
          _Param("gram_l_max", "int", 8, help="largest degree in the Gram check"),
-         _Param("gram_tol", "float", 1e-10)],
+         _Param("gram_tol", "positive", 1e-10)],
         _run_specfun_check),
     "eigen-scan": (
         "real eigenvalues of the two-way radial problem on (0, k_max]",
@@ -407,7 +410,7 @@ _COMMANDS: dict[str, tuple[str, list[_Param], _Runner]] = {
         "eigenvalue count on (0, k_max] against the r_hat/pi density law",
         [_Param("l", "int", 0), _Param("r_hat", "float", 1.0),
          _Param("k_max", "float", required=True),
-         _Param("gap_tol", "float", 0.03, help="PASS margin for the relative gap")],
+         _Param("gap_tol", "positive", 0.03, help="PASS margin for the relative gap")],
         _run_density),
     "indicator": (
         "growth indicator of the boundary-trace function along one ray",
@@ -416,13 +419,14 @@ _COMMANDS: dict[str, tuple[str, list[_Param], _Runner]] = {
          _Param("theta", "float", math.pi / 2, help="ray angle in the k plane"),
          _Param("r_values", "float_list", (12.5, 25.0, 50.0, 100.0, 200.0),
                 help="comma-separated radii, increasing"),
-         _Param("type_tol", "float", 0.05, help="PASS margin against (r_hat - xi)|sin theta|")],
+         _Param("type_tol", "positive", 0.05,
+                help="PASS margin against (r_hat - xi)|sin theta|")],
         _run_indicator),
     "ball-check": (
         "interior mode of the ball: eigenvalue, boundary residual, normal derivative",
         [_Param("r", "float", 1.0, help="ball radius"),
          _Param("n", "int", 1, help="eigenvalue branch index"),
-         _Param("l_trial", "int", 4), _Param("tol", "float", 1e-8)],
+         _Param("l_trial", "int", 4), _Param("tol", "positive", 1e-8)],
         _run_ball_check),
     "domain-residual": (
         "overdetermined boundary least-squares residual at k or over a k grid",
@@ -431,13 +435,13 @@ _COMMANDS: dict[str, tuple[str, list[_Param], _Runner]] = {
          _Param("k_max", "float", None), _Param("k_step", "float", None),
          _Param("l_trial", "int", 8), _Param("n_collocation", "int", None),
          _Param("neumann", "str", "normal", choices=("normal", "gradient")),
-         _Param("threshold", "float", 1e-8, help="PASS iff some residual is below")],
+         _Param("threshold", "positive", 1e-8, help="PASS iff some residual is below")],
         _run_domain_residual),
     "ray-scan": (
         "per-ray eigenvalue lists, densities, and the cross-ray intersection",
         [_Param("domain", "str", required=True, help="domain JSON path"),
          _Param("l_max", "int", 0), _Param("k_max", "float", 12.0),
-         _Param("spread_tol", "float", 0.02), _DIRECTIONS],
+         _Param("spread_tol", "positive", 0.02), _DIRECTIONS],
         _run_ray_scan),
     "farfield": (
         "far-field synthesis from harmonic coefficients",
@@ -474,6 +478,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Refuse, before any work, an output path that _write_atomic cannot
+    replace: a directory, or a name in a directory that does not exist."""
+    target = os.path.abspath(path)
+    if os.path.isdir(target):
+        raise ConfigError(f"output path {path} is a directory")
+    if not os.path.isdir(os.path.dirname(target)):
+        raise ConfigError(f"output directory {os.path.dirname(target)} is not an "
+                          "existing directory")
+
+
 def _write_atomic(path: str, text: str) -> None:
     """Write ``text`` as UTF-8 with bare newlines through a temp file in the
     target's directory and a rename, so no reader sees a partial file."""
@@ -495,11 +510,14 @@ def main(argv: list[str] | None = None) -> int:
     _, params, runner = _COMMANDS[args.command]
     try:
         merged = _merge(args, _OUTPUT + params)
+        if merged["out"] is not None:
+            _check_out(merged["out"])
         columns, rows, summary = runner(merged)
     except (NumericalError, RuntimeError, OverflowError) as exc:
         print(f"schifferlab: numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
+        # an OSError is an unreadable --config or domain file, and names it
         print(f"schifferlab: config error: {exc}", file=sys.stderr)
         return 2
     text = _render(args.command, merged["format"], columns, rows, summary)

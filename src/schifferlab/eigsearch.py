@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import brentq  # noqa: F401  (uncalled; bench/tracing.py looks it up)
 
 from .entire import Evaluator, PanelPath, winding_count
-from .errors import NumericalError, UnderflowError, check_positive
+from .errors import NumericalError, UnderflowError, check_integer, check_positive
 from .specfun import L_MAX, Z_MAX, riccati_s_rows
 from .specfun import riccati_table  # noqa: F401  (uncalled; bench/tracing.py rebinds it)
 
@@ -182,17 +182,15 @@ def _dispersion_rows(lmax: int, l, x: np.ndarray):
     f and f' are _coefficient and _coefficient_derivative at R_hat = 1,
     whose products by R_hat are exact.  f'' = S_l''' - S_l''/x + 2 f/x^2,
     with S_l'' = q S_l and S_l''' = q S_l' - 2 l(l+1) S_l/x^3 for
-    q = l(l+1)/x^2 - 1 (the Riccati-Bessel equation).  The three share
-    x^2, q and q S_l, each rounded as the separate formulas round it.
+    q = l(l+1)/x^2 - 1 (the Riccati-Bessel equation).
     """
     S, Sp = _regular_rows(lmax, l, x, x)
+    f = _coefficient(1.0, x, S, Sp)
+    df = _coefficient_derivative(l, 1.0, x, S, Sp)
     ll = l * (l + 1)
     xx = x * x
     q = ll / xx - 1.0
-    S2 = q * S
-    f = Sp - S / x
-    df = S2 - Sp / x + S / xx
-    d2f = q * Sp - 2.0 * ll * S / (xx * x) - S2 / x + 2.0 * f / xx
+    d2f = q * Sp - 2.0 * ll * S / (xx * x) - q * S / x + 2.0 * f / xx
     return f, df, d2f
 
 
@@ -464,8 +462,10 @@ def find_real_eigenvalues(l: int, R_hat: float, k_max: float,
 
     ValueError, naming the value, for a non-positive or non-finite R_hat,
     k_max, scan_step or tol, for k_max R_hat above Z_MAX, and for more
-    than 32,768 scan nodes.
+    than 32,768 scan nodes, and for an l that is not an integer (a bool
+    is not one).
     """
+    check_integer("l", l)
     check_positive("R_hat", R_hat)
     limit = math.pi / (4 * R_hat)
     step = math.pi / 4 if scan_step is None else scan_step * R_hat
@@ -495,8 +495,9 @@ def real_eigenvalue_spectra(radii: Sequence[float], l_max: int, k_max: float,
     a batch of rays.  Each residual is |f| = |B|/R from the call that
     evaluated its root.  Each radius gets the same records whether scanned
     alone or in a batch.  Every radius is checked as find_real_eigenvalues
-    checks it, and l_max must lie in [0, L_MAX].
+    checks it, and l_max must be an integer in [0, L_MAX].
     """
+    check_integer("l_max", l_max)
     if not 0 <= l_max <= L_MAX:
         # checked here, before range(l_max + 1) becomes an array
         raise ValueError(f"l_max={l_max} outside [0, L_MAX={L_MAX}]")

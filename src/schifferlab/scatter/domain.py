@@ -15,12 +15,13 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import os
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import NumericalError
+from ..errors import NumericalError, as_integer
 from ..specfun import ModePlan, SphericalDirection, sphere_quadrature, ylm_blocks
 
 __all__ = [
@@ -51,6 +52,10 @@ class StarlikeDomain:
     ``rho_coeffs`` is a tuple of (l, m, value) triples with real values
     and the symmetry c_{l,-m} = c_{l,m}; construction validates the
     triples and checks min rho > 0 on the reference quadrature grid.
+    ``L_geom``, l and m are integral numbers (2 or 2.0, stored as int; not
+    a bool, a string or 2.5) and each value is a real number (not a bool
+    or a string): construction owns these checks, so ``load_domain``
+    passes a file's values through unconverted.
     """
 
     L_geom: int
@@ -61,23 +66,27 @@ class StarlikeDomain:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (0 <= self.L_geom <= _L_GEOM_CAP):
-            raise ValueError(f"L_geom must lie in [0, {_L_GEOM_CAP}], got {self.L_geom}")
+        L_geom = as_integer("L_geom", self.L_geom)
+        if not (0 <= L_geom <= _L_GEOM_CAP):
+            raise ValueError(f"L_geom must lie in [0, {_L_GEOM_CAP}], got {L_geom}")
+        object.__setattr__(self, "L_geom", L_geom)
         seen: dict[tuple[int, int], float] = {}
         for entry in self.rho_coeffs:
             if len(entry) != 3:
                 raise ValueError(f"coefficient entries are (l, m, value), got {entry!r}")
             l, m, value = entry
-            if int(l) != l or int(m) != m:
-                raise ValueError(f"l, m must be integers, got ({l}, {m})")
-            l, m = int(l), int(m)
-            if not (0 <= l <= self.L_geom and abs(m) <= l):
-                raise ValueError(f"mode ({l}, {m}) outside degree range 0..{self.L_geom}")
-            if not (np.isreal(value) and math.isfinite(float(np.real(value)))):
+            try:
+                l, m = as_integer("l", l), as_integer("m", m)
+            except ValueError:
+                raise ValueError(f"l, m must be integers, got ({l!r}, {m!r})") from None
+            if not (0 <= l <= L_geom and abs(m) <= l):
+                raise ValueError(f"mode ({l}, {m}) outside degree range 0..{L_geom}")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
                 raise ValueError(f"coefficient for ({l}, {m}) must be a finite real")
             if (l, m) in seen:
                 raise ValueError(f"duplicate coefficient for mode ({l}, {m})")
-            seen[(l, m)] = float(np.real(value))
+            seen[(l, m)] = float(value)
         for (l, m), value in seen.items():
             if m != 0:
                 mirror = seen.get((l, -m), 0.0)
@@ -162,7 +171,11 @@ def ray_radius(domain: StarlikeDomain, direction: SphericalDirection) -> float:
 
 
 def load_domain(path: str | os.PathLike) -> StarlikeDomain:
-    """Read a domain file: {"L_geom": int, "rho_coeffs": [[l, m, value], ...]}."""
+    """Read a domain file: {"L_geom": int, "rho_coeffs": [[l, m, value], ...]}.
+
+    Checks only the file's shape; ``StarlikeDomain`` checks the values,
+    which reach it as JSON gave them.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict) or "L_geom" not in raw or "rho_coeffs" not in raw:
@@ -171,5 +184,4 @@ def load_domain(path: str | os.PathLike) -> StarlikeDomain:
     if not isinstance(entries, list) or not all(
             isinstance(e, (list, tuple)) and len(e) == 3 for e in entries):
         raise ValueError("rho_coeffs must be a list of [l, m, value] triples")
-    return StarlikeDomain(int(raw["L_geom"]),
-                          tuple((int(e[0]), int(e[1]), float(e[2])) for e in entries))
+    return StarlikeDomain(raw["L_geom"], tuple(map(tuple, entries)))

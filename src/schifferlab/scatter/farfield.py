@@ -34,7 +34,7 @@ class FarFieldPattern:
     def __post_init__(self) -> None:
         check_positive("k", self.k)
         for (n, m), value in self.a_coeffs.items():
-            if not (isinstance(n, (int, np.integer)) and isinstance(m, (int, np.integer))):
+            if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in (n, m)):
                 raise ValueError(f"coefficient index ({n!r}, {m!r}) is not integer")
             if n < 0 or abs(m) > n:
                 raise ValueError(f"coefficient index ({n}, {m}) out of range")

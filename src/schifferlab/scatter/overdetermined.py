@@ -69,7 +69,7 @@ import numpy as np
 from scipy.special import spherical_jn  # noqa: F401 (uncalled; bench/tracing.py rebinds it)
 
 from ..eigsearch import find_real_eigenvalues
-from ..errors import NumericalError, check_positive
+from ..errors import NumericalError, check_integer, check_positive
 from ..specfun import L_MAX, Z_MAX, spherical_jn_table, ylm_terms
 from ..specfun import ylm, ylm_theta_derivative  # noqa: F401 (bench/tracing.py rebinds them)
 from .domain import StarlikeDomain
@@ -249,11 +249,9 @@ def collocation_frame(domain: StarlikeDomain, L_trial: int = 8,
     that is not an integer (a bool is not one, a NumPy integer is), for
     fewer than 2 (L_trial + 1)^2 points or more than 16,384.
     """
-    for name, value in (("L_trial", L_trial), ("n_collocation", n_collocation)):
-        if value is None and name == "n_collocation":
-            continue  # the default
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    check_integer("L_trial", L_trial)
+    if n_collocation is not None:
+        check_integer("n_collocation", n_collocation)
     if L_trial < 0:
         raise ValueError(f"L_trial must be nonnegative, got {L_trial}")
     if L_trial > L_MAX:
@@ -326,16 +324,16 @@ def _rows(frame: CollocationFrame, neumann: str) -> _Rows:
 
 
 def _assemble(rows: _Rows, j: np.ndarray, jp: np.ndarray, k: float,
-              Ab: np.ndarray) -> np.ndarray:
+              Ab: np.ndarray) -> None:
     """Write the raw system [A | b], transposed, into Ab.
 
     ``j`` and ``jp`` hold j_l(k rho) and j_l'(k rho) at the collocation
-    points, one row per order from 0.  ``Ab`` is a C-order array of shape
-    (n_modes + 1, rows of A), reused across a scan's frequencies.  Row
-    i < n_modes becomes column i of A as it stands, not equilibrated:
-    ``_solve`` reads the column norms from R instead.  The last row is b,
-    1 on the Dirichlet points and 0 on the 1/k-weighted Neumann points.
-    Returns Ab.
+    points, one row per order from 0.  ``Ab`` is the scan workspace's
+    C-order buffer of shape (n_modes + 1, rows of A), reused across the
+    scan's frequencies.  Row i < n_modes becomes column i of A as it
+    stands, not equilibrated: ``_solve`` reads the column norms from R
+    instead.  The last row is b, 1 on the Dirichlet points and 0 on the
+    1/k-weighted Neumann points.
     """
     frame = rows.frame
     n, p = frame.Y.shape
@@ -355,24 +353,23 @@ def _assemble(rows: _Rows, j: np.ndarray, jp: np.ndarray, k: float,
         np.multiply(jl, Dp, out=A[:, 3 * p:])
     Ab[n, :p] = 1.0
     Ab[n, p:] = 0.0
-    return Ab
 
 
 class _Workspace:
     """Everything one scan's solves write into, allocated once per scan.
 
-    ``Ab`` is the C-order (n + 1, m) system buffer that the factorization
-    overwrites, ``W`` an n x n scratch that holds R11^T and then the
-    inverse of R11, and ``tril`` the mask of W's lower triangle.  With
-    LAPACK, ``geqrt_args`` and ``trtri_args`` are the complete argument
-    tuples of dgeqrt and dtrtri, raw addresses of ``Ab``, ``W``, ``T``
-    and ``work`` and pointers to prebuilt integers, so a call marshals
-    nothing; both routines report through ``info``.
+    ``Ab`` is the C-order (n + 1, m) buffer of a system of m rows and n
+    columns, which the factorization overwrites, ``W`` an n x n scratch
+    that holds R11^T and then the inverse of R11, and ``tril`` the mask
+    of W's lower triangle.  With LAPACK, ``geqrt_args`` and ``trtri_args``
+    are the complete argument tuples of dgeqrt and dtrtri, raw addresses
+    of ``Ab``, ``W``, ``T`` and ``work`` and pointers to prebuilt
+    integers, so a call marshals nothing; both routines report through
+    ``info``.
     """
 
-    def __init__(self, Ab: np.ndarray):
-        n, m = Ab.shape[0] - 1, Ab.shape[1]
-        self.Ab = Ab
+    def __init__(self, n: int, m: int):
+        self.Ab = Ab = np.empty((n + 1, m))
         self.tril = np.tri(n, dtype=bool)
         # dtrtri writes only W's lower triangle, so the upper stays zero
         self.W = np.zeros((n, n))
@@ -417,28 +414,22 @@ def _column_norms(Rt: np.ndarray) -> np.ndarray:
     return d
 
 
-def _solve(Ab: np.ndarray, ws: _Workspace | None = None) -> tuple[float, float | None]:
-    """(RMS residual, cond^2 or None) of the least squares whose transposed system is Ab.
+def _solve(ws: _Workspace) -> tuple[float, float | None]:
+    """(RMS residual, cond^2 or None) of the least squares held, transposed, in ws.Ab.
 
-    Ab is (n + 1, m): rows 0..n-1 are the columns of A, raw or scaled in
-    any way, row n is b.  The factorization is LAPACK dgeqrt, in place on
-    ``ws.Ab`` with panels of min(16, n + 1) columns, or np.linalg's QR
-    where numpy's OpenBLAS does not export it; either leaves R^T in the
-    leading (n + 1) x (n + 1) block of the C array.  Householder QR does
-    not depend on a positive column scaling beyond rounding, so only the
-    condition check equilibrates: it takes the column norms D of A as
-    those of R11 and bounds cond_2(R11 D^-1) by ||R11 D^-1||_F
-    ||D R11^-1||_F, with R11^-1 from dtrtri (or np.linalg.inv).  When that
-    bound is not small an SVD of R11 D^-1 settles it, and the second value
-    is cond^2 where it exceeds 1e12, else None; the caller warns.
-
-    Ab is factored in ``ws``, the scan's workspace, when it is ``ws.Ab``
-    and is overwritten.  Any other array gets a workspace of its own: a
-    C-contiguous float64 Ab is overwritten too, any other layout is
-    factored as a C-contiguous copy.
+    ``ws.Ab`` is (n + 1, m): rows 0..n-1 are the columns of A, raw or
+    scaled in any way, row n is b.  The factorization is LAPACK dgeqrt, in
+    place on ``ws.Ab`` with panels of min(16, n + 1) columns, or
+    np.linalg's QR where numpy's OpenBLAS does not export it; either
+    leaves R^T in the leading (n + 1) x (n + 1) block of the C array.
+    Householder QR does not depend on a positive column scaling beyond
+    rounding, so only the condition check equilibrates: it takes the
+    column norms D of A as those of R11 and bounds cond_2(R11 D^-1) by
+    ||R11 D^-1||_F ||D R11^-1||_F, with R11^-1 from dtrtri (or
+    np.linalg.inv).  When that bound is not small an SVD of R11 D^-1
+    settles it, and the second value is cond^2 where it exceeds 1e12,
+    else None; the caller warns.
     """
-    if ws is None or Ab is not ws.Ab:
-        ws = _Workspace(np.ascontiguousarray(Ab, dtype=np.float64))
     Ab, W, lapack = ws.Ab, ws.W, ws.lapack
     n, m = Ab.shape[0] - 1, Ab.shape[1]
     if lapack is None:
@@ -506,7 +497,8 @@ def _scan_block(rows: _Rows, ks: np.ndarray,
     out = np.empty(ks.size)
     flagged = []
     for i, k in enumerate(ks.tolist()):
-        out[i], cond2 = _solve(_assemble(rows, j[:, i], jp[:, i], k, ws.Ab), ws)
+        _assemble(rows, j[:, i], jp[:, i], k, ws.Ab)
+        out[i], cond2 = _solve(ws)
         if cond2 is not None:
             flagged.append((k, cond2))
     return out, flagged
@@ -585,7 +577,7 @@ def _scan(domain: StarlikeDomain, k_values: Sequence[float], L_trial: int,
                          f"the Bessel kernel's limit Z_MAX = {Z_MAX:.0e}")
     rows = _rows(frame, neumann)
     n, p = rows.frame.Y.shape
-    ws = _Workspace(np.empty((n + 1, (2 if neumann == "normal" else 4) * p)))
+    ws = _Workspace(n, (2 if neumann == "normal" else 4) * p)
     with _one_blas_thread():
         parts = [_scan_block(rows, ks[i:i + _BLOCK], ws) for i in range(0, ks.size, _BLOCK)]
     return (np.concatenate([out for out, _ in parts]),
@@ -604,7 +596,8 @@ def ball_eigenfunction(R: float, n: int) -> tuple[float, Callable[[np.ndarray], 
     conditions at once.
     """
     check_positive("R", R)
-    if not (isinstance(n, (int, np.integer)) and 1 <= n <= 50):
+    check_integer("n", n)
+    if not 1 <= n <= 50:
         raise ValueError(f"n must be an integer in [1, 50], got {n!r}")
     k = find_real_eigenvalues(0, 1.0, (n + 0.75) * math.pi)[n - 1].k / R
     j0_R = spherical_jn_table(0, k * R)[0]

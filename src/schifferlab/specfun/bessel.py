@@ -64,7 +64,7 @@ import math
 
 import numpy as np
 
-from ..errors import UnderflowError
+from ..errors import UnderflowError, check_integer
 
 # Hard validation ceilings: orders in [0, L_MAX], arguments in |z| <= Z_MAX.
 L_MAX = 60
@@ -292,7 +292,8 @@ def _check_order_array(lmax: int, z, dtype=complex, need_nonzero: bool = True) -
     finite, within |z| <= Z_MAX and, if ``need_nonzero``, nonzero; the
     ValueError names the first invalid point."""
     z = np.asarray(z, dtype=dtype)
-    if lmax < 0 or lmax != int(lmax):
+    check_integer("lmax", lmax)
+    if lmax < 0:
         raise ValueError(f"order l must be a nonnegative integer, got {lmax!r}")
     if lmax > L_MAX:
         raise ValueError(f"order l={lmax} exceeds L_MAX={L_MAX}")

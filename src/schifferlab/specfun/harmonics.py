@@ -130,7 +130,8 @@ def ylm_blocks(modes: Sequence[tuple[int, int]] | ModePlan, theta, phi,
     other, so a grid passes ``theta[:, None], phi[None, :]``.  A run holds
     at most 2048 values, or one term: a grid's runs are single terms, and
     a few rays take every term in one run.  A non-finite theta or phi
-    raises ValueError, before any numpy warning.
+    raises ValueError naming the angle and its first non-finite value,
+    "angle theta=nan is not finite", before any numpy warning.
 
     The P_l^{|m|}(cos theta) come from one Legendre table and the phases
     from one exp call over the distinct m, so every term is bitwise
@@ -142,16 +143,14 @@ def ylm_blocks(modes: Sequence[tuple[int, int]] | ModePlan, theta, phi,
     plan = modes if isinstance(modes, ModePlan) else ModePlan.build(modes)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    # before cos or exp warns; a NaN theta is named below, as cos(theta)
-    if np.isinf(theta).any():
-        raise ValueError(f"angle theta={float(theta[np.isinf(theta)][0])} is not finite")
-    if not np.isfinite(phi).all():
-        raise ValueError(f"angle phi={float(phi[~np.isfinite(phi)][0])} is not finite")
+    # before cos or exp warns
+    for name, angle in (("theta", theta), ("phi", phi)):
+        if not np.isfinite(angle).all():
+            raise ValueError(f"angle {name}={float(angle[~np.isfinite(angle)][0])} is not finite")
     shape = np.broadcast(theta, phi).shape
     lead = (-1,) + (1,) * len(shape)  # a column of terms against the angles
     t = np.cos(theta)
-    # cos(theta) is finite wherever theta is, so this names theta's defect
-    P = plan.legendre.table(t, "cos(theta)")
+    P = plan.legendre.table(t)
     P = P.reshape(P.shape[:1] + (1,) * (len(shape) - t.ndim) + t.shape)
     phases = np.exp(plan.phase.reshape(lead) * phi)
     (at, phase_at), norm = plan.at, plan.norm.reshape(lead)

@@ -68,20 +68,22 @@ class LegendrePlan:
         coef.flags.writeable = False
         return cls(lmax, tuple(orders), tuple(counts), tuple(base), seeds, coef)
 
-    def table(self, t, name: str = "t") -> np.ndarray:
+    def table(self, t) -> np.ndarray:
         """P: row ``base[l - m] + i`` is P_l^m(t) for m = orders[i], with
         shape ``(base[-1],) + np.shape(t)``.  With one order m, row l - m
         is P_l^m, so P is that order's column by degree.
 
-        ValueError where t lies outside [-1, 1] (1e-12 of slack), and, naming
-        the argument as ``name``, where t is not finite.
+        ValueError where t lies outside [-1, 1] (1e-12 of slack), and,
+        naming the first such t, where t is not finite.  ``ylm_blocks``
+        checks its angles before it takes their cosines, so a non-finite
+        angle is named there, not here.
         """
         t = np.asarray(t, dtype=float)
         if np.count_nonzero(np.abs(t) <= 1 + 1e-12) != t.size:
             bad = t.flat[np.argmin(np.abs(t) <= 1 + 1e-12)].item()
             if not np.isfinite(bad):
-                raise ValueError(f"argument {name}={bad!r} is not finite")
-            raise ValueError(f"argument {name} outside [-1, 1]")
+                raise ValueError(f"argument t={bad!r} is not finite")
+            raise ValueError("argument t outside [-1, 1]")
         shape = t.shape
         t = np.minimum(np.maximum(t.reshape(-1), -1.0), 1.0)
         P = np.empty((self.base[-1], t.size))

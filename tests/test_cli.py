@@ -14,13 +14,14 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from schifferlab import cli
@@ -359,6 +360,122 @@ def test_config_errors_exit_2(run_cli, tmp_path):
     assert "bogus" in res.stderr
 
 
+def test_unreadable_config_and_domain_paths_exit_2_naming_them(run_cli, tmp_path,
+                                                              monkeypatch):
+    # a directory once ended in an IsADirectoryError traceback (exit 1)
+    for args in (("domain-residual", "--domain", str(tmp_path), "--k", "1"),
+                 ("ray-scan", "--domain", str(tmp_path)),
+                 ("eigen-scan", "--config", str(tmp_path))):
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert res.stdout == ""
+        assert res.stderr == f"schifferlab: config error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    # a file without read permission, as open() reports it to any user
+    locked = tmp_path / "locked.json"
+    locked.write_text(json.dumps({"k_max": 12}))
+    real_open = builtins.open
+
+    def refuse(file, *args, **kwargs):
+        if os.fspath(file) == str(locked):
+            raise PermissionError(13, "Permission denied", os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", refuse)
+    for args in (("eigen-scan", "--config", str(locked)),
+                 ("ray-scan", "--domain", str(locked))):
+        res = run_cli(*args)
+        assert res.returncode == 2, args
+        assert res.stderr == f"schifferlab: config error: [Errno 13] Permission denied: '{locked}'\n"
+
+
+def test_an_unusable_out_path_is_refused_before_any_work(run_cli, tmp_path, monkeypatch):
+    # both once ran the whole scan and then ended in a FileNotFoundError or
+    # IsADirectoryError traceback
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(cli, "find_real_eigenvalues", refuse)
+    missing = tmp_path / "missing"
+    for out, message in (
+            (missing / "x.csv", f"output directory {missing} is not an existing directory"),
+            (tmp_path, f"output path {tmp_path} is a directory")):
+        res = run_cli("eigen-scan", "--k-max", "5", "--out", str(out))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"schifferlab: config error: {message}\n"
+    assert list(tmp_path.rglob(".schifferlab-*")) == []
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"r_values": ["50", 100, 200]}, "r_values must be a list of numbers, got ['50', 100, 200]"),
+    ({"r_values": [50, True]}, "r_values must be a list of numbers, got [50, True]"),
+    ({"r_values": [[50], 100]}, "r_values must be a list of numbers, got [[50], 100]"),
+    ({"k": 2.0, "a_coeffs": [[0, 0, 1.0, 0.0]], "directions": [[True, "0.5"]]},
+     "directions must be a list of [theta, phi] pairs, got [[True, '0.5']]"),
+    ({"k": 2.0, "a_coeffs": [[1.9, 0, True, 0]]},
+     "a_coeffs must be a list of [n, m, re, im] rows, got [[1.9, 0, True, 0]]"),
+    ({"k": 2.0, "a_coeffs": [[1, 0, "1", 0]]},
+     "a_coeffs must be a list of [n, m, re, im] rows, got [[1, 0, '1', 0]]"),
+])
+def test_list_keys_follow_the_scalar_rules(run_cli, tmp_path, config, message):
+    # each of these once ran: "50" as 50, true as 1, and a_coeffs' n = 1.9
+    # truncated to 1
+    command = "indicator" if "r_values" in config else "farfield"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    res = run_cli(command, "--config", str(path))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"schifferlab: config error: {message}\n"
+
+
+def test_integral_list_entries_run_as_integers(run_cli, tmp_path):
+    outputs = []
+    for n, m in ((2, 0), (2.0, -0.0)):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"k": 2.0, "a_coeffs": [[n, m, 0.5, 0.0]]}))
+        outputs.append(run_cli("farfield", "--config", str(path)))
+    assert outputs[0].returncode == 0 and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("specfun-check", "--tol"), ("specfun-check", "--gram-tol"), ("density", "--gap-tol"),
+    ("indicator", "--type-tol"), ("ball-check", "--tol"),
+    ("domain-residual", "--threshold"), ("ray-scan", "--spread-tol")])
+def test_tolerances_must_be_positive(run_cli, command, flag):
+    # indicator --type-tol -1 once ran and FAILed (exit 1)
+    fixed = {"density": ("--k-max", "60"), "domain-residual": ("--domain", BALL, "--k", "2"),
+             "ray-scan": ("--domain", BALL)}.get(command, ())
+    name = flag[2:].replace("-", "_")
+    for bad in ("-1", "0"):
+        res = run_cli(command, *fixed, flag, bad)
+        assert res.returncode == 2, (flag, bad)
+        assert res.stdout == ""
+        assert res.stderr == (f"schifferlab: config error: {name} must be positive and "
+                              f"finite, got {float(bad)}\n")
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"L_geom": 2.7, "rho_coeffs": [[0, 0, 3.5449077018110318]]},
+     "L_geom must be an integer, got 2.7"),
+    ({"L_geom": True, "rho_coeffs": [[0, 0, 3.5449077018110318]]},
+     "L_geom must be an integer, got True"),
+    ({"L_geom": 2, "rho_coeffs": [[0, 0, 3.5449077018110318], [2.5, 0, 0.1]]},
+     "l, m must be integers, got (2.5, 0)"),
+    ({"L_geom": 0, "rho_coeffs": [[0, 0, "3.5449077018110318"]]},
+     "coefficient for (0, 0) must be a finite real"),
+])
+def test_domain_file_values_are_checked_unconverted(run_cli, tmp_path, raw, message):
+    # load_domain once cast them: "L_geom": 2.7 ran as 2, an l of 2.5 as 2,
+    # and a string value through float()
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(raw))
+    for args in (("domain-residual", "--k", "2"), ("ray-scan",)):
+        res = run_cli(*args, "--domain", str(path))
+        assert res.returncode == 2
+        assert res.stderr == f"schifferlab: config error: {message}\n"
+
+
 def test_indicator_expects_the_type_times_sin_theta(run_cli):
     # l = 0, r_hat = 1: h(theta) = |sin theta|, so theta = 1 expects sin(1)
     res = run_cli("indicator", "--theta", "1.0")
@@ -558,3 +675,64 @@ def test_numeric_flags_at_the_edges_exit_cleanly(data):
         ("rank deficient",) if args[0] == "domain-residual" else ())
     assert all(any(text in str(w.message) for text in allowed) for w in caught), \
         (args, [str(w.message) for w in caught])
+
+
+# config-file values: JSON bools, strings, integral and non-integral
+# floats, NaN and the infinities, null, and nested lists.  Integers stay
+# small or past every cap: an order of 60 is valid and would build a
+# least-squares system of 3,721 columns
+_JSON_SCALARS = st.sampled_from([True, False, None, "2", "", "0.5", "nan", 0, 1, 2, 3, -1, 61,
+                                 0.0, -0.0, 2.0, 3.0, -1.0, 61.0, 0.5, 2.5, 1e-300, 5e-324,
+                                 1e300, math.nan, math.inf, -math.inf])
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=4),
+                            max_leaves=8)
+# a valid config per subcommand, which the fuzzed keys then overwrite; the
+# domain key is filled in with the fuzzed domain file's path
+_BASE_CONFIGS = {
+    "specfun-check": {"l_max": 5, "n_x": 50, "gram_l_max": 2},
+    "eigen-scan": {"k_max": 12},
+    "density": {"k_max": 60},
+    "indicator": {},
+    "ball-check": {},
+    "domain-residual": {"k": 2.0},
+    "ray-scan": {},
+    "farfield": {"k": 2.0, "a_coeffs": [[0, 0, 1.0, 0.0]]},
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_config_and_domain_file_values_exit_cleanly(data):
+    # as for the flags above: PASS/FAIL (0/1), a numerical failure (1) or a
+    # config error (2), never a traceback, and only the documented warnings
+    command = data.draw(st.sampled_from(sorted(_BASE_CONFIGS)))
+    _, params, _ = cli._COMMANDS[command]
+    names = sorted(p.name for p in cli._OUTPUT + params if p.name not in ("out", "domain"))
+    config = dict(_BASE_CONFIGS[command])
+    for name in data.draw(st.lists(st.sampled_from(names), unique=True, max_size=2)):
+        config[name] = data.draw(_JSON_VALUES)
+    # L_geom, then the l, m and value of a second mode; at most one is fuzzed
+    slots = [2, 2, 0, 0.1]
+    fuzzed = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
+    if fuzzed is not None:
+        slots[fuzzed] = data.draw(_JSON_VALUES)
+    domain = {"L_geom": slots[0], "rho_coeffs": [[0, 0, 3.5449077018110318], slots[1:]]}
+    with tempfile.TemporaryDirectory() as tmp:
+        if any(p.name == "domain" for p in params):
+            config["domain"] = os.path.join(tmp, "domain.json")
+            with open(config["domain"], "w", encoding="utf-8") as fh:
+                json.dump(domain, fh)
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([command, "--config", path])
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2), (config, domain, code)
+    assert "Traceback" not in err.getvalue(), (config, domain)
+    allowed = ("near-coincident roots", "rank deficient")
+    assert all(any(text in str(w.message) for text in allowed) for w in caught), \
+        (config, domain, [str(w.message) for w in caught])

@@ -1,6 +1,7 @@
 """Dispersion-function zeros, realness, and the eigenvalue density law."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -67,6 +68,18 @@ def test_dispersion_rows_are_bitwise_the_separate_formulas(lmax, shape):
                 _second_derivative(l, x, S, Sp))
     for got, ref in zip((f, df, d2f), want):
         assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, "2"])
+def test_scan_degrees_must_be_integers(bad):
+    # True ran as degree 1 or l_max 1, 1.5 raised a bare TypeError, and
+    # find_real_eigenvalues(True, ...) named "an array of bool"
+    want = re.escape(repr(bad))
+    with pytest.raises(ValueError, match=f"^l must be an integer, got {want}$"):
+        find_real_eigenvalues(bad, 1.0, 10.0)
+    with pytest.raises(ValueError, match=f"^l_max must be an integer, got {want}$"):
+        real_eigenvalue_spectra([1.0], bad, 10.0)
+    assert find_real_eigenvalues(np.int64(1), 1.0, 10.0) == find_real_eigenvalues(1, 1.0, 10.0)
 
 
 def test_degree_zero_closed_form():

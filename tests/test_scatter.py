@@ -287,6 +287,43 @@ def test_domain_file_validation(tmp_path):
         load_domain(bad)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.7, True, "2", None, math.nan, math.inf])
+def test_domain_degrees_must_be_integral_numbers(bad):
+    # load_domain once cast them with int() before the checks: "L_geom": 2.7
+    # ran as 2, an l of 2.5 as 2, and true as 1
+    ball = (0, 0, SQRT_4PI)
+    want = f"^L_geom must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=want):
+        StarlikeDomain(bad, (ball,))
+    for mode in ((bad, 0), (2, bad)):
+        with pytest.raises(ValueError, match="^l, m must be integers"):
+            StarlikeDomain(2, (ball, (*mode, 0.1)))
+
+
+@pytest.mark.parametrize("bad", [True, "0.1", 0.1 + 0j, [0.1], None])
+def test_domain_values_must_be_real_numbers(bad):
+    # a string went through float() and a bool ran as 1.0
+    with pytest.raises(ValueError, match=r"^coefficient for \(2, 0\) must be a finite real$"):
+        StarlikeDomain(2, ((0, 0, SQRT_4PI), (2, 0, bad)))
+
+
+def test_integral_floats_are_stored_as_ints(tmp_path):
+    want = StarlikeDomain(2, ((0, 0, SQRT_4PI), (2, 0, 0.1)))
+    got = StarlikeDomain(2.0, ((np.float64(0.0), 0.0, SQRT_4PI), (np.int64(2), 0, 0.1)))
+    assert got == want and repr(got) == repr(want)
+    assert type(got.L_geom) is int
+    assert {type(v) for l, m, _ in got.rho_coeffs for v in (l, m)} == {int}
+    path = tmp_path / "domain.json"
+    for raw in ({"L_geom": 2.0, "rho_coeffs": [[0, 0.0, SQRT_4PI], [2.0, 0, 0.1]]},
+                {"L_geom": 2, "rho_coeffs": [[0, 0, SQRT_4PI], [2, 0, 0.1]]}):
+        path.write_text(json.dumps(raw))
+        assert load_domain(path) == want and repr(load_domain(path)) == repr(want)
+    # the values reach the constructor as JSON gave them
+    path.write_text(json.dumps({"L_geom": 2.5, "rho_coeffs": [[0, 0, SQRT_4PI]]}))
+    with pytest.raises(ValueError, match="^L_geom must be an integer, got 2.5$"):
+        load_domain(path)
+
+
 # ---------------------------------------------------------------- per-ray scans
 
 def test_ball_rays_are_interchangeable():
@@ -657,11 +694,32 @@ def transposed_system(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.vstack([(A / scale).T, b])
 
 
+def solve_in_workspace(Ab: np.ndarray) -> tuple[float, float | None]:
+    """od._solve of the transposed system Ab, copied into a workspace of its size."""
+    ws = od._Workspace(Ab.shape[0] - 1, Ab.shape[1])
+    ws.Ab[...] = Ab
+    return od._solve(ws)
+
+
+def scan_solves(monkeypatch, A: np.ndarray, b: np.ndarray, before=None) -> None:
+    """Make every frequency of a scan solve [A / scale | b], in a workspace of
+    that system's size; ``before()`` runs as each system is written."""
+    workspace = od._Workspace
+
+    def assemble(rows, j, jp, k, Ab):
+        if before is not None:
+            before()
+        Ab[...] = transposed_system(A, b)
+
+    monkeypatch.setattr(od, "_Workspace", lambda n, m: workspace(A.shape[1], A.shape[0]))
+    monkeypatch.setattr(od, "_assemble", assemble)
+
+
 def test_rank_deficient_system_warns(monkeypatch):
     A = np.ones((10, 3))
     b = np.zeros(10)
     b[:5] = 1.0
-    monkeypatch.setattr(od, "_assemble", lambda rows, j, jp, k, Ab: transposed_system(A, b))
+    scan_solves(monkeypatch, A, b)
     with pytest.warns(RuntimeWarning, match="rank deficient"):
         got = overdetermined_residual(unit_ball(), 1.0, L_trial=2)
     # gelsd drops the two null directions, leaving the fit by the mean
@@ -693,7 +751,7 @@ def test_condition_warning_follows_the_singular_values(monkeypatch, target):
     A, b = nearly_dependent_system(target)
     want, cond2 = lstsq_reference(A, b)
     assert_allclose(cond2, target, rtol=1e-3)
-    monkeypatch.setattr(od, "_assemble", lambda rows, j, jp, k, Ab: transposed_system(A, b))
+    scan_solves(monkeypatch, A, b)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = overdetermined_residual(unit_ball(), 1.0, L_trial=1)
@@ -728,9 +786,9 @@ def least_squares_systems(draw):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(system=least_squares_systems(), order=st.sampled_from("CF"),
+@given(system=least_squares_systems(),
        scale_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)), lapack=st.booleans())
-def test_solve_matches_gelsd_in_any_layout(system, order, scale_seed, lapack):
+def test_solve_matches_gelsd_at_any_column_scaling(system, scale_seed, lapack):
     A, b = system
     if scale_seed is None:
         # the equilibrated system, as the monkeypatched _assemble gives it
@@ -744,12 +802,11 @@ def test_solve_matches_gelsd_in_any_layout(system, order, scale_seed, lapack):
     # the rank flag is compared with gelsd's cond^2 away from its limit;
     # test_condition_warning_follows_the_singular_values covers the limit
     assume(not 1e11 < cond2 < 1e13)
-    Ab = np.asarray(Ab, order=order)
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
         if not lapack:
             mp.setattr(od, "_LAPACK", None)
         warnings.simplefilter("always")
-        got, flagged = od._solve(Ab)
+        got, flagged = solve_in_workspace(Ab)
     # _solve flags, its public callers warn
     assert caught == []
     assert (flagged is not None) == (cond2 > 1e12)
@@ -769,7 +826,7 @@ def test_a_column_whose_squares_underflow_is_equilibrated(lapack):
         if not lapack:
             mp.setattr(od, "_LAPACK", None)
         warnings.simplefilter("error")
-        got, flagged = od._solve(np.vstack([A.T, b]))
+        got, flagged = solve_in_workspace(np.vstack([A.T, b]))
     assert flagged is None
     assert_allclose(got, want, rtol=1e-12)
 
@@ -789,7 +846,7 @@ def test_trial_degrees_whose_column_norms_underflow_stay_well_posed():
 def test_rank_warnings_point_at_the_caller_in_grid_order(monkeypatch):
     A = np.ones((10, 3))
     b = np.arange(10.0)
-    monkeypatch.setattr(od, "_assemble", lambda rows, j, jp, k, Ab: transposed_system(A, b))
+    scan_solves(monkeypatch, A, b)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         overdetermined_residual(unit_ball(), 1.0, L_trial=2)
@@ -932,12 +989,7 @@ def test_scans_hold_blas_to_one_thread_and_restore_it_on_error(monkeypatch):
     A = np.ones((10, 3))
     b = np.ones(10)
     seen = []
-
-    def rank_deficient(rows, j, jp, k, Ab):
-        seen.append(openblas_threads())
-        return transposed_system(A, b)
-
-    monkeypatch.setattr(od, "_assemble", rank_deficient)
+    scan_solves(monkeypatch, A, b, before=lambda: seen.append(openblas_threads()))
     before = openblas_threads()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1007,6 +1059,10 @@ def test_ball_eigenfunction_validation():
     for bad_n in (0, 51, 1.5):
         with pytest.raises(ValueError):
             ball_eigenfunction(1.0, bad_n)
+    # True once ran as n = 1
+    for bad_n in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {bad_n!r}$"):
+            ball_eigenfunction(1.0, bad_n)
     with pytest.raises(ValueError, match="positive and finite"):
         ball_eigenfunction(-1.0, 1)
 
@@ -1056,6 +1112,10 @@ def test_pattern_validation():
         FarFieldPattern({(0, 0): 1.0}, 0.0)
     with pytest.raises(ValueError, match="not integer"):
         FarFieldPattern({(0.5, 0): 1.0}, 1.0)
+    # a bool index once ran as 1 or 0
+    for index in ((True, 0), (1, False)):
+        with pytest.raises(ValueError, match=re.escape(f"index {index!r} is not integer")):
+            FarFieldPattern({index: 1.0}, 1.0)
     with pytest.raises(ValueError, match="out of range"):
         FarFieldPattern({(-1, 0): 1.0}, 1.0)
     with pytest.raises(ValueError, match="out of range"):

@@ -333,6 +333,19 @@ def test_domain_validation():
         riccati_table(2, 0.0)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, np.float64(2.0), "2"])
+def test_a_table_order_must_be_an_integer(bad):
+    # True ran as lmax = 1, and 2.0 passed the check, then broke range()
+    # with a bare TypeError
+    want = f"^lmax must be an integer, got {re.escape(repr(bad))}$"
+    for table in (riccati_table, spherical_jn_table):
+        with pytest.raises(ValueError, match=want):
+            table(bad, 1.0)
+    with pytest.raises(ValueError, match=want):
+        riccati_s_rows(bad, 0, 1.0)
+    assert spherical_jn_table(np.int64(2), 1.0).tobytes() == spherical_jn_table(2, 1.0).tobytes()
+
+
 def test_the_order_cap_is_one_fixed_constant():
     assert specfun.L_MAX == bessel.L_MAX == 60
     assert np.all(np.isfinite(riccati_table(60, 70.0)[0]))
