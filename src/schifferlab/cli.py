@@ -30,9 +30,9 @@ import numpy as np
 
 from .eigsearch import (
     density_estimate,
-    dispersion,
     dispersion_log_abs,
     find_real_eigenvalues,
+    partial_trace_log_abs,
 )
 from .entire import indicator
 from .errors import NumericalError, as_integer, check_positive
@@ -51,7 +51,6 @@ from .specfun import (
     L_MAX,
     SphericalDirection,
     riccati_table,
-    scaled_sin_cos,
     sphere_quadrature,
     spherical_jn_table,
     ylm_terms,
@@ -71,6 +70,18 @@ def _number(value) -> float:
     return float(value)
 
 
+def _coeff_rows(rows) -> dict:
+    """[n, m, re, im] rows as {(n, m): re + i im}; a mode given twice is a
+    ConfigError, as in a domain file."""
+    coeffs = {}
+    for n, m, re, im in rows:
+        mode = (as_integer("n", n), as_integer("m", m))
+        if mode in coeffs:
+            raise ConfigError(f"duplicate coefficient for mode {mode}")
+        coeffs[mode] = complex(_number(re), _number(im))
+    return coeffs
+
+
 # list kinds: how a flag string or JSON value parses, and what it must hold.
 # A flag's string is split at commas; the elements of a JSON list follow
 # the scalar rules of the int and float kinds
@@ -80,15 +91,15 @@ _LISTS = {
                    "a list of numbers"),
     "directions": (lambda v: tuple((_number(a), _number(b)) for a, b in v),
                    "a list of [theta, phi] pairs"),
-    "coeff_list": (lambda v: {(as_integer("n", n), as_integer("m", m)):
-                              complex(_number(re), _number(im)) for n, m, re, im in v},
-                   "a list of [n, m, re, im] rows"),
+    "coeff_list": (_coeff_rows, "a list of [n, m, re, im] rows"),
 }
 # argparse type of each kind with a flag form; parameters of the other
 # kinds come from a config file only
 _FLAG_TYPES = {"int": int, "float": float, "positive": float, "str": str, "float_list": str}
-# frequencies in a domain-residual grid: 32,768, each a least-squares solve
-_MAX_FREQUENCIES = 1 << 15
+# points in a CLI grid: 32,768 domain-residual frequencies, each a
+# least-squares solve, or specfun-check arguments (orders 0..60 at this
+# cap peak at 266 MB resident)
+_MAX_GRID = 1 << 15
 
 
 def _cast(name: str, kind: str, value):
@@ -99,6 +110,8 @@ def _cast(name: str, kind: str, value):
             value = _number(value)
         except TypeError:
             raise ConfigError(f"{name} must be a number, got {value!r}")
+        except OverflowError:
+            raise ConfigError(f"{name} must be finite, got an integer past the float range")
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
         if kind == "positive":
@@ -211,6 +224,8 @@ def _run_specfun_check(p: dict) -> tuple[list[str], list[tuple], str]:
         raise ConfigError(f"l_max = {p['l_max']} outside the supported range [0, {L_MAX}]")
     if not (p["x_min"] > 0 and p["x_max"] > p["x_min"] and p["n_x"] >= 2):
         raise ConfigError("need 0 < x_min < x_max and n_x >= 2")
+    if p["n_x"] > _MAX_GRID:
+        raise ConfigError(f"n_x = {p['n_x']} exceeds the limit of {_MAX_GRID} grid points")
     if not 0 <= p["gram_l_max"] <= 20:
         raise ConfigError(f"gram_l_max = {p['gram_l_max']} outside [0, 20]")
     lmax = max(p["l_max"], 1)
@@ -284,27 +299,9 @@ def _run_indicator(p: dict) -> tuple[list[str], list[tuple], str]:
         raise ConfigError(
             f"sin(theta) = 0 at theta = {theta}: the expected type "
             "(r_hat - xi)|sin theta| vanishes, so the relative test is undefined")
-    if l == 0:
-        d = r_hat - xi
-
-        def f(z: complex) -> complex:
-            z = complex(z)
-            return r_hat * np.cos(z * d) - np.sin(z * d) / z
-
-        def log_abs(z: complex) -> float:
-            z = complex(z)
-            zs, zc = scaled_sin_cos(z * d)
-            val = abs(r_hat * zc - zs / z)
-            if val == 0.0:
-                return -math.inf
-            return math.log(val) + abs(z.imag) * d
-    else:
-        f = functools.partial(dispersion, l, r_hat)
-
-        def log_abs(z: complex) -> float:
-            return dispersion_log_abs(l, r_hat, z)
-
-    sample = indicator(f, theta, p["r_values"], log_abs=log_abs)
+    log_abs = (functools.partial(partial_trace_log_abs, r_hat, xi) if l == 0
+               else functools.partial(dispersion_log_abs, l, r_hat))
+    sample = indicator(log_abs, theta, p["r_values"], log=True)
     # a sine-type function of type r_hat - xi has h(theta) = type * |sin theta|
     expected = (r_hat - xi) * sin_theta
     rel = abs(sample.h_extrapolated - expected) / expected
@@ -345,9 +342,9 @@ def _run_domain_residual(p: dict) -> tuple[list[str], list[tuple], str]:
             raise ConfigError("need 0 < k_min <= k_max and k_step > 0")
         # np.arange below gives ceil(steps + 1/2) frequencies
         steps = (k_max - k_min) / k_step
-        if steps + 0.5 > _MAX_FREQUENCIES:
+        if steps + 0.5 > _MAX_GRID:
             raise ConfigError(f"k_step {k_step} gives {steps + 1:.6g} frequencies from "
-                              f"k_min to k_max, more than {_MAX_FREQUENCIES}")
+                              f"k_min to k_max, more than {_MAX_GRID}")
         ks = np.arange(k_min, k_max + k_step / 2, k_step)
         ks = ks[ks <= k_max + 1e-12 * k_max]
     res = residual_scan(domain, ks, p["l_trial"], p["n_collocation"], p["neumann"])
@@ -371,6 +368,10 @@ def _run_ray_scan(p: dict) -> tuple[list[str], list[tuple], str]:
 
 
 def _run_farfield(p: dict) -> tuple[list[str], list[tuple], str]:
+    # the Legendre layout is built per degree up to the largest one
+    top = max(n for n, _ in p["a_coeffs"])
+    if top > L_MAX:
+        raise ConfigError(f"a_coeffs degree n = {top} outside the supported range [0, {L_MAX}]")
     pattern = FarFieldPattern(p["a_coeffs"], p["k"])
     values = far_field_from_coeffs(pattern, p["directions"])
     ok = bool(np.all(np.isfinite(values)))

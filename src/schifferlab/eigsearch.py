@@ -28,7 +28,7 @@ from scipy.optimize import brentq  # noqa: F401  (uncalled; bench/tracing.py loo
 
 from .entire import Evaluator, PanelPath, winding_count
 from .errors import NumericalError, UnderflowError, check_integer, check_positive
-from .specfun import L_MAX, Z_MAX, riccati_s_rows
+from .specfun import L_MAX, Z_MAX, riccati_s_rows, scaled_sin_cos
 from .specfun import riccati_table  # noqa: F401  (uncalled; bench/tracing.py rebinds it)
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "dispersion",
     "dispersion_function",
     "dispersion_log_abs",
+    "partial_trace_log_abs",
     "find_real_eigenvalues",
     "real_eigenvalue_spectra",
     "count_zeros_argument_principle",
@@ -90,7 +91,7 @@ def _coefficient_derivative(l, R_hat, k, S, Sp):
 
 
 def _check_dispersion_args(R_hat: float, k) -> None:
-    """The checks of dispersion, dispersion_function and dispersion_log_abs."""
+    """The checks of every dispersion entry and of partial_trace_log_abs."""
     check_positive("R_hat", R_hat)
     at_zero = (k == 0).any() if isinstance(k, np.ndarray) else k == 0
     if at_zero:
@@ -154,21 +155,38 @@ def dispersion_function(l: int, R_hat: float) -> Evaluator:
     return pair
 
 
-def dispersion_log_abs(l: int, R_hat: float, k: complex) -> float:
-    """log|dispersion(l, R_hat, k)|, stable for large |Im k|.
+def _log_abs(R_hat: float, k, d: float, rows):
+    """log|_coefficient(R_hat, k, S, S')| for S, S' = rows(k d) scaled by
+    e^{-|Im k d|}; -inf at 0, NaN with no warning where S/k fails (subnormal
+    k).  A scalar k runs as a one-point array, bitwise its point of a batch
+    (NumPy rounds scalar complex division and log otherwise): a float."""
+    z = np.atleast_1d(np.asarray(k * d, dtype=complex))
+    S, Sp = rows(z)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.log(np.abs(_coefficient(R_hat, np.atleast_1d(k), S, Sp))) + np.abs(z.imag)
+    return out if np.ndim(k) else float(out[0])
 
-    Uses the rescaled rows S_l, S_l' of one riccati_s_rows call, so the
-    exponential growth e^{|Im k| R_hat} enters additively, never as a raw
-    magnitude.  Arguments are validated as dispersion does.
+
+def dispersion_log_abs(l: int, R_hat: float, k):
+    """log|dispersion(l, R_hat, k)|, elementwise on an ndarray k, from the
+    rescaled rows of one riccati_s_rows call, so e^{|Im k| R_hat} enters
+    additively and never overflows; -inf at a zero, a float for a scalar k.
+    Arguments are validated as dispersion does.
     """
     _check_dispersion_args(R_hat, k)
-    z = complex(k * R_hat)
-    S, Sp = riccati_s_rows(l, l, z, scaled=True)
-    scaled = _coefficient(R_hat, k, S, Sp)
-    mag = abs(scaled)
-    if mag == 0.0:
-        return -math.inf
-    return math.log(mag) + abs(z.imag)
+    return _log_abs(R_hat, k, R_hat, functools.partial(riccati_s_rows, l, l, scaled=True))
+
+
+def partial_trace_log_abs(R_hat: float, xi: float, k):
+    """log|R_hat cos(k d) - sin(k d)/k|, d = R_hat - xi: log|y(xi; k)| for the
+    l = 0 solution with y(R_hat) = R_hat, y'(R_hat) = 1, with the conventions
+    of dispersion_log_abs(0, R_hat, k), which it equals at xi = 0 up to
+    rounding.  ValueError for xi outside [0, R_hat), and as dispersion's.
+    """
+    _check_dispersion_args(R_hat, k)
+    if not 0.0 <= xi < R_hat:
+        raise ValueError(f"xi must lie in [0, R_hat), got xi={xi}, R_hat={R_hat}")
+    return _log_abs(R_hat, k, R_hat - xi, scaled_sin_cos)
 
 
 def _dispersion_rows(lmax: int, l, x: np.ndarray):
@@ -194,7 +212,7 @@ def _dispersion_rows(lmax: int, l, x: np.ndarray):
     return f, df, d2f
 
 
-# brentq's tolerances, on steps in x; a step this small leaves a rounding-level error
+# _halley's tolerances, on steps in x; a step this small leaves a rounding-level error
 _XTOL = 1e-14
 _RTOL = 4 * np.finfo(float).eps
 _MAX_ITER = 100

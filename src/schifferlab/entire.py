@@ -21,8 +21,8 @@ largest |f| on its panel is a zero of f on the contour.  Each job has one
 home: the ``PanelPath`` constructors check a contour's input,
 ``winding_count`` counts on the path it is given, and
 ``zero_count_sector`` only nudges the angles off a zero on the contour.
-The indicator evaluates f alone, at scalar points, after checking theta
-and every radius.
+The indicator takes f, or log|f|, from one call on the complex ndarray
+of its ray's sample points, after checking theta and every radius.
 """
 
 from __future__ import annotations
@@ -265,19 +265,22 @@ def zero_count_sector(f: Evaluator, alpha: float, beta: float, r: float,
     raise NumericalError(f"could not free the sector contour of zeros: {last_err}")
 
 
-def indicator(f: Callable[[complex], complex], theta: float,
-              r_sequence: Sequence[float],
-              log_abs: Callable[[complex], float] | None = None) -> IndicatorSample:
+def indicator(f: Callable[[np.ndarray], np.ndarray], theta: float,
+              r_sequence: Sequence[float], log: bool = False) -> IndicatorSample:
     """Lindelof indicator along the ray of angle theta.
 
     Quotients log|f(r e^{i theta})|/r are sampled over ``r_sequence``
     (increasing, at least 3 radii, max >= 50) and extrapolated by an
     affine fit in 1/r through the top three samples, the O(log r / r)
-    convergence model of sine-type functions.  For functions whose
-    magnitude overflows doubles along the ray, pass ``log_abs`` computing
-    log|f| directly; raw magnitudes are never required in that case.
-    A non-finite theta, or a non-finite or non-positive radius, raises
-    ValueError before any evaluation.
+    convergence model of sine-type functions.  ``f`` is called once, on
+    the complex ndarray of the sample points, and returns an array of its
+    shape: f, or with ``log`` log|f|, for rays where |f| overflows doubles.
+    ValueError, before any evaluation, for a bad sequence, a non-finite
+    theta, or a non-finite or non-positive radius; after it, for an array
+    of another shape.  At the first point where log|f|/r is not finite, a
+    zero f raises NumericalError "f vanishes at the sample point r=...",
+    an overflowed |f| without ``log`` OverflowError, and anything else
+    NumericalError; so does a rank-deficient fit.
     """
     rs = [float(r) for r in r_sequence]
     if len(rs) < 3 or any(b <= a for a, b in zip(rs, rs[1:])):
@@ -288,21 +291,30 @@ def indicator(f: Callable[[complex], complex], theta: float,
         raise ValueError(f"radii must be finite and positive, got {rs}")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    direction = complex(math.cos(theta), math.sin(theta))
-    hs = []
-    for r in rs:
-        z = r * direction
-        if log_abs is not None:
-            logmag = float(log_abs(z))
-        else:
-            mag = abs(f(z))
-            if not math.isfinite(mag):
-                raise OverflowError(
-                    "evaluator overflowed; supply log_abs for this ray")
-            if mag == 0.0:
-                raise NumericalError(f"f vanishes at the sample point r={r}")
-            logmag = math.log(mag)
-        hs.append(logmag / r)
-    top = np.array(rs[-3:])
-    fit = np.polynomial.polynomial.polyfit(1.0 / top, np.array(hs[-3:]), 1)
-    return IndicatorSample(theta, tuple(rs), tuple(hs), float(fit[0]))
+    r = np.array(rs)
+    z = r * complex(math.cos(theta), math.sin(theta))
+    values = f(z)
+    if np.shape(values) != z.shape:
+        raise ValueError(
+            "indicator evaluators must act elementwise on a complex ndarray and "
+            f"return an array of the ray's shape {z.shape}")
+    if not log:
+        with np.errstate(divide="ignore"):  # log 0 is -inf, named below
+            values = np.log(np.abs(values))
+    with np.errstate(over="ignore"):  # overflows at subnormal radii, named below
+        hs, x = values / r, 1.0 / r
+    bad = np.flatnonzero(~(np.isfinite(hs) & np.isfinite(x)))
+    if bad.size:
+        at, logmag = f"at the sample point r={rs[bad[0]]}", values[bad[0]]
+        if logmag == -math.inf:
+            raise NumericalError(f"f vanishes {at}")
+        if not (log or math.isfinite(logmag)):
+            raise OverflowError("evaluator overflowed; pass log=True and an "
+                                "evaluator of log|f| for this ray")
+        raise NumericalError(f"log|f|/r is not finite {at}")
+    # full: the rank without a RankWarning; 1/r^2 may overflow in its scaling
+    with np.errstate(over="ignore"):
+        fit, (_, rank, _, _) = np.polynomial.polynomial.polyfit(x[-3:], hs[-3:], 1, full=True)
+    if rank < 2:
+        raise NumericalError(f"the affine fit in 1/r through r={rs[-3:]} is rank deficient")
+    return IndicatorSample(theta, tuple(rs), tuple(hs.tolist()), float(fit[0]))

@@ -81,8 +81,12 @@ class StarlikeDomain:
                 raise ValueError(f"l, m must be integers, got ({l!r}, {m!r})") from None
             if not (0 <= l <= L_geom and abs(m) <= l):
                 raise ValueError(f"mode ({l}, {m}) outside degree range 0..{L_geom}")
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+            try:
+                bad = (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                       or not math.isfinite(value))
+            except OverflowError:  # an integer past the float range
+                bad = True
+            if bad:
                 raise ValueError(f"coefficient for ({l}, {m}) must be a finite real")
             if (l, m) in seen:
                 raise ValueError(f"duplicate coefficient for mode ({l}, {m})")

@@ -33,6 +33,8 @@ class FarFieldPattern:
 
     def __post_init__(self) -> None:
         check_positive("k", self.k)
+        if self.k <= 2.0 ** -1024:  # the synthesis divides by k
+            raise ValueError(f"k = {self.k} is too small: 1/k overflows at and below 2**-1024")
         for (n, m), value in self.a_coeffs.items():
             if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in (n, m)):
                 raise ValueError(f"coefficient index ({n!r}, {m!r}) is not integer")

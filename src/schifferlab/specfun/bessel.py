@@ -382,6 +382,7 @@ def riccati_s_rows(lmax: int, l, z, scaled: bool = False):
     z = _check_order_array(lmax, z, dtype=complex if np.iscomplexobj(z) else float)
     single = isinstance(l, (int, np.integer))
     if single:
+        check_integer("l", l)  # a bool is not a degree
         l = int(l)
     else:
         l = np.asarray(l)

@@ -36,6 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..errors import check_integer
 from .legendre import LegendrePlan
 
 
@@ -86,10 +87,16 @@ class ModePlan:
 
     @classmethod
     def build(cls, modes: Iterable[tuple[int, int]]) -> "ModePlan":
-        """Validate the (l, m) pairs (|m| <= l) and lay out their terms."""
+        """Validate the (l, m) pairs and lay out their terms: l and m are
+        integers (``errors.check_integer``; a bool is not one), l >= 0 and
+        |m| <= l, each a ValueError naming the pair's value."""
         modes = list(modes)
         lmax, ms = 0, set()
         for l, m in modes:
+            check_integer("l", l)
+            check_integer("m", m)
+            if l < 0:
+                raise ValueError(f"degree l={l} is negative")
             if abs(m) > l:
                 raise ValueError(f"order |m|={abs(m)} exceeds degree l={l}")
             lmax = max(lmax, l)

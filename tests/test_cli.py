@@ -31,6 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
 BALL = str(DATA / "ball.json")
 SPHEROID = str(DATA / "spheroid.json")
+FARFIELD = str(DATA / "farfield.json")
+# a JSON integer past the float range, as json.dumps writes 10**400
+HUGE = 10 ** 400
 
 
 class Result(NamedTuple):
@@ -158,6 +161,20 @@ def test_specfun_check_order_range_is_the_library_cap(run_cli):
         assert res.returncode == 2, l_max
         assert res.stderr == (f"schifferlab: config error: l_max = {l_max} outside "
                               "the supported range [0, 60]\n")
+
+
+@pytest.mark.parametrize("n", [61, HUGE])
+def test_farfield_degrees_past_the_cap_exit_2(run_cli, tmp_path, n):
+    # there was no cap: the Legendre layout loops over every degree up to
+    # n, so a degree of 10**400 could not finish
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"k": 2.0, "a_coeffs": [[1, 0, 1.0, 0.0], [n, 0, 1.0, 0.0]]}))
+    res = run_cli("farfield", "--config", str(path))
+    assert res.returncode == 2
+    assert res.stderr == (f"schifferlab: config error: a_coeffs degree n = {n} outside "
+                          "the supported range [0, 60]\n")
+    path.write_text(json.dumps({"k": 2.0, "a_coeffs": [[60, -60, 1.0, 0.0]]}))
+    assert run_cli("farfield", "--config", str(path)).returncode == 0
 
 
 def test_overflow_is_a_numerical_failure(monkeypatch, capsys):
@@ -416,10 +433,14 @@ def test_an_unusable_out_path_is_refused_before_any_work(run_cli, tmp_path, monk
      "a_coeffs must be a list of [n, m, re, im] rows, got [[1.9, 0, True, 0]]"),
     ({"k": 2.0, "a_coeffs": [[1, 0, "1", 0]]},
      "a_coeffs must be a list of [n, m, re, im] rows, got [[1, 0, '1', 0]]"),
+    ({"k": 2.0, "a_coeffs": [[0, 0, 1, 0], [0, 0, 2, 0]]},
+     "duplicate coefficient for mode (0, 0)"),
+    ({"k": 2.0, "a_coeffs": [[1, 0, 1, 0], [2, 1, 0, 1], [1.0, -0.0, 2, 0]]},
+     "duplicate coefficient for mode (1, 0)"),
 ])
 def test_list_keys_follow_the_scalar_rules(run_cli, tmp_path, config, message):
-    # each of these once ran: "50" as 50, true as 1, and a_coeffs' n = 1.9
-    # truncated to 1
+    # each of these once ran: "50" as 50, true as 1, a_coeffs' n = 1.9
+    # truncated to 1, and a repeated mode's last row in place of the others
     command = "indicator" if "r_values" in config else "farfield"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -464,16 +485,57 @@ def test_tolerances_must_be_positive(run_cli, command, flag):
      "l, m must be integers, got (2.5, 0)"),
     ({"L_geom": 0, "rho_coeffs": [[0, 0, "3.5449077018110318"]]},
      "coefficient for (0, 0) must be a finite real"),
+    ({"L_geom": 0, "rho_coeffs": [[0, 0, HUGE]]},
+     "coefficient for (0, 0) must be a finite real"),
 ])
 def test_domain_file_values_are_checked_unconverted(run_cli, tmp_path, raw, message):
     # load_domain once cast them: "L_geom": 2.7 ran as 2, an l of 2.5 as 2,
-    # and a string value through float()
+    # and a string value through float(); an integer past the float range
+    # read "numerical failure: int too large to convert to float" (exit 1)
     path = tmp_path / "domain.json"
     path.write_text(json.dumps(raw))
     for args in (("domain-residual", "--k", "2"), ("ray-scan",)):
         res = run_cli(*args, "--domain", str(path))
         assert res.returncode == 2
         assert res.stderr == f"schifferlab: config error: {message}\n"
+
+
+@pytest.mark.parametrize("command, config, name", [
+    ("eigen-scan", {"k_max": HUGE}, "k_max"),
+    ("eigen-scan", {"k_max": 12, "r_hat": -HUGE}, "r_hat"),
+    ("density", {"k_max": 60, "gap_tol": HUGE}, "gap_tol"),
+])
+def test_an_integer_past_the_float_range_is_a_config_error(run_cli, tmp_path, command,
+                                                           config, name):
+    # it once read "numerical failure: int too large to convert to float"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    res = run_cli(command, "--config", str(path))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == (f"schifferlab: config error: {name} must be finite, "
+                          "got an integer past the float range\n")
+
+
+def test_specfun_check_refuses_a_grid_past_the_cap_before_any_table(run_cli, tmp_path,
+                                                                     monkeypatch):
+    # n_x had no bound: 32,768 points of orders 0..60 peak at 266 MB, and
+    # the cost grows with n_x
+    def never(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_x": HUGE}))
+    monkeypatch.setattr(cli, "riccati_table", never)
+    for args, n_x in ((("--n-x", "32769"), 32769), (("--n-x", "1000000"), 1000000),
+                      (("--config", str(path)), HUGE)):
+        res = run_cli("specfun-check", "--l-max", "60", *args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == (f"schifferlab: config error: n_x = {n_x} exceeds the limit "
+                              "of 32768 grid points\n")
+    monkeypatch.undo()
+    assert run_cli("specfun-check", "--l-max", "2", "--n-x", "32768").returncode == 0
 
 
 def test_indicator_expects_the_type_times_sin_theta(run_cli):
@@ -489,6 +551,21 @@ def test_indicator_expects_the_type_times_sin_theta(run_cli):
     assert res.returncode == 0
     rows = res.stdout.strip().split("\n")[1:-1]
     assert {row.split(",")[3] for row in rows} == {"1"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("radii, message", [
+    # once numpy warnings, LAPACK's "DLASCL ... illegal value" on stderr and
+    # "config error: SVD did not converge in Linear Least Squares"
+    ("5e-324,1,60", "log|f|/r is not finite at the sample point r=5e-324"),
+    # once a RankWarning and an extrapolated type of -1.2e301
+    ("1e-300,1,60", "the affine fit in 1/r through r=[1e-300, 1.0, 60.0] is rank deficient"),
+])
+def test_indicator_radii_it_cannot_fit_are_a_numerical_failure(run_cli, radii, message):
+    res = run_cli("indicator", "--r-values", radii)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == f"schifferlab: numerical failure: {message}\n"
 
 
 def test_indicator_rejects_the_real_axis(run_cli):
@@ -646,17 +723,34 @@ _FUZZED = {
     "ray-scan": (("ray-scan", "--domain", BALL), {"--l-max": _EDGE_INTS,
                                                   "--k-max": _EDGE_FLOATS,
                                                   "--spread-tol": _EDGE_FLOATS}),
+    # n_x is capped at 32,768, so 1000000 is refused before any table
+    "specfun-check": (("specfun-check",), {"--l-max": _EDGE_INTS, "--x-min": _EDGE_FLOATS,
+                                           "--x-max": _EDGE_FLOATS, "--n-x": _EDGE_INTS,
+                                           "--tol": _EDGE_FLOATS, "--gram-l-max": _EDGE_INTS,
+                                           "--gram-tol": _EDGE_FLOATS}),
+    "indicator": (("indicator",), {"--l": _EDGE_INTS, "--xi": _EDGE_FLOATS,
+                                   "--r-hat": _EDGE_FLOATS, "--theta": _EDGE_FLOATS,
+                                   "--r-values": st.sampled_from([
+                                       "12.5,25,50", "0,20,60", "60,70,inf", "nan,20,60",
+                                       "5e-324,1,60", "50,40,60", "60", "1e6,2e6,4e6",
+                                       "100,1e300,inf"]),
+                                   "--type-tol": _EDGE_FLOATS}),
+    # the trial degree stays below 60, whose system is 14,884 x 3,721
+    "ball-check": (("ball-check",), {"--r": _EDGE_FLOATS, "--n": _EDGE_INTS,
+                                     "--l-trial": _EDGE_INTS, "--tol": _EDGE_FLOATS}),
+    "farfield": (("farfield", "--config", FARFIELD), {"--k": _EDGE_FLOATS}),
 }
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_numeric_flags_at_the_edges_exit_cleanly(data):
     # every outcome is PASS/FAIL (0/1), a numerical failure (1) or a config
     # error (2), never a traceback; the only warnings are the documented ones
     # about near-coincident roots (a tol above the root spacing) and, from
     # the boundary least squares, a rank-deficient trial space
-    fixed, flags = _FUZZED[data.draw(st.sampled_from(sorted(_FUZZED)))]
+    case = data.draw(st.sampled_from(sorted(_FUZZED)))
+    fixed, flags = _FUZZED[case]
     chosen = data.draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
     args = list(fixed)
     for flag in chosen:
@@ -669,6 +763,7 @@ def test_numeric_flags_at_the_edges_exit_cleanly(data):
             code = cli.main(args)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
+    event(f"{case} exit {code}")
     assert code in (0, 1, 2), (args, code)
     assert "Traceback" not in err.getvalue(), args
     allowed = ("near-coincident roots",) + (
@@ -678,12 +773,12 @@ def test_numeric_flags_at_the_edges_exit_cleanly(data):
 
 
 # config-file values: JSON bools, strings, integral and non-integral
-# floats, NaN and the infinities, null, and nested lists.  Integers stay
-# small or past every cap: an order of 60 is valid and would build a
-# least-squares system of 3,721 columns
+# floats, NaN and the infinities, null, nested lists, and integers past
+# the float range.  Other integers stay small or past every cap: an order
+# of 60 is valid and would build a least-squares system of 3,721 columns
 _JSON_SCALARS = st.sampled_from([True, False, None, "2", "", "0.5", "nan", 0, 1, 2, 3, -1, 61,
-                                 0.0, -0.0, 2.0, 3.0, -1.0, 61.0, 0.5, 2.5, 1e-300, 5e-324,
-                                 1e300, math.nan, math.inf, -math.inf])
+                                 HUGE, -HUGE, 0.0, -0.0, 2.0, 3.0, -1.0, 61.0, 0.5, 2.5,
+                                 1e-300, 5e-324, 1e300, math.nan, math.inf, -math.inf])
 _JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=4),
                             max_leaves=8)
 # a valid config per subcommand, which the fuzzed keys then overwrite; the

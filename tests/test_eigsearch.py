@@ -22,6 +22,7 @@ from schifferlab.eigsearch import (
     dispersion_function,
     dispersion_log_abs,
     find_real_eigenvalues,
+    partial_trace_log_abs,
     real_eigenvalue_spectra,
 )
 from schifferlab.errors import NumericalError, UnderflowError
@@ -688,3 +689,44 @@ def test_log_magnitude_evaluator():
     big = dispersion_log_abs(0, 1.0, 1.0 + 900.0j)
     assert np.isfinite(big)
     assert_allclose(big / 900.0, 1.0, rtol=0.01)
+
+
+def test_log_magnitudes_of_a_batch_are_bitwise_its_points():
+    # a scalar k runs as a one-point array, so a batch point is its call
+    k = np.array([[0.7, 5.3 + 2.0j, -3.1 - 0.4j], [12.0, 0.2j, 40.0 - 900.0j]])
+    for log_abs in [lambda k: dispersion_log_abs(l, 1.3, k) for l in (0, 3, 5)] + [
+            lambda k: partial_trace_log_abs(1.3, 0.4, k)]:
+        got = log_abs(k)
+        assert got.shape == k.shape and got.dtype == float
+        one = [log_abs(complex(x)) for x in k.ravel()]
+        assert all(type(x) is float for x in one)
+        assert got.ravel().tolist() == one
+        assert log_abs(k[0, :1]).tolist() == one[:1]
+
+
+def test_partial_trace_at_xi_zero_is_the_dispersion():
+    k = np.array([0.7, 5.3 + 2.0j, -3.1 - 0.4j, 12.0, 0.2j, 40.0 - 3.0j, 900.0j])
+    for R in (0.5, 1.0, 2.5):
+        trace = partial_trace_log_abs(R, 0.0, k)
+        assert_allclose(trace, dispersion_log_abs(0, R, k), rtol=1e-14, atol=1e-14)
+    # e^{d |Im k|} growth, kept additive: d = 0.75 at k = 900i
+    big = partial_trace_log_abs(1.0, 0.25, 900.0j)
+    assert np.isfinite(big)
+    assert_allclose(big / 900.0, 0.75, rtol=0.01)
+    # log|cos(k d) - sin(k d)/k| at R = 1, for a few real and complex k
+    for z in (3.0 + 1.0j, 0.9 - 2.2j, 4.0):
+        assert_allclose(partial_trace_log_abs(1.0, 0.5, z),
+                        math.log(abs(np.cos(0.5 * z) - np.sin(0.5 * z) / z)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("R, xi, message", [
+    (1.0, -0.1, "xi must lie in [0, R_hat), got xi=-0.1, R_hat=1.0"),
+    (1.0, 1.0, "xi must lie in [0, R_hat), got xi=1.0, R_hat=1.0"),
+    (1.0, math.nan, "xi must lie in [0, R_hat), got xi=nan, R_hat=1.0"),
+    (0.0, 0.0, "R_hat must be positive and finite, got 0.0"),
+])
+def test_partial_trace_rejects_a_point_off_the_interval(R, xi, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        partial_trace_log_abs(R, xi, 2.0 + 1.0j)
+    with pytest.raises(ValueError, match="away from k = 0"):
+        partial_trace_log_abs(1.0, 0.5, np.array([1.0, 0.0]))

@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import inspect
 import math
 import re
 
@@ -406,15 +407,16 @@ def test_counts_at_the_node_counts_that_close_the_path():
                                      "got [0.0, 20.0, 50.0]"),
 ])
 def test_indicator_rejects_bad_rays_before_evaluating(theta, radii, message):
-    # a NaN theta once read "evaluator overflowed", or with log_abs
-    # "argument must be finite"; an infinite theta "math domain error";
-    # r = 0 divided by zero; and (10, 20, nan) passed the increasing check
+    # a NaN theta once read "evaluator overflowed", or with a log|f|
+    # evaluator "argument must be finite"; an infinite theta "math domain
+    # error"; r = 0 divided by zero; and (10, 20, nan) passed the
+    # increasing check
     def never(z):
         raise AssertionError("the evaluator ran")
 
-    for log_abs in (None, never):
+    for log in (False, True):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            indicator(never, theta, radii, log_abs=log_abs)
+            indicator(never, theta, radii, log=log)
 
 
 def test_indicator_sequence_checks_come_first():
@@ -452,18 +454,78 @@ def test_partial_interval_trace_has_reduced_type():
 
 def test_raw_overflow_is_reported_with_a_remedy():
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(OverflowError, match="supply log_abs"):
+        with pytest.raises(OverflowError, match=re.escape("pass log=True")):
             indicator(np.sin, math.pi / 2, (200.0, 400.0, 800.0))
 
 
 def test_log_magnitude_evaluator_path():
-    s = indicator(np.sin, math.pi / 2, (200.0, 400.0, 800.0),
-                  log_abs=lambda z: float(abs(z.imag)))
+    s = indicator(lambda z: np.abs(z.imag), math.pi / 2, (200.0, 400.0, 800.0), log=True)
     assert_allclose(s.h_extrapolated, 1.0, rtol=1e-9)
-    big = indicator(functools.partial(dispersion, 0, 1.0), math.pi / 2,
-                    (400.0, 800.0, 1600.0),
-                    log_abs=lambda z: dispersion_log_abs(0, 1.0, z))
+    big = indicator(functools.partial(dispersion_log_abs, 0, 1.0), math.pi / 2,
+                    (400.0, 800.0, 1600.0), log=True)
     assert_allclose(big.h_extrapolated, 1.0, rtol=1e-3)
+
+
+def test_indicator_calls_its_evaluator_once_on_the_whole_ray():
+    calls = []
+
+    def counted(f):
+        def g(z):
+            calls.append(z.shape)
+            return f(z)
+        return g
+
+    radii = (12.5, 25.0, 50.0, 100.0, 200.0)
+    raw = indicator(counted(np.sin), math.pi / 2, radii)
+    log = indicator(counted(functools.partial(dispersion_log_abs, 0, 1.0)), math.pi / 2,
+                    radii, log=True)
+    assert calls == [(5,), (5,)]
+    assert_allclose(raw.h_extrapolated, 1.0, rtol=0.02)
+    assert_allclose(log.h_extrapolated, 1.0, rtol=0.02)
+    assert "log_abs" not in inspect.signature(indicator).parameters
+
+
+def test_indicator_refuses_an_evaluator_of_the_wrong_shape():
+    want = ("indicator evaluators must act elementwise on a complex ndarray and "
+            "return an array of the ray's shape (3,)")
+    for f in (lambda z: 1.0, lambda z: np.sin(z)[:2], lambda z: (np.sin(z), np.cos(z))):
+        for log in (False, True):
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                indicator(f, 1.0, (10.0, 20.0, 50.0), log=log)
+
+
+def test_indicator_names_the_first_bad_sample_point():
+    # the first zero or non-finite |f| in radius order decides the error
+    def values(*v):
+        return lambda z: np.array(v, dtype=complex)
+
+    with pytest.raises(NumericalError, match=r"^f vanishes at the sample point r=20\.0$"):
+        indicator(values(1.0, 0.0, 0.0), 1.0, (10.0, 20.0, 50.0))
+    with pytest.raises(NumericalError, match=r"^f vanishes at the sample point r=10\.0$"):
+        indicator(values(0.0, math.inf, 1.0), 1.0, (10.0, 20.0, 50.0))
+    with pytest.raises(OverflowError, match="^evaluator overflowed"):
+        indicator(values(1.0, math.nan, 0.0), 1.0, (10.0, 20.0, 50.0))
+    # log|f| evaluators: -inf is a zero, any other non-finite value a failure
+    logs = lambda *v: lambda z: np.array(v)
+    with pytest.raises(NumericalError, match=r"^f vanishes at the sample point r=20\.0$"):
+        indicator(logs(1.0, -math.inf, math.nan), 1.0, (10.0, 20.0, 50.0), log=True)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(NumericalError,
+                           match=r"^log\|f\|/r is not finite at the sample point r=50\.0$"):
+            indicator(logs(1.0, 2.0, bad), 1.0, (10.0, 20.0, 50.0), log=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_indicator_reports_a_fit_it_cannot_make():
+    # a subnormal radius once overflowed 1/r with numpy warnings, and the
+    # fit failed as "SVD did not converge"; radii 1e300 apart in 1/r gave
+    # a RankWarning and an extrapolation of -1.2e301
+    with pytest.raises(NumericalError,
+                       match=r"^log\|f\|/r is not finite at the sample point r=5e-324$"):
+        indicator(lambda z: np.full(z.shape, -0.5), 1.0, (5e-324, 1.0, 60.0), log=True)
+    with pytest.raises(NumericalError, match=re.escape(
+            "the affine fit in 1/r through r=[1e-300, 1.0, 60.0] is rank deficient")):
+        indicator(np.sin, 1.0, (1e-300, 1.0, 60.0))
 
 
 def test_indicator_validation():

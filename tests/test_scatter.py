@@ -1110,6 +1110,10 @@ def test_far_field_matches_brute_force_sum():
 def test_pattern_validation():
     with pytest.raises(ValueError, match="positive and finite"):
         FarFieldPattern({(0, 0): 1.0}, 0.0)
+    # the synthesis once overflowed to inf and NaN, with numpy warnings
+    with pytest.raises(ValueError, match=re.escape("k = 5e-324 is too small: 1/k overflows")):
+        FarFieldPattern({(0, 0): 1.0}, 5e-324)
+    assert FarFieldPattern({(0, 0): 1.0}, 2.0 ** -1023).k == 2.0 ** -1023
     with pytest.raises(ValueError, match="not integer"):
         FarFieldPattern({(0.5, 0): 1.0}, 1.0)
     # a bool index once ran as 1 or 0

@@ -658,6 +658,10 @@ def test_row_reader_validates_its_degrees():
             riccati_s_rows(3, bad, z)
     with pytest.raises(ValueError, match="^degrees must be integers, got an array of float64$"):
         riccati_s_rows(3, np.array([0.0, 1.0]), z)
+    # True read the degree-1 rows
+    with pytest.raises(ValueError, match="^l must be an integer, got True$"):
+        riccati_s_rows(3, True, z)
+    assert riccati_s_rows(3, np.int64(2), z)[0].tobytes() == riccati_s_rows(3, 2, z)[0].tobytes()
     assert riccati_s_rows(3, np.zeros((0, 1), dtype=int), z)[0].shape == (0, 2)
     # lmax and z are checked first, with riccati_table's messages
     with pytest.raises(ValueError, match="order l=61 exceeds L_MAX=60"):

@@ -5,6 +5,7 @@ relate to scipy's lpmv by a factor (-1)^m.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -205,8 +206,26 @@ def test_degree_and_order_validation():
         ylm(2, 3, 0.5, 0.5)
     with pytest.raises(ValueError, match="exceeds degree"):
         legendre(2, 3, 0.5)
-    with pytest.raises(ValueError, match="exceeds degree"):
+    # a negative degree read "order |m|=0 exceeds degree l=-1"
+    with pytest.raises(ValueError, match="^degree l=-1 is negative$"):
         ylm(-1, 0, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("l, m, message", [
+    # 2.0 and 0.5 raised a bare TypeError; True ran as Y_1^0
+    (2.0, 0, "l must be an integer, got 2.0"),
+    (1, 0.5, "m must be an integer, got 0.5"),
+    (True, 0, "l must be an integer, got True"),
+    (1, False, "m must be an integer, got False"),
+])
+def test_a_mode_must_be_a_pair_of_integers(l, m, message):
+    want = f"^{re.escape(message)}$"
+    for call in (lambda: ylm(l, m, 0.3, 0.1), lambda: ylm_theta_derivative(l, m, 0.3, 0.1),
+                 lambda: list(ylm_terms([(1, 0), (l, m)], 0.3, 0.1)),
+                 lambda: ModePlan.build([(l, m)])):
+        with pytest.raises(ValueError, match=want):
+            call()
+    assert ylm(np.int64(2), np.int64(-1), 0.3, 0.1) == ylm(2, -1, 0.3, 0.1)
 
 
 def test_integrate_rejects_wrong_shape():
